@@ -3,11 +3,12 @@
 //! ```text
 //! psc <file.ps | @builtin> [--emit c|flowchart|depgraph|components|hir|memory]
 //!     [--hyperplane windowed|full] [--fuse] [--prefer-parallel]
+//! psc <file.ps | @builtin> strips   which equations run strip-mined, and why not
 //! psc --list                 list built-in programs
 //! psc --equation '<tex>'     translate TeX-style recurrence to PS
 //! ```
 
-use ps_core::{compile, programs, CompileOptions, StorageMode};
+use ps_core::{compile, programs, CompileOptions, Program, RuntimeOptions, StorageMode};
 use ps_scheduler::PickPolicy;
 use std::process::ExitCode;
 
@@ -20,6 +21,7 @@ fn usage() -> ! {
            --hyperplane windowed|full   apply the Section-4 transformation\n\
            --fuse                       run the loop-fusion post-pass\n\
            --prefer-parallel            pick dimensions that yield DOALL first\n\
+           strips                       per equation: strip-mined, or scalar and why\n\
            --list                       list built-in programs (@name)\n\
            --equation '<tex>'           translate e.g. 'A^{{k}}_{{i,j}} = ...' to PS"
     );
@@ -72,6 +74,7 @@ fn main() -> ExitCode {
             }
             "--fuse" => options.schedule.fuse_loops = true,
             "--prefer-parallel" => options.schedule.pick = PickPolicy::PreferParallel,
+            "strips" => emit = "strips".to_string(),
             _ => usage(),
         }
         i += 1;
@@ -127,6 +130,15 @@ fn main() -> ExitCode {
             );
         }
         "hir" => print!("{}", ps_lang::print::print_hir(&comp.module)),
+        "strips" => {
+            let prog = match &comp.transformed {
+                Some(_) => Program::compile_transformed(&comp, RuntimeOptions::default()),
+                None => Program::compile(&comp, RuntimeOptions::default()),
+            };
+            for (label, verdict) in prog.strip_report() {
+                println!("{label}: {verdict}");
+            }
+        }
         other => {
             eprintln!("unknown --emit target `{other}`");
             return ExitCode::FAILURE;

@@ -8,7 +8,7 @@ use ps_hyperplane::{
     HyperplaneResult, StorageMode,
 };
 use ps_lang::HirModule;
-use ps_runtime::{run_module, Inputs, Outputs, RuntimeOptions};
+use ps_runtime::{run_module, Inputs, Outputs, RuntimeOptions, StripVerdict};
 use ps_scheduler::{schedule_module, ScheduleError, ScheduleOptions, ScheduleResult};
 use ps_support::{DiagnosticSink, SourceMap};
 
@@ -236,6 +236,12 @@ impl<'c> Program<'c> {
     /// serving loop over one shape).
     pub fn specialization_count(&self) -> usize {
         self.inner.specialization_count()
+    }
+
+    /// Which equations run strip-mined and why the others do not; see
+    /// [`ps_runtime::Program::strip_report`].
+    pub fn strip_report(&self) -> Vec<(String, StripVerdict)> {
+        self.inner.strip_report()
     }
 }
 

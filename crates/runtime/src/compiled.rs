@@ -42,10 +42,24 @@
 //! * **Branch-lowered guards**: `if` conditions emit conditional jumps
 //!   directly (short-circuit `and`/`or` become control flow), so boundary
 //!   guards never materialize intermediate booleans.
-//! * **Zero per-iteration allocations**: registers live in per-worker
-//!   reusable [`Frames`]; the tape only indexes into them — with
-//!   *unchecked* indexing, justified by a full validation pass over every
-//!   lowered tape (`validate`) at compile time.
+//! * **Zero per-iteration allocations**: registers — and, for equations
+//!   that strip, their lanes — live in per-worker reusable [`Frames`]; the
+//!   tape only indexes into them — with *unchecked* indexing, justified by
+//!   a full validation pass over every lowered tape (`validate`) at compile
+//!   time.
+//! * **Innermost `DOALL`s run in strips** ([`crate::strip`], a second
+//!   walker over the same tapes): a single-equation `DOALL` body whose
+//!   tape is unchecked, stores into a real array, writes only
+//!   `f`-registers, subscripts only never-written registers, branches only
+//!   on integer compares, and keeps its counter out of windowed dimensions
+//!   is dispatched once per 64 iterations, each instruction applied to 64
+//!   lanes and each address (window `mod` included) evaluated once and
+//!   advanced by its stride. Legal because a `DOALL`'s iterations neither
+//!   read nor write each other's cells (the contract `ParVec::set` rests
+//!   on), so instruction-major order reorders only independent accesses;
+//!   bit-identical because each lane runs the scalar tape's operations in
+//!   its order. Eligibility is decided once at lowering, never per call;
+//!   everything else runs the scalar walker below.
 //! * **Optional checked mode**: when built with `check_writes`, every load
 //!   and store re-derives its *logical* index from the same affine forms
 //!   and performs the tree-walker's tag transitions (double-write and
@@ -59,6 +73,7 @@
 
 use crate::ndarray::{NdSpec, ParVec, SharedBuffer};
 use crate::store::{RuntimeError, Store, StorePlan};
+use crate::strip::{self, fop, ScalarReason, StripPlan};
 use crate::value::Value;
 use ps_analyze as pa;
 use ps_lang::ast::{BinOp, UnOp};
@@ -90,7 +105,7 @@ fn kind_of(ty: ScalarTy) -> Kind {
 }
 
 /// A typed register reference.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) enum Reg {
     F(u16),
     I(u16),
@@ -100,7 +115,7 @@ pub(crate) enum Reg {
 /// Comparison operator with the tree-walker's `partial_cmp` semantics
 /// (NaN compares false under everything except `<>`).
 #[derive(Clone, Copy, Debug)]
-enum CmpOp {
+pub(super) enum CmpOp {
     Eq,
     Ne,
     Lt,
@@ -123,7 +138,7 @@ impl CmpOp {
     }
 
     #[inline]
-    fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
+    pub(super) fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
         match a.partial_cmp(&b) {
             None => matches!(self, CmpOp::Ne),
             Some(ord) => match self {
@@ -144,7 +159,7 @@ impl CmpOp {
 /// typed buffer tables. All indices are range-checked once by
 /// `CompiledEq::validate`, so execution uses unchecked access.
 #[derive(Clone, Copy, Debug)]
-enum Insn {
+pub(super) enum Insn {
     CopyF {
         src: u16,
         dst: u16,
@@ -360,28 +375,28 @@ enum Insn {
 /// and, crucially, it contains no parameter *values*, so it survives
 /// unchanged across runs with different parameters.
 #[derive(Clone, Debug, Default)]
-struct AffDim {
-    base: i64,
-    terms: Vec<(u16, i64)>,
+pub(super) struct AffDim {
+    pub(super) base: i64,
+    pub(super) terms: Vec<(u16, i64)>,
 }
 
 /// One array access before layout folding: the target array plus one
 /// affine form per dimension. Produced at lowering time (parameter-free),
 /// folded into an [`Addr`] per specialization.
 #[derive(Clone, Debug)]
-struct SymAddr {
-    array: DataId,
-    dims: Vec<AffDim>,
+pub(super) struct SymAddr {
+    pub(super) array: DataId,
+    pub(super) dims: Vec<AffDim>,
 }
 
 /// A windowed dimension: physical index is
 /// `(value − lo).rem_euclid(window) · stride`.
 #[derive(Clone, Debug)]
-struct WinDim {
+pub(super) struct WinDim {
     stride: i64,
     lo: i64,
     window: i64,
-    value: AffDim,
+    pub(super) value: AffDim,
 }
 
 /// One dimension's pre-fold affine value plus its logical bounds and
@@ -402,10 +417,10 @@ struct ChkDim {
 /// dimensions. For any access into an unwindowed array — affine *or*
 /// dynamic — `special` is empty and the address is a single dot product.
 #[derive(Clone, Debug, Default)]
-struct Addr {
+pub(super) struct Addr {
     base: i64,
-    lin: Vec<(u16, i64)>,
-    special: Vec<WinDim>,
+    pub(super) lin: Vec<(u16, i64)>,
+    pub(super) special: Vec<WinDim>,
     /// Per-dimension logical views; empty in unchecked release builds.
     chk: Vec<ChkDim>,
 }
@@ -422,7 +437,7 @@ struct Addr {
 /// tape's guards would have skipped, so evaluation must never panic
 /// (wrapping matches the release-mode semantics of the tape itself).
 #[derive(Clone, Debug, PartialEq)]
-enum PInt {
+pub(super) enum PInt {
     Const(i64),
     /// Index into the program's parameter table.
     Param(u16),
@@ -529,7 +544,7 @@ impl PInt {
 
 /// The compiled result store of one equation.
 #[derive(Clone, Copy, Debug)]
-enum OutSpec {
+pub(super) enum OutSpec {
     Scalar { slot: u32 },
     ArrayF { buf: u16, addr: u16 },
     ArrayI { buf: u16, addr: u16 },
@@ -541,24 +556,27 @@ enum OutSpec {
 /// (parameter registers and derived integer registers), and the final
 /// store. The first `n_counters` `i64` registers are the equation's loop
 /// counters in [`IvId`] order.
-struct CompiledEq {
-    insns: Vec<Insn>,
-    sym_addrs: Vec<SymAddr>,
+pub(super) struct CompiledEq {
+    pub(super) insns: Vec<Insn>,
+    pub(super) sym_addrs: Vec<SymAddr>,
     n_f: u16,
     n_i: u16,
     n_b: u16,
     consts_f: Vec<(u16, f64)>,
-    consts_i: Vec<(u16, i64)>,
+    pub(super) consts_i: Vec<(u16, i64)>,
     consts_b: Vec<(u16, bool)>,
     /// `(register, parameter-table index)` pairs filled per run.
     preload_f: Vec<(u16, u16)>,
-    preload_i: Vec<(u16, u16)>,
+    pub(super) preload_i: Vec<(u16, u16)>,
     preload_b: Vec<(u16, u16)>,
     /// Derived integer registers: hoisted pure-parameter expressions,
     /// evaluated once per run.
-    derived_i: Vec<(u16, PInt)>,
-    out: OutSpec,
-    src: Reg,
+    pub(super) derived_i: Vec<(u16, PInt)>,
+    pub(super) out: OutSpec,
+    pub(super) src: Reg,
+    /// Whether the equation's innermost `DOALL` runs in strips, decided
+    /// once by [`strip::plan_tapes`] after lowering.
+    pub(super) strip: Result<StripPlan, ScalarReason>,
 }
 
 impl CompiledEq {
@@ -827,7 +845,7 @@ impl CompiledEq {
 /// tape plus the tables shared across runs. Immutable once built; one
 /// [`Tapes`] serves any number of (possibly concurrent) runs.
 pub(crate) struct Tapes {
-    eqs: IndexVec<EqId, Option<CompiledEq>>,
+    pub(super) eqs: IndexVec<EqId, Option<CompiledEq>>,
     /// Which array each typed buffer index refers to; resolved against the
     /// live store per run ([`ExecProg::new`]).
     buf_f: Vec<DataId>,
@@ -1135,7 +1153,10 @@ impl Tapes {
 /// all.
 pub(crate) struct Spec {
     pub(crate) key: Vec<i64>,
-    addrs: IndexVec<EqId, Vec<Addr>>,
+    pub(super) addrs: IndexVec<EqId, Vec<Addr>>,
+    /// Per stripped equation, each address's stride along the inner
+    /// counter ([`strip::inner_strides`]); empty for scalar equations.
+    pub(super) strides: IndexVec<EqId, Vec<i64>>,
 }
 
 impl Spec {
@@ -1149,7 +1170,7 @@ impl Spec {
 /// Fold per-dimension affine subscripts against `spec`'s physical layout
 /// into a strength-reduced [`Addr`] (the old per-run lowering's
 /// `push_addr`, now executed once per parameter layout).
-fn fold_addr(sym: &SymAddr, spec: &NdSpec, with_chk: bool) -> Addr {
+pub(super) fn fold_addr(sym: &SymAddr, spec: &NdSpec, with_chk: bool) -> Addr {
     assert_eq!(sym.dims.len(), spec.dims.len(), "subscript rank mismatch");
     let n = spec.dims.len();
     let mut strides = vec![1i64; n];
@@ -1206,6 +1227,7 @@ pub(crate) fn specialize(
     let module = plan.module;
     let mut layouts: IndexVec<DataId, Option<NdSpec>> = module.data.iter().map(|_| None).collect();
     let mut addrs: IndexVec<EqId, Vec<Addr>> = tapes.eqs.iter().map(|_| Vec::new()).collect();
+    let mut strides: IndexVec<EqId, Vec<i64>> = tapes.eqs.iter().map(|_| Vec::new()).collect();
     for (eq, opt) in tapes.eqs.iter_enumerated() {
         let Some(ceq) = opt else { continue };
         let mut folded = Vec::with_capacity(ceq.sym_addrs.len());
@@ -1226,19 +1248,26 @@ pub(crate) fn specialize(
                 with_chk,
             ));
         }
+        if let Ok(plan) = &ceq.strip {
+            strides[eq] = strip::inner_strides(plan, &folded);
+        }
         addrs[eq] = folded;
     }
-    Ok(Spec { key, addrs })
+    Ok(Spec {
+        key,
+        addrs,
+        strides,
+    })
 }
 
 /// One run's execution view: tapes + specialized addresses + the live
 /// store's typed buffers (and, in checked mode, their tag tables)
 /// resolved by index. Constructed per run; cheap (three short `Vec`s).
 pub(crate) struct ExecProg<'r, 'm> {
-    store: &'r Store<'m>,
+    pub(super) store: &'r Store<'m>,
     tapes: &'r Tapes,
-    spec: &'r Spec,
-    bufs_f: Vec<&'r ParVec<f64>>,
+    pub(super) spec: &'r Spec,
+    pub(super) bufs_f: Vec<&'r ParVec<f64>>,
     bufs_i: Vec<&'r ParVec<i64>>,
     bufs_b: Vec<&'r ParVec<bool>>,
     tags_f: Vec<Option<&'r [AtomicI64]>>,
@@ -1251,22 +1280,25 @@ pub(crate) struct ExecProg<'r, 'm> {
 /// temporaries and preloaded constants. Reused across every iteration the
 /// owning worker executes — the hot path never allocates.
 #[derive(Clone, Default)]
-struct Frame {
-    f: Vec<f64>,
+pub(super) struct Frame {
+    pub(super) f: Vec<f64>,
     i: Vec<i64>,
     b: Vec<bool>,
+    /// [`strip::W`] lanes per `f`-register when the equation strips (its
+    /// constants and parameters broadcast once, like `f`), else empty.
+    pub(super) lanes: Vec<f64>,
 }
 
 impl Frame {
     #[inline(always)]
-    fn gf(&self, r: u16) -> f64 {
+    pub(super) fn gf(&self, r: u16) -> f64 {
         debug_assert!((r as usize) < self.f.len());
         // SAFETY: validated against n_f, and self.f.len() == n_f.
         unsafe { *self.f.get_unchecked(r as usize) }
     }
 
     #[inline(always)]
-    fn gi(&self, r: u16) -> i64 {
+    pub(super) fn gi(&self, r: u16) -> i64 {
         debug_assert!((r as usize) < self.i.len());
         // SAFETY: validated against n_i.
         unsafe { *self.i.get_unchecked(r as usize) }
@@ -1280,14 +1312,14 @@ impl Frame {
     }
 
     #[inline(always)]
-    fn sf(&mut self, r: u16, v: f64) {
+    pub(super) fn sf(&mut self, r: u16, v: f64) {
         debug_assert!((r as usize) < self.f.len());
         // SAFETY: validated against n_f.
         unsafe { *self.f.get_unchecked_mut(r as usize) = v }
     }
 
     #[inline(always)]
-    fn si(&mut self, r: u16, v: i64) {
+    pub(super) fn si(&mut self, r: u16, v: i64) {
         debug_assert!((r as usize) < self.i.len());
         // SAFETY: validated against n_i.
         unsafe { *self.i.get_unchecked_mut(r as usize) = v }
@@ -1316,13 +1348,15 @@ impl Frames {
             .map(|opt| match opt {
                 None => Frame::default(),
                 Some(ceq) => {
+                    let lanes = usize::from(ceq.strip.is_ok()) * ceq.n_f as usize * strip::W;
                     let mut fr = Frame {
                         f: vec![0.0; ceq.n_f as usize],
                         i: vec![0; ceq.n_i as usize],
                         b: vec![false; ceq.n_b as usize],
+                        lanes: vec![0.0; lanes],
                     };
                     for &(r, v) in &ceq.consts_f {
-                        fr.f[r as usize] = v;
+                        fr.preset_f(r, v);
                     }
                     for &(r, v) in &ceq.consts_i {
                         fr.i[r as usize] = v;
@@ -1346,7 +1380,7 @@ impl Frames {
             let Some(ceq) = opt else { continue };
             let fr = &mut self.frames[eq];
             for &(r, p) in &ceq.preload_f {
-                fr.f[r as usize] = values[p as usize].widen_real();
+                fr.preset_f(r, values[p as usize].widen_real());
             }
             for &(r, p) in &ceq.preload_i {
                 fr.i[r as usize] = values[p as usize].as_int();
@@ -1467,6 +1501,8 @@ pub(crate) fn compile_tapes(
         let lowerer = Lowerer::new(module, plan, &params, eq_id, &mut bufs, fold_static);
         eqs[eq_id] = Some(lowerer.lower_equation());
     }
+    let windowed = |array, dim| plan.dim_has_window(array, dim);
+    strip::plan_tapes(&mut eqs, module, &flowchart.items, None, checked, &windowed);
     let n_slots = plan.slot_count();
     for (eq_id, opt) in eqs.iter_enumerated() {
         let Some(ceq) = opt else { continue };
@@ -1578,17 +1614,17 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         let item = &self.module.data[self.params.ids[pidx as usize]];
         let r = match kind_of(self.module.runtime_scalar_ty(&item.ty)) {
             Kind::F => {
-                let r = self.alloc_f();
+                let r = self.alloc_f(None);
                 self.preload_f.push((r, pidx));
                 Reg::F(r)
             }
             Kind::I => {
-                let r = self.alloc_i();
+                let r = self.alloc_i(None);
                 self.preload_i.push((r, pidx));
                 Reg::I(r)
             }
             Kind::B => {
-                let r = self.alloc_b();
+                let r = self.alloc_b(None);
                 self.preload_b.push((r, pidx));
                 Reg::B(r)
             }
@@ -1652,9 +1688,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                 // `ArrayInstance::write`.
                 if kind == Kind::F {
                     if let Reg::I(r) = src {
-                        let dst = self.alloc_f();
-                        self.insns.push(Insn::CastIF { a: r, dst });
-                        src = Reg::F(dst);
+                        src = Reg::F(self.cast_if(r, None));
                     }
                 }
                 match (kind, src) {
@@ -1680,6 +1714,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             derived_i: self.derived_i,
             out,
             src,
+            strip: Err(ScalarReason::NoDoall),
         }
     }
 
@@ -1740,26 +1775,37 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                 if let Some(&(r, _)) = self.derived_i.iter().find(|(_, q)| *q == p) {
                     return r;
                 }
-                let r = self.alloc_i();
+                let r = self.alloc_i(None);
                 self.derived_i.push((r, p));
                 r
             }
         }
     }
 
-    fn alloc_f(&mut self) -> u16 {
+    /// A fresh register — or `to`, when the caller wants an expression's
+    /// *root* instruction to write an `if` join register of this kind.
+    fn alloc_f(&mut self, to: Option<Reg>) -> u16 {
+        if let Some(Reg::F(r)) = to {
+            return r;
+        }
         let r = self.n_f;
         self.n_f = self.n_f.checked_add(1).expect("f64 register file overflow");
         r
     }
 
-    fn alloc_i(&mut self) -> u16 {
+    fn alloc_i(&mut self, to: Option<Reg>) -> u16 {
+        if let Some(Reg::I(r)) = to {
+            return r;
+        }
         let r = self.n_i;
         self.n_i = self.n_i.checked_add(1).expect("i64 register file overflow");
         r
     }
 
-    fn alloc_b(&mut self) -> u16 {
+    fn alloc_b(&mut self, to: Option<Reg>) -> u16 {
+        if let Some(Reg::B(r)) = to {
+            return r;
+        }
         let r = self.n_b;
         self.n_b = self
             .n_b
@@ -1768,12 +1814,23 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         r
     }
 
-    fn alloc(&mut self, kind: Kind) -> Reg {
+    fn alloc(&mut self, kind: Kind, to: Option<Reg>) -> Reg {
         match kind {
-            Kind::F => Reg::F(self.alloc_f()),
-            Kind::I => Reg::I(self.alloc_i()),
-            Kind::B => Reg::B(self.alloc_b()),
+            Kind::F => Reg::F(self.alloc_f(to)),
+            Kind::I => Reg::I(self.alloc_i(to)),
+            Kind::B => Reg::B(self.alloc_b(to)),
         }
+    }
+
+    /// `int → real` of register `a`. An integer *constant* folds into the
+    /// f constant pool (the same conversion, done once at lowering).
+    fn cast_if(&mut self, a: u16, to: Option<Reg>) -> u16 {
+        if let Some(&(_, v)) = self.consts_i.iter().find(|&&(r, _)| r == a) {
+            return self.const_f(v as f64);
+        }
+        let dst = self.alloc_f(to);
+        self.insns.push(Insn::CastIF { a, dst });
+        dst
     }
 
     fn const_f(&mut self, v: f64) -> u16 {
@@ -1784,7 +1841,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         {
             return r;
         }
-        let r = self.alloc_f();
+        let r = self.alloc_f(None);
         self.consts_f.push((r, v));
         r
     }
@@ -1793,7 +1850,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         if let Some(&(r, _)) = self.consts_i.iter().find(|&&(_, x)| x == v) {
             return r;
         }
-        let r = self.alloc_i();
+        let r = self.alloc_i(None);
         self.consts_i.push((r, v));
         r
     }
@@ -1802,7 +1859,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         if let Some(&(r, _)) = self.consts_b.iter().find(|&&(_, x)| x == v) {
             return r;
         }
-        let r = self.alloc_b();
+        let r = self.alloc_b(None);
         self.consts_b.push((r, v));
         r
     }
@@ -1855,6 +1912,15 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             (Reg::I(s), Reg::I(d)) => self.insns.push(Insn::CopyI { src: s, dst: d }),
             (Reg::B(s), Reg::B(d)) => self.insns.push(Insn::CopyB { src: s, dst: d }),
             (s, d) => panic!("arm type mismatch: {s:?} into {d:?}"),
+        }
+    }
+
+    /// One `if` arm: compute `e` straight into the join register `dst`,
+    /// copying only when the value already lives elsewhere.
+    fn lower_arm(&mut self, e: &HExpr, dst: Reg) {
+        let v = self.lower_to(e, Some(dst));
+        if v != dst {
+            self.emit_copy(v, dst);
         }
     }
 
@@ -1919,7 +1985,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                     },
                     // Bool comparisons are rare: materialize.
                     (Reg::B(a), Reg::B(b)) => {
-                        let dst = self.alloc_b();
+                        let dst = self.alloc_b(None);
                         self.insns.push(Insn::CmpB { op: cmp, a, b, dst });
                         Insn::JumpIfNot {
                             cond: dst,
@@ -1964,7 +2030,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                     },
                     // Bool comparisons are rare: materialize and negate.
                     (Reg::B(a), Reg::B(b)) => {
-                        let dst = self.alloc_b();
+                        let dst = self.alloc_b(None);
                         self.insns.push(Insn::CmpB { op: cmp, a, b, dst });
                         Insn::JumpIf {
                             cond: dst,
@@ -1988,6 +2054,13 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
     }
 
     fn lower(&mut self, e: &HExpr) -> Reg {
+        self.lower_to(e, None)
+    }
+
+    /// Lower `e`; its root instruction writes `to` when given (see
+    /// [`Lowerer::alloc_f`]). Values that need no instruction (constants,
+    /// parameters, counters) come back in their own register instead.
+    fn lower_to(&mut self, e: &HExpr, to: Option<Reg>) -> Reg {
         // Pure-integer parameter expressions vanish from the tape: they
         // evaluate once per run into a derived register.
         if self.fold_static {
@@ -2001,11 +2074,11 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             HExpr::Bool(v) => Reg::B(self.const_b(*v)),
             HExpr::Char(c) => Reg::I(self.const_i(*c as i64)),
             HExpr::EnumConst(_, ord) => Reg::I(self.const_i(*ord as i64)),
-            HExpr::ReadScalar(d) => self.lower_read_scalar(*d),
+            HExpr::ReadScalar(d) => self.lower_read_scalar(*d, to),
             HExpr::ReadField(d, idx) => {
                 let slot = self.plan.slot_index(*d, *idx + 1) as u32;
                 let kind = kind_of(self.module.expr_scalar_ty(self.eq, e));
-                let dst = self.alloc(kind);
+                let dst = self.alloc(kind, to);
                 self.insns.push(Insn::ReadScalar { slot, dst });
                 dst
             }
@@ -2018,38 +2091,38 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                 let addr = self.push_addr(*array, dims);
                 match kind {
                     Kind::F => {
-                        let dst = self.alloc_f();
+                        let dst = self.alloc_f(to);
                         self.insns.push(Insn::LoadF { buf, addr, dst });
                         Reg::F(dst)
                     }
                     Kind::I => {
-                        let dst = self.alloc_i();
+                        let dst = self.alloc_i(to);
                         self.insns.push(Insn::LoadI { buf, addr, dst });
                         Reg::I(dst)
                     }
                     Kind::B => {
-                        let dst = self.alloc_b();
+                        let dst = self.alloc_b(to);
                         self.insns.push(Insn::LoadB { buf, addr, dst });
                         Reg::B(dst)
                     }
                 }
             }
-            HExpr::Binary { op, lhs, rhs } => self.lower_binary(*op, lhs, rhs),
+            HExpr::Binary { op, lhs, rhs } => self.lower_binary(*op, lhs, rhs, to),
             HExpr::Unary { op, operand } => {
                 let v = self.lower(operand);
                 match (op, v) {
                     (UnOp::Neg, Reg::F(a)) => {
-                        let dst = self.alloc_f();
+                        let dst = self.alloc_f(to);
                         self.insns.push(Insn::NegF { a, dst });
                         Reg::F(dst)
                     }
                     (UnOp::Neg, Reg::I(a)) => {
-                        let dst = self.alloc_i();
+                        let dst = self.alloc_i(to);
                         self.insns.push(Insn::NegI { a, dst });
                         Reg::I(dst)
                     }
                     (UnOp::Not, Reg::B(a)) => {
-                        let dst = self.alloc_b();
+                        let dst = self.alloc_b(to);
                         self.insns.push(Insn::NotB { a, dst });
                         Reg::B(dst)
                     }
@@ -2058,41 +2131,36 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             }
             HExpr::If { arms, else_ } => {
                 let kind = kind_of(self.module.expr_scalar_ty(self.eq, else_));
-                let dst = self.alloc(kind);
+                // A nested `if` in arm position joins in the outer register.
+                let dst = self.alloc(kind, to);
                 let mut end_jumps = Vec::with_capacity(arms.len());
                 for (cond, val) in arms {
                     let false_jumps = self.lower_cond(cond);
-                    let v = self.lower(val);
-                    self.emit_copy(v, dst);
+                    self.lower_arm(val, dst);
                     end_jumps.push(self.emit_jump(Insn::Jump { target: u32::MAX }));
                     for j in false_jumps {
                         self.patch(j);
                     }
                 }
-                let e = self.lower(else_);
-                self.emit_copy(e, dst);
+                self.lower_arm(else_, dst);
                 for j in end_jumps {
                     self.patch(j);
                 }
                 dst
             }
-            HExpr::Call { builtin, args } => self.lower_call(*builtin, args),
+            HExpr::Call { builtin, args } => self.lower_call(*builtin, args, to),
             HExpr::CastReal(inner) => {
                 let v = self.lower(inner);
                 match v {
                     Reg::F(_) => v,
-                    Reg::I(a) => {
-                        let dst = self.alloc_f();
-                        self.insns.push(Insn::CastIF { a, dst });
-                        Reg::F(dst)
-                    }
+                    Reg::I(a) => Reg::F(self.cast_if(a, to)),
                     Reg::B(_) => panic!("cannot widen bool to real"),
                 }
             }
         }
     }
 
-    fn lower_read_scalar(&mut self, d: DataId) -> Reg {
+    fn lower_read_scalar(&mut self, d: DataId, to: Option<Reg>) -> Reg {
         let item = &self.module.data[d];
         if item.kind == DataKind::Param && !item.is_array() {
             // Parameters live in preloaded registers: reading one costs
@@ -2110,15 +2178,15 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         }
         let slot = self.plan.slot_index(d, 0) as u32;
         let kind = kind_of(self.module.runtime_scalar_ty(&item.ty));
-        let dst = self.alloc(kind);
+        let dst = self.alloc(kind, to);
         self.insns.push(Insn::ReadScalar { slot, dst });
         dst
     }
 
-    fn lower_binary(&mut self, op: BinOp, lhs: &HExpr, rhs: &HExpr) -> Reg {
+    fn lower_binary(&mut self, op: BinOp, lhs: &HExpr, rhs: &HExpr, to: Option<Reg>) -> Reg {
         match op {
             BinOp::And => {
-                let dst = self.alloc_b();
+                let dst = self.alloc_b(to);
                 let la = self.lower_bool(lhs);
                 let to_false = self.emit_jump(Insn::JumpIfNot {
                     cond: la,
@@ -2134,7 +2202,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                 return Reg::B(dst);
             }
             BinOp::Or => {
-                let dst = self.alloc_b();
+                let dst = self.alloc_b(to);
                 let la = self.lower_bool(lhs);
                 let to_true = self.emit_jump(Insn::JumpIf {
                     cond: la,
@@ -2156,7 +2224,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul => match (l, r) {
                 (Reg::F(a), Reg::F(b)) => {
-                    let dst = self.alloc_f();
+                    let dst = self.alloc_f(to);
                     self.insns.push(match op {
                         BinOp::Add => Insn::AddF { a, b, dst },
                         BinOp::Sub => Insn::SubF { a, b, dst },
@@ -2165,7 +2233,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                     Reg::F(dst)
                 }
                 (Reg::I(a), Reg::I(b)) => {
-                    let dst = self.alloc_i();
+                    let dst = self.alloc_i(to);
                     self.insns.push(match op {
                         BinOp::Add => Insn::AddI { a, b, dst },
                         BinOp::Sub => Insn::SubI { a, b, dst },
@@ -2177,13 +2245,13 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             },
             BinOp::Div => {
                 let (a, b) = (self.expect_f(l), self.expect_f(r));
-                let dst = self.alloc_f();
+                let dst = self.alloc_f(to);
                 self.insns.push(Insn::DivF { a, b, dst });
                 Reg::F(dst)
             }
             BinOp::IntDiv | BinOp::Mod => {
                 let (a, b) = (self.expect_i(l), self.expect_i(r));
-                let dst = self.alloc_i();
+                let dst = self.alloc_i(to);
                 self.insns.push(if op == BinOp::IntDiv {
                     Insn::DivI { a, b, dst }
                 } else {
@@ -2193,7 +2261,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             }
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                 let cmp = CmpOp::from_binop(op);
-                let dst = self.alloc_b();
+                let dst = self.alloc_b(to);
                 self.insns.push(match (l, r) {
                     (Reg::F(a), Reg::F(b)) => Insn::CmpF { op: cmp, a, b, dst },
                     (Reg::I(a), Reg::I(b)) => Insn::CmpI { op: cmp, a, b, dst },
@@ -2206,17 +2274,17 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
         }
     }
 
-    fn lower_call(&mut self, builtin: Builtin, args: &[HExpr]) -> Reg {
+    fn lower_call(&mut self, builtin: Builtin, args: &[HExpr], to: Option<Reg>) -> Reg {
         let regs: Vec<Reg> = args.iter().map(|a| self.lower(a)).collect();
         match builtin {
             Builtin::Abs => match regs[0] {
                 Reg::F(a) => {
-                    let dst = self.alloc_f();
+                    let dst = self.alloc_f(to);
                     self.insns.push(Insn::AbsF { a, dst });
                     Reg::F(dst)
                 }
                 Reg::I(a) => {
-                    let dst = self.alloc_i();
+                    let dst = self.alloc_i(to);
                     self.insns.push(Insn::AbsI { a, dst });
                     Reg::I(dst)
                 }
@@ -2224,7 +2292,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             },
             Builtin::Min | Builtin::Max => match (regs[0], regs[1]) {
                 (Reg::F(a), Reg::F(b)) => {
-                    let dst = self.alloc_f();
+                    let dst = self.alloc_f(to);
                     self.insns.push(if builtin == Builtin::Min {
                         Insn::MinF { a, b, dst }
                     } else {
@@ -2233,7 +2301,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
                     Reg::F(dst)
                 }
                 (Reg::I(a), Reg::I(b)) => {
-                    let dst = self.alloc_i();
+                    let dst = self.alloc_i(to);
                     self.insns.push(if builtin == Builtin::Min {
                         Insn::MinI { a, b, dst }
                     } else {
@@ -2245,7 +2313,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             },
             Builtin::Sqrt | Builtin::Exp | Builtin::Ln | Builtin::Sin | Builtin::Cos => {
                 let a = self.expect_f(regs[0]);
-                let dst = self.alloc_f();
+                let dst = self.alloc_f(to);
                 self.insns.push(match builtin {
                     Builtin::Sqrt => Insn::SqrtF { a, dst },
                     Builtin::Exp => Insn::ExpF { a, dst },
@@ -2257,7 +2325,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             }
             Builtin::Trunc | Builtin::Round => {
                 let a = self.expect_f(regs[0]);
-                let dst = self.alloc_i();
+                let dst = self.alloc_i(to);
                 self.insns.push(if builtin == Builtin::Trunc {
                     Insn::TruncFI { a, dst }
                 } else {
@@ -2267,9 +2335,7 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             }
             Builtin::RealFn => {
                 let a = self.expect_i(regs[0]);
-                let dst = self.alloc_f();
-                self.insns.push(Insn::CastIF { a, dst });
-                Reg::F(dst)
+                Reg::F(self.cast_if(a, to))
             }
             // `ord` is the identity on the runtime int representation.
             Builtin::Ord => Reg::I(self.expect_i(regs[0])),
@@ -2364,7 +2430,7 @@ impl<'r, 'm> ExecProg<'r, 'm> {
     }
 
     #[inline(always)]
-    fn eval_addr(addr: &Addr, frame: &Frame) -> usize {
+    pub(super) fn eval_addr(addr: &Addr, frame: &Frame) -> usize {
         // Debug builds re-derive each dimension's logical index and bounds
         // check it, matching `NdSpec::offset`'s strictness; release builds
         // rely on the schedule (plus the physical-buffer bounds check).
@@ -2474,12 +2540,24 @@ impl<'r, 'm> ExecProg<'r, 'm> {
         let addrs = &self.spec.addrs[eq_id];
         let frame = &mut frames.frames[eq_id];
         debug_assert!(bindings.iter().all(|&(eq, _)| eq == eq_id));
+        if let Ok(plan) = &ceq.strip {
+            return strip::Row::new(self, eq_id, ceq, plan).run(frame, lo, hi);
+        }
         for i in lo..=hi {
             for &(_, iv) in bindings {
                 frame.i[iv.index()] = i;
             }
             self.exec_tape(ceq, addrs, frame);
         }
+    }
+
+    /// A strip's store: `vals[l]` goes to `off + l·stride` of f-buffer
+    /// `buf` (here, not in `strip.rs`, which stays free of `unsafe`).
+    pub(super) fn store_strip(&self, buf: u16, off: usize, stride: i64, vals: &[f64]) {
+        // SAFETY: the lanes are distinct iterations of one `DOALL`, which
+        // write disjoint offsets that nothing reads until the loop ends —
+        // the contract of the scalar store in `exec_tape`.
+        unsafe { self.bufs_f[buf as usize].set_range(off, stride, vals) }
     }
 
     fn exec_tape(&self, ceq: &CompiledEq, addrs: &[Addr], frame: &mut Frame) {
@@ -2490,7 +2568,7 @@ impl<'r, 'm> ExecProg<'r, 'm> {
             // SAFETY: `pc < insns.len()` is checked by the loop condition;
             // jump targets are validated to be ≤ len.
             match *unsafe { insns.get_unchecked(pc) } {
-                Insn::CopyF { src, dst } => frame.sf(dst, frame.gf(src)),
+                Insn::CopyF { src, dst } => frame.sf(dst, fop::copy(frame.gf(src))),
                 Insn::CopyI { src, dst } => frame.si(dst, frame.gi(src)),
                 Insn::CopyB { src, dst } => frame.sb(dst, frame.gb(src)),
                 Insn::ReadScalar { slot, dst } => {
@@ -2529,12 +2607,12 @@ impl<'r, 'm> ExecProg<'r, 'm> {
                     }
                     frame.sb(dst, self.bufs_b[buf as usize].get(off));
                 }
-                Insn::AddF { a, b, dst } => frame.sf(dst, frame.gf(a) + frame.gf(b)),
-                Insn::SubF { a, b, dst } => frame.sf(dst, frame.gf(a) - frame.gf(b)),
-                Insn::MulF { a, b, dst } => frame.sf(dst, frame.gf(a) * frame.gf(b)),
-                Insn::DivF { a, b, dst } => frame.sf(dst, frame.gf(a) / frame.gf(b)),
-                Insn::MinF { a, b, dst } => frame.sf(dst, frame.gf(a).min(frame.gf(b))),
-                Insn::MaxF { a, b, dst } => frame.sf(dst, frame.gf(a).max(frame.gf(b))),
+                Insn::AddF { a, b, dst } => frame.sf(dst, fop::add(frame.gf(a), frame.gf(b))),
+                Insn::SubF { a, b, dst } => frame.sf(dst, fop::sub(frame.gf(a), frame.gf(b))),
+                Insn::MulF { a, b, dst } => frame.sf(dst, fop::mul(frame.gf(a), frame.gf(b))),
+                Insn::DivF { a, b, dst } => frame.sf(dst, fop::div(frame.gf(a), frame.gf(b))),
+                Insn::MinF { a, b, dst } => frame.sf(dst, fop::min(frame.gf(a), frame.gf(b))),
+                Insn::MaxF { a, b, dst } => frame.sf(dst, fop::max(frame.gf(a), frame.gf(b))),
                 Insn::AddI { a, b, dst } => frame.si(dst, frame.gi(a) + frame.gi(b)),
                 Insn::SubI { a, b, dst } => frame.si(dst, frame.gi(a) - frame.gi(b)),
                 Insn::MulI { a, b, dst } => frame.si(dst, frame.gi(a) * frame.gi(b)),
@@ -2550,17 +2628,17 @@ impl<'r, 'm> ExecProg<'r, 'm> {
                 }
                 Insn::MinI { a, b, dst } => frame.si(dst, frame.gi(a).min(frame.gi(b))),
                 Insn::MaxI { a, b, dst } => frame.si(dst, frame.gi(a).max(frame.gi(b))),
-                Insn::NegF { a, dst } => frame.sf(dst, -frame.gf(a)),
+                Insn::NegF { a, dst } => frame.sf(dst, fop::neg(frame.gf(a))),
                 Insn::NegI { a, dst } => frame.si(dst, -frame.gi(a)),
-                Insn::AbsF { a, dst } => frame.sf(dst, frame.gf(a).abs()),
+                Insn::AbsF { a, dst } => frame.sf(dst, fop::abs(frame.gf(a))),
                 Insn::AbsI { a, dst } => frame.si(dst, frame.gi(a).abs()),
                 Insn::NotB { a, dst } => frame.sb(dst, !frame.gb(a)),
-                Insn::SqrtF { a, dst } => frame.sf(dst, frame.gf(a).sqrt()),
-                Insn::ExpF { a, dst } => frame.sf(dst, frame.gf(a).exp()),
-                Insn::LnF { a, dst } => frame.sf(dst, frame.gf(a).ln()),
-                Insn::SinF { a, dst } => frame.sf(dst, frame.gf(a).sin()),
-                Insn::CosF { a, dst } => frame.sf(dst, frame.gf(a).cos()),
-                Insn::CastIF { a, dst } => frame.sf(dst, frame.gi(a) as f64),
+                Insn::SqrtF { a, dst } => frame.sf(dst, fop::sqrt(frame.gf(a))),
+                Insn::ExpF { a, dst } => frame.sf(dst, fop::exp(frame.gf(a))),
+                Insn::LnF { a, dst } => frame.sf(dst, fop::ln(frame.gf(a))),
+                Insn::SinF { a, dst } => frame.sf(dst, fop::sin(frame.gf(a))),
+                Insn::CosF { a, dst } => frame.sf(dst, fop::cos(frame.gf(a))),
+                Insn::CastIF { a, dst } => frame.sf(dst, fop::widen(frame.gi(a))),
                 Insn::TruncFI { a, dst } => frame.si(dst, frame.gf(a).trunc() as i64),
                 Insn::RoundFI { a, dst } => frame.si(dst, frame.gf(a).round() as i64),
                 Insn::CmpF { op, a, b, dst } => frame.sb(dst, op.eval(frame.gf(a), frame.gf(b))),
@@ -2655,14 +2733,29 @@ impl<'r, 'm> ExecProg<'r, 'm> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::{Inputs, StoreArena};
     use ps_depgraph::build_depgraph;
     use ps_lang::frontend;
     use ps_scheduler::{schedule_module, ScheduleOptions, ScheduleResult};
 
-    fn build(src: &str) -> (HirModule, ScheduleResult) {
+    /// Figure 6 (the Jacobi relaxation), shared with the strip tests.
+    pub(crate) const JACOBI: &str = "Relaxation: module (InitialA: array[I,J] of real;
+                            M: int; maxK: int):
+                    [newA: array[I,J] of real];
+        type I, J = 0 .. M+1; K = 2 .. maxK;
+        var A: array [1 .. maxK] of array[I,J] of real;
+        define
+            A[1] = InitialA;
+            newA = A[maxK];
+            A[K,I,J] = if (I = 0) or (J = 0) or (I = M+1) or (J = M+1)
+                       then A[K-1,I,J]
+                       else ( A[K-1,I,J-1] + A[K-1,I-1,J]
+                            + A[K-1,I,J+1] + A[K-1,I+1,J] ) / 4;
+        end Relaxation;";
+
+    pub(crate) fn build(src: &str) -> (HirModule, ScheduleResult) {
         let m = frontend(src).unwrap();
         let dg = build_depgraph(&m);
         let sched = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
@@ -2813,19 +2906,6 @@ mod tests {
     /// parameter expressions vanish into derived registers).
     #[test]
     fn static_folding_shortens_jacobi_and_wavefront_tapes() {
-        let jacobi = "Relaxation: module (InitialA: array[I,J] of real;
-                            M: int; maxK: int):
-                    [newA: array[I,J] of real];
-        type I, J = 0 .. M+1; K = 2 .. maxK;
-        var A: array [1 .. maxK] of array[I,J] of real;
-        define
-            A[1] = InitialA;
-            newA = A[maxK];
-            A[K,I,J] = if (I = 0) or (J = 0) or (I = M+1) or (J = M+1)
-                       then A[K-1,I,J]
-                       else ( A[K-1,I,J-1] + A[K-1,I-1,J]
-                            + A[K-1,I,J+1] + A[K-1,I+1,J] ) / 4;
-        end Relaxation;";
         let wavefront = "W: module (n: int; xs: array[1..n] of real):
                 [out: array[1..n] of real];
             type K = 2 .. n;
@@ -2835,7 +2915,7 @@ mod tests {
                 a[K] = a[K-1] + xs[n+1-K] * real(n - 1);
                 out = a;
             end W;";
-        for (name, src, label) in [("jacobi", jacobi, "eq.3"), ("wavefront", wavefront, "eq.2")] {
+        for (name, src, label) in [("jacobi", JACOBI, "eq.3"), ("wavefront", wavefront, "eq.2")] {
             let (m, sched) = build(src);
             let plan = StorePlan::new(&m, &sched.memory);
             let folded = compile_tapes(&m, &plan, &sched.flowchart, false, true);
@@ -2853,6 +2933,22 @@ mod tests {
                 "{name}: the parameter expression becomes a derived register"
             );
         }
+    }
+
+    /// Eq.3 of Figure 6 pays for nothing it can avoid: `real(4)` is an f
+    /// constant (no per-cell `CastIF`) and both `if` arms compute straight
+    /// into the join register (no trailing `CopyF`): 7 guard instructions,
+    /// load + jump, four loads + three adds + divide.
+    #[test]
+    fn jacobi_tape_has_no_avoidable_instructions() {
+        let (m, sched) = build(JACOBI);
+        let plan = StorePlan::new(&m, &sched.memory);
+        let tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let eq3 = m.equation_by_label("eq.3").unwrap();
+        assert_eq!(tapes.stats(eq3).0, 17);
+        let insns = &tapes.eqs[eq3].as_ref().unwrap().insns;
+        let avoidable = |i: &&Insn| matches!(i, Insn::CastIF { .. } | Insn::CopyF { .. });
+        assert_eq!(insns.iter().filter(avoidable).count(), 0, "{insns:?}");
     }
 
     /// Tapes and specs are parameter-separable: one set of tapes, two

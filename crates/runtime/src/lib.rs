@@ -72,7 +72,11 @@
 //!   each equation's frame. An iteration is a non-recursive tape walk
 //!   with direct buffer loads and stores and **zero per-iteration heap
 //!   allocations** — the interpretive cost the paper's loop-level
-//!   speedups would otherwise drown in.
+//!   speedups would otherwise drown in. Single-equation innermost
+//!   `DOALL` bodies go one step further and run **strip-mined**: each
+//!   tape instruction is dispatched once per 64 iterations and applied
+//!   to 64 lanes ([`Program::strip_report`] says which equations do, and
+//!   why the others do not).
 //! * **TreeWalk** ([`interp::Engine::TreeWalk`]) — direct recursive
 //!   evaluation of the `HExpr` trees via [`eval`], with tagged [`Value`]
 //!   dispatch and an index-variable environment. Slower, but structurally
@@ -119,6 +123,7 @@ pub mod naive;
 pub mod ndarray;
 pub mod program;
 pub mod store;
+mod strip;
 pub mod value;
 
 pub use analysis::analyze_compiled;
@@ -127,4 +132,5 @@ pub use naive::run_naive;
 pub use program::{Program, RunSession};
 pub use ps_analyze::{Report as AnalysisReport, Verdict as AnalysisVerdict};
 pub use store::{Inputs, Outputs, StoreArena, StorePlan};
+pub use strip::{ScalarReason, StripVerdict};
 pub use value::{OwnedArray, Value};

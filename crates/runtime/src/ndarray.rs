@@ -149,6 +149,54 @@ impl<T: Copy> ParVec<T> {
         }
     }
 
+    /// Index of element `l` of a run that starts at `start` and advances by
+    /// `stride`. Wraps rather than overflows: a bad index then fails the
+    /// bounds check of the access that uses it.
+    #[inline(always)]
+    fn strided(start: usize, stride: i64, l: usize) -> usize {
+        (start as i64).wrapping_add((l as i64).wrapping_mul(stride)) as usize
+    }
+
+    /// Copy elements `start`, `start + stride`, … into `out` (the strip
+    /// walker's load). A unit stride is one range copy behind one slice
+    /// range check.
+    #[inline]
+    pub(crate) fn get_range(&self, start: usize, stride: i64, out: &mut [T]) {
+        if stride == 1 {
+            let cells = &self.data[start..][..out.len()];
+            for (o, c) in out.iter_mut().zip(cells) {
+                // SAFETY: as in `get`, for every index of the checked range.
+                *o = unsafe { *c.get() };
+            }
+        } else {
+            for (l, o) in out.iter_mut().enumerate() {
+                *o = self.get(Self::strided(start, stride, l));
+            }
+        }
+    }
+
+    /// Overwrite elements `start`, `start + stride`, … with `src` (the
+    /// strip walker's store).
+    ///
+    /// # Safety
+    /// As [`ParVec::set`], for every index written.
+    #[inline]
+    pub(crate) unsafe fn set_range(&self, start: usize, stride: i64, src: &[T]) {
+        if stride == 1 {
+            let cells = &self.data[start..][..src.len()];
+            for (c, &v) in cells.iter().zip(src) {
+                // SAFETY: in bounds by the slice above; exclusivity of
+                // every index is the caller's obligation.
+                unsafe { *c.get() = v };
+            }
+        } else {
+            for (l, &v) in src.iter().enumerate() {
+                // SAFETY: the caller's obligation, index by index.
+                unsafe { self.set(Self::strided(start, stride, l), v) };
+            }
+        }
+    }
+
     fn into_inner(self) -> Vec<T> {
         self.data
             .into_vec()
@@ -206,6 +254,13 @@ fn take_buf_dirty<T: Copy>(pool: &mut Vec<ParVec<T>>, len: usize, zero: T) -> Pa
     }
 }
 
+/// Raise `list`'s capacity to `n` if it is below it.
+pub(crate) fn make_room<T>(list: &mut Vec<T>, n: usize) {
+    if list.capacity() < n {
+        list.reserve_exact(n - list.len());
+    }
+}
+
 fn put_buf<T>(pool: &mut Vec<ParVec<T>>, buf: ParVec<T>) {
     if pool.len() < POOL_CAP {
         pool.push(buf);
@@ -213,6 +268,18 @@ fn put_buf<T>(pool: &mut Vec<ParVec<T>>, buf: ParVec<T>) {
 }
 
 impl BufferPool {
+    /// Give every recycling list room for a run that holds `n` arrays, so
+    /// that recycling them does not grow a list. A no-op once the lists
+    /// have that capacity, i.e. on every run but an arena's first.
+    pub(crate) fn make_room(&mut self, n: usize) {
+        let n = n.min(POOL_CAP);
+        make_room(&mut self.f, n);
+        make_room(&mut self.i, n);
+        make_room(&mut self.b, n);
+        make_room(&mut self.tags, n);
+        make_room(&mut self.dims, n);
+    }
+
     fn take(&mut self, elem: ScalarTy, len: usize) -> SharedBuffer {
         match elem {
             ScalarTy::Real => SharedBuffer::Real(take_buf(&mut self.f, len, 0.0)),

@@ -24,6 +24,7 @@ use crate::analysis::analyze_tapes;
 use crate::compiled::{compile_tapes, specialize, ExecProg, Frames, Spec, Tapes};
 use crate::interp::{AnalysisLevel, Engine, Interp, RuntimeOptions, TreeState};
 use crate::store::{Inputs, Outputs, RuntimeError, Store, StoreArena, StorePlan};
+use crate::strip::StripVerdict;
 use ps_executor::Executor;
 use ps_lang::hir::HirModule;
 use ps_scheduler::{Flowchart, MemoryPlan};
@@ -38,7 +39,7 @@ use std::time::Instant;
 const RUN_POOL_CAP: usize = 16;
 
 /// One run's worth of recyclable state. `frames` is `None` until the
-/// slot's first successful compiled run builds them.
+/// slot's first compiled run builds them.
 #[derive(Default)]
 struct RunSlot {
     arena: StoreArena,
@@ -147,7 +148,7 @@ impl<'m> Program<'m> {
             key_syms,
             specs: RwLock::new(Vec::new()),
             spec_clock: AtomicU64::new(0),
-            pool: Mutex::new(Vec::new()),
+            pool: Mutex::new(Vec::with_capacity(RUN_POOL_CAP)),
             spec_builds: AtomicUsize::new(0),
             spec_evictions: AtomicUsize::new(0),
             eq_labels,
@@ -168,6 +169,17 @@ impl<'m> Program<'m> {
         self.verified
             .as_ref()
             .map_or(0, |m| m.iter().filter(|&&v| v).count())
+    }
+
+    /// How each scheduled equation runs inside its innermost loop, in
+    /// execution order: `(label, verdict)`, the verdict reading
+    /// `stripped along J` or `scalar: <reason>` — the strip walker's
+    /// eligibility decision, taken once when the tapes were lowered. Empty
+    /// under [`Engine::TreeWalk`], which has no tapes.
+    pub fn strip_report(&self) -> Vec<(String, StripVerdict)> {
+        self.tapes.as_ref().map_or_else(Vec::new, |tapes| {
+            tapes.strip_report(self.module, self.flowchart)
+        })
     }
 
     /// The module this program executes.
@@ -259,6 +271,10 @@ impl<'m> Program<'m> {
         executor: &dyn Executor,
         slot: &mut RunSlot,
     ) -> Result<Outputs, RuntimeError> {
+        // Frames (and their lane files) live as long as the slot: built
+        // before the store's buffers, for the reason given where
+        // `instantiate_masked` sizes the result maps.
+        let frames = slot.frames.get_or_insert_with(|| Frames::new(tapes));
         let store = self.plan.instantiate_masked(
             inputs,
             self.options.check_writes,
@@ -266,7 +282,6 @@ impl<'m> Program<'m> {
             &mut slot.arena,
         )?;
         let spec = self.spec_for(tapes, &store)?;
-        let mut frames = slot.frames.take().unwrap_or_else(|| Frames::new(tapes));
         frames.bind_params(tapes, &store.param_values(tapes.params()));
         {
             let view = ExecProg::new(tapes, &spec, &store);
@@ -275,11 +290,9 @@ impl<'m> Program<'m> {
                 executor,
                 eq_labels: &self.eq_labels,
             };
-            cx.run_items_compiled(&view, &self.flowchart.items, &mut frames);
+            cx.run_items_compiled(&view, &self.flowchart.items, frames);
         }
-        let outputs = store.into_outputs_into(&mut slot.arena);
-        slot.frames = Some(frames);
-        Ok(outputs)
+        Ok(store.into_outputs_into(&mut slot.arena))
     }
 
     /// The specialization for this run's parameter layout: cache hit in

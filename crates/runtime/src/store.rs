@@ -14,7 +14,7 @@
 //! scalar-slot table) between runs of the same plan, so steady-state
 //! instantiation is layout evaluation plus `memset`, not allocation.
 
-use crate::ndarray::{ArrayInstance, BufferPool, DimSpec, NdSpec};
+use crate::ndarray::{make_room, ArrayInstance, BufferPool, DimSpec, NdSpec};
 use crate::value::{OwnedArray, Value};
 use ps_lang::hir::{DataKind, HirModule};
 use ps_lang::{DataId, ScalarTy, SubrangeId, Ty};
@@ -275,6 +275,12 @@ impl<'m> StorePlan<'m> {
         self.windows[id].iter().any(|w| w.is_some())
     }
 
+    /// Whether dimension `dim` of array `id` received a window decision
+    /// (the strip eligibility rule keeps inner counters out of those).
+    pub(crate) fn dim_has_window(&self, id: DataId, dim: usize) -> bool {
+        self.windows[id][dim].is_some()
+    }
+
     /// Bind `inputs` and allocate every array, drawing reusable storage
     /// from `arena`. This is the cheap per-run half of the old
     /// `Store::build`.
@@ -320,6 +326,19 @@ impl<'m> StorePlan<'m> {
         };
         let mut arrays: IndexVec<DataId, Option<ArrayInstance>> =
             IndexVec::with_capacity(module.data.len());
+        // Everything that outlives the run's array buffers is sized before
+        // the first of them is allocated: the result maps the caller will
+        // own, and the arena's recycling lists. A result buffer is the one
+        // big block freed *outside* the run; a small block allocated after
+        // it (a map table, a list growing on the first recycle) would sit
+        // above it in the heap and keep the freed block from merging back,
+        // leaving a buffer-sized hole for the life of the process.
+        let n_arrays = module.data.iter().filter(|d| d.is_array()).count();
+        make_room(&mut arena.slots, 1);
+        arena.bufs.make_room(n_arrays);
+        let mut outputs = Outputs::default();
+        outputs.arrays.reserve(module.results.len());
+        outputs.scalars.reserve(module.results.len());
 
         let scalar_slots: Box<[ScalarSlot]> = match arena
             .slots
@@ -408,6 +427,7 @@ impl<'m> StorePlan<'m> {
 
         Ok(Store {
             module,
+            outputs,
             params,
             subrange_bounds,
             arrays,
@@ -420,6 +440,8 @@ impl<'m> StorePlan<'m> {
 /// The live data store for one module execution.
 pub struct Store<'m> {
     pub module: &'m HirModule,
+    /// The result maps [`Store::into_outputs`] fills, sized up front.
+    outputs: Outputs,
     pub params: FxHashMap<Symbol, i64>,
     /// Every subrange's `(lo, hi)` under this run's parameters, evaluated
     /// once at instantiation; loop headers read the table instead of
@@ -536,7 +558,7 @@ impl<'m> Store<'m> {
 
     fn finish(mut self, arena: Option<&mut StoreArena>) -> Outputs {
         let module = self.module;
-        let mut out = Outputs::default();
+        let mut out = std::mem::take(&mut self.outputs);
         for &id in &module.results {
             let item = &module.data[id];
             if item.is_array() {

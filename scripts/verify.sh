@@ -13,7 +13,10 @@
 # a bench-JSON smoke step (including the ps-trace overhead contract), a
 # traced serve round-trip (--trace-out export validated and summarized by
 # the ps-trace CLI), the ps-analyze static verification of every builtin
-# program, docs with warnings denied, and rustfmt.
+# program, the repo benchmark's smoke pass (benchmark/ is not a workspace
+# member, so nothing else builds it; it also checks every op against the
+# native kernels at the real problem size), docs with warnings denied, and
+# rustfmt.
 #
 # The stress/TCP/chaos suites run under a hang watchdog: a wedged drain or
 # a deadlocked pool fails the gate with a kill instead of hanging CI.
@@ -189,6 +192,9 @@ analyze_out=$(./target/release/ps-analyze) \
 echo "$analyze_out" | tail -n 1
 echo "$analyze_out" | grep -q ' 0 errors$' \
     || { echo "ps-analyze reported diagnostics on builtin programs" >&2; exit 1; }
+
+echo "==> bash benchmark/run.sh --smoke (builds benchmark/, every op checked)"
+bounded 600 bash benchmark/run.sh --smoke >/dev/null
 
 echo "==> cargo doc --offline --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q

@@ -111,3 +111,16 @@ fn wave_builtin_schedules_with_window_three() {
     assert!(ok, "{stdout}");
     assert!(stdout.contains("virtual(window 3)"), "{stdout}");
 }
+
+#[test]
+fn strips_report_names_each_equation_and_its_reason() {
+    let (stdout, _, ok) = psc(&["@relaxation_v1", "strips"]);
+    assert!(ok);
+    for label in ["eq.1", "eq.2", "eq.3"] {
+        let line = format!("{label}: stripped along J");
+        assert!(stdout.contains(&line), "{stdout}");
+    }
+    let (stdout, _, ok) = psc(&["@gather", "strips"]);
+    assert!(ok);
+    assert_eq!(stdout.trim(), "eq.1: scalar: dynamic subscript");
+}
