@@ -33,7 +33,7 @@
 //! # Serving many clients
 //!
 //! On top of that seam, [`Service`] (re-exported from `ps-service`) is the
-//! embeddable concurrent solve service: a lock-free compile-once
+//! embeddable concurrent solve service: a compile-once, LRU-bounded
 //! [`Registry`] keyed by `(source, RuntimeOptions)`, worker threads that
 //! micro-batch requests sharing a program onto one pooled run-slot
 //! session, panic isolation at the request boundary, and p50/p99 latency

@@ -41,7 +41,7 @@ pub(crate) struct AnalysisOutcome {
 pub(crate) fn analyze_tapes(
     module: &HirModule,
     flowchart: &Flowchart,
-    plan: &StorePlan<'_>,
+    plan: &StorePlan,
     tapes: &Tapes,
 ) -> AnalysisOutcome {
     // Array table: every declared array, in data order.

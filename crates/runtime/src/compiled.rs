@@ -1219,12 +1219,12 @@ pub(super) fn fold_addr(sym: &SymAddr, spec: &NdSpec, with_chk: bool) -> Addr {
 /// referenced array's layout once, then fold every symbolic address.
 pub(crate) fn specialize(
     tapes: &Tapes,
-    plan: &StorePlan<'_>,
+    plan: &StorePlan,
+    module: &HirModule,
     params: &FxHashMap<Symbol, i64>,
     key: Vec<i64>,
     verified: Option<&[bool]>,
 ) -> Result<Spec, RuntimeError> {
-    let module = plan.module;
     let mut layouts: IndexVec<DataId, Option<NdSpec>> = module.data.iter().map(|_| None).collect();
     let mut addrs: IndexVec<EqId, Vec<Addr>> = tapes.eqs.iter().map(|_| Vec::new()).collect();
     let mut strides: IndexVec<EqId, Vec<i64>> = tapes.eqs.iter().map(|_| Vec::new()).collect();
@@ -1233,7 +1233,7 @@ pub(crate) fn specialize(
         let mut folded = Vec::with_capacity(ceq.sym_addrs.len());
         for sym in &ceq.sym_addrs {
             if layouts[sym.array].is_none() {
-                layouts[sym.array] = Some(plan.nd_spec(sym.array, params)?);
+                layouts[sym.array] = Some(plan.nd_spec(module, sym.array, params)?);
             }
             // Checked runs need the logical views — except for arrays the
             // static analysis fully verified, whose tags are elided along
@@ -1488,7 +1488,7 @@ impl ParamTable {
 /// the tapes get shorter).
 pub(crate) fn compile_tapes(
     module: &HirModule,
-    plan: &StorePlan<'_>,
+    plan: &StorePlan,
     flowchart: &Flowchart,
     checked: bool,
     fold_static: bool,
@@ -1549,7 +1549,7 @@ pub(crate) fn compile_tapes(
 
 struct Lowerer<'a, 'p, 'm> {
     module: &'m HirModule,
-    plan: &'a StorePlan<'m>,
+    plan: &'a StorePlan,
     params: &'p ParamTable,
     eq: &'m Equation,
     insns: Vec<Insn>,
@@ -1573,7 +1573,7 @@ struct Lowerer<'a, 'p, 'm> {
 impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
     fn new(
         module: &'m HirModule,
-        plan: &'a StorePlan<'m>,
+        plan: &'a StorePlan,
         params: &'p ParamTable,
         eq_id: EqId,
         bufs: &'a mut BufTable,
@@ -2768,13 +2768,13 @@ pub(crate) mod tests {
         sched: &ScheduleResult,
         inputs: &Inputs,
         fold_static: bool,
-    ) -> (StorePlan<'m>, Tapes, Store<'m>, Spec) {
+    ) -> (StorePlan, Tapes, Store<'m>, Spec) {
         let plan = StorePlan::new(m, &sched.memory);
         let tapes = compile_tapes(m, &plan, &sched.flowchart, false, fold_static);
         let store = plan
-            .instantiate(inputs, false, &mut StoreArena::default())
+            .instantiate(m, inputs, false, &mut StoreArena::default())
             .unwrap();
-        let spec = specialize(&tapes, &plan, &store.params, Vec::new(), None).unwrap();
+        let spec = specialize(&tapes, &plan, m, &store.params, Vec::new(), None).unwrap();
         (plan, tapes, store, spec)
     }
 
@@ -2969,9 +2969,9 @@ pub(crate) mod tests {
         for n in [3i64, 7] {
             let inputs = Inputs::new().set_int("n", n);
             let store = plan
-                .instantiate(&inputs, false, &mut StoreArena::default())
+                .instantiate(&m, &inputs, false, &mut StoreArena::default())
                 .unwrap();
-            let spec = specialize(&tapes, &plan, &store.params, vec![n], None).unwrap();
+            let spec = specialize(&tapes, &plan, &m, &store.params, vec![n], None).unwrap();
             let mut frames = Frames::new(&tapes);
             frames.bind_params(&tapes, &store.param_values(tapes.params()));
             {

@@ -19,6 +19,15 @@
 //! `&Program` is `Send + Sync`: independent runs may execute concurrently
 //! from multiple threads sharing one artifact — each run owns its store
 //! and frames; the cache and arena are touched only under brief locks.
+//!
+//! **Ownership.** The module and flowchart are held as [`Cow`]s. A caller
+//! with a `Compilation` on the stack borrows them ([`Program::new`] /
+//! [`Program::try_new`]: nothing is cloned, and the artifact lives no
+//! longer than `'m`); a cache that must outlive its caller moves them in
+//! ([`Program::try_owned`]) and gets a `Program<'static>` that owns
+//! everything it reads. Everything else in the artifact — the store plan,
+//! the tapes, the side tables — is owned data either way; only a running
+//! [`Store`] borrows the module, for the length of one run.
 
 use crate::analysis::analyze_tapes;
 use crate::compiled::{compile_tapes, specialize, ExecProg, Frames, Spec, Tapes};
@@ -27,9 +36,10 @@ use crate::store::{Inputs, Outputs, RuntimeError, Store, StoreArena, StorePlan};
 use crate::strip::StripVerdict;
 use ps_executor::Executor;
 use ps_lang::hir::HirModule;
-use ps_scheduler::{Flowchart, MemoryPlan};
+use ps_scheduler::{Flowchart, MemoryPlan, ScheduleResult};
 use ps_support::Symbol;
 use ps_trace::{EvKind, Phase, Stage, StageSet};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -60,9 +70,9 @@ struct CachedSpec {
 /// tape lowering exactly once; [`Program::run`] only binds parameters,
 /// instantiates (pooled) storage, and executes.
 pub struct Program<'m> {
-    module: &'m HirModule,
-    flowchart: &'m Flowchart,
-    plan: StorePlan<'m>,
+    module: Cow<'m, HirModule>,
+    flowchart: Cow<'m, Flowchart>,
+    plan: StorePlan,
     options: RuntimeOptions,
     /// `None` under [`Engine::TreeWalk`] (the oracle needs no tapes).
     tapes: Option<Tapes>,
@@ -113,12 +123,42 @@ impl<'m> Program<'m> {
         memory: &MemoryPlan,
         options: RuntimeOptions,
     ) -> Result<Program<'m>, RuntimeError> {
-        let plan = StorePlan::new(module, memory);
+        Program::build(
+            Cow::Borrowed(module),
+            Cow::Borrowed(flowchart),
+            memory,
+            options,
+        )
+    }
+
+    /// Like [`Program::try_new`], but the artifact takes ownership of the
+    /// module and the schedule's flowchart, so it borrows from nobody and
+    /// can be cached, sent and kept for as long as anyone holds it.
+    pub fn try_owned(
+        module: HirModule,
+        schedule: ScheduleResult,
+        options: RuntimeOptions,
+    ) -> Result<Program<'static>, RuntimeError> {
+        Program::build(
+            Cow::Owned(module),
+            Cow::Owned(schedule.flowchart),
+            &schedule.memory,
+            options,
+        )
+    }
+
+    fn build(
+        module: Cow<'m, HirModule>,
+        flowchart: Cow<'m, Flowchart>,
+        memory: &MemoryPlan,
+        options: RuntimeOptions,
+    ) -> Result<Program<'m>, RuntimeError> {
+        let plan = StorePlan::new(&module, memory);
         let tapes = (options.engine == Engine::Compiled)
-            .then(|| compile_tapes(module, &plan, flowchart, options.check_writes, true));
+            .then(|| compile_tapes(&module, &plan, &flowchart, options.check_writes, true));
         let verified = match (&tapes, options.analysis) {
             (Some(tapes), AnalysisLevel::Verify) => {
-                let outcome = analyze_tapes(module, flowchart, &plan, tapes);
+                let outcome = analyze_tapes(&module, &flowchart, &plan, tapes);
                 if outcome.report.has_errors() {
                     return Err(RuntimeError(outcome.report.render()));
                 }
@@ -178,13 +218,13 @@ impl<'m> Program<'m> {
     /// under [`Engine::TreeWalk`], which has no tapes.
     pub fn strip_report(&self) -> Vec<(String, StripVerdict)> {
         self.tapes.as_ref().map_or_else(Vec::new, |tapes| {
-            tapes.strip_report(self.module, self.flowchart)
+            tapes.strip_report(&self.module, &self.flowchart)
         })
     }
 
     /// The module this program executes.
-    pub fn module(&self) -> &'m HirModule {
-        self.module
+    pub fn module(&self) -> &HirModule {
+        &self.module
     }
 
     /// The options this program was compiled with.
@@ -224,6 +264,7 @@ impl<'m> Program<'m> {
     /// deliberately unpooled (it exists to cross-check, not to serve).
     fn run_tree(&self, inputs: &Inputs, executor: &dyn Executor) -> Result<Outputs, RuntimeError> {
         let store = self.plan.instantiate(
+            &self.module,
             inputs,
             self.options.check_writes,
             &mut StoreArena::default(),
@@ -276,6 +317,7 @@ impl<'m> Program<'m> {
         // `instantiate_masked` sizes the result maps.
         let frames = slot.frames.get_or_insert_with(|| Frames::new(tapes));
         let store = self.plan.instantiate_masked(
+            &self.module,
             inputs,
             self.options.check_writes,
             self.verified.as_deref(),
@@ -300,7 +342,7 @@ impl<'m> Program<'m> {
     /// cache is bounded by [`RuntimeOptions::spec_cache_cap`]; at capacity
     /// the least-recently-used layout is replaced (its `Arc` keeps
     /// in-flight runs of the evicted spec alive).
-    fn spec_for(&self, tapes: &Tapes, store: &Store<'m>) -> Result<Arc<Spec>, RuntimeError> {
+    fn spec_for(&self, tapes: &Tapes, store: &Store<'_>) -> Result<Arc<Spec>, RuntimeError> {
         let key: Vec<i64> = self
             .key_syms
             .iter()
@@ -324,6 +366,7 @@ impl<'m> Program<'m> {
         let built = Arc::new(specialize(
             tapes,
             &self.plan,
+            &self.module,
             &store.params,
             key.clone(),
             self.verified.as_deref(),
@@ -485,6 +528,37 @@ mod tests {
         }
         // Three distinct layouts (n ∈ {4, 9, 17}); bias never forces one.
         assert_eq!(prog.specialization_count(), 3);
+    }
+
+    /// The borrowed constructors clone nothing (a cold compile must not
+    /// pay for a module copy); only `try_owned` holds its own values, and
+    /// it outlives the compilation it was built from.
+    #[test]
+    fn borrowed_constructor_borrows_and_owned_constructor_owns() {
+        let m = frontend(RECURRENCE).unwrap();
+        let dg = build_depgraph(&m);
+        let sched = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
+        let borrowed = Program::try_new(
+            &m,
+            &sched.flowchart,
+            &sched.memory,
+            RuntimeOptions::default(),
+        )
+        .unwrap();
+        assert!(matches!(borrowed.module, Cow::Borrowed(_)));
+        assert!(matches!(borrowed.flowchart, Cow::Borrowed(_)));
+        drop(borrowed);
+        let owned: Program<'static> =
+            Program::try_owned(m, sched, RuntimeOptions::default()).unwrap();
+        assert!(matches!(owned.module, Cow::Owned(_)));
+        assert!(matches!(owned.flowchart, Cow::Owned(_)));
+        let out = owned
+            .run(
+                &Inputs::new().set_int("n", 9).set_real("bias", 1.25),
+                &Sequential,
+            )
+            .unwrap();
+        assert_eq!(out.scalar("y"), Value::Real(expected(9, 1.25)));
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //!
 //! * [`StorePlan`] — computed once per `(module, memory plan)` pair: the
 //!   flat scalar-slot layout plus each array's window decisions. It holds
-//!   no parameter values and can be shared by any number of runs.
+//!   no parameter values and no reference to the module it was laid out
+//!   for — plain owned data, so the artifact that keeps it can own or
+//!   borrow its module as it likes; the methods that need the module take
+//!   it as an argument.
 //! * [`Store`] — one run's live data, instantiated from the plan against a
 //!   concrete [`Inputs`]: evaluated array bounds, allocated (or pooled)
-//!   buffers, and bound parameter slots.
+//!   buffers, and bound parameter slots. It borrows the module for the
+//!   length of that one run.
 //!
 //! [`StoreArena`] recycles the per-run storage (buffers, tag tables, the
 //! scalar-slot table) between runs of the same plan, so steady-state
@@ -196,8 +200,9 @@ const SLOT_POOL_CAP: usize = 16;
 /// values: the flat scalar-slot layout and each array dimension's window
 /// decision. Instantiating it against concrete [`Inputs`] yields a
 /// [`Store`]; the bounds themselves (`0..M+1`) are evaluated per run.
-pub struct StorePlan<'m> {
-    pub module: &'m HirModule,
+/// Every method that takes a module must be given the one the plan was
+/// built from.
+pub struct StorePlan {
     /// Slot `i` of item `d` lives at `scalar_base[d] + i` (field 0 is the
     /// scalar itself; record fields follow). Shared with every [`Store`]
     /// instantiated from this plan.
@@ -208,12 +213,12 @@ pub struct StorePlan<'m> {
     windows: IndexVec<DataId, Vec<Option<i64>>>,
 }
 
-impl<'m> StorePlan<'m> {
+impl StorePlan {
     /// Lay out the scalar slot table and capture window decisions. One
     /// slot per scalar item plus one per record field (arrays get an
     /// unused slot; the waste is a few bytes and keeps the base map a
     /// plain vector).
-    pub fn new(module: &'m HirModule, plan: &MemoryPlan) -> StorePlan<'m> {
+    pub fn new(module: &HirModule, plan: &MemoryPlan) -> StorePlan {
         let mut scalar_base = Vec::with_capacity(module.data.len());
         let mut windows: IndexVec<DataId, Vec<Option<i64>>> =
             IndexVec::with_capacity(module.data.len());
@@ -228,7 +233,6 @@ impl<'m> StorePlan<'m> {
             windows.push((0..item.dims().len()).map(|d| plan.window(id, d)).collect());
         }
         StorePlan {
-            module,
             scalar_base: scalar_base.into(),
             n_slots: next_slot,
             windows,
@@ -251,10 +255,11 @@ impl<'m> StorePlan<'m> {
     /// agree by construction.
     pub(crate) fn nd_spec(
         &self,
+        module: &HirModule,
         id: DataId,
         params: &FxHashMap<Symbol, i64>,
     ) -> Result<NdSpec, RuntimeError> {
-        let bounds = Store::bounds_of(self.module, params, id)?;
+        let bounds = Store::bounds_of(module, params, id)?;
         Ok(NdSpec {
             dims: bounds
                 .iter()
@@ -284,27 +289,28 @@ impl<'m> StorePlan<'m> {
     /// Bind `inputs` and allocate every array, drawing reusable storage
     /// from `arena`. This is the cheap per-run half of the old
     /// `Store::build`.
-    pub fn instantiate(
+    pub fn instantiate<'r>(
         &self,
+        module: &'r HirModule,
         inputs: &Inputs,
         check_writes: bool,
         arena: &mut StoreArena,
-    ) -> Result<Store<'m>, RuntimeError> {
-        self.instantiate_masked(inputs, check_writes, None, arena)
+    ) -> Result<Store<'r>, RuntimeError> {
+        self.instantiate_masked(module, inputs, check_writes, None, arena)
     }
 
     /// [`StorePlan::instantiate`] with a per-array tag-elision mask
     /// (indexed by `DataId`): under `check_writes`, arrays the static
     /// analysis fully verified skip tag allocation (and the O(n) per-run
     /// tag reset) entirely.
-    pub(crate) fn instantiate_masked(
+    pub(crate) fn instantiate_masked<'r>(
         &self,
+        module: &'r HirModule,
         inputs: &Inputs,
         check_writes: bool,
         verified: Option<&[bool]>,
         arena: &mut StoreArena,
-    ) -> Result<Store<'m>, RuntimeError> {
-        let module = self.module;
+    ) -> Result<Store<'r>, RuntimeError> {
         let params = inputs.param_env();
         // Evaluate every subrange once: loop headers and array bounds then
         // read a table instead of re-evaluating affine forms per use.
@@ -469,7 +475,12 @@ impl<'m> Store<'m> {
         inputs: &Inputs,
         check_writes: bool,
     ) -> Result<Store<'m>, RuntimeError> {
-        StorePlan::new(module, plan).instantiate(inputs, check_writes, &mut StoreArena::default())
+        StorePlan::new(module, plan).instantiate(
+            module,
+            inputs,
+            check_writes,
+            &mut StoreArena::default(),
+        )
     }
 
     /// Evaluate the declared inclusive bounds of an array.

@@ -7,10 +7,11 @@
 //! requests from many clients** over a cache of such artifacts:
 //!
 //! * [`Registry`] — the compile-once cache, keyed by
-//!   `(source hash, RuntimeOptions)`. Reads are **lock-free** (an
-//!   RCU-style published snapshot; see [`registry`]), the table is
-//!   LRU-bounded, and evicted programs stay alive for their in-flight
-//!   requests through `Arc`s.
+//!   `(source hash, RuntimeOptions)`. An `RwLock`ed table: hits share the
+//!   read lock, a miss compiles with no lock held and takes the write
+//!   lock only to publish (see [`registry`]). The table is LRU-bounded,
+//!   and evicted programs stay alive for their in-flight requests
+//!   through `Arc`s.
 //! * [`Service`] — a request queue drained by worker threads.
 //!   [`Service::submit`] returns a [`ResponseHandle`] immediately;
 //!   requests sharing a program are **micro-batched** onto one pooled
@@ -132,13 +133,15 @@
 //! assert!(stats.cache_hits >= 1, "warm path hits the registry");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod program;
 pub mod proto;
 pub mod registry;
 pub mod service;
 pub mod stats;
 
-pub use program::{BatchSession, CompiledProgram};
+pub use program::CompiledProgram;
 pub use registry::{ProgramKey, Registry};
 pub use service::{ResponseHandle, Service, ServiceOptions, SolveRequest};
 pub use stats::ServiceStats;
@@ -146,7 +149,8 @@ pub use stats::ServiceStats;
 /// Failure compiling a program into the registry.
 #[derive(Clone, Debug)]
 pub enum ServiceError {
-    /// Front end or scheduler rejected the source (rendered diagnostics).
+    /// Front end, scheduler or static verifier rejected the source
+    /// (rendered diagnostics).
     Compile(String),
 }
 

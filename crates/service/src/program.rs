@@ -1,43 +1,36 @@
-//! The owning compile artifact cached by the [`crate::Registry`].
+//! The compile artifact cached by the [`crate::Registry`].
 //!
-//! `ps_runtime::Program<'m>` borrows its module and flowchart — the right
-//! shape for callers that hold a `Compilation` on the stack, but a serving
-//! registry must *own* what it caches. [`CompiledProgram`] closes that gap:
-//! it owns the HIR module and schedule in stable heap allocations and keeps
-//! the borrowing `Program` next to them, exposing only owning or
-//! `&self`-scoped APIs so the internal lifetime never escapes.
-
-#![deny(unsafe_op_in_unsafe_fn)]
+//! A serving registry must *own* what it caches, so [`CompiledProgram`]
+//! compiles its source into a `ps_runtime::Program<'static>` — the owning
+//! form built by [`ps_runtime::Program::try_owned`], which holds the HIR
+//! module and flowchart by value — and adds what only the service needs:
+//! the source text and options a registry key is compared against, the
+//! registry's LRU tick, and the trace label. It is an ordinary struct
+//! shared through `Arc`s: whoever holds one keeps the whole artifact
+//! alive, eviction or registry teardown notwithstanding.
 
 use crate::ServiceError;
 use ps_depgraph::build_depgraph;
+use ps_executor::Executor;
 use ps_lang::{frontend, HirModule};
 use ps_runtime::store::RuntimeError;
-use ps_runtime::{Inputs, Outputs, RunSession, RuntimeOptions};
-use ps_scheduler::{schedule_module, ScheduleOptions, ScheduleResult};
+use ps_runtime::{Inputs, Outputs, Program, RunSession, RuntimeOptions};
+use ps_scheduler::{schedule_module, ScheduleOptions};
 use ps_trace::StageSet;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-/// One compiled, reusable, *owned* solve artifact: the HIR module, its
-/// schedule, and the tape-lowered [`ps_runtime::Program`] built from them.
+/// One compiled, reusable, *owned* solve artifact: the tape-lowered
+/// [`ps_runtime::Program`] together with the module and flowchart it
+/// executes.
 ///
 /// Construction runs the front end, dependence analysis, scheduling, store
 /// layout planning, and tape lowering exactly once; [`CompiledProgram::run`]
 /// and [`CompiledProgram::session`] then serve any number of concurrent
 /// requests (`&CompiledProgram` is `Send + Sync`).
 pub struct CompiledProgram {
-    /// Borrows the `module`/`sched` allocations below. `ManuallyDrop` so
-    /// [`Drop`] can order it strictly before freeing its referents.
-    program: std::mem::ManuallyDrop<ps_runtime::Program<'static>>,
-    /// Leaked owners of the allocations `program` borrows, reclaimed in
-    /// [`Drop`]. Raw pointers (not `Box` fields) deliberately: moving a
-    /// `Box` asserts unique ownership and would invalidate the borrows
-    /// under Stacked Borrows; `*mut` carries no such assertion.
-    sched: *mut ScheduleResult,
-    module: *mut HirModule,
+    program: Program<'static>,
     source: Arc<str>,
-    options: RuntimeOptions,
     /// Last-use tick maintained by the registry (its LRU key).
     pub(crate) touched: AtomicU64,
     /// Interned [`ps_trace::label`] id of the module name, carried by the
@@ -45,24 +38,11 @@ pub struct CompiledProgram {
     trace_label: u64,
 }
 
-// SAFETY: the raw pointers are uniquely owned by this struct (created by
-// `Box::into_raw`, freed only in `Drop`) and only ever reborrowed shared;
-// every pointee — and the `Program` built over them — is itself
-// `Send + Sync` (`_assert_components_send_sync` proves it at compile
-// time), so sharing or moving the artifact across threads is sound.
-unsafe impl Send for CompiledProgram {}
-unsafe impl Sync for CompiledProgram {}
-
+/// Workers on different threads share one artifact.
 #[allow(dead_code)]
-fn _assert_components_send_sync(
-    p: &ps_runtime::Program<'static>,
-    m: &HirModule,
-    s: &ScheduleResult,
-) {
-    fn takes<T: Send + Sync>(_: &T) {}
-    takes(p);
-    takes(m);
-    takes(s);
+fn _assert_send_sync() {
+    fn takes<T: Send + Sync>() {}
+    takes::<CompiledProgram>();
 }
 
 impl CompiledProgram {
@@ -83,36 +63,21 @@ impl CompiledProgram {
         options: RuntimeOptions,
         sink: Option<Arc<StageSet>>,
     ) -> Result<Arc<CompiledProgram>, ServiceError> {
-        // All fallible work happens before anything is leaked.
         let module = frontend(&source).map_err(ServiceError::Compile)?;
         let trace_label = ps_trace::label(module.name.as_str());
         let depgraph = build_depgraph(&module);
         let sched = schedule_module(&module, &depgraph, ScheduleOptions::default())
             .map_err(|e| ServiceError::Compile(e.to_string()))?;
-        let module = Box::into_raw(Box::new(module));
-        let sched = Box::into_raw(Box::new(sched));
-        // SAFETY: `program` borrows `*module` and `*sched` with a
-        // fabricated 'static lifetime. This is sound because:
-        //  * both allocations are leaked above and freed only by `Drop`,
-        //    which drops `program` first — the borrows are dead before the
-        //    allocations go away;
-        //  * the struct stores raw pointers, so no later `Box` move can
-        //    retag (and invalidate) the references `program` holds;
-        //  * no public API lets the fabricated 'static lifetime escape:
-        //    `run` returns owned `Outputs`, `session`/`module` tie their
-        //    results to `&self`, which in turn keeps the `Arc` alive.
-        let program = unsafe {
-            ps_runtime::Program::new(&*module, &(*sched).flowchart, &(*sched).memory, options)
-        };
+        // A verifier rejection (`AnalysisLevel::Verify`) comes back as
+        // rendered E06xx diagnostics, like any other compile error.
+        let program = Program::try_owned(module, sched, options)
+            .map_err(|e| ServiceError::Compile(e.to_string()))?;
         if let Some(sink) = sink {
             program.set_stage_sink(sink);
         }
         Ok(Arc::new(CompiledProgram {
-            program: std::mem::ManuallyDrop::new(program),
-            sched,
-            module,
+            program,
             source,
-            options,
             touched: AtomicU64::new(0),
             trace_label,
         }))
@@ -131,15 +96,13 @@ impl CompiledProgram {
 
     /// Claim a pooled run slot for a sequence of runs (a worker's
     /// micro-batch); see [`ps_runtime::Program::session`].
-    pub fn session(&self) -> BatchSession<'_> {
-        BatchSession(self.program.session())
+    pub fn session(&self) -> RunSession<'_, 'static> {
+        self.program.session()
     }
 
     /// The checked HIR module this artifact executes.
     pub fn module(&self) -> &HirModule {
-        // SAFETY: `module` is a live allocation owned by `self` (freed
-        // only in `Drop`); the shared reborrow is bounded by `&self`.
-        unsafe { &*self.module }
+        self.program.module()
     }
 
     /// The source text this artifact was compiled from.
@@ -149,7 +112,7 @@ impl CompiledProgram {
 
     /// The runtime options this artifact was compiled with.
     pub fn options(&self) -> RuntimeOptions {
-        self.options
+        self.program.options()
     }
 
     /// Parameter layouts specialized so far (delegates to the inner
@@ -170,38 +133,6 @@ impl CompiledProgram {
     }
 }
 
-use ps_executor::Executor;
-
-/// A claimed run slot scoped to one worker batch: wraps
-/// [`ps_runtime::RunSession`] so the artifact's internal lifetime stays
-/// private. Panic-safe: a request that panics mid-run drops the slot and
-/// the next call starts fresh.
-pub struct BatchSession<'p>(RunSession<'p, 'static>);
-
-impl BatchSession<'_> {
-    /// Execute one run, reusing the session's claimed slot.
-    pub fn run(
-        &mut self,
-        inputs: &Inputs,
-        executor: &dyn Executor,
-    ) -> Result<Outputs, RuntimeError> {
-        self.0.run(inputs, executor)
-    }
-}
-
-impl Drop for CompiledProgram {
-    fn drop(&mut self) {
-        // SAFETY: `program` is dropped exactly once and strictly before
-        // the allocations it borrows; the pointers were made by
-        // `Box::into_raw` in `compile` and are reclaimed exactly once.
-        unsafe {
-            std::mem::ManuallyDrop::drop(&mut self.program);
-            drop(Box::from_raw(self.sched));
-            drop(Box::from_raw(self.module));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,8 +150,7 @@ mod tests {
     #[test]
     fn owned_artifact_runs_after_moves() {
         let prog = CompiledProgram::compile(RECURRENCE.into(), RuntimeOptions::default()).unwrap();
-        // Move the Arc around (into a vec, out again): the boxed module
-        // and schedule stay put, so the internal borrows stay valid.
+        // Move the Arc around (into an array, out again).
         let held = [prog];
         let prog = &held[0];
         for (rate, n) in [(0.5f64, 10i64), (0.25, 20)] {

@@ -1,30 +1,27 @@
-//! The compile-once Program registry: lock-free reads, LRU-bounded.
+//! The compile-once Program registry: a lock-guarded, LRU-bounded table.
 //!
-//! The hot path of a solve service is "look up the artifact for this
-//! request's `(source, options)` key" — executed once per micro-batch,
-//! concurrently from every worker. The registry keeps those lookups
-//! **lock-free** with an RCU-style published snapshot:
+//! A solve service looks up "the artifact for this request's
+//! `(source, options)` key" once per micro-batch, from every worker. The
+//! table is a `RwLock<Vec<…>>` of `Arc`ed artifacts, in the same cache
+//! shape `ps_runtime::Program` uses for its specializations:
 //!
-//! * the live entry table is an immutable snapshot behind an
-//!   `AtomicPtr`; a reader increments a reader count, loads the pointer,
-//!   scans (capacity is small, a linear probe beats hashing), clones the
-//!   entry `Arc`, and decrements — no mutex, no waiting, ever;
-//! * writers (compile / evict — the cold path) serialize on a mutex,
-//!   publish a new snapshot with a single pointer store, and move the old
-//!   table onto a **grace-period retirement list**. Retired tables are
-//!   freed in batches whenever a writer observes the reader count at
-//!   zero — writers never spin waiting for readers, so a publish
-//!   completes in bounded time even under a sustained stream of lock-free
-//!   lookups. Entry `Arc`s make eviction safe for in-flight requests: an
-//!   evicted program dies only when its last request completes.
+//! * a **hit** takes the read lock, scans (capacity is small, a linear
+//!   probe beats hashing), clones the entry's `Arc` and releases — readers
+//!   share the lock, and the LRU tick is a relaxed atomic store;
+//! * a **miss** compiles with *no lock held* — compilation is the slow
+//!   part, and a failure or panic inside it can poison nothing — then takes
+//!   the write lock only to double-check, evict and push. Racing cold
+//!   misses of one key may each compile; exactly one result is published
+//!   and counted, the losers adopt it and drop their own.
 //!
-//! The table is bounded: at capacity the least-recently-used entry (ticks
-//! are relaxed atomic stores on the read path) is evicted, so adversarial
-//! source diversity cannot grow memory without bound. Keys are
-//! `(source hash, RuntimeOptions)`; hash collisions are disambiguated by
-//! comparing the source text itself, so two programs can never alias.
-
-#![deny(unsafe_op_in_unsafe_fn)]
+//! Entry `Arc`s make eviction safe for in-flight requests: an evicted
+//! program dies only when its last holder lets go.
+//!
+//! The table is bounded: at capacity the least-recently-used entry is
+//! evicted, so adversarial source diversity cannot grow memory without
+//! bound. Keys are `(source hash, RuntimeOptions)`; hash collisions are
+//! disambiguated by comparing the source text itself, so two programs can
+//! never alias.
 
 use crate::program::CompiledProgram;
 use crate::ServiceError;
@@ -32,8 +29,8 @@ use ps_runtime::RuntimeOptions;
 use ps_support::faults::{FaultInjector, FaultPoint};
 use ps_trace::{EvKind, Phase, Stage, StageSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// A precomputed registry key: the program source, the runtime options the
 /// artifact must be compiled with, and the source hash (computed once at
@@ -74,36 +71,11 @@ impl PartialEq for ProgramKey {
 
 impl Eq for ProgramKey {}
 
-/// One immutable published generation of the entry table.
-struct Snapshot {
-    entries: Vec<(u64, Arc<CompiledProgram>)>,
-}
-
-/// An unpublished snapshot awaiting reader quiescence before it can be
-/// freed.
-struct RetiredSnapshot(*mut Snapshot);
-
-// SAFETY: a retired snapshot is exclusively owned by the retirement list
-// (it was unpublished by the writer that pushed it); the raw pointer is
-// only dereferenced to free the box, after quiescence proves no reader
-// still scans it.
-unsafe impl Send for RetiredSnapshot {}
-
-/// The bounded compile-once cache. See the module docs for the read/write
-/// protocol.
+/// The bounded compile-once cache. See the module docs for the locking
+/// shape.
 pub struct Registry {
-    /// The current snapshot; readers only ever load this pointer.
-    published: AtomicPtr<Snapshot>,
-    /// In-flight lock-free readers; a writer frees retired snapshots only
-    /// after observing zero.
-    readers: AtomicUsize,
-    /// Serializes compile/evict/publish (the cold path).
-    writer: Mutex<()>,
-    /// Grace-period list: unpublished snapshots whose readers may still be
-    /// in flight. Freed in batches at the next zero-reader observation;
-    /// growth is bounded by the number of compiles between quiescent
-    /// moments (the cold path), never by read traffic.
-    retired: Mutex<Vec<RetiredSnapshot>>,
+    /// `(source hash, artifact)`, at most `capacity` of them.
+    entries: RwLock<Vec<(u64, Arc<CompiledProgram>)>>,
     capacity: usize,
     /// LRU clock: lookups stamp entries with `clock++` (relaxed).
     clock: AtomicU64,
@@ -121,31 +93,21 @@ impl Registry {
     /// An empty registry holding at most `capacity` compiled programs
     /// (clamped to at least 1).
     pub fn new(capacity: usize) -> Registry {
-        Registry::with_faults(capacity, FaultInjector::disabled())
+        Registry::with_observability(capacity, FaultInjector::disabled(), None)
     }
 
-    /// Like [`Registry::new`] with a seeded fault injector: the
-    /// `CompileFail` point fires on the compile path (after the cache
-    /// double-check, before any real compilation work).
-    pub fn with_faults(capacity: usize, faults: FaultInjector) -> Registry {
-        Registry::with_observability(capacity, faults, None)
-    }
-
-    /// Like [`Registry::with_faults`], additionally recording compile and
-    /// specialization durations into a shared [`StageSet`] (the service
-    /// passes its per-instance set here).
+    /// Like [`Registry::new`] with a seeded fault injector — the
+    /// `CompileFail` point fires on a cache miss, before any real
+    /// compilation work — and a shared [`StageSet`] that receives compile
+    /// and specialization durations (the service passes its per-instance
+    /// set here).
     pub fn with_observability(
         capacity: usize,
         faults: FaultInjector,
         stages: Option<Arc<StageSet>>,
     ) -> Registry {
         Registry {
-            published: AtomicPtr::new(Box::into_raw(Box::new(Snapshot {
-                entries: Vec::new(),
-            }))),
-            readers: AtomicUsize::new(0),
-            writer: Mutex::new(()),
-            retired: Mutex::new(Vec::new()),
+            entries: RwLock::new(Vec::new()),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
@@ -156,36 +118,33 @@ impl Registry {
         }
     }
 
-    /// The lock-free fast path: find `key`'s artifact in the published
-    /// snapshot. Counts a cache hit and stamps the entry's LRU tick when
-    /// found.
+    fn touch(&self, entry: &CompiledProgram) {
+        entry.touched.store(
+            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
+    }
+
+    /// `key`'s artifact among `entries`, counted as a cache hit and
+    /// stamped with a fresh LRU tick when found.
+    fn hit(
+        &self,
+        entries: &[(u64, Arc<CompiledProgram>)],
+        key: &ProgramKey,
+    ) -> Option<Arc<CompiledProgram>> {
+        let (_, e) = entries.iter().find(|(h, e)| {
+            *h == key.hash && e.options() == key.options && e.source() == &*key.source
+        })?;
+        self.touch(e);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        ps_trace::emit(EvKind::RegistryHit, Phase::Instant, 0, key.hash, 0);
+        Some(Arc::clone(e))
+    }
+
+    /// The fast path: find `key`'s artifact under the read lock. Counts a
+    /// cache hit and stamps the entry's LRU tick when found.
     pub fn lookup(&self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
-        // SeqCst on the counter and the pointer load gives the writer its
-        // quiescence guarantee: once it observes `readers == 0` after
-        // publishing, any later reader must observe the new pointer, so
-        // the retired snapshot is unreachable and safe to free.
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: the snapshot observed here is freed only after the
-        // writer has watched `readers` reach zero following its swap;
-        // our increment keeps it alive while we scan.
-        let snapshot = unsafe { &*self.published.load(Ordering::SeqCst) };
-        let found = snapshot
-            .entries
-            .iter()
-            .find(|(h, e)| {
-                *h == key.hash && e.options() == key.options && e.source() == &*key.source
-            })
-            .map(|(_, e)| Arc::clone(e));
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        if let Some(e) = &found {
-            e.touched.store(
-                self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            ps_trace::emit(EvKind::RegistryHit, Phase::Instant, 0, key.hash, 0);
-        }
-        found
+        self.hit(&self.entries.read().expect("registry poisoned"), key)
     }
 
     /// Return the cached artifact for `key`, compiling (and publishing) it
@@ -193,12 +152,6 @@ impl Registry {
     /// evicted; in-flight users of the evicted artifact keep it alive
     /// through their `Arc`s. Compile failures are returned, not cached.
     pub fn get_or_compile(&self, key: &ProgramKey) -> Result<Arc<CompiledProgram>, ServiceError> {
-        if let Some(e) = self.lookup(key) {
-            return Ok(e);
-        }
-        let _writer = self.writer.lock().expect("registry writer poisoned");
-        // Double-check under the writer lock: another thread may have
-        // compiled this key while we waited (its hit is counted normally).
         if let Some(e) = self.lookup(key) {
             return Ok(e);
         }
@@ -219,28 +172,26 @@ impl Registry {
             ));
         }
         let compile_t0 = std::time::Instant::now();
-        let _compile_span = ps_trace::span(EvKind::Compile, key.hash, 0);
+        let compile_span = ps_trace::span(EvKind::Compile, key.hash, 0);
         let entry = CompiledProgram::compile_with_sink(
             Arc::clone(&key.source),
             key.options,
             self.stages.clone(),
         )?;
-        drop(_compile_span);
+        drop(compile_span);
         if ps_trace::enabled() {
             if let Some(stages) = &self.stages {
                 stages.record(Stage::Compile, compile_t0.elapsed());
             }
         }
-        entry.touched.store(
-            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        // Build the successor snapshot: copy the live entries, evict the
-        // LRU entry at capacity, append the new one.
-        let old_ptr = self.published.load(Ordering::SeqCst);
-        // SAFETY: only the writer (serialized by the mutex we hold) ever
-        // retires snapshots, so `old_ptr` is alive.
-        let mut entries = unsafe { &*old_ptr }.entries.clone();
+        let mut entries = self.entries.write().expect("registry poisoned");
+        if let Some(theirs) = self.hit(&entries, key) {
+            // Lost the compile race: another thread published this key
+            // while we compiled — use (and count) theirs, drop ours.
+            return Ok(theirs);
+        }
+        // Insert under the write lock: a concurrent duplicate compile is
+        // never double-counted, and the table never exceeds its capacity.
         if entries.len() >= self.capacity {
             let lru = entries
                 .iter()
@@ -251,55 +202,10 @@ impl Registry {
             entries.swap_remove(lru);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        self.touch(&entry);
         entries.push((key.hash, Arc::clone(&entry)));
-        let new_ptr = Box::into_raw(Box::new(Snapshot { entries }));
-        self.published.store(new_ptr, Ordering::SeqCst);
-        // Grace period instead of a quiescence spin: retire the old table
-        // and free whatever the list holds at the next zero-reader
-        // observation. A publish therefore completes in bounded time even
-        // while readers hammer `lookup` without a gap.
-        {
-            let mut retired = self.retired.lock().expect("retired list poisoned");
-            retired.push(RetiredSnapshot(old_ptr));
-            self.reclaim(&mut retired);
-        }
         self.compiles.fetch_add(1, Ordering::Relaxed);
         Ok(entry)
-    }
-
-    /// Free every retired snapshot if the readers are quiescent *right
-    /// now*; otherwise keep them for a later writer (or `Drop`).
-    ///
-    /// Sound because a reader increments `readers` *before* loading the
-    /// published pointer (both SeqCst): at the instant this load returns
-    /// zero, every reader that could have seen a retired pointer has
-    /// finished its scan, and all later readers load the current snapshot
-    /// — so nothing on the list is reachable any more.
-    fn reclaim(&self, retired: &mut Vec<RetiredSnapshot>) {
-        if retired.is_empty() {
-            return;
-        }
-        // A handful of bounded samples ride out a momentary reader; if
-        // traffic never pauses, the list simply waits for a luckier
-        // writer — memory stays bounded by compile count, and we never
-        // block the publish.
-        for _ in 0..8 {
-            if self.readers.load(Ordering::SeqCst) == 0 {
-                for snap in retired.drain(..) {
-                    // SAFETY: unpublished, and quiescence was observed
-                    // after it was retired (see above).
-                    unsafe { drop(Box::from_raw(snap.0)) };
-                }
-                return;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Snapshots currently parked on the grace list (test visibility).
-    #[cfg(test)]
-    fn retired_len(&self) -> usize {
-        self.retired.lock().expect("retired list poisoned").len()
     }
 
     /// Programs compiled (and published) so far.
@@ -307,7 +213,7 @@ impl Registry {
         self.compiles.load(Ordering::Relaxed)
     }
 
-    /// Lookups served from the published snapshot.
+    /// Lookups served from the table.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -319,36 +225,11 @@ impl Registry {
 
     /// Number of programs currently cached (≤ capacity).
     pub fn len(&self) -> usize {
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: as in `lookup`.
-        let n = unsafe { &*self.published.load(Ordering::SeqCst) }
-            .entries
-            .len();
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        n
+        self.entries.read().expect("registry poisoned").len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl Drop for Registry {
-    fn drop(&mut self) {
-        // `&mut self`: no readers can exist; free the final snapshot and
-        // anything still parked on the grace list.
-        let ptr = *self.published.get_mut();
-        // SAFETY: `published` always holds a live Box-allocated snapshot.
-        unsafe { drop(Box::from_raw(ptr)) };
-        for snap in self
-            .retired
-            .get_mut()
-            .expect("retired list poisoned")
-            .drain(..)
-        {
-            // SAFETY: retired snapshots are exclusively owned by the list.
-            unsafe { drop(Box::from_raw(snap.0)) };
-        }
     }
 }
 
@@ -457,10 +338,9 @@ mod tests {
 
     #[test]
     fn publish_completes_while_a_reader_hammers_get() {
-        // Writers must not busy-spin on reader quiescence: with reader
-        // threads doing back-to-back lock-free lookups, every publish
-        // still completes (retiring the old snapshot to the grace list),
-        // and the grace list drains once the readers stop.
+        // Reader traffic must not starve the write lock: with reader
+        // threads doing back-to-back lookups, every publish still
+        // completes.
         use std::sync::atomic::AtomicBool;
         let reg = Arc::new(Registry::new(8));
         let hot = ProgramKey::new(src(100), RuntimeOptions::default());
@@ -474,7 +354,7 @@ mod tests {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         // `hot` may get LRU-evicted by the writer's churn;
-                        // the point is sustained lock-free read traffic.
+                        // the point is sustained read traffic.
                         let _ = reg.lookup(&hot);
                         lookups.fetch_add(1, Ordering::Relaxed);
                     }
@@ -486,25 +366,22 @@ mod tests {
             std::thread::yield_now();
         }
         // 30 publishes against the hammering readers; each must finish
-        // well inside the deadline (the old spin could stall a writer for
-        // as long as read traffic never pauses).
+        // well inside the deadline.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         for i in 0..30 {
             let key = ProgramKey::new(src(i), RuntimeOptions::default());
             reg.get_or_compile(&key).unwrap();
             assert!(
                 std::time::Instant::now() < deadline,
-                "publish {i} stalled behind lock-free readers"
+                "publish {i} stalled behind the readers"
             );
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();
         }
-        // With readers quiescent, the next publish reclaims the list.
         let last = ProgramKey::new(src(999), RuntimeOptions::default());
         reg.get_or_compile(&last).unwrap();
-        assert_eq!(reg.retired_len(), 0, "grace list drained at quiescence");
         assert!(reg.lookup(&last).is_some(), "entries survive the churn");
     }
 }

@@ -2,13 +2,13 @@
 //! micro-batching, and panic isolation at the request boundary.
 
 use crate::registry::{ProgramKey, Registry};
-use crate::stats::{LatencyHistogram, ServiceStats};
+use crate::stats::ServiceStats;
 use crate::{ServiceError, SolveError};
 use ps_executor::{CancelToken, Cancelled, Executor, Sequential, ThreadPool};
 use ps_runtime::{Inputs, Outputs, RuntimeOptions};
 use ps_support::faults::{FaultInjector, FaultPoint};
 use ps_support::rng::panic_message;
-use ps_trace::{EvKind, Phase, Stage, StageSet};
+use ps_trace::{EvKind, Histogram, Phase, Stage, StageSet};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -258,7 +258,9 @@ struct Inner {
     deadline_expired: AtomicU64,
     batches: AtomicU64,
     max_batch: AtomicU64,
-    latency: LatencyHistogram,
+    /// Submit→response latency: lock-free log₂ buckets, so workers never
+    /// contend on a lock for bookkeeping.
+    latency: Histogram,
     /// Per-stage duration histograms, shared with the registry (compile),
     /// each artifact (specialize), and the TCP front-end (reply). Recorded
     /// only while tracing is enabled.
@@ -324,7 +326,7 @@ impl Service {
             deadline_expired: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
+            latency: Histogram::new(),
             stages,
             faults: options.faults.clone(),
             drain_timeout: options.drain_timeout,
@@ -482,9 +484,9 @@ impl Service {
             compiles: inner.registry.compiles(),
             cache_hits: inner.registry.hits(),
             cache_evictions: inner.registry.evictions(),
-            p50: inner.latency.quantile(0.5),
-            p99: inner.latency.quantile(0.99),
-            mean: inner.latency.mean(),
+            p50: Duration::from_nanos(inner.latency.quantile_ns(0.5)),
+            p99: Duration::from_nanos(inner.latency.quantile_ns(0.99)),
+            mean: Duration::from_nanos(inner.latency.mean_ns()),
             stages: inner.stages.snapshot(),
         }
     }
@@ -833,6 +835,48 @@ mod tests {
                 other => panic!("expected compile error, got {other:?}"),
             }
         }
+    }
+
+    /// A front-end-legal program the static verifier rejects (`a[K-2]` at
+    /// `K = 2` reads `a[0]`) is a compile *error*, not a worker death: the
+    /// handle resolves, and the same workers keep serving other programs.
+    #[test]
+    fn verifier_rejection_is_a_compile_error_and_the_service_survives() {
+        use ps_runtime::AnalysisLevel;
+        const OUT_OF_BOUNDS: &str = "Lag: module (n: int): [y: real];
+            type K = 2 .. n;
+            var a: array [1 .. n] of real;
+            define
+                a[1] = 1.0;
+                a[K] = a[K-2] + 1.0;
+                y = a[n];
+            end Lag;";
+        let svc = service();
+        let rejected = ProgramKey::new(
+            OUT_OF_BOUNDS,
+            RuntimeOptions {
+                analysis: AnalysisLevel::Verify,
+                ..Default::default()
+            },
+        );
+        let h = svc.submit(SolveRequest::new(rejected, Inputs::new().set_int("n", 8)));
+        // Bounded: this request used to kill its worker and never resolve.
+        match h.wait_timeout(Duration::from_secs(60)) {
+            Some(Err(SolveError::Compile(msg))) => assert!(msg.contains("E0602"), "{msg}"),
+            other => panic!("expected a compile error naming E0602, got {other:?}"),
+        }
+        let key = ProgramKey::new(RECURRENCE, RuntimeOptions::default());
+        let h = svc.submit(SolveRequest::new(
+            key,
+            Inputs::new().set_real("rate", 0.5).set_int("n", 10),
+        ));
+        let out = h
+            .wait_timeout(Duration::from_secs(60))
+            .expect("a healthy program still gets a worker")
+            .unwrap();
+        assert!((out.scalar("final").as_real() - 1.5f64.powi(9)).abs() < 1e-9);
+        let stats = svc.stats();
+        assert_eq!((stats.errors, stats.panics), (1, 0));
     }
 
     #[test]

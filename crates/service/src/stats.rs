@@ -1,42 +1,7 @@
 //! Per-service counters and latency/stage histograms.
-//!
-//! The latency histogram delegates to [`ps_trace::Histogram`]: lock-free
-//! log₂ buckets with geometric-midpoint quantile interpolation, so the
-//! reported p50/p99 sit *inside* their bucket instead of overstating by up
-//! to 2× at the bucket's upper edge.
 
-use ps_trace::{Histogram, StageSnapshot};
+use ps_trace::StageSnapshot;
 use std::time::Duration;
-
-/// Lock-free latency histogram: recording is three relaxed `fetch_add`s,
-/// so worker threads never contend on a lock for bookkeeping. A thin
-/// `Duration`-typed wrapper over [`ps_trace::Histogram`].
-pub(crate) struct LatencyHistogram {
-    inner: Histogram,
-}
-
-impl LatencyHistogram {
-    pub(crate) fn new() -> LatencyHistogram {
-        LatencyHistogram {
-            inner: Histogram::new(),
-        }
-    }
-
-    pub(crate) fn record(&self, d: Duration) {
-        self.inner.record(d);
-    }
-
-    /// The latency below which a fraction `q` (0..=1) of samples fall,
-    /// geometric-midpoint interpolated within its log₂ bucket. Zero when
-    /// nothing was recorded yet.
-    pub(crate) fn quantile(&self, q: f64) -> Duration {
-        Duration::from_nanos(self.inner.quantile_ns(q))
-    }
-
-    pub(crate) fn mean(&self) -> Duration {
-        Duration::from_nanos(self.inner.mean_ns())
-    }
-}
 
 /// A point-in-time snapshot of a service's counters, returned by
 /// [`crate::Service::stats`].
@@ -81,49 +46,4 @@ pub struct ServiceStats {
     /// `reply` stage is filled by the TCP front-end; it stays empty for
     /// embedded services.
     pub stages: StageSnapshot,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quantiles_interpolate_within_their_buckets() {
-        let h = LatencyHistogram::new();
-        // 90 fast samples (~1 µs), 10 slow (~1 ms).
-        for _ in 0..90 {
-            h.record(Duration::from_micros(1));
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_millis(1));
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        // 1000 ns lands in bucket 9 ([512, 1024)); the interpolated p50
-        // sits inside that bucket, no longer at the 2047 ns upper edge.
-        assert!(
-            p50 >= Duration::from_nanos(512) && p50 < Duration::from_nanos(1024),
-            "p50 = {p50:?}"
-        );
-        // 1 ms lands in bucket 19 ([524288, 1048576) ns).
-        assert!(
-            p99 >= Duration::from_nanos(524_288) && p99 < Duration::from_nanos(1_048_576),
-            "p99 = {p99:?}"
-        );
-        assert!(h.mean() > p50 / 2, "mean pulled up by the slow tail");
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.quantile(0.5), Duration::ZERO);
-        assert_eq!(h.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn zero_duration_is_recorded() {
-        let h = LatencyHistogram::new();
-        h.record(Duration::ZERO);
-        assert_eq!(h.quantile(0.5), Duration::from_nanos(1));
-    }
 }

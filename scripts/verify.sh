@@ -4,8 +4,9 @@
 #
 #   scripts/verify.sh
 #
-# Runs: release build, the full test suite (unit + integration + doc),
-# the executor schedule-stress suite (explicitly, so a pool regression
+# Runs: the `unsafe` allowlist (the files that may contain unsafe code are
+# named here, so the set can only shrink), release build, the full test
+# suite (unit + integration + doc), the executor schedule-stress suite (explicitly, so a pool regression
 # names itself), the service/TCP concurrency suites (overlapping solves,
 # bounded-queue shedding, cross-connection shutdown drain), the seeded
 # chaos suite (fault injection across service, executor, and TCP), the
@@ -31,6 +32,16 @@ bounded() {
     timeout --kill-after=30 "$secs" "$@" \
         || { echo "watchdog: '$*' exceeded ${secs}s or failed" >&2; exit 1; }
 }
+
+echo "==> unsafe allowlist (code lines only: comments and attributes do not count)"
+unsafe_allowed="crates/executor/src/pool.rs
+crates/runtime/src/compiled.rs
+crates/runtime/src/ndarray.rs
+crates/support/src/intern.rs"
+unsafe_found=$(grep -rnw unsafe crates/*/src --include=*.rs \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|#!?\[)' | cut -d: -f1 | sort -u)
+[ "$unsafe_found" = "$unsafe_allowed" ] \
+    || { printf 'unsafe code outside the allowlist; files with unsafe:\n%s\n' "$unsafe_found" >&2; exit 1; }
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

@@ -9,8 +9,8 @@
 //! `ps_support::rng::check`.
 
 use ps_core::{
-    compile, CompileOptions, Inputs, OwnedArray, Program, ProgramKey, RuntimeOptions, Sequential,
-    Service, ServiceOptions, SolveError, SolveRequest,
+    compile, execute, CompileOptions, Inputs, OwnedArray, Program, ProgramKey, Registry,
+    RuntimeOptions, Sequential, Service, ServiceOptions, SolveError, SolveRequest,
 };
 use ps_support::rng::{check, shrink_vec, Lcg};
 
@@ -271,6 +271,32 @@ fn parallel_solves_are_bit_identical_to_sequential_oracle() {
         |reqs| shrink_vec(reqs, 1),
         |reqs| run_mix(reqs, 4, 2, 2),
     );
+}
+
+/// An artifact belongs to whoever holds it, not to the registry: evicted,
+/// and with the registry itself gone, a held `Arc` and its open session
+/// keep solving — bit-identical to a direct `execute`.
+#[test]
+fn evicted_artifact_outlives_its_registry() {
+    let registry = Registry::new(1);
+    let held_key = ProgramKey::new(PIPELINE, RuntimeOptions::default());
+    let held = registry.get_or_compile(&held_key).unwrap();
+    let mut session = held.session();
+    registry
+        .get_or_compile(&ProgramKey::new(COMPOUND, RuntimeOptions::default()))
+        .unwrap();
+    assert_eq!(registry.evictions(), 1);
+    assert!(registry.lookup(&held_key).is_none(), "capacity 1: evicted");
+    drop(registry);
+
+    let comp = compile(PIPELINE, CompileOptions::default()).unwrap();
+    for (a, b) in [(3, 5), (-2, 4)] {
+        let req = Req { prog: 1, a, b };
+        let inputs = inputs_for(&req);
+        let got = session.run(&inputs, &Sequential).unwrap();
+        let want = execute(&comp, &inputs, &Sequential, RuntimeOptions::default()).unwrap();
+        assert_eq!(response_bits(&req, &got), response_bits(&req, &want));
+    }
 }
 
 #[test]
