@@ -160,7 +160,7 @@ fn usage() -> ! {
          \x20                [--batch-max N] [--registry-capacity N] [--queue-cap N]\n\
          \x20                [--deadline-ms MS] [--drain-timeout SECS]\n\
          \x20                [--io-timeout SECS] [--max-frame BYTES] [--inflight N]\n\
-         \x20                [--chaos seed=S,panic=P,slow=P,compile=P,stall=P,disconnect=P]\n\
+         \x20                [--chaos seed=S,panic=P,slow=P,compile=P,compile_panic=P,stall=P,disconnect=P]\n\
          \x20                [--trace-out FILE]\n\
          ps-serve load --addr HOST:PORT [--clients C] [--requests R]\n\
          \x20             [--program NAME] [--param k=v]... [--vary name=lo:hi]\n\

@@ -3,7 +3,7 @@
 //! ```text
 //! psc <file.ps | @builtin> [--emit c|flowchart|depgraph|components|hir|memory]
 //!     [--hyperplane windowed|full] [--fuse] [--prefer-parallel]
-//! psc <file.ps | @builtin> strips   which equations run strip-mined, and why not
+//! psc <file.ps | @builtin> strips   which equations run strip-mined (paths, ops), and why not
 //! psc --list                 list built-in programs
 //! psc --equation '<tex>'     translate TeX-style recurrence to PS
 //! ```
@@ -21,7 +21,7 @@ fn usage() -> ! {
            --hyperplane windowed|full   apply the Section-4 transformation\n\
            --fuse                       run the loop-fusion post-pass\n\
            --prefer-parallel            pick dimensions that yield DOALL first\n\
-           strips                       per equation: strip-mined, or scalar and why\n\
+           strips                       per equation: strip-mined (paths, ops), or scalar and why\n\
            --list                       list built-in programs (@name)\n\
            --equation '<tex>'           translate e.g. 'A^{{k}}_{{i,j}} = ...' to PS"
     );

@@ -109,9 +109,11 @@ impl Affine {
     /// `self - other` when the difference is a provable constant.
     ///
     /// This is the workhorse comparison: `maxK - maxK = 0` proves the
-    /// upper-bound rule, `(M+1) - 0` proves range widths, etc.
+    /// upper-bound rule, `(M+1) - 0` proves range widths, etc. `terms`
+    /// holds only nonzero coefficients, so the parameter terms cancel
+    /// exactly when the two maps are equal: no form is built to find out.
     pub fn const_difference(&self, other: &Affine) -> Option<i64> {
-        self.sub(other).as_constant()
+        (self.terms == other.terms).then(|| self.konst - other.konst)
     }
 
     /// Evaluate under a parameter environment. `None` if a parameter is
@@ -238,6 +240,50 @@ mod tests {
         assert_eq!(a.const_difference(&b), Some(0));
         let c = Affine::param(sym("M"));
         assert_eq!(a.const_difference(&c), None, "different params: unprovable");
+    }
+
+    /// The map comparison answers exactly as building `self - other` did,
+    /// on forms whose terms cancel fully, partly and not at all.
+    #[test]
+    fn const_difference_agrees_with_subtraction() {
+        use ps_support::rng::{check, shrink_vec};
+        let params = ["M", "N", "maxK", "n"].map(sym);
+        let form = |terms: &[(usize, i64)], konst: i64| {
+            let sum = terms.iter().fold(Affine::constant(konst), |acc, &(p, c)| {
+                acc.add(&Affine::param(params[p]).scale(c))
+            });
+            assert!(sum.terms.values().all(|&c| c != 0), "{sum:?}");
+            sum
+        };
+        check(
+            0x5eed_0016,
+            2_000,
+            |rng| {
+                let term = |rng: &mut ps_support::Lcg| (rng.index(4), rng.int(-2, 2));
+                let a = rng.vec_of(0, 4, term);
+                // Half the time `b` starts from `a`, so differences are
+                // often constant and coefficients often cancel.
+                let mut b = if rng.bool() { a.clone() } else { Vec::new() };
+                b.extend(rng.vec_of(0, 2, term));
+                (a, rng.int(-9, 9), b, rng.int(-9, 9))
+            },
+            |(a, ka, b, kb)| {
+                let shrunk_a = shrink_vec(a, 0)
+                    .into_iter()
+                    .map(|a| (a, *ka, b.clone(), *kb));
+                let shrunk_b = shrink_vec(b, 0)
+                    .into_iter()
+                    .map(|b| (a.clone(), *ka, b, *kb));
+                shrunk_a.chain(shrunk_b).collect()
+            },
+            |(a, ka, b, kb)| {
+                let (a, b) = (form(a, *ka), form(b, *kb));
+                let (got, want) = (a.const_difference(&b), a.sub(&b).as_constant());
+                (got == want)
+                    .then_some(())
+                    .ok_or_else(|| format!("({a}) - ({b}): {got:?}, subtraction says {want:?}"))
+            },
+        );
     }
 
     #[test]

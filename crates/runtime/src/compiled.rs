@@ -48,18 +48,18 @@
 //!   a full validation pass over every lowered tape (`validate`) at compile
 //!   time.
 //! * **Innermost `DOALL`s run in strips** ([`crate::strip`], a second
-//!   walker over the same tapes): a single-equation `DOALL` body whose
+//!   walker for the same tapes): a single-equation `DOALL` body whose
 //!   tape is unchecked, stores into a real array, writes only
 //!   `f`-registers, subscripts only never-written registers, branches only
 //!   on integer compares, and keeps its counter out of windowed dimensions
-//!   is dispatched once per 64 iterations, each instruction applied to 64
-//!   lanes and each address (window `mod` included) evaluated once and
-//!   advanced by its stride. Legal because a `DOALL`'s iterations neither
-//!   read nor write each other's cells (the contract `ParVec::set` rests
-//!   on), so instruction-major order reorders only independent accesses;
-//!   bit-identical because each lane runs the scalar tape's operations in
-//!   its order. Eligibility is decided once at lowering, never per call;
-//!   everything else runs the scalar walker below.
+//!   is lowered once more, into the straight-line paths its branches select
+//!   between; a row picks a path per segment and dispatches its fused ops
+//!   once per 64 iterations, each applied to 64 lanes. Legal because a
+//!   `DOALL`'s iterations neither read nor write each other's cells (the
+//!   contract `ParVec::set` rests on), so op-major order reorders only
+//!   independent accesses; bit-identical because each lane runs the scalar
+//!   tape's operations in its order. Eligibility is decided once at
+//!   lowering, never per call; everything else runs the scalar walker below.
 //! * **Optional checked mode**: when built with `check_writes`, every load
 //!   and store re-derives its *logical* index from the same affine forms
 //!   and performs the tree-walker's tag transitions (double-write and
@@ -84,7 +84,7 @@ use ps_scheduler::Flowchart;
 use ps_support::diag::Diagnostic;
 use ps_support::idx::{Idx, IndexVec};
 use ps_support::{FxHashMap, Symbol};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Runtime register kind. `char` and enumeration values are carried as
@@ -114,7 +114,7 @@ pub(crate) enum Reg {
 
 /// Comparison operator with the tree-walker's `partial_cmp` semantics
 /// (NaN compares false under everything except `<>`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub(super) enum CmpOp {
     Eq,
     Ne,
@@ -158,7 +158,7 @@ impl CmpOp {
 /// strength-reduced [`Addr`] table, `buf` indices to the program-wide
 /// typed buffer tables. All indices are range-checked once by
 /// `CompiledEq::validate`, so execution uses unchecked access.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub(super) enum Insn {
     CopyF {
         src: u16,
@@ -418,7 +418,7 @@ struct ChkDim {
 /// dynamic — `special` is empty and the address is a single dot product.
 #[derive(Clone, Debug, Default)]
 pub(super) struct Addr {
-    base: i64,
+    pub(super) base: i64,
     pub(super) lin: Vec<(u16, i64)>,
     pub(super) special: Vec<WinDim>,
     /// Per-dimension logical views; empty in unchecked release builds.
@@ -559,7 +559,7 @@ pub(super) enum OutSpec {
 pub(super) struct CompiledEq {
     pub(super) insns: Vec<Insn>,
     pub(super) sym_addrs: Vec<SymAddr>,
-    n_f: u16,
+    pub(super) n_f: u16,
     n_i: u16,
     n_b: u16,
     consts_f: Vec<(u16, f64)>,
@@ -1155,8 +1155,9 @@ pub(crate) struct Spec {
     pub(crate) key: Vec<i64>,
     pub(super) addrs: IndexVec<EqId, Vec<Addr>>,
     /// Per stripped equation, each address's stride along the inner
-    /// counter ([`strip::inner_strides`]); empty for scalar equations.
-    pub(super) strides: IndexVec<EqId, Vec<i64>>,
+    /// counter and offset in its class ([`strip::inner_strides`]); empty
+    /// for scalar equations.
+    pub(super) strides: IndexVec<EqId, Vec<(i64, i64)>>,
 }
 
 impl Spec {
@@ -1227,7 +1228,7 @@ pub(crate) fn specialize(
 ) -> Result<Spec, RuntimeError> {
     let mut layouts: IndexVec<DataId, Option<NdSpec>> = module.data.iter().map(|_| None).collect();
     let mut addrs: IndexVec<EqId, Vec<Addr>> = tapes.eqs.iter().map(|_| Vec::new()).collect();
-    let mut strides: IndexVec<EqId, Vec<i64>> = tapes.eqs.iter().map(|_| Vec::new()).collect();
+    let mut strides: IndexVec<EqId, Vec<_>> = tapes.eqs.iter().map(|_| Vec::new()).collect();
     for (eq, opt) in tapes.eqs.iter_enumerated() {
         let Some(ceq) = opt else { continue };
         let mut folded = Vec::with_capacity(ceq.sym_addrs.len());
@@ -1282,11 +1283,16 @@ pub(crate) struct ExecProg<'r, 'm> {
 #[derive(Clone, Default)]
 pub(super) struct Frame {
     pub(super) f: Vec<f64>,
-    i: Vec<i64>,
+    pub(super) i: Vec<i64>,
     b: Vec<bool>,
     /// [`strip::W`] lanes per `f`-register when the equation strips (its
     /// constants and parameters broadcast once, like `f`), else empty.
     pub(super) lanes: Vec<f64>,
+    /// Where each access of the strip path in progress stands and, per
+    /// address class, its anchor on the row in progress; both as long as
+    /// the address table, empty when the equation does not strip.
+    pub(super) offs: Vec<usize>,
+    pub(super) anchors: Vec<Option<i64>>,
 }
 
 impl Frame {
@@ -1348,12 +1354,16 @@ impl Frames {
             .map(|opt| match opt {
                 None => Frame::default(),
                 Some(ceq) => {
-                    let lanes = usize::from(ceq.strip.is_ok()) * ceq.n_f as usize * strip::W;
+                    let strips = usize::from(ceq.strip.is_ok());
+                    let lanes = strips * ceq.n_f as usize * strip::W;
+                    let offs = strips * ceq.sym_addrs.len();
                     let mut fr = Frame {
                         f: vec![0.0; ceq.n_f as usize],
                         i: vec![0; ceq.n_i as usize],
                         b: vec![false; ceq.n_b as usize],
                         lanes: vec![0.0; lanes],
+                        offs: vec![0; offs],
+                        anchors: vec![None; offs],
                     };
                     for &(r, v) in &ceq.consts_f {
                         fr.preset_f(r, v);
@@ -1412,6 +1422,15 @@ impl Frames {
         }
         Frames { frames }
     }
+}
+
+/// `1 / d` when `d` is `±2^k` and so is its reciprocal, both normal:
+/// `x / d` and `x * (1 / d)` then round the same real number, `x · 2^-k`,
+/// so they agree bit for bit for every `x` (subnormal, infinite and NaN
+/// included), and the multiply is several times cheaper.
+fn exact_reciprocal(d: f64) -> Option<f64> {
+    let power_of_two = d.is_normal() && d.to_bits() << 12 == 0;
+    (power_of_two && (1.0 / d).is_normal()).then_some(1.0 / d)
 }
 
 /// Typed buffer table shared by all equations of one program. Buffer
@@ -2246,7 +2265,13 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
             BinOp::Div => {
                 let (a, b) = (self.expect_f(l), self.expect_f(r));
                 let dst = self.alloc_f(to);
-                self.insns.push(Insn::DivF { a, b, dst });
+                let divisor = self.consts_f.iter().find(|&&(r, _)| r == b);
+                let inv = divisor.and_then(|&(_, d)| exact_reciprocal(d));
+                let inv = inv.map(|inv| self.const_f(inv));
+                self.insns.push(match inv {
+                    Some(b) => Insn::MulF { a, b, dst },
+                    None => Insn::DivF { a, b, dst },
+                });
                 Reg::F(dst)
             }
             BinOp::IntDiv | BinOp::Mod => {
@@ -2541,7 +2566,7 @@ impl<'r, 'm> ExecProg<'r, 'm> {
         let frame = &mut frames.frames[eq_id];
         debug_assert!(bindings.iter().all(|&(eq, _)| eq == eq_id));
         if let Ok(plan) = &ceq.strip {
-            return strip::Row::new(self, eq_id, ceq, plan).run(frame, lo, hi);
+            return plan.run(self, eq_id, frame, lo, hi);
         }
         for i in lo..=hi {
             for &(_, iv) in bindings {
@@ -2553,11 +2578,20 @@ impl<'r, 'm> ExecProg<'r, 'm> {
 
     /// A strip's store: `vals[l]` goes to `off + l·stride` of f-buffer
     /// `buf` (here, not in `strip.rs`, which stays free of `unsafe`).
-    pub(super) fn store_strip(&self, buf: u16, off: usize, stride: i64, vals: &[f64]) {
+    pub(super) fn store_strip(&self, buf: u16, off: usize, stride: i64, vals: &[Cell<f64>]) {
         // SAFETY: the lanes are distinct iterations of one `DOALL`, which
         // write disjoint offsets that nothing reads until the loop ends —
         // the contract of the scalar store in `exec_tape`.
         unsafe { self.bufs_f[buf as usize].set_range(off, stride, vals) }
+    }
+
+    /// A strip's unit-stride load, read in place: the `n` cells of
+    /// f-buffer `buf` from `off` on.
+    pub(super) fn view_strip(&self, buf: u16, off: usize, n: usize) -> &'r [Cell<f64>] {
+        // SAFETY: the strip walker only reads through the view, and what a
+        // `DOALL` iteration reads no iteration of the loop writes — the
+        // contract of the scalar load in `exec_tape`.
+        unsafe { self.bufs_f[buf as usize].cells(off, n) }
     }
 
     fn exec_tape(&self, ceq: &CompiledEq, addrs: &[Addr], frame: &mut Frame) {
@@ -2938,7 +2972,7 @@ pub(crate) mod tests {
     /// Eq.3 of Figure 6 pays for nothing it can avoid: `real(4)` is an f
     /// constant (no per-cell `CastIF`) and both `if` arms compute straight
     /// into the join register (no trailing `CopyF`): 7 guard instructions,
-    /// load + jump, four loads + three adds + divide.
+    /// load + jump, four loads + three adds + the multiply `/ 4` became.
     #[test]
     fn jacobi_tape_has_no_avoidable_instructions() {
         let (m, sched) = build(JACOBI);
@@ -2947,8 +2981,85 @@ pub(crate) mod tests {
         let eq3 = m.equation_by_label("eq.3").unwrap();
         assert_eq!(tapes.stats(eq3).0, 17);
         let insns = &tapes.eqs[eq3].as_ref().unwrap().insns;
-        let avoidable = |i: &&Insn| matches!(i, Insn::CastIF { .. } | Insn::CopyF { .. });
+        let avoidable = |i: &&Insn| {
+            matches!(
+                i,
+                Insn::CastIF { .. } | Insn::CopyF { .. } | Insn::DivF { .. }
+            )
+        };
         assert_eq!(insns.iter().filter(avoidable).count(), 0, "{insns:?}");
+    }
+
+    /// `x / ±2^k` lowers to an exact multiply; any other divisor — not a
+    /// power of two, a reciprocal that is not normal, not a constant —
+    /// stays a `DivF`. The two agree bit for bit on every kind of dividend.
+    #[test]
+    fn division_by_a_power_of_two_constant_lowers_to_an_exact_multiply() {
+        let dividends = [
+            0.0,
+            -0.0,
+            1.0,
+            -3.0,
+            0.1,
+            1e308,
+            -1e-308,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for k in [
+            -1022, -1021, -600, -52, -1, 0, 1, 2, 10, 52, 600, 1021, 1022,
+        ] {
+            for d in [2f64.powi(k), -(2f64.powi(k))] {
+                let inv = exact_reciprocal(d).unwrap_or_else(|| panic!("2^{k} qualifies"));
+                for x in dividends {
+                    assert_eq!((x / d).to_bits(), (x * inv).to_bits(), "{x:e} / {d:e}");
+                }
+            }
+        }
+        let kept = [
+            3.0,
+            10.0,
+            0.1,
+            1.5,
+            0.0,
+            -0.0,
+            2f64.powi(1023),
+            2f64.powi(-1023),
+            5e-324,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for d in kept {
+            assert_eq!(exact_reciprocal(d), None, "{d:e} keeps its division");
+        }
+        let ops = |body: &str| {
+            let src = format!(
+                "T: module (xs: array[I] of real; n: int; p: real): [out: array[I] of real];
+                 type I = 1 .. n;
+                 define out[I] = {body};
+                 end T;"
+            );
+            let (m, sched) = build(&src);
+            let plan = StorePlan::new(&m, &sched.memory);
+            let tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+            let eq = m.equation_by_label("eq.1").unwrap();
+            let insns = &tapes.eqs[eq].as_ref().unwrap().insns;
+            let count = |f: fn(&Insn) -> bool| insns.iter().filter(|i| f(i)).count();
+            (
+                count(|i| matches!(i, Insn::MulF { .. })),
+                count(|i| matches!(i, Insn::DivF { .. })),
+            )
+        };
+        assert_eq!(ops("xs[I] / 4"), (1, 0), "an int literal is widened first");
+        assert_eq!(ops("xs[I] / 0.125 / 2.0"), (2, 0));
+        assert_eq!(ops("xs[I] / 3.0 / 10"), (0, 2), "not powers of two");
+        assert_eq!(ops("xs[I] / p"), (0, 1), "a parameter is not a constant");
+        assert_eq!(ops("4.0 / xs[I]"), (0, 1), "only the divisor counts");
     }
 
     /// Tapes and specs are parameter-separable: one set of tapes, two

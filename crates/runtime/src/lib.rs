@@ -73,10 +73,11 @@
 //!   with direct buffer loads and stores and **zero per-iteration heap
 //!   allocations** — the interpretive cost the paper's loop-level
 //!   speedups would otherwise drown in. Single-equation innermost
-//!   `DOALL` bodies go one step further and run **strip-mined**: each
-//!   tape instruction is dispatched once per 64 iterations and applied
-//!   to 64 lanes ([`Program::strip_report`] says which equations do, and
-//!   why the others do not).
+//!   `DOALL` bodies go one step further and run **strip-mined**: a row
+//!   segment resolves its branches once, and each fused op of the
+//!   straight-line path they select is dispatched once per 64 iterations
+//!   and applied to 64 lanes ([`Program::strip_report`] says which
+//!   equations do, along which paths, and why the others do not).
 //! * **TreeWalk** ([`interp::Engine::TreeWalk`]) — direct recursive
 //!   evaluation of the `HExpr` trees via [`eval`], with tagged [`Value`]
 //!   dispatch and an index-variable environment. Slower, but structurally

@@ -5,7 +5,7 @@
 
 use crate::value::{OwnedArray, OwnedBuffer, Value};
 use ps_lang::ScalarTy;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 /// One dimension: inclusive logical bounds plus optional window.
@@ -153,25 +153,33 @@ impl<T: Copy> ParVec<T> {
     /// `stride`. Wraps rather than overflows: a bad index then fails the
     /// bounds check of the access that uses it.
     #[inline(always)]
-    fn strided(start: usize, stride: i64, l: usize) -> usize {
+    pub(crate) fn strided(start: usize, stride: i64, l: usize) -> usize {
         (start as i64).wrapping_add((l as i64).wrapping_mul(stride)) as usize
     }
 
-    /// Copy elements `start`, `start + stride`, … into `out` (the strip
-    /// walker's load). A unit stride is one range copy behind one slice
-    /// range check.
+    /// Borrow elements `start .. start + len` in place, behind one slice
+    /// range check (the strip walker's unit-stride access).
+    ///
+    /// # Safety
+    /// As [`ParVec::get`] for every element read through the result and as
+    /// [`ParVec::set`] for every element written through it, for as long
+    /// as it lives.
     #[inline]
-    pub(crate) fn get_range(&self, start: usize, stride: i64, out: &mut [T]) {
-        if stride == 1 {
-            let cells = &self.data[start..][..out.len()];
-            for (o, c) in out.iter_mut().zip(cells) {
-                // SAFETY: as in `get`, for every index of the checked range.
-                *o = unsafe { *c.get() };
-            }
-        } else {
-            for (l, o) in out.iter_mut().enumerate() {
-                *o = self.get(Self::strided(start, stride, l));
-            }
+    pub(crate) unsafe fn cells(&self, start: usize, len: usize) -> &[Cell<T>] {
+        let range: *const [UnsafeCell<T>] = &self.data[start..][..len];
+        // SAFETY: `Cell<T>` is a transparent wrapper of `UnsafeCell<T>`,
+        // the range is in bounds and borrowed from `self`; that no other
+        // thread touches an element while this one does is the caller's
+        // obligation.
+        unsafe { &*(range as *const [Cell<T>]) }
+    }
+
+    /// Copy elements `start`, `start + stride`, … into `out` (the strip
+    /// walker's load when the stride is not 1).
+    #[inline]
+    pub(crate) fn get_range(&self, start: usize, stride: i64, out: &[Cell<T>]) {
+        for (l, o) in out.iter().enumerate() {
+            o.set(self.get(Self::strided(start, stride, l)));
         }
     }
 
@@ -181,18 +189,17 @@ impl<T: Copy> ParVec<T> {
     /// # Safety
     /// As [`ParVec::set`], for every index written.
     #[inline]
-    pub(crate) unsafe fn set_range(&self, start: usize, stride: i64, src: &[T]) {
+    pub(crate) unsafe fn set_range(&self, start: usize, stride: i64, src: &[Cell<T>]) {
         if stride == 1 {
-            let cells = &self.data[start..][..src.len()];
-            for (c, &v) in cells.iter().zip(src) {
-                // SAFETY: in bounds by the slice above; exclusivity of
-                // every index is the caller's obligation.
-                unsafe { *c.get() = v };
+            // SAFETY: exclusivity of every index is the caller's obligation.
+            let cells = unsafe { self.cells(start, src.len()) };
+            for (c, v) in cells.iter().zip(src) {
+                c.set(v.get());
             }
         } else {
-            for (l, &v) in src.iter().enumerate() {
+            for (l, v) in src.iter().enumerate() {
                 // SAFETY: the caller's obligation, index by index.
-                unsafe { self.set(Self::strided(start, stride, l), v) };
+                unsafe { self.set(Self::strided(start, stride, l), v.get()) };
             }
         }
     }

@@ -213,9 +213,11 @@ impl<'m> Program<'m> {
 
     /// How each scheduled equation runs inside its innermost loop, in
     /// execution order: `(label, verdict)`, the verdict reading
-    /// `stripped along J` or `scalar: <reason>` — the strip walker's
-    /// eligibility decision, taken once when the tapes were lowered. Empty
-    /// under [`Engine::TreeWalk`], which has no tapes.
+    /// `stripped along J — 2 paths: copy(1), compute(5)` (the straight-line
+    /// bodies its branches select between and the ops a strip dispatches
+    /// for each) or `scalar: <reason>` — the strip walker's eligibility
+    /// decision, taken once when the tapes were lowered. Empty under
+    /// [`Engine::TreeWalk`], which has no tapes.
     pub fn strip_report(&self) -> Vec<(String, StripVerdict)> {
         self.tapes.as_ref().map_or_else(Vec::new, |tapes| {
             tapes.strip_report(&self.module, &self.flowchart)

@@ -1,27 +1,27 @@
 //! Strip-mined tape execution for innermost `DOALL`s: a second *walker*
-//! over the same validated tapes as `compiled::ExecProg::exec_tape`.
+//! for the same validated tapes as `compiled::ExecProg::exec_tape`.
 //!
 //! The scalar walker dispatches every tape instruction once per cell and
 //! re-derives every address (window `mod` included) once per cell. For a
-//! single-equation innermost `DOALL` body this walker instead runs the
-//! tape once per **strip** of up to [`W`] consecutive iterations:
-//! `f`-registers become lanes (`W` values each), an instruction is
-//! dispatched once and applied to all lanes in a counted loop, and an
-//! address is evaluated at the strip's first iteration and advanced by its
-//! inner-counter stride — a unit stride is one range copy.
+//! single-equation innermost `DOALL` body this walker instead runs **strips**
+//! of up to [`W`] consecutive iterations: `f`-registers become lanes (`W`
+//! values each), an op is dispatched once and applied to all lanes in a
+//! counted loop, and an address is found once per row segment and advanced
+//! by its inner-counter stride — a unit stride is read in place or copied
+//! as one range.
 //!
 //! # Legality
 //!
 //! The scheduler marks a loop `DOALL` exactly when no iteration reads a
 //! cell another iteration of the same loop writes, and single assignment
 //! means no two iterations write the same cell — the contract
-//! `ParVec::set` already rests on. Running instruction-major over a strip
-//! (all loads of the strip, then all arithmetic, then all stores) therefore
-//! reorders only accesses that are independent, and each lane performs the
-//! scalar tape's operations in the scalar tape's order, so results are
-//! bit-identical (no reassociation, no fused multiply-add). Memory safety
-//! does not depend on any of this: every access is range-checked against
-//! its buffer, once per strip for a unit stride and per lane otherwise.
+//! `ParVec::set` already rests on. Running op-major over a strip (every
+//! load of the strip before its one store) therefore reorders only
+//! accesses that are independent, and each lane performs the scalar tape's
+//! operations in the scalar tape's order, so results are bit-identical (no
+//! reassociation, no fused multiply-add). Memory safety does not depend on
+//! any of this: every access is range-checked against its buffer, once per
+//! strip for a unit stride and per lane otherwise.
 //!
 //! # Eligibility
 //!
@@ -39,7 +39,8 @@
 //!   read into an `f`-register (broadcast), or a branch that is `Jump` or
 //!   an integer compare-and-branch — whose operands are then necessarily
 //!   never-written registers, because nothing writes an `i`/`b` register;
-//! * the inner counter appears in no dimension the memory plan windowed.
+//! * the inner counter appears in no dimension the memory plan windowed;
+//! * its branches can be taken in at most [`MAX_PATHS`] ways.
 //!
 //! Everything else keeps the scalar loop, which pays one branch per row.
 //!
@@ -48,13 +49,23 @@
 //! Branches are handled by **index-set splitting**, not predication (the
 //! untaken arm of a boundary guard reads out of bounds). A branch compares
 //! the inner counter with a value `v` that is fixed along the row, so its
-//! outcome can only change at `v` and `v + 1`; [`Row::run`] cuts the row
-//! there. Between cuts every branch has one outcome, which the walker
-//! reads off the scalar frame holding the strip's first iteration, and
-//! the path through the tape is straight-line for the whole strip. A
-//! Jacobi row splits into `[0]`, `[1..M]`, `[M+1]`.
+//! outcome can only change at `v` and `v + 1`: up to there — a **segment**
+//! — every branch taken has one outcome and the row executes one
+//! straight-line body. A tape only jumps forward, so it has finitely many
+//! bodies, and [`plan`] enumerates them when the tapes are lowered: the
+//! branches become a decision tree ([`Node`]) and each distinct body a
+//! **path** ([`Path`]) of fused ops ([`StripOp`]) — a load is no op but the
+//! memory operand of its consumer, so `load → store` is one range copy,
+//! and constants stay preset lanes. [`StripPlan::run`] walks the tree once
+//! per segment on the scalar frame, which yields the path and where the
+//! segment ends, places the path's accesses, and runs strips that see no
+//! branch and evaluate no address. A Jacobi row is `[0]`, `[1..M]`,
+//! `[M+1]`: two one-op copies around two strips of five ops.
 
-use crate::compiled::{Addr, CompiledEq, ExecProg, Frame, Insn, OutSpec, Reg, SymAddr, Tapes};
+use crate::compiled::{
+    Addr, AffDim, CompiledEq, ExecProg, Frame, Insn, OutSpec, Reg, SymAddr, Tapes,
+};
+use crate::ndarray::ParVec;
 use crate::value::Value;
 use ps_lang::{DataId, EqId, HirModule, IvId};
 use ps_scheduler::{Descriptor, Flowchart, LoopDescriptor, LoopKind};
@@ -65,6 +76,10 @@ use std::fmt;
 /// Lanes per strip. 64 doubles are 512 bytes per register: the lane file
 /// of Figure 6's `eq.3` (nine `f`-registers) is 4.5 KB and stays in L1.
 pub(crate) const W: usize = 64;
+
+/// The most ways through its branches a stripped tape may have (the leaves
+/// of its decision tree): five independent `if`s in a row exceed it.
+const MAX_PATHS: usize = 16;
 
 /// Why an equation keeps the scalar walker — one tape walk per cell —
 /// instead of running its innermost `DOALL` in strips.
@@ -86,6 +101,8 @@ pub enum ScalarReason {
     DataDependentBranch,
     /// The inner counter indexes a windowed dimension.
     WindowedInnerDimension,
+    /// The branches can be taken in more ways than a plan will enumerate.
+    TooManyPaths,
 }
 
 impl fmt::Display for ScalarReason {
@@ -99,18 +116,24 @@ impl fmt::Display for ScalarReason {
             ScalarReason::DynamicSubscript => "dynamic subscript",
             ScalarReason::DataDependentBranch => "data-dependent branch",
             ScalarReason::WindowedInnerDimension => "windowed inner dimension",
+            ScalarReason::TooManyPaths => "too many paths",
         })
     }
 }
 
 /// How one scheduled equation executes inside its innermost loop: in
-/// strips (each tape instruction dispatched once per 64 iterations of a
-/// `DOALL` and applied to 64 lanes) or one tape walk per cell. Decided
-/// once, when the tapes are lowered; see [`crate::Program::strip_report`].
+/// strips (each op dispatched once per 64 iterations of a `DOALL` and
+/// applied to 64 lanes) or one tape walk per cell. Decided once, when the
+/// tapes are lowered; see [`crate::Program::strip_report`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StripVerdict {
-    /// Strip-mined along the named loop counter.
-    Stripped { along: String },
+    /// Strip-mined along the named loop counter. `paths` are the distinct
+    /// bodies its branches select between: `copy` for one range copy, else
+    /// `compute`, each with the number of ops a strip dispatches.
+    Stripped {
+        along: String,
+        paths: Vec<(&'static str, usize)>,
+    },
     /// One tape walk per cell.
     Scalar(ScalarReason),
 }
@@ -118,20 +141,90 @@ pub enum StripVerdict {
 impl fmt::Display for StripVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StripVerdict::Stripped { along } => write!(f, "stripped along {along}"),
+            StripVerdict::Stripped { along, paths } => {
+                let list: Vec<_> = paths.iter().map(|(k, ops)| format!("{k}({ops})")).collect();
+                let s = if list.len() == 1 { "" } else { "s" };
+                let (n, list) = (list.len(), list.join(", "));
+                write!(f, "stripped along {along} — {n} path{s}: {list}")
+            }
             StripVerdict::Scalar(why) => write!(f, "scalar: {why}"),
         }
     }
 }
 
+/// An operand of a strip op.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Src {
+    /// The lanes of an `f`-register.
+    Lane(u16),
+    /// An access of the path (an index into [`Path::accs`]) read in place:
+    /// the register's last write on the path is that access's `LoadF`.
+    Mem(u16),
+}
+
+/// One array access of a path: its `f`-buffer, its entry in the
+/// equation's address table, and the register whose lanes receive it
+/// whenever it cannot be read in place.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Access {
+    buf: u16,
+    addr: u16,
+    reg: u16,
+}
+
+/// What a strip dispatches once for all its lanes. A `LoadF` is not among
+/// them: its consumers read the access.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum StripOp {
+    /// `ReadScalar`: a live scalar slot, broadcast.
+    Scalar { slot: u32, dst: u16 },
+    /// `CastIF`: an iota of the inner counter, a broadcast of any other.
+    Widen { a: u16, dst: u16 },
+    /// The element-wise `f`-op `insn` on resolved operands.
+    F {
+        insn: Insn,
+        a: Src,
+        b: Option<Src>,
+        dst: u16,
+    },
+    /// The equation's store, last on every path.
+    Store { src: Src, acc: u16 },
+}
+
+/// One straight-line body of a stripped tape.
+#[derive(PartialEq, Debug)]
+struct Path {
+    accs: Vec<Access>,
+    ops: Vec<StripOp>,
+}
+
+/// The branches of a stripped tape as a decision tree; node 0 is its root.
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    /// Compare `i`-registers `a` and `b`: bit 0, 1 or 2 of `jump` is set
+    /// when `a < b`, `a = b` or `a > b` goes on at `next[1]`, not `next[0]`.
+    Branch {
+        a: u16,
+        b: u16,
+        jump: u8,
+        next: [u16; 2],
+    },
+    /// Run [`StripPlan::paths`]`[_]`.
+    Leaf(u16),
+}
+
 /// The parameter-independent half of a strip: which `i`-register is the
-/// inner counter and where rows must be cut.
+/// inner counter, what selects a segment's path, and the paths.
 #[derive(Debug)]
 pub(crate) struct StripPlan {
     inner: u16,
-    /// Registers some branch compares the inner counter with; each holds a
-    /// value `v` fixed along a row, and rows are cut at `v` and `v + 1`.
-    cuts: Vec<u16>,
+    tree: Vec<Node>,
+    paths: Vec<Path>,
+    /// Per entry of the equation's address table, the first entry of its
+    /// class: addresses of one array whose subscripts differ by constants,
+    /// and in a windowed dimension (whose `mod` is not linear) not at all.
+    /// Along a row they move together, a constant apart.
+    class: Vec<u16>,
 }
 
 /// Record on every equation lowered under `items` whether it strips (see
@@ -200,24 +293,18 @@ fn plan(
     if any_term(&|_, _, r| !fixed(r)) {
         return Err(ScalarReason::DynamicSubscript);
     }
-    let mut cuts = Vec::new();
     for insn in &ceq.insns {
         match *insn {
             Insn::Jump { .. } | Insn::LoadF { .. } | Insn::CastIF { .. } => {}
+            // An integer branch's operands are fixed along a row or the
+            // counter itself: nothing on an eligible tape writes either.
+            Insn::JumpCmpI { .. } | Insn::JumpCmpINot { .. } => {}
             Insn::ReadScalar { dst: Reg::F(_), .. } => {}
-            Insn::JumpCmpI { a, b, .. } | Insn::JumpCmpINot { a, b, .. } => {
-                // Both operands are fixed along a row or the counter
-                // itself: nothing on an eligible tape writes an i-register.
-                let other = if a == inner { b } else { a };
-                if (a == inner) != (b == inner) && !cuts.contains(&other) {
-                    cuts.push(other);
-                }
-            }
             Insn::JumpIf { .. }
             | Insn::JumpIfNot { .. }
             | Insn::JumpCmpF { .. }
             | Insn::JumpCmpFNot { .. } => return Err(ScalarReason::DataDependentBranch),
-            f_op if is_f_op(f_op) => {}
+            f_op if f_regs(f_op).is_some() => {}
             _ => return Err(ScalarReason::NonFWrite),
         }
     }
@@ -227,28 +314,153 @@ fn plan(
     if any_term(&|a, d, r| r == inner && windowed(a.array, d)) {
         return Err(ScalarReason::WindowedInnerDimension);
     }
-    Ok(StripPlan { inner, cuts })
+    let alike = |a: &SymAddr, b: &SymAddr| {
+        let mut dims = a.dims.iter().zip(&b.dims).enumerate();
+        let apart = |d, x: &AffDim, y: &AffDim| x.base == y.base || !windowed(a.array, d);
+        a.array == b.array && dims.all(|(d, (x, y))| x.terms == y.terms && apart(d, x, y))
+    };
+    let addrs = &ceq.sym_addrs;
+    let class = |a| addrs.iter().position(|b| alike(a, b)).expect("like itself");
+    let mut plan = StripPlan {
+        inner,
+        tree: Vec::new(),
+        paths: Vec::new(),
+        class: addrs.iter().map(|a| class(a) as u16).collect(),
+    };
+    plan.walk(ceq, 0, &mut (Vec::new(), vec![None; ceq.n_f as usize]))?;
+    Ok(plan)
+}
+
+impl StripPlan {
+    /// Add the subtree for the tape from `pc` on; the result is its root.
+    /// `scratch.0` is the body: the instructions that ran before `pc`
+    /// (restored on return). A tape only jumps forward, so this ends.
+    fn walk(
+        &mut self,
+        ceq: &CompiledEq,
+        mut pc: usize,
+        scratch: &mut (Vec<usize>, Vec<Option<u16>>),
+    ) -> Result<u16, ScalarReason> {
+        let (at, entry) = (self.tree.len(), scratch.0.len());
+        if at + 1 >= 2 * MAX_PATHS {
+            return Err(ScalarReason::TooManyPaths);
+        }
+        self.tree.push(Node::Leaf(0));
+        self.tree[at] = loop {
+            match ceq.insns.get(pc).copied() {
+                Some(Insn::Jump { target }) => pc = target as usize,
+                Some(Insn::JumpCmpI { op, a, b, target })
+                | Some(Insn::JumpCmpINot { op, a, b, target }) => {
+                    let when = matches!(ceq.insns[pc], Insn::JumpCmpI { .. });
+                    let jump = (0..3).map(|o| ((op.eval(o, 1) == when) as u8) << o).sum();
+                    // Not jumping first: paths come out in source order.
+                    let fall = self.walk(ceq, pc + 1, scratch)?;
+                    let next = [fall, self.walk(ceq, target as usize, scratch)?];
+                    break Node::Branch { a, b, jump, next };
+                }
+                Some(_) => {
+                    scratch.0.push(pc);
+                    pc += 1;
+                }
+                None => {
+                    let path = lower_path(ceq, &scratch.0, &mut scratch.1);
+                    let known = self.paths.iter().position(|p| *p == path);
+                    if known.is_none() {
+                        self.paths.push(path);
+                    }
+                    break Node::Leaf(known.unwrap_or(self.paths.len() - 1) as u16);
+                }
+            }
+        };
+        scratch.0.truncate(entry);
+        Ok(at as u16)
+    }
+
+    /// The path of the iteration `first` that `frame` holds, and the last
+    /// iteration up to `hi` of its segment: a branch met on the way that
+    /// compares the inner counter with `v` holds until the counter is next
+    /// `v` or `v + 1`.
+    fn segment(&self, frame: &Frame, first: i64, hi: i64) -> (&Path, i64) {
+        let (mut at, mut last) = (0, hi);
+        loop {
+            match self.tree[at] {
+                Node::Leaf(path) => return (&self.paths[path as usize], last),
+                Node::Branch { a, b, jump, next } => {
+                    let (x, y) = (frame.gi(a), frame.gi(b));
+                    if (a == self.inner) != (b == self.inner) {
+                        let v = if a == self.inner { y } else { x };
+                        let cuts = [v, v.saturating_add(1)].into_iter().filter(|&c| c > first);
+                        last = cuts.fold(last, |last, c| last.min(c - 1));
+                    }
+                    let order = (x >= y) as u8 + (x > y) as u8;
+                    at = next[(jump >> order & 1) as usize] as usize;
+                }
+            }
+        }
+    }
+}
+
+/// Lower one body of an eligible tape to strip ops. `loaded` is scratch:
+/// the access whose `LoadF` wrote each register last, if a load did —
+/// reading the register is then reading the access.
+fn lower_path(ceq: &CompiledEq, body: &[usize], loaded: &mut [Option<u16>]) -> Path {
+    let mut path = Path {
+        accs: Vec::with_capacity(body.len() + 1),
+        ops: Vec::with_capacity(body.len() + 1),
+    };
+    loaded.fill(None);
+    let src = |r: u16, loaded: &[Option<u16>]| loaded[r as usize].map_or(Src::Lane(r), Src::Mem);
+    for &pc in body {
+        let (op, dst) = match ceq.insns[pc] {
+            Insn::LoadF { buf, addr, dst } => {
+                loaded[dst as usize] = Some(path.accs.len() as u16);
+                let reg = dst;
+                path.accs.push(Access { buf, addr, reg });
+                continue;
+            }
+            Insn::ReadScalar {
+                slot,
+                dst: Reg::F(dst),
+            } => (StripOp::Scalar { slot, dst }, dst),
+            Insn::CastIF { a, dst } => (StripOp::Widen { a, dst }, dst),
+            insn => {
+                let (a, b, dst) = f_regs(insn).expect("strip plans hold f-ops");
+                let (a, b) = (src(a, loaded), b.map(|b| src(b, loaded)));
+                (StripOp::F { insn, a, b, dst }, dst)
+            }
+        };
+        loaded[dst as usize] = None;
+        path.ops.push(op);
+    }
+    let (OutSpec::ArrayF { buf, addr }, Reg::F(reg)) = (ceq.out, ceq.src) else {
+        unreachable!("strip plans store into a real array")
+    };
+    let (src, acc) = (src(reg, loaded), path.accs.len() as u16);
+    path.accs.push(Access { buf, addr, reg });
+    path.ops.push(StripOp::Store { src, acc });
+    path
 }
 
 /// The per-layout half of a strip: each folded address's stride along the
-/// inner counter (0 when the access does not move with it).
-pub(crate) fn inner_strides(plan: &StripPlan, addrs: &[Addr]) -> Vec<i64> {
+/// inner counter (0 when the access does not move with it) and its
+/// distance from the first address of its class.
+pub(crate) fn inner_strides(plan: &StripPlan, addrs: &[Addr]) -> Vec<(i64, i64)> {
     let coeff = |terms: &[(u16, i64)]| {
         let at = terms.iter().find(|&&(r, _)| r == plan.inner);
         at.map_or(0, |&(_, c)| c)
     };
-    addrs
-        .iter()
-        .map(|a| {
-            // `fold_addr` makes a dimension special only when the memory
-            // plan windowed it, and `plan` kept the counter out of those.
-            assert!(
-                a.special.iter().all(|w| coeff(&w.value.terms) == 0),
-                "inner counter in a windowed dimension of a stripped equation"
-            );
-            coeff(&a.lin)
-        })
-        .collect()
+    let strides = addrs.iter().zip(&plan.class).map(|(a, &class)| {
+        // `fold_addr` makes a dimension special only when the memory
+        // plan windowed it, and `plan` kept the counter out of those.
+        assert!(
+            a.special.iter().all(|w| coeff(&w.value.terms) == 0),
+            "inner counter in a windowed dimension of a stripped equation"
+        );
+        let first = &addrs[class as usize];
+        debug_assert_eq!(a.lin, first.lin, "a class folds alike");
+        (coeff(&a.lin), a.base.wrapping_sub(first.base))
+    });
+    strides.collect()
 }
 
 impl Tapes {
@@ -258,12 +470,19 @@ impl Tapes {
         module: &HirModule,
         flowchart: &Flowchart,
     ) -> Vec<(String, StripVerdict)> {
+        let shape = |p: &Path| match p.ops[..] {
+            [StripOp::Store {
+                src: Src::Mem(_), ..
+            }] => ("copy", 1),
+            _ => ("compute", p.ops.len()),
+        };
         // Counters are the leading i-registers in `IvId` order.
         let verdict = |eq: EqId| match &self.eqs[eq].as_ref().expect("lowered").strip {
             Ok(plan) => StripVerdict::Stripped {
                 along: module.equations[eq].ivs[IvId::new(plan.inner as usize)]
                     .name
                     .to_string(),
+                paths: plan.paths.iter().map(shape).collect(),
             },
             Err(why) => StripVerdict::Scalar(*why),
         };
@@ -309,20 +528,28 @@ pub(crate) mod fop {
     }
 }
 
-/// Where an element-wise `f`-op finds its operands in a strip: the
-/// [`Lanes`], or nowhere when [`plan`] only asks whether it is one.
+/// Where an element-wise `f`-op finds its operands in a strip — the
+/// [`Operands`] an op resolved them to, which then ignore the register
+/// numbers — or [`f_regs`], which only wants those.
 trait FRegs {
     fn un(&mut self, a: u16, dst: u16, f: impl Fn(f64) -> f64);
     fn bin(&mut self, a: u16, b: u16, dst: u16, f: impl Fn(f64, f64) -> f64);
 }
 
-fn is_f_op(insn: Insn) -> bool {
-    struct Probe;
-    impl FRegs for Probe {
-        fn un(&mut self, _: u16, _: u16, _: impl Fn(f64) -> f64) {}
-        fn bin(&mut self, _: u16, _: u16, _: u16, _: impl Fn(f64, f64) -> f64) {}
+impl FRegs for Option<(u16, Option<u16>, u16)> {
+    fn un(&mut self, a: u16, dst: u16, _: impl Fn(f64) -> f64) {
+        *self = Some((a, None, dst));
     }
-    apply_f(insn, &mut Probe)
+    fn bin(&mut self, a: u16, b: u16, dst: u16, _: impl Fn(f64, f64) -> f64) {
+        *self = Some((a, Some(b), dst));
+    }
+}
+
+/// The registers `(a, b, dst)` of `insn` if it is an element-wise `f`-op.
+fn f_regs(insn: Insn) -> Option<(u16, Option<u16>, u16)> {
+    let mut regs = None;
+    apply_f(insn, &mut regs);
+    regs
 }
 
 /// Execute `insn` on `regs` if it is an element-wise `f`-op (register
@@ -361,88 +588,80 @@ impl Frame {
     }
 }
 
-/// The first `n` lanes of every `f`-register of one strip. Operands and
-/// destination may be the same register, so lanes are shared cells.
-struct Lanes<'a> {
-    cells: &'a [Cell<f64>],
-    n: usize,
+/// The operands one [`StripOp::F`] resolved: lanes or cells of an array,
+/// one per iteration of the strip. An op may write the register it reads
+/// and an array is shared with other workers, so all are shared cells.
+struct Operands<'a> {
+    a: &'a [Cell<f64>],
+    b: &'a [Cell<f64>],
+    dst: &'a [Cell<f64>],
 }
 
-impl<'a> Lanes<'a> {
-    fn new(lanes: &'a mut [f64], n: usize) -> Lanes<'a> {
-        Lanes {
-            cells: Cell::from_mut(lanes).as_slice_of_cells(),
-            n,
-        }
-    }
-
+impl FRegs for Operands<'_> {
     #[inline(always)]
-    fn reg(&self, r: u16) -> &'a [Cell<f64>] {
-        &self.cells[r as usize * W..][..self.n]
-    }
-}
-
-impl FRegs for Lanes<'_> {
-    #[inline(always)]
-    fn un(&mut self, a: u16, dst: u16, f: impl Fn(f64) -> f64) {
-        for (d, x) in self.reg(dst).iter().zip(self.reg(a)) {
+    fn un(&mut self, _: u16, _: u16, f: impl Fn(f64) -> f64) {
+        for (d, x) in self.dst.iter().zip(self.a) {
             d.set(f(x.get()));
         }
     }
 
     #[inline(always)]
-    fn bin(&mut self, a: u16, b: u16, dst: u16, f: impl Fn(f64, f64) -> f64) {
-        let operands = self.reg(a).iter().zip(self.reg(b));
-        for (d, (x, y)) in self.reg(dst).iter().zip(operands) {
+    fn bin(&mut self, _: u16, _: u16, _: u16, f: impl Fn(f64, f64) -> f64) {
+        for (d, (x, y)) in self.dst.iter().zip(self.a.iter().zip(self.b)) {
             d.set(f(x.get(), y.get()));
         }
     }
 }
 
-/// One stripped equation bound to a run: its tape and plan, the run's
-/// specialized addresses and their [`inner_strides`].
-pub(crate) struct Row<'a, 'r, 'm> {
+/// One segment of a row of a stripped equation, bound to a run.
+struct Segment<'a, 'r, 'm> {
+    inner: u16,
+    path: &'a Path,
     prog: &'a ExecProg<'r, 'm>,
-    ceq: &'a CompiledEq,
-    plan: &'a StripPlan,
-    addrs: &'a [Addr],
-    strides: &'a [i64],
+    /// The run's [`inner_strides`], its lanes and its `i`-registers.
+    strides: &'a [(i64, i64)],
+    lanes: &'a [Cell<f64>],
+    ints: &'a [i64],
 }
 
-impl<'a, 'r, 'm> Row<'a, 'r, 'm> {
-    pub(crate) fn new(
-        prog: &'a ExecProg<'r, 'm>,
-        eq: EqId,
-        ceq: &'a CompiledEq,
-        plan: &'a StripPlan,
-    ) -> Row<'a, 'r, 'm> {
-        Row {
-            prog,
-            ceq,
-            plan,
-            addrs: &prog.spec.addrs[eq],
-            strides: &prog.spec.strides[eq],
-        }
-    }
-
-    /// Run the equation over the counter range `lo..=hi` of its `DOALL`.
-    pub(crate) fn run(&self, frame: &mut Frame, lo: i64, hi: i64) {
+impl StripPlan {
+    /// Run equation `eq` of `prog`, whose plan this is, over the counter
+    /// range `lo..=hi` of its `DOALL`.
+    pub(crate) fn run(&self, prog: &ExecProg, eq: EqId, frame: &mut Frame, lo: i64, hi: i64) {
+        let (addrs, strides) = (&prog.spec.addrs[eq], &prog.spec.strides[eq][..]);
+        frame.anchors.fill(None);
         let mut first = lo;
         while first <= hi {
-            // The segment starting at `first` ends just before the next cut.
-            let mut last = hi;
-            for &r in &self.plan.cuts {
-                let v = frame.gi(r);
-                for cut in [v, v.saturating_add(1)] {
-                    if cut > first && cut - 1 < last {
-                        last = cut - 1;
-                    }
-                }
+            frame.si(self.inner, first);
+            let (path, last) = self.segment(frame, first, hi);
+            for (k, acc) in path.accs.iter().enumerate() {
+                // One evaluation per class and row: the anchor is where the
+                // class's first address would stand at `lo`, wherever on
+                // the row one of the class is first needed.
+                let (stride, apart) = strides[acc.addr as usize];
+                let here = apart.wrapping_add(stride.wrapping_mul(first.wrapping_sub(lo)));
+                let class = self.class[acc.addr as usize] as usize;
+                let anchor = frame.anchors[class].unwrap_or_else(|| {
+                    let off = ExecProg::eval_addr(&addrs[acc.addr as usize], frame);
+                    (off as i64).wrapping_sub(here)
+                });
+                frame.anchors[class] = Some(anchor);
+                frame.offs[k] = anchor.wrapping_add(here) as usize;
             }
+            let segment = Segment {
+                inner: self.inner,
+                path,
+                prog,
+                strides,
+                lanes: Cell::from_mut(&mut frame.lanes[..]).as_slice_of_cells(),
+                ints: &frame.i,
+            };
             while first <= last {
                 let n = last.abs_diff(first).min(W as u64 - 1) as usize + 1;
-                frame.si(self.plan.inner, first);
-                self.strip(frame, n);
+                segment.strip(&frame.offs, first, n);
+                for (off, acc) in frame.offs.iter_mut().zip(&path.accs) {
+                    *off = ParVec::<f64>::strided(*off, strides[acc.addr as usize].0, n);
+                }
                 match first.checked_add(n as i64) {
                     Some(next) => first = next,
                     None => return,
@@ -450,69 +669,53 @@ impl<'a, 'r, 'm> Row<'a, 'r, 'm> {
             }
         }
     }
+}
 
-    /// Walk the tape once for the `n ≤ W` iterations starting at the one
-    /// the scalar `frame` holds.
-    fn strip(&self, frame: &mut Frame, n: usize) {
-        let Row {
-            prog,
-            ceq,
-            plan,
-            addrs,
-            strides,
-        } = *self;
-        let mut pc = 0usize;
-        while let Some(&insn) = ceq.insns.get(pc) {
-            pc += 1;
-            match insn {
-                Insn::Jump { target } => pc = target as usize,
-                Insn::JumpCmpI { op, a, b, target } => {
-                    if op.eval(frame.gi(a), frame.gi(b)) {
-                        pc = target as usize;
-                    }
+impl Segment<'_, '_, '_> {
+    /// Run the path for the `n ≤ W` iterations from `first` on, access `k`
+    /// of the path starting at `offs[k]`.
+    fn strip(&self, offs: &[usize], first: i64, n: usize) {
+        let lane = |r: u16| &self.lanes[r as usize * W..][..n];
+        let place = |acc: u16| {
+            let Access { buf, addr, reg } = self.path.accs[acc as usize];
+            (buf, offs[acc as usize], self.strides[addr as usize].0, reg)
+        };
+        let src = |s: Src| match s {
+            Src::Lane(r) => lane(r),
+            Src::Mem(acc) => match place(acc) {
+                (buf, off, 1, _) => self.prog.view_strip(buf, off, n),
+                (buf, off, stride, reg) => {
+                    self.prog.bufs_f[buf as usize].get_range(off, stride, lane(reg));
+                    lane(reg)
                 }
-                Insn::JumpCmpINot { op, a, b, target } => {
-                    if !op.eval(frame.gi(a), frame.gi(b)) {
-                        pc = target as usize;
-                    }
-                }
-                Insn::LoadF { buf, addr, dst } => {
-                    let off = ExecProg::eval_addr(&addrs[addr as usize], frame);
-                    let src = prog.bufs_f[buf as usize];
-                    let out = &mut frame.lanes[dst as usize * W..][..n];
-                    src.get_range(off, strides[addr as usize], out);
-                }
-                Insn::ReadScalar {
-                    slot,
-                    dst: Reg::F(dst),
-                } => match prog.store.read_slot(slot as usize) {
-                    Some(Value::Real(x)) => frame.lanes[dst as usize * W..][..n].fill(x),
+            },
+        };
+        for &op in &self.path.ops {
+            match op {
+                StripOp::Scalar { slot, dst } => match self.prog.store.read_slot(slot as usize) {
+                    Some(Value::Real(x)) => lane(dst).iter().for_each(|d| d.set(x)),
                     other => panic!("scalar slot {slot} holds {other:?}, tape expects a real"),
                 },
-                Insn::CastIF { a, dst } => {
-                    let v = frame.gi(a);
-                    let out = &mut frame.lanes[dst as usize * W..][..n];
-                    if a == plan.inner {
-                        // `real(J)` of the inner counter differs per lane.
-                        for (l, o) in out.iter_mut().enumerate() {
-                            *o = fop::widen(v + l as i64);
-                        }
-                    } else {
-                        out.fill(fop::widen(v));
+                StripOp::Widen { a, dst } => {
+                    // `real(J)` of the inner counter differs per lane.
+                    let inner = (a == self.inner) as usize;
+                    let (at, step) = [(self.ints[a as usize], 0), (first, 1)][inner];
+                    for (l, d) in lane(dst).iter().enumerate() {
+                        d.set(fop::widen(at + step * l as i64));
                     }
                 }
-                f_op => {
-                    let known = apply_f(f_op, &mut Lanes::new(&mut frame.lanes, n));
-                    assert!(known, "strip plan admitted {f_op:?}");
+                StripOp::F { insn, a, b, dst } => {
+                    let (a, dst) = (src(a), lane(dst));
+                    let b = b.map_or(a, src);
+                    let known = apply_f(insn, &mut Operands { a, b, dst });
+                    assert!(known, "strip path holds {insn:?}");
+                }
+                StripOp::Store { src: vals, acc } => {
+                    let (buf, off, stride, _) = place(acc);
+                    self.prog.store_strip(buf, off, stride, src(vals));
                 }
             }
         }
-        let (OutSpec::ArrayF { buf, addr }, Reg::F(src)) = (ceq.out, ceq.src) else {
-            unreachable!("strip plans require a real array store")
-        };
-        let off = ExecProg::eval_addr(&addrs[addr as usize], frame);
-        let vals = &frame.lanes[src as usize * W..][..n];
-        prog.store_strip(buf, off, strides[addr as usize], vals);
     }
 }
 
@@ -545,17 +748,56 @@ mod tests {
         define w[I] = cs[I] + 1;
         end T;";
 
-    fn along(name: &str) -> StripVerdict {
-        StripVerdict::Stripped {
-            along: name.to_string(),
-        }
-    }
-
+    /// Figure 6 is two whole-plane copies around the guarded stencil: one
+    /// copy for the four boundary guards together, and an interior of three
+    /// adds, the multiply `/ 4` lowers to and the store — its four loads
+    /// are operands, not ops.
     #[test]
     fn jacobi_strips_every_equation_along_j() {
-        for label in ["eq.1", "eq.2", "eq.3"] {
-            assert_eq!(verdict(JACOBI, label, false), along("J"), "{label}");
-        }
+        let paths = |label| match verdict(JACOBI, label, false) {
+            StripVerdict::Stripped { along, paths } if along == "J" => paths,
+            other => panic!("{label}: {other}"),
+        };
+        assert_eq!(paths("eq.1"), [("copy", 1)]);
+        assert_eq!(paths("eq.2"), [("copy", 1)]);
+        assert_eq!(paths("eq.3"), [("copy", 1), ("compute", 5)]);
+    }
+
+    /// Lowering gives every array read its own load, so each has one
+    /// consumer and none is an op — not even the one into a join register,
+    /// which is the store's operand on its own path.
+    #[test]
+    fn loads_are_operands_not_ops() {
+        let src = "T: module (xs: array[I] of real; ys: array[I] of real; n: int):
+                [out: array[I] of real];
+            type I = 1 .. n;
+            define out[I] = if I < 3 then ys[I] else xs[I] * xs[I] + ys[I];
+            end T;";
+        let (m, sched) = build(src);
+        let plan = StorePlan::new(&m, &sched.memory);
+        let tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let eq = m.equation_by_label("eq.1").unwrap();
+        let plan = tapes.eqs[eq].as_ref().unwrap().strip.as_ref().unwrap();
+        let [copy, compute] = &plan.paths[..] else {
+            panic!("two paths: {:?}", plan.paths)
+        };
+        assert!(matches!(
+            copy.ops[..],
+            [StripOp::Store {
+                src: Src::Mem(0),
+                acc: 1
+            }]
+        ));
+        // `xs[I] * xs[I]` lowers to two loads with one consumer each.
+        let in_place = |op: &StripOp| match *op {
+            StripOp::F { a, b, .. } => [Some(a), b]
+                .iter()
+                .filter(|s| matches!(s, Some(Src::Mem(_))))
+                .count(),
+            _ => 0,
+        };
+        assert_eq!(compute.ops.iter().map(in_place).sum::<usize>(), 3);
+        assert_eq!(compute.ops.len(), 3, "multiply, add, store");
     }
 
     #[test]
@@ -636,7 +878,9 @@ mod tests {
         };
         let plan = StripPlan {
             inner: 0,
-            cuts: Vec::new(),
+            tree: Vec::new(),
+            paths: Vec::new(),
+            class: vec![0, 1, 2],
         };
         inner_strides(&plan, &[fold_addr(&sym, &layout, false)]);
     }
@@ -662,13 +906,15 @@ mod tests {
         };
         let plan = StripPlan {
             inner: 0,
-            cuts: Vec::new(),
+            tree: Vec::new(),
+            paths: Vec::new(),
+            class: vec![0, 1, 2],
         };
         let addrs = [
             fold_addr(&sym(vec![vec![(0, 1)], vec![(1, 1)]]), &layout, false),
             fold_addr(&sym(vec![vec![(1, 1)], vec![(0, 1)]]), &layout, false),
             fold_addr(&sym(vec![vec![(1, 1)], vec![(1, 1)]]), &layout, false),
         ];
-        assert_eq!(inner_strides(&plan, &addrs), vec![5, 1, 0]);
+        assert_eq!(inner_strides(&plan, &addrs), vec![(5, 0), (1, 0), (0, 0)]);
     }
 }

@@ -97,8 +97,8 @@ impl Registry {
     }
 
     /// Like [`Registry::new`] with a seeded fault injector — the
-    /// `CompileFail` point fires on a cache miss, before any real
-    /// compilation work — and a shared [`StageSet`] that receives compile
+    /// `CompileFail` and `CompilePanic` points fire on a cache miss, before
+    /// any real compilation work — and a shared [`StageSet`] that receives compile
     /// and specialization durations (the service passes its per-instance
     /// set here).
     pub fn with_observability(
@@ -170,6 +170,9 @@ impl Registry {
             return Err(ServiceError::Compile(
                 "injected fault: registry compile failure".into(),
             ));
+        }
+        if self.faults.should_fire(FaultPoint::CompilePanic) {
+            panic!("injected fault: compiler panic");
         }
         let compile_t0 = std::time::Instant::now();
         let compile_span = ps_trace::span(EvKind::Compile, key.hash, 0);

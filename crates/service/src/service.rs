@@ -619,7 +619,18 @@ fn worker_loop(inner: &Inner, executor: &dyn Executor) {
                 continue;
             }
         }
-        match inner.registry.get_or_compile(&batch[0].key) {
+        // The compiler runs inside the unwind boundary too: a panic in it
+        // (nothing is locked or half-published during a compile) is a
+        // compile failure of this batch, not the end of the worker.
+        let compiled = catch_unwind(AssertUnwindSafe(|| {
+            inner.registry.get_or_compile(&batch[0].key)
+        }));
+        let compiled = compiled.unwrap_or_else(|payload| {
+            inner.panics.fetch_add(1, Ordering::Relaxed);
+            let msg = format!("compiler panicked: {}", panic_message(payload));
+            Err(ServiceError::Compile(msg))
+        });
+        match compiled {
             Err(err) => {
                 // The whole batch shares the program, so it shares the
                 // compile failure.
@@ -1045,6 +1056,37 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.panics, 1);
         assert_eq!(stats.responses, 1, "the worker survived its own fault");
+    }
+
+    /// A panic inside the compiler (here the injected one; a lowering bug
+    /// would do the same) strikes before any solve's unwind boundary. It
+    /// used to kill the worker and strand the batch: the first wait below
+    /// timed out. Now the batch resolves to a compile error, the panic is
+    /// counted, and the one worker lives to answer the next request.
+    #[test]
+    fn a_compiler_panic_fails_the_batch_and_spares_the_worker() {
+        use ps_support::faults::FaultSpec;
+        let faults = FaultInjector::new(FaultSpec::seeded(5).rate(FaultPoint::CompilePanic, 1000));
+        let svc = Service::new(ServiceOptions {
+            workers: 1,
+            faults: faults.clone(),
+            ..Default::default()
+        });
+        // Not registered: the worker's lookup is the registry's first miss.
+        let key = ProgramKey::new(RECURRENCE, RuntimeOptions::default());
+        for round in 1..=2 {
+            let inputs = Inputs::new().set_real("rate", 0.5).set_int("n", 4);
+            let handle = svc.submit(SolveRequest::new(key.clone(), inputs));
+            match handle.wait_timeout(Duration::from_secs(30)) {
+                Some(Err(SolveError::Compile(msg))) => {
+                    assert!(msg.contains("compiler panicked: injected fault"), "{msg}")
+                }
+                other => panic!("round {round}: expected a compile error, got {other:?}"),
+            }
+            assert_eq!(svc.stats().panics, round);
+            assert_eq!(faults.fired(FaultPoint::CompilePanic), round);
+        }
+        assert_eq!(svc.stats().responses, 2);
     }
 
     #[test]

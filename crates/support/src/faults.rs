@@ -10,17 +10,17 @@
 //! one seeded LCG so a failing chaos run is replayed by its seed alone.
 //!
 //! The points themselves live where the faults strike — the service worker
-//! loop (panic / slow solve), the registry compile path, and the `ps-serve`
-//! connection writer (socket stall / mid-frame disconnect). This module
-//! only owns the decision logic and the per-point `checked`/`fired`
-//! counters the chaos suite asserts against.
+//! loop (panic / slow solve), the registry compile path (failure / panic),
+//! and the `ps-serve` connection writer (socket stall / mid-frame
+//! disconnect). This module only owns the decision logic and the per-point
+//! `checked`/`fired` counters the chaos suite asserts against.
 
 use crate::rng::Lcg;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of distinct injection points (the length of [`FaultPoint::ALL`]).
-pub const FAULT_POINTS: usize = 5;
+pub const FAULT_POINTS: usize = 6;
 
 /// One named injection point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +37,9 @@ pub enum FaultPoint {
     SocketStall = 3,
     /// The connection writer sends half a reply, then drops the socket.
     MidFrameDisconnect = 4,
+    /// The registry panics instead of compiling (a compiler bug: the
+    /// batch resolves to a compile error and the worker survives).
+    CompilePanic = 5,
 }
 
 impl FaultPoint {
@@ -47,6 +50,7 @@ impl FaultPoint {
         FaultPoint::CompileFail,
         FaultPoint::SocketStall,
         FaultPoint::MidFrameDisconnect,
+        FaultPoint::CompilePanic,
     ];
 
     /// The spec-string key for this point (`panic=50`, `slow=20`, ...).
@@ -57,6 +61,7 @@ impl FaultPoint {
             FaultPoint::CompileFail => "compile",
             FaultPoint::SocketStall => "stall",
             FaultPoint::MidFrameDisconnect => "disconnect",
+            FaultPoint::CompilePanic => "compile_panic",
         }
     }
 }
@@ -113,7 +118,7 @@ impl FaultSpec {
                 .find(|p| p.key() == key)
                 .copied()
                 .ok_or_else(|| {
-                    format!("fault spec: unknown point `{key}` (seed, panic, slow, compile, stall, disconnect)")
+                    format!("fault spec: unknown point `{key}` (seed, panic, slow, compile, stall, disconnect, compile_panic)")
                 })?;
             let rate: u16 = value
                 .parse()

@@ -177,3 +177,53 @@ fn do_iterations_cost_constant_allocations() {
         "superlinear allocation growth in DO: {counts:?}"
     );
 }
+
+/// Strip paths are chosen per row segment, not per run: a body whose rows
+/// split into five segments over three paths (one of them a gather with
+/// stride 0) allocates the same for 12-cell rows as for 200-cell ones, and
+/// for 4 rows as for 40 — selecting a path, placing its accesses and
+/// anchoring its address classes all happen in scratch the frames own.
+#[test]
+fn strip_path_selection_is_allocation_free() {
+    let src = "P: module (init: array[I,J] of real; col: array[I] of real;
+                          rows: int; n: int; maxK: int): [out: array[I,J] of real];
+         type I = 0 .. rows-1; J = 0 .. n-1; K = 2 .. maxK;
+         var g: array [1 .. maxK] of array[I,J] of real;
+         define
+            g[1] = init;
+            out = g[maxK];
+            g[K,I,J] = if (J = 0) or (J = n-1) then g[K-1,I,J]
+                       else if J = 5 then col[I]
+                       else (g[K-1,I,J-1] + g[K-1,I,J+1]) / 2 + real(J);
+         end P;";
+    let comp = compile(src, CompileOptions::default()).unwrap();
+    let prog = Program::compile(&comp, RuntimeOptions::default());
+    let eq3 = prog.strip_report().into_iter().find(|(l, _)| l == "eq.3");
+    let verdict = eq3.expect("eq.3 is scheduled").1.to_string();
+    assert!(verdict.contains("3 paths"), "{verdict}");
+    let inputs = |rows: i64, n: i64| {
+        let data: Vec<f64> = (0..rows * n).map(|i| (i % 17) as f64 * 0.5).collect();
+        Inputs::new()
+            .set_int("rows", rows)
+            .set_int("n", n)
+            .set_int("maxK", 5)
+            .set_array(
+                "init",
+                OwnedArray::real(vec![(0, rows - 1), (0, n - 1)], data),
+            )
+            .set_array(
+                "col",
+                OwnedArray::real(vec![(0, rows - 1)], vec![1.5; rows as usize]),
+            )
+    };
+    let shapes = [inputs(4, 12), inputs(4, 200), inputs(40, 200)];
+    for shape in &shapes {
+        prog.run(shape, &Sequential).unwrap(); // specialize, fill the pools
+    }
+    let counts: Vec<usize> = shapes
+        .iter()
+        .map(|shape| allocs_during(|| drop(prog.run(shape, &Sequential).unwrap())))
+        .collect();
+    assert_eq!(counts[0], counts[1], "per row length: {counts:?}");
+    assert_eq!(counts[1], counts[2], "per row count: {counts:?}");
+}

@@ -7,9 +7,12 @@
 //! engine on `Sequential` and on `ThreadPool::new(2)`, the tree-walk
 //! engine, and the scheduler-independent `run_naive` oracle.
 //!
-//! Sizes straddle the strip width: rows of 1, W−1, W, W+1 and 2W+1 cells,
+//! Sizes straddle the strip width — rows of 1, 2, 3 and one below, at and
+//! above W and 2W cells — so segments end on, before and after strip edges,
 //! with the index-set splitting exercised by guards at both edges, one
-//! edge, an interior column, inequality bands, and no guard at all.
+//! edge, an interior column, inequality bands, and no guard at all, and the
+//! path lowering by nested and sequential `if`s whose arms differ in the
+//! arrays they load, in stride, and in what runs between the branches.
 
 #[path = "generators.rs"]
 mod generators;
@@ -17,13 +20,13 @@ mod generators;
 use generators::assert_bits_eq;
 use ps_core::{
     compile, execute, programs, run_naive, CompileOptions, Engine, Inputs, OwnedArray, Program,
-    RuntimeOptions, Sequential, StripVerdict, ThreadPool,
+    RuntimeOptions, ScalarReason, Sequential, StripVerdict, ThreadPool,
 };
 
 /// The strip walker's lane count (`ps_runtime`'s private `strip::W`).
 const W: i64 = 64;
 
-const WIDTHS: [i64; 5] = [1, W - 1, W, W + 1, 2 * W + 1];
+const WIDTHS: [i64; 9] = [1, 2, 3, W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1];
 
 fn reals(n: usize, seed: usize) -> Vec<f64> {
     (0..n)
@@ -141,6 +144,127 @@ fn guarded_rows_of_every_width_match_the_oracles() {
                 &["eq.1", "eq.2", "eq.3"],
             );
         }
+    }
+}
+
+/// [`guarded_grid`] with more to load: `other[I,J]`, the transposed
+/// `tr[J,I]` (stride `rows` along `J`) and the row-invariant `col[I]`
+/// (stride 0).
+fn multi_path_grid(body: &str) -> String {
+    format!(
+        "P: module (init: array[I,J] of real; other: array[I,J] of real;
+                    tr: array[J,I] of real; col: array[I] of real;
+                    rows: int; n: int; c: int; maxK: int):
+             [out: array[I,J] of real];
+         type I = 0 .. rows-1; J = 0 .. n-1; K = 2 .. maxK;
+         var g: array [1 .. maxK] of array[I,J] of real;
+         define
+            g[1] = init;
+            out = g[maxK];
+            g[K,I,J] = {body};
+         end P;"
+    )
+}
+
+fn multi_path_inputs(rows: i64, n: i64) -> Inputs {
+    let cells = (rows * n) as usize;
+    grid_inputs(rows, n)
+        .set_array(
+            "other",
+            OwnedArray::real(vec![(0, rows - 1), (0, n - 1)], reals(cells, 3)),
+        )
+        .set_array(
+            "tr",
+            OwnedArray::real(vec![(0, n - 1), (0, rows - 1)], reals(cells, 6)),
+        )
+        .set_array(
+            "col",
+            OwnedArray::real(vec![(0, rows - 1)], reals(rows as usize, 10)),
+        )
+}
+
+#[test]
+fn multi_path_rows_of_every_width_match_the_oracles() {
+    let bodies = [
+        (
+            "an else-if chain: four paths, one a copy",
+            "if J = 0 then g[K-1,I,J]
+             else if J < c then g[K-1,I,J-1] + other[I,J]
+             else if J = n-1 then other[I,J] * 2.0
+             else g[K-1,I,J+1] - g[K-1,I,J-1]",
+        ),
+        (
+            "an `if` nested in a then-arm",
+            "if J > 0 then (if J < n-1 then g[K-1,I,J-1] + g[K-1,I,J+1] else 0.5 - g[K-1,I,J])
+             else g[K-1,I,J] * 3.0",
+        ),
+        (
+            "two copies of different arrays",
+            "if J < c then init[I,J] else other[I,J]",
+        ),
+        (
+            "a guard on the outer counter only: one segment per row",
+            "if I = 0 then g[K-1,I,J] else g[K-1,I-1,J] * 0.5 + other[I,J]",
+        ),
+        (
+            "an iota on one path, a broadcast on both",
+            "if J < c then real(J) * 0.5 + g[K-1,I,J] else real(I) - real(J)",
+        ),
+        (
+            "a row-invariant load as operand and as the whole arm",
+            "if J = c then col[I] else g[K-1,I,J] * col[I] + col[I]",
+        ),
+        (
+            "a transposed load as the whole arm and as operand",
+            "if J = 0 then tr[J,I] else tr[J,I] + g[K-1,I,J-1]",
+        ),
+        (
+            "straight-line code before, between and after the branches",
+            "g[K-1,I,J] * 0.5 + (if J = c then 1.0 else other[I,J])
+             + (if J < 2 then col[I] else tr[J,I]) - other[I,J]",
+        ),
+        (
+            "four sequential guards: sixteen ways, the most a plan holds",
+            "(if J < 1 then 1.0 else init[I,J]) + (if J < 2 then 2.0 else other[I,J])
+             + (if J > c then 4.0 else tr[J,I]) + (if I = 1 then col[I] else 8.0)",
+        ),
+    ];
+    for (name, body) in bodies {
+        let src = multi_path_grid(body);
+        for n in WIDTHS {
+            // A square grid makes the transposed stride the row length.
+            let square = (body.contains("tr[J,I]") && n <= W + 1).then_some(n);
+            for rows in [Some(3), square].into_iter().flatten() {
+                check(
+                    &format!("{name}, {rows} rows of width {n}"),
+                    &src,
+                    &multi_path_inputs(rows, n),
+                    &["eq.1", "eq.2", "eq.3"],
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_body_past_the_path_cap_keeps_the_scalar_walker_and_still_matches() {
+    let src = multi_path_grid(
+        "(if J < 1 then 1.0 else init[I,J]) + (if J < 2 then 2.0 else other[I,J])
+         + (if J > c then 4.0 else tr[J,I]) + (if I = 1 then col[I] else 8.0)
+         + (if J = c then g[K-1,I,J] else 16.0)",
+    );
+    let comp = compile(&src, CompileOptions::default()).unwrap();
+    let report = Program::compile(&comp, RuntimeOptions::default()).strip_report();
+    let eq3 = report.iter().find(|(label, _)| label == "eq.3").unwrap();
+    assert_eq!(eq3.1, StripVerdict::Scalar(ScalarReason::TooManyPaths));
+    assert_eq!(eq3.1.to_string(), "scalar: too many paths");
+    for n in [1, W - 1, 2 * W + 1] {
+        check(
+            &format!("five sequential guards, width {n}"),
+            &src,
+            &multi_path_inputs(3, n),
+            &["eq.1", "eq.2"],
+        );
     }
 }
 
