@@ -15,6 +15,7 @@ use crate::report::Verdict;
 use ps_lang::Affine;
 use ps_support::diag::Diagnostic;
 use std::collections::HashSet;
+use std::fmt;
 
 /// One enclosing scheduled loop, as seen by one equation.
 pub struct LoopCtx<'a> {
@@ -33,6 +34,7 @@ pub struct LoadOutcome {
 }
 
 /// Everything the driver needs to know about an equation's final store.
+#[derive(Clone, Debug)]
 pub struct StoreOutcome {
     pub array: ArrayIx,
     pub in_bounds: Verdict,
@@ -61,45 +63,47 @@ pub struct EqOutcome {
 /// Dataflow state at one program point.
 #[derive(Clone)]
 struct State {
-    f: Vec<bool>,
-    i: Vec<bool>,
-    b: Vec<bool>,
+    /// Definite assignment of every register: the f-file, then the i-file
+    /// from `at_i`, then the b-file from `at_b`.
+    def: Vec<bool>,
+    at_i: usize,
+    at_b: usize,
     iv: Vec<Ival>,
 }
 
 impl State {
-    fn defined(&self, reg: Reg) -> bool {
+    fn slot(&self, reg: Reg) -> usize {
         match reg {
-            Reg::F(r) => self.f[r as usize],
-            Reg::I(r) => self.i[r as usize],
-            Reg::B(r) => self.b[r as usize],
+            Reg::F(r) => r as usize,
+            Reg::I(r) => self.at_i + r as usize,
+            Reg::B(r) => self.at_b + r as usize,
         }
     }
 
+    fn defined(&self, reg: Reg) -> bool {
+        self.def[self.slot(reg)]
+    }
+
+    /// Mark `reg` assigned, keeping whatever interval it has.
+    fn set(&mut self, reg: Reg) {
+        let slot = self.slot(reg);
+        self.def[slot] = true;
+    }
+
     fn define(&mut self, reg: Reg) {
-        match reg {
-            Reg::F(r) => self.f[r as usize] = true,
-            Reg::I(r) => {
-                self.i[r as usize] = true;
-                self.iv[r as usize] = Ival::top();
-            }
-            Reg::B(r) => self.b[r as usize] = true,
+        self.set(reg);
+        if let Reg::I(r) = reg {
+            self.iv[r as usize] = Ival::top();
         }
     }
 
     /// Meet definedness (intersection), join intervals (hull).
     fn merge_from(&mut self, other: &State, facts: &Facts) {
-        for (d, s) in self.f.iter_mut().zip(&other.f) {
-            *d &= s;
-        }
-        for (d, s) in self.i.iter_mut().zip(&other.i) {
-            *d &= s;
-        }
-        for (d, s) in self.b.iter_mut().zip(&other.b) {
+        for (d, s) in self.def.iter_mut().zip(&other.def) {
             *d &= s;
         }
         for (d, s) in self.iv.iter_mut().zip(&other.iv) {
-            *d = d.join(s, facts);
+            d.join(s, facts);
         }
     }
 }
@@ -111,20 +115,24 @@ fn merge(states: &mut [Option<State>], target: usize, st: State, facts: &Facts) 
     }
 }
 
-/// Copy `st` onto the edge where `a op b` effectively holds, refining the
-/// interval of either operand when the other is a known single value.
-fn refine_edge(st: &State, c: &CmpInfo, op: CmpOp) -> State {
-    let mut out = st.clone();
+/// Move `st` onto the edge where `a op b` effectively holds, refining the
+/// interval of either operand when the other is a known single value (both
+/// refinements read the state as it reached the branch).
+fn refine_edge(mut st: State, c: &CmpInfo, op: CmpOp) -> State {
     if let (Reg::I(a), Reg::I(b)) = (c.a, c.b) {
         let (a, b) = (a as usize, b as usize);
-        if let Some(k) = st.iv[b].singleton().cloned() {
-            out.iv[a] = refine(&st.iv[a], op, &k);
+        let new_a = st.iv[b].singleton().map(|k| refine(&st.iv[a], op, k));
+        let new_b = st.iv[a]
+            .singleton()
+            .map(|k| refine(&st.iv[b], op.swap(), k));
+        if let Some(iv) = new_a {
+            st.iv[a] = iv;
         }
-        if let Some(k) = st.iv[a].singleton().cloned() {
-            out.iv[b] = refine(&st.iv[b], op.swap(), &k);
+        if let Some(iv) = new_b {
+            st.iv[b] = iv;
         }
     }
-    out
+    st
 }
 
 /// Interval of one address dimension under `st`.
@@ -138,21 +146,20 @@ fn dim_interval(d: &ADim, st: &State) -> Ival {
         } else {
             (&iv.hi, &iv.lo)
         };
-        lo = match (lo, end_lo) {
-            (Some(acc), Some(x)) => Some(acc.add(&x.scale(c))),
-            _ => None,
+        let plus = |acc: Option<Affine>, end: &Option<Affine>| {
+            let (mut acc, x) = acc.zip(end.as_ref())?;
+            acc.add_scaled(x, c);
+            Some(acc)
         };
-        hi = match (hi, end_hi) {
-            (Some(acc), Some(x)) => Some(acc.add(&x.scale(c))),
-            _ => None,
-        };
+        lo = plus(lo, end_lo);
+        hi = plus(hi, end_hi);
     }
     Ival { lo, hi }
 }
 
 /// Prove every dimension of an access inside its declared bounds.
-/// Returns the combined verdict and the per-dimension intervals; provable
-/// violations are emitted as `E0602` diagnostics.
+/// Returns the combined verdict and leaves the per-dimension intervals in
+/// `ivals`; provable violations are emitted as `E0602` diagnostics.
 #[allow(clippy::too_many_arguments)]
 fn access_check(
     p: &AProgram,
@@ -162,12 +169,13 @@ fn access_check(
     facts: &Facts,
     eq_label: &str,
     what: &str,
-    region: &str,
+    region: &dyn fmt::Display,
     diags: &mut Vec<Diagnostic>,
-) -> (Verdict, Vec<Ival>) {
+    ivals: &mut Vec<Ival>,
+) -> Verdict {
     let info = &p.arrays[array];
     let mut verdict = Verdict::Proven;
-    let mut ivals = Vec::with_capacity(dims.len());
+    ivals.clear();
     for (d, (adim, dim)) in dims.iter().zip(&info.dims).enumerate() {
         let iv = dim_interval(adim, st);
         let mut side = |end: &Option<Affine>, declared: &Affine, below: bool| {
@@ -211,7 +219,7 @@ fn access_check(
         side(&iv.hi, &dim.hi, false);
         ivals.push(iv);
     }
-    (verdict, ivals)
+    verdict
 }
 
 /// Greedy triangular pinning: the store address is injective in `counters`
@@ -219,12 +227,12 @@ fn access_check(
 /// unpinned counter (nonzero coefficient) and otherwise only pinned
 /// counters or iteration-invariant registers. Equal addresses then force
 /// the counters equal one at a time.
-pub(crate) fn injective_in(
+fn injective_in<'a>(
     dims: &[ADim],
-    counters: &[u16],
+    counters: impl Iterator<Item = &'a LoopCtx<'a>>,
     invariant: &dyn Fn(u16) -> bool,
 ) -> bool {
-    let mut unpinned: Vec<u16> = counters.to_vec();
+    let mut unpinned: Vec<u16> = counters.map(|l| l.counter).collect();
     let mut pinned: Vec<u16> = Vec::new();
     let mut avail = vec![true; dims.len()];
     while !unpinned.is_empty() {
@@ -268,31 +276,37 @@ pub(crate) fn injective_in(
 }
 
 /// Analyze one equation occurrence under its enclosing loop context.
+/// `region` names that context in diagnostics; it is formatted only when
+/// one is emitted.
 pub fn analyze_eq(
     p: &AProgram,
     eq_ix: EqIx,
     loops: &[LoopCtx<'_>],
     facts: &Facts,
-    region: &str,
+    region: &dyn fmt::Display,
 ) -> EqOutcome {
     let eq: &EqTape = &p.eqs[eq_ix];
     let n = eq.steps.len();
     let mut diags = Vec::new();
     let mut loads = Vec::new();
     let mut reported: HashSet<(u8, u16)> = HashSet::new();
+    // Per-dimension intervals of the access last checked; the store's,
+    // checked last, are kept.
+    let mut dims = Vec::new();
 
     // --- entry state ---
+    let (at_i, at_b) = (eq.n_f as usize, eq.n_f as usize + eq.n_i as usize);
     let mut entry = State {
-        f: vec![false; eq.n_f as usize],
-        i: vec![false; eq.n_i as usize],
-        b: vec![false; eq.n_b as usize],
+        def: vec![false; at_b + eq.n_b as usize],
+        at_i,
+        at_b,
         iv: vec![Ival::top(); eq.n_i as usize],
     };
     for &r in &eq.entry_f {
-        entry.f[r as usize] = true;
+        entry.set(Reg::F(r));
     }
     for &r in &eq.entry_b {
-        entry.b[r as usize] = true;
+        entry.set(Reg::B(r));
     }
     for (r, v) in eq.ivals.iter().enumerate() {
         match v {
@@ -301,20 +315,20 @@ pub fn analyze_eq(
                 // a counter no loop binds is a schedule defect and shows up
                 // as use-before-assignment below.
                 if let Some(lc) = loops.iter().find(|l| l.counter == r as u16) {
-                    entry.i[r] = true;
+                    entry.set(Reg::I(r as u16));
                     entry.iv[r] = Ival::range(lc.lo.clone(), lc.hi.clone());
                 }
             }
             IVal::Exact(a) => {
-                entry.i[r] = true;
+                entry.set(Reg::I(r as u16));
                 entry.iv[r] = Ival::exact(a.clone());
             }
-            IVal::Opaque => entry.i[r] = true,
+            IVal::Opaque => entry.set(Reg::I(r as u16)),
             IVal::Temp => {}
         }
     }
 
-    let mut check_use = |st: &State, reg: Reg, at: &str, diags: &mut Vec<Diagnostic>| {
+    let mut check_use = |st: &State, reg: Reg, at: fmt::Arguments, diags: &mut Vec<Diagnostic>| {
         if st.defined(reg) {
             return;
         }
@@ -337,17 +351,18 @@ pub fn analyze_eq(
     };
 
     // --- forward pass ---
-    let mut states: Vec<Option<State>> = vec![None; n + 1];
+    // Control flow is forward-only, so once step `ix` runs nothing merges
+    // into `states[ix]` again: each state is moved out, never cloned.
+    let mut states: Vec<Option<State>> = (0..=n).map(|_| None).collect();
     states[0] = Some(entry);
     for ix in 0..n {
-        let Some(st) = states[ix].clone() else {
+        let Some(mut st) = states[ix].take() else {
             continue; // unreachable step
         };
-        let mut st = st;
         match &eq.steps[ix] {
             Step::Op { uses, def } => {
-                for &u in uses {
-                    check_use(&st, u, &format!("step {ix}"), &mut diags);
+                for &u in uses.iter().flatten() {
+                    check_use(&st, u, format_args!("step {ix}"), &mut diags);
                 }
                 if let Some(d) = def {
                     st.define(*d);
@@ -355,20 +370,18 @@ pub fn analyze_eq(
                 merge(&mut states, ix + 1, st, facts);
             }
             Step::CopyI { src, dst } => {
-                check_use(&st, Reg::I(*src), &format!("step {ix}"), &mut diags);
-                let iv = st.iv[*src as usize].clone();
-                st.i[*dst as usize] = true;
-                st.iv[*dst as usize] = iv;
+                check_use(&st, Reg::I(*src), format_args!("step {ix}"), &mut diags);
+                st.set(Reg::I(*dst));
+                st.iv[*dst as usize] = st.iv[*src as usize].clone();
                 merge(&mut states, ix + 1, st, facts);
             }
             Step::Load { array, addr, def } => {
-                for dim in addr {
-                    for &(r, _) in &dim.terms {
-                        check_use(&st, Reg::I(r), &format!("step {ix} (address)"), &mut diags);
-                    }
+                for &(r, _) in addr.iter().flat_map(|dim| &dim.terms) {
+                    let at = format_args!("step {ix} (address)");
+                    check_use(&st, Reg::I(r), at, &mut diags);
                 }
-                let (verdict, _) = access_check(
-                    p, *array, addr, &st, facts, &eq.label, "load", region, &mut diags,
+                let verdict = access_check(
+                    p, *array, addr, &st, facts, &eq.label, "load", region, &mut diags, &mut dims,
                 );
                 loads.push(LoadOutcome {
                     array: *array,
@@ -379,13 +392,16 @@ pub fn analyze_eq(
             }
             Step::Jump { target } => merge(&mut states, *target, st, facts),
             Step::Branch { uses, target, cmp } => {
-                for &u in uses {
-                    check_use(&st, u, &format!("step {ix}"), &mut diags);
+                for &u in uses.iter().flatten() {
+                    check_use(&st, u, format_args!("step {ix}"), &mut diags);
                 }
+                // The jump edge takes a copy; the fall-through edge keeps
+                // the state that reached the branch.
                 let (jump_st, fall_st) = match cmp {
                     Some(c) => {
                         let jop = if c.jump_on_true { c.op } else { c.op.negate() };
-                        (refine_edge(&st, c, jop), refine_edge(&st, c, jop.negate()))
+                        let jump_st = refine_edge(st.clone(), c, jop);
+                        (jump_st, refine_edge(st, c, jop.negate()))
                     }
                     None => (st.clone(), st),
                 };
@@ -400,15 +416,20 @@ pub fn analyze_eq(
     let store = match (&eq.store, exit) {
         (_, None) => None, // no path reaches exit: vacuous (empty tape only)
         (store, Some(exit)) => {
-            check_use(&exit, eq.result, "tape exit (result)", &mut diags);
+            check_use(
+                &exit,
+                eq.result,
+                format_args!("tape exit (result)"),
+                &mut diags,
+            );
             store.as_ref().map(|sp| {
-                for dim in &sp.dims {
-                    for &(r, _) in &dim.terms {
-                        check_use(&exit, Reg::I(r), "tape exit (store address)", &mut diags);
-                    }
+                for &(r, _) in sp.dims.iter().flat_map(|dim| &dim.terms) {
+                    let at = format_args!("tape exit (store address)");
+                    check_use(&exit, Reg::I(r), at, &mut diags);
                 }
-                let (in_bounds, dims) = access_check(
+                let in_bounds = access_check(
                     p, sp.array, &sp.dims, &exit, facts, &eq.label, "store", region, &mut diags,
+                    &mut dims,
                 );
                 let invariant = |r: u16| {
                     matches!(
@@ -416,32 +437,12 @@ pub fn analyze_eq(
                         Some(IVal::Exact(_)) | Some(IVal::Opaque)
                     )
                 };
-                let all: Vec<u16> = loops.iter().map(|l| l.counter).collect();
-                let par: Vec<u16> = loops
-                    .iter()
-                    .filter(|l| l.parallel)
-                    .map(|l| l.counter)
-                    .collect();
-                // Sequential counters are fixed while a DOALL nest runs.
-                let seq: Vec<u16> = loops
-                    .iter()
-                    .filter(|l| !l.parallel)
-                    .map(|l| l.counter)
-                    .collect();
-                let overlap = all
-                    .iter()
-                    .find(|&&c| {
-                        sp.dims
-                            .iter()
-                            .all(|d| d.terms.iter().all(|&(r, k)| r != c || k == 0))
-                    })
-                    .map(|&c| {
-                        loops
-                            .iter()
-                            .find(|l| l.counter == c)
-                            .map(|l| l.name.to_string())
-                            .unwrap_or_else(|| format!("i{c}"))
-                    });
+                let varies = |c: u16| {
+                    let mut terms = sp.dims.iter().flat_map(|d| &d.terms);
+                    terms.any(|&(r, k)| r == c && k != 0)
+                };
+                let overlap = loops.iter().find(|l| !varies(l.counter));
+                let overlap = overlap.map(|l| l.name.to_string());
                 if let Some(name) = &overlap {
                     diags.push(Diagnostic::error(
                         "E0603",
@@ -453,9 +454,11 @@ pub fn analyze_eq(
                         ),
                     ));
                 }
-                let injective = injective_in(&sp.dims, &all, &invariant);
-                let doall_injective =
-                    injective_in(&sp.dims, &par, &|r| invariant(r) || seq.contains(&r));
+                let injective = injective_in(&sp.dims, loops.iter(), &invariant);
+                // Sequential counters are fixed while a DOALL nest runs.
+                let par = loops.iter().filter(|l| l.parallel);
+                let seq = |r| loops.iter().any(|l| !l.parallel && l.counter == r);
+                let doall_injective = injective_in(&sp.dims, par, &|r| invariant(r) || seq(r));
                 StoreOutcome {
                     array: sp.array,
                     in_bounds,

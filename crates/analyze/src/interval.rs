@@ -53,23 +53,24 @@ impl Ival {
         }
     }
 
-    /// Convex hull: the loosest interval covering both. Endpoint order is
-    /// decided by the prover (constant differences plus the non-empty-dim
-    /// / loop-range premises in `facts` — joining the two arms of an
-    /// `I = 0 or I = M+1` boundary guard needs `0 ≤ M+1`); endpoints it
-    /// cannot order widen to unknown.
-    pub fn join(&self, other: &Ival, facts: &Facts) -> Ival {
-        let lo = match (&self.lo, &other.lo) {
-            (Some(a), Some(b)) if facts.le(a, b) => Some(a.clone()),
-            (Some(a), Some(b)) if facts.le(b, a) => Some(b.clone()),
-            _ => None,
-        };
-        let hi = match (&self.hi, &other.hi) {
-            (Some(a), Some(b)) if facts.le(a, b) => Some(b.clone()),
-            (Some(a), Some(b)) if facts.le(b, a) => Some(a.clone()),
-            _ => None,
-        };
-        Ival { lo, hi }
+    /// Widen `self` to the convex hull with `other`: the loosest interval
+    /// covering both. Endpoint order is decided by the prover (constant
+    /// differences plus the non-empty-dim / loop-range premises in `facts`
+    /// — joining the two arms of an `I = 0 or I = M+1` boundary guard needs
+    /// `0 ≤ M+1`); endpoints it cannot order widen to unknown. An endpoint
+    /// that already covers `other`'s stays as it is, uncopied.
+    pub fn join(&mut self, other: &Ival, facts: &Facts) {
+        match (&self.lo, &other.lo) {
+            (Some(a), Some(b)) if facts.le(a, b) => {}
+            (Some(a), Some(b)) if facts.le(b, a) => self.lo = Some(b.clone()),
+            _ => self.lo = None,
+        }
+        match (&self.hi, &other.hi) {
+            (Some(a), Some(b)) if a == b => {}
+            (Some(a), Some(b)) if facts.le(a, b) => self.hi = Some(b.clone()),
+            (Some(a), Some(b)) if facts.le(b, a) => {}
+            _ => self.hi = None,
+        }
     }
 
     pub fn render(&self) -> String {
@@ -80,52 +81,52 @@ impl Ival {
 
 /// Tighten an upper bound to `min(cur, k)`; incomparable keeps `cur`
 /// (always sound — the interval only ever over-approximates).
-fn tighten_hi(cur: &Option<Affine>, k: &Affine) -> Option<Affine> {
+fn tighten_hi(cur: &Option<Affine>, k: Affine) -> Option<Affine> {
     match cur {
-        None => Some(k.clone()),
-        Some(h) => match h.const_difference(k) {
-            Some(d) if d > 0 => Some(k.clone()),
-            _ => Some(h.clone()),
-        },
+        Some(h) if !matches!(h.const_difference(&k), Some(d) if d > 0) => Some(h.clone()),
+        _ => Some(k),
     }
 }
 
 /// Tighten a lower bound to `max(cur, k)`.
-fn tighten_lo(cur: &Option<Affine>, k: &Affine) -> Option<Affine> {
+fn tighten_lo(cur: &Option<Affine>, k: Affine) -> Option<Affine> {
     match cur {
-        None => Some(k.clone()),
-        Some(l) => match l.const_difference(k) {
-            Some(d) if d < 0 => Some(k.clone()),
-            _ => Some(l.clone()),
-        },
+        Some(l) if !matches!(l.const_difference(&k), Some(d) if d < 0) => Some(l.clone()),
+        _ => Some(k),
     }
 }
 
 /// Refine `iv` with the constraint `r op k` (the guard edge just taken).
 pub fn refine(iv: &Ival, op: CmpOp, k: &Affine) -> Ival {
-    let mut out = iv.clone();
+    let (lo, hi) = (&iv.lo, &iv.hi);
     match op {
-        CmpOp::Eq => return Ival::exact(k.clone()),
+        CmpOp::Eq => Ival::exact(k.clone()),
         CmpOp::Ne => {
             // Endpoint exclusion: `≠` only helps when `k` sits exactly on
             // a known endpoint (the boundary-guard pattern).
-            if let Some(lo) = &iv.lo {
-                if lo.const_difference(k) == Some(0) {
-                    out.lo = Some(lo.add_const(1));
-                }
-            }
-            if let Some(hi) = &iv.hi {
-                if hi.const_difference(k) == Some(0) {
-                    out.hi = Some(hi.add_const(-1));
-                }
+            let on = |end: &Affine| end.const_difference(k) == Some(0);
+            Ival {
+                lo: lo.as_ref().map(|l| l.add_const(i64::from(on(l)))),
+                hi: hi.as_ref().map(|h| h.add_const(-i64::from(on(h)))),
             }
         }
-        CmpOp::Le => out.hi = tighten_hi(&iv.hi, k),
-        CmpOp::Lt => out.hi = tighten_hi(&iv.hi, &k.add_const(-1)),
-        CmpOp::Ge => out.lo = tighten_lo(&iv.lo, k),
-        CmpOp::Gt => out.lo = tighten_lo(&iv.lo, &k.add_const(1)),
+        CmpOp::Le => Ival {
+            lo: lo.clone(),
+            hi: tighten_hi(hi, k.clone()),
+        },
+        CmpOp::Lt => Ival {
+            lo: lo.clone(),
+            hi: tighten_hi(hi, k.add_const(-1)),
+        },
+        CmpOp::Ge => Ival {
+            lo: tighten_lo(lo, k.clone()),
+            hi: hi.clone(),
+        },
+        CmpOp::Gt => Ival {
+            lo: tighten_lo(lo, k.add_const(1)),
+            hi: hi.clone(),
+        },
     }
-    out
 }
 
 /// A base of `p ≤ q` premises holding for every admissible parameter
@@ -207,18 +208,21 @@ mod tests {
         let none = Facts::new();
         let a = Ival::range(Affine::constant(0), param("M").add_const(1));
         let b = Ival::range(Affine::constant(2), param("M"));
-        let j = a.join(&b, &none);
+        let mut j = a.clone();
+        j.join(&b, &none);
         assert_eq!(j.lo.unwrap().as_constant(), Some(0));
         assert_eq!(j.hi.unwrap().const_difference(&param("M")), Some(1));
         let c = Ival::range(param("n"), param("n"));
-        let j2 = Ival::range(Affine::constant(3), Affine::constant(3)).join(&c, &none);
+        let mut j2 = Ival::range(Affine::constant(3), Affine::constant(3));
+        j2.join(&c, &none);
         assert!(j2.lo.is_none() && j2.hi.is_none());
         // A boundary-guard join (I = 0 joined with I = M+1) orders its
         // endpoints through the non-empty-range premise 0 ≤ M+1.
         let m1 = param("M").add_const(1);
         let mut f = Facts::new();
         f.push(Affine::constant(0), m1.clone());
-        let g = Ival::exact(Affine::constant(0)).join(&Ival::exact(m1.clone()), &f);
+        let mut g = Ival::exact(Affine::constant(0));
+        g.join(&Ival::exact(m1.clone()), &f);
         assert_eq!(g.lo.unwrap().as_constant(), Some(0));
         assert_eq!(g.hi.unwrap().const_difference(&m1), Some(0));
     }

@@ -97,8 +97,12 @@ pub struct CmpInfo {
 /// is a topological order of the control-flow graph.
 #[derive(Clone, Debug)]
 pub enum Step {
-    /// Straight-line instruction: reads `uses`, then defines `def`.
-    Op { uses: Vec<Reg>, def: Option<Reg> },
+    /// Straight-line instruction: reads `uses` (no tape instruction reads
+    /// more than two registers), then defines `def`.
+    Op {
+        uses: [Option<Reg>; 2],
+        def: Option<Reg>,
+    },
     /// Integer register copy (preserves the source's interval).
     CopyI { src: u16, dst: u16 },
     /// Array element load at an affine address.
@@ -112,7 +116,7 @@ pub enum Step {
     Jump { target: usize },
     /// Conditional forward branch; `uses` are the condition registers.
     Branch {
-        uses: Vec<Reg>,
+        uses: [Option<Reg>; 2],
         target: usize,
         cmp: Option<CmpInfo>,
     },

@@ -30,6 +30,11 @@
 //! equation, region and instruction). Arrays whose every access is proven
 //! may skip the runtime's checked-writes shadow tags entirely; see
 //! [`Report::verified_mask`].
+//!
+//! [`analyze`] computes verdicts, counts, store intervals and the text of
+//! any diagnostic it emits — nothing else is formatted on a clean run. The
+//! per-equation and per-array lines exist as text only in
+//! [`Report::render`], built from the facts the [`Report`] keeps.
 
 #![forbid(unsafe_code)]
 
@@ -44,28 +49,28 @@ pub use ir::{
     ADim, AProgram, ArrayInfo, ArrayIx, CmpInfo, CmpOp, DimInfo, EqIx, EqTape, IVal, Node, Reg,
     Step, StoreSpec,
 };
-pub use report::{ArrayReport, Report, Verdict};
+pub use report::{ArrayReport, EqReport, LoopRec, Region, Report, Verdict};
 
 use ps_lang::Affine;
-use ps_support::diag::Diagnostic;
 
-struct StoreRec {
-    array: ArrayIx,
-    eq_label: String,
-    in_bounds: Verdict,
-    injective: bool,
-    overlap: bool,
-    dims: Vec<Ival>,
+/// Per-array load counts gathered while walking the schedule.
+#[derive(Clone, Default)]
+struct LoadTally {
+    total: usize,
+    proven: usize,
+    rejected: bool,
 }
 
+/// The report under construction (its `arrays` are summarized last) and
+/// the per-array load counts that summary needs.
 struct Acc {
-    diags: Vec<Diagnostic>,
-    eq_lines: Vec<String>,
-    loads: Vec<Vec<Verdict>>,
-    stores: Vec<StoreRec>,
+    report: Report,
+    loads: Vec<LoadTally>,
 }
 
 struct StackLoop<'a> {
+    /// This loop's entry in [`Report::loops`].
+    rec: usize,
     parallel: bool,
     name: &'a str,
     lo: &'a Affine,
@@ -78,50 +83,51 @@ pub fn analyze(p: &AProgram) -> Report {
     // Premise base: every declared array dimension `lo..hi` is non-empty
     // for any parameter vector the runtime accepts (instantiation fails
     // otherwise), so `lo ≤ hi` are global facts.
-    let mut base = Facts::new();
+    let mut facts = Facts::new();
     for a in &p.arrays {
         for d in &a.dims {
-            base.push(d.lo.clone(), d.hi.clone());
+            facts.push(d.lo.clone(), d.hi.clone());
         }
     }
     let mut acc = Acc {
-        diags: Vec::new(),
-        eq_lines: Vec::new(),
-        loads: vec![Vec::new(); p.arrays.len()],
-        stores: Vec::new(),
+        report: Report::default(),
+        loads: vec![LoadTally::default(); p.arrays.len()],
     };
-    let mut facts = base.clone();
     let mut stack = Vec::new();
+    // Every loop truncates its own premise on the way out, so after the
+    // walk `facts` is the global base again.
     walk(p, &p.schedule, &mut stack, &mut facts, &mut acc);
 
     let mut arrays = Vec::with_capacity(p.arrays.len());
+    let mut stores: Vec<(&str, &StoreOutcome)> = Vec::new();
     for (aix, info) in p.arrays.iter().enumerate() {
         let loads = &acc.loads[aix];
-        let stores: Vec<&StoreRec> = acc.stores.iter().filter(|s| s.array == aix).collect();
-        let mut notes: Vec<String> = Vec::new();
-        let rejected = loads.iter().any(|v| *v == Verdict::Rejected)
+        stores.clear();
+        stores.extend(acc.report.eqs.iter().filter_map(|e| match &e.store {
+            Some(s) if s.array == aix => Some((e.label.as_str(), s)),
+            _ => None,
+        }));
+        let rejected = loads.rejected
             || stores
                 .iter()
-                .any(|s| s.in_bounds == Verdict::Rejected || s.overlap);
+                .any(|(_, s)| s.in_bounds == Verdict::Rejected || s.overlap.is_some());
         let mut writes_ok = stores
             .iter()
-            .all(|s| s.in_bounds == Verdict::Proven && s.injective && !s.overlap);
+            .all(|(_, s)| s.in_bounds == Verdict::Proven && s.injective && s.overlap.is_none());
         // Cross-equation disjointness: two equations targeting the same
         // array must be separated in at least one dimension. Only the
         // global fact base applies here (loop-local facts are conditional
         // on that loop running).
-        for i in 0..stores.len() {
-            for j in i + 1..stores.len() {
-                if !dims_disjoint(&stores[i].dims, &stores[j].dims, &base) {
+        let mut overlaps = Vec::new();
+        for (i, (label_i, a)) in stores.iter().enumerate() {
+            for (label_j, b) in &stores[i + 1..] {
+                if !dims_disjoint(&a.dims, &b.dims, &facts) {
                     writes_ok = false;
-                    notes.push(format!(
-                        "writes of {} and {} not provably disjoint",
-                        stores[i].eq_label, stores[j].eq_label
-                    ));
+                    overlaps.push((label_i.to_string(), label_j.to_string()));
                 }
             }
         }
-        let reads_ok = loads.iter().all(|v| *v == Verdict::Proven);
+        let reads_ok = loads.proven == loads.total;
         let verdict = if rejected {
             Verdict::Rejected
         } else if writes_ok && reads_ok {
@@ -129,36 +135,22 @@ pub fn analyze(p: &AProgram) -> Report {
         } else {
             Verdict::RuntimeChecks
         };
-        // Windowed arrays keep their tags even when proven: the tags also
-        // catch window evictions, which the interval domain does not model.
-        let verified = info.elidable && !info.windowed && verdict == Verdict::Proven;
-        let mut detail = format!(
-            "{} write site(s), {} load site(s)",
-            stores.len(),
-            loads.len()
-        );
-        if info.input {
-            detail.push_str(", input");
-        }
-        if info.windowed {
-            detail.push_str(", windowed");
-        }
-        for n in notes {
-            detail.push_str("; ");
-            detail.push_str(&n);
-        }
         arrays.push(ArrayReport {
             name: info.name.clone(),
             verdict,
-            verified,
-            detail,
+            // Windowed arrays keep their tags even when proven: the tags
+            // also catch window evictions, which the interval domain does
+            // not model.
+            verified: info.elidable && !info.windowed && verdict == Verdict::Proven,
+            writes: stores.len(),
+            loads: loads.total,
+            input: info.input,
+            windowed: info.windowed,
+            overlaps,
         });
     }
-    Report {
-        diags: acc.diags,
-        eq_lines: acc.eq_lines,
-        arrays,
-    }
+    acc.report.arrays = arrays;
+    acc.report
 }
 
 /// Provable disjointness of two write regions: separated in some dimension.
@@ -194,64 +186,25 @@ fn walk<'a>(
                             })
                     })
                     .collect();
-                let region = if stack.is_empty() {
-                    "top level".to_string()
-                } else {
-                    stack
-                        .iter()
-                        .map(|l| format!("{} {}", if l.parallel { "DOALL" } else { "DO" }, l.name))
-                        .collect::<Vec<_>>()
-                        .join(" · ")
-                };
-                let out = analyze_eq(p, *ix, &loops, facts, &region);
-                let eq_label = p.eqs[*ix].label.clone();
-                let mut line = match &out.store {
-                    Some(s) => {
-                        let dims = s
-                            .dims
-                            .iter()
-                            .map(|iv| iv.render())
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        let disj = if s.overlap.is_some() {
-                            "OVERLAPPING"
-                        } else if s.injective {
-                            "injective in all counters"
-                        } else if s.doall_injective {
-                            "DOALL-disjoint"
-                        } else {
-                            "disjointness unproven"
-                        };
-                        format!(
-                            "{region}: {eq_label} stores {}[{dims}] — in-bounds {}, {disj}",
-                            p.arrays[s.array].name, s.in_bounds
-                        )
-                    }
-                    None => format!("{region}: {eq_label} — scalar result"),
-                };
-                if !out.loads.is_empty() {
-                    let n_p = out
-                        .loads
-                        .iter()
-                        .filter(|l| l.verdict == Verdict::Proven)
-                        .count();
-                    line.push_str(&format!("; loads {n_p}/{} proven", out.loads.len()));
+                let region = stack.last().map(|l| l.rec);
+                let out = analyze_eq(p, *ix, &loops, facts, &Region(&acc.report.loops, region));
+                acc.report.diags.extend(out.diags);
+                let mut loads_proven = 0;
+                for l in &out.loads {
+                    let proven = usize::from(l.verdict == Verdict::Proven);
+                    let tally = &mut acc.loads[l.array];
+                    tally.total += 1;
+                    tally.proven += proven;
+                    tally.rejected |= l.verdict == Verdict::Rejected;
+                    loads_proven += proven;
                 }
-                acc.eq_lines.push(line);
-                acc.diags.extend(out.diags);
-                for l in out.loads {
-                    acc.loads[l.array].push(l.verdict);
-                }
-                if let Some(s) = out.store {
-                    acc.stores.push(StoreRec {
-                        array: s.array,
-                        eq_label,
-                        in_bounds: s.in_bounds,
-                        injective: s.injective,
-                        overlap: s.overlap.is_some(),
-                        dims: s.dims,
-                    });
-                }
+                acc.report.eqs.push(EqReport {
+                    label: p.eqs[*ix].label.clone(),
+                    region,
+                    store: out.store,
+                    loads: out.loads.len(),
+                    loads_proven,
+                });
             }
             Node::Loop {
                 parallel,
@@ -265,7 +218,13 @@ fn walk<'a>(
                 // premise for the body only.
                 let mark = facts.len();
                 facts.push(lo.clone(), hi.clone());
+                acc.report.loops.push(LoopRec {
+                    parent: stack.last().map(|l| l.rec),
+                    parallel: *parallel,
+                    name: name.clone(),
+                });
                 stack.push(StackLoop {
+                    rec: acc.report.loops.len() - 1,
                     parallel: *parallel,
                     name,
                     lo,
@@ -315,17 +274,17 @@ mod tests {
             ivals: vec![],
             steps: vec![
                 Step::Branch {
-                    uses: vec![Reg::B(0)],
+                    uses: [Some(Reg::B(0)), None],
                     target: 2,
                     cmp: None,
                 },
                 Step::Op {
-                    uses: vec![Reg::F(0)],
+                    uses: [Some(Reg::F(0)), None],
                     def: Some(Reg::F(1)),
                 },
                 // f1 is defined only on the fall-through path.
                 Step::Op {
-                    uses: vec![Reg::F(1)],
+                    uses: [Some(Reg::F(1)), None],
                     def: Some(Reg::F(1)),
                 },
             ],
@@ -338,6 +297,11 @@ mod tests {
             schedule: vec![Node::Eq(0)],
         };
         let r = analyze(&p);
+        // The diagnostic's text is formatted lazily; pin it to the parent's.
+        assert_eq!(
+            r.render(),
+            include_str!("../../../tests/golden/analyze_e0601.txt")
+        );
         assert!(
             r.diags
                 .iter()
@@ -382,6 +346,11 @@ mod tests {
             }],
         };
         let r = analyze(&p);
+        // The diagnostic's text is formatted lazily; pin it to the parent's.
+        assert_eq!(
+            r.render(),
+            include_str!("../../../tests/golden/analyze_e0602.txt")
+        );
         assert!(r.diags.iter().any(|d| d.code == "E0602"), "{}", r.render());
         assert_eq!(r.arrays[0].verdict, Verdict::Rejected);
         assert!(!r.verified_mask()[0]);
@@ -421,6 +390,11 @@ mod tests {
             }],
         };
         let r = analyze(&p);
+        // The diagnostic's text is formatted lazily; pin it to the parent's.
+        assert_eq!(
+            r.render(),
+            include_str!("../../../tests/golden/analyze_e0603.txt")
+        );
         assert!(
             r.diags
                 .iter()
@@ -447,7 +421,7 @@ mod tests {
             steps: vec![
                 // Fused guard: fall through when I = 0, jump when I ≠ 0.
                 Step::Branch {
-                    uses: vec![Reg::I(0), Reg::I(1)],
+                    uses: [Some(Reg::I(0)), Some(Reg::I(1))],
                     target: 3,
                     cmp: Some(CmpInfo {
                         op: CmpOp::Eq,
@@ -560,7 +534,7 @@ mod tests {
         assert!(!r.has_errors(), "{}", r.render());
         assert_eq!(r.arrays[0].verdict, Verdict::Proven, "{}", r.render());
         assert!(r.verified_mask()[0], "{}", r.render());
-        assert_eq!(r.eq_lines.len(), 2);
+        assert_eq!(r.eqs.len(), 2);
     }
 
     /// Windowed arrays report proven but never elide their tags.

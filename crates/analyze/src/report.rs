@@ -1,7 +1,9 @@
-//! Analysis results: per-array verdicts, region lines, diagnostics.
+//! Analysis results: per-array verdicts, per-equation facts, diagnostics —
+//! structured, and rendered as text only by [`Report::render`].
 
+use crate::eq::StoreOutcome;
 use ps_support::diag::{Diagnostic, Severity};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Safety verdict for an access, an array, or a region.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,15 +36,62 @@ pub struct ArrayReport {
     /// all reads proven in-bounds, and producer policy allows elision —
     /// the runtime may skip this array's checked-writes tags.
     pub verified: bool,
-    pub detail: String,
+    /// Equations storing into the array / load sites reading it.
+    pub writes: usize,
+    pub loads: usize,
+    pub input: bool,
+    pub windowed: bool,
+    /// Label pairs of equations whose writes are not provably disjoint.
+    pub overlaps: Vec<(String, String)>,
 }
 
-/// The full result of one [`crate::analyze`] run.
+/// One scheduled loop, linked to the loop that encloses it.
+#[derive(Clone, Debug)]
+pub struct LoopRec {
+    pub parent: Option<usize>,
+    pub parallel: bool,
+    pub name: String,
+}
+
+/// The loop nest around an equation — all loops and the innermost one's
+/// index — displayed outermost first (`DO K · DOALL I`, or `top level`).
+pub struct Region<'a>(pub &'a [LoopRec], pub Option<usize>);
+
+impl fmt::Display for Region<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Some(ix) = self.1 else {
+            return f.write_str("top level");
+        };
+        let l = &self.0[ix];
+        if l.parent.is_some() {
+            write!(f, "{} · ", Region(self.0, l.parent))?;
+        }
+        write!(f, "{} {}", if l.parallel { "DOALL" } else { "DO" }, l.name)
+    }
+}
+
+/// What the analysis established about one equation occurrence.
+#[derive(Clone, Debug)]
+pub struct EqReport {
+    pub label: String,
+    /// Innermost enclosing loop, an index into [`Report::loops`].
+    pub region: Option<usize>,
+    /// The final array store (`None`: scalar result).
+    pub store: Option<StoreOutcome>,
+    pub loads: usize,
+    pub loads_proven: usize,
+}
+
+/// The full result of one [`crate::analyze`] run: verdicts, counts and
+/// diagnostics are computed by the analysis; the per-equation and
+/// per-array lines are text only in [`Report::render`].
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     pub diags: Vec<Diagnostic>,
-    /// One human-readable line per analyzed equation occurrence.
-    pub eq_lines: Vec<String>,
+    /// Every scheduled loop, in schedule order.
+    pub loops: Vec<LoopRec>,
+    /// One entry per analyzed equation occurrence, in schedule order.
+    pub eqs: Vec<EqReport>,
     /// One entry per [`crate::AProgram`] array, same order.
     pub arrays: Vec<ArrayReport>,
 }
@@ -68,9 +117,34 @@ impl Report {
     /// without needing a source map — analysis diagnostics are spanless.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for line in &self.eq_lines {
-            out.push_str("  ");
-            out.push_str(line);
+        for e in &self.eqs {
+            let region = Region(&self.loops, e.region);
+            let _ = write!(out, "  {region}: {}", e.label);
+            match &e.store {
+                Some(s) => {
+                    let dims: Vec<String> = s.dims.iter().map(|iv| iv.render()).collect();
+                    let disj = if s.overlap.is_some() {
+                        "OVERLAPPING"
+                    } else if s.injective {
+                        "injective in all counters"
+                    } else if s.doall_injective {
+                        "DOALL-disjoint"
+                    } else {
+                        "disjointness unproven"
+                    };
+                    let array = &self.arrays[s.array].name;
+                    let _ = write!(
+                        out,
+                        " stores {array}[{}] — in-bounds {}, {disj}",
+                        dims.join(", "),
+                        s.in_bounds
+                    );
+                }
+                None => out.push_str(" — scalar result"),
+            }
+            if e.loads > 0 {
+                let _ = write!(out, "; loads {}/{} proven", e.loads_proven, e.loads);
+            }
             out.push('\n');
         }
         for a in &self.arrays {
@@ -79,15 +153,26 @@ impl Report {
             } else {
                 ""
             };
-            out.push_str(&format!(
-                "  array {}: {}{} — {}\n",
-                a.name, a.verdict, elide, a.detail
-            ));
+            let _ = write!(
+                out,
+                "  array {}: {}{elide} — {} write site(s), {} load site(s)",
+                a.name, a.verdict, a.writes, a.loads
+            );
+            if a.input {
+                out.push_str(", input");
+            }
+            if a.windowed {
+                out.push_str(", windowed");
+            }
+            for (x, y) in &a.overlaps {
+                let _ = write!(out, "; writes of {x} and {y} not provably disjoint");
+            }
+            out.push('\n');
         }
         for d in &self.diags {
-            out.push_str(&format!("  {}[{}]: {}\n", d.severity, d.code, d.message));
+            let _ = writeln!(out, "  {}[{}]: {}", d.severity, d.code, d.message);
             for (note, _) in &d.notes {
-                out.push_str(&format!("    = note: {note}\n"));
+                let _ = writeln!(out, "    = note: {note}");
             }
         }
         out

@@ -12,6 +12,9 @@ use ps_core::{compile, programs, CompileOptions, Program, RuntimeOptions, Storag
 use ps_scheduler::PickPolicy;
 use std::process::ExitCode;
 
+/// What `--emit` accepts; `strips` is reached by its own subcommand word.
+const EMIT_TARGETS: [&str; 6] = ["c", "flowchart", "depgraph", "components", "hir", "memory"];
+
 fn usage() -> ! {
     eprintln!(
         "usage: psc <file.ps | @builtin> [options]\n\
@@ -62,7 +65,14 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--emit" => {
                 i += 1;
-                emit = args.get(i).cloned().unwrap_or_else(|| usage());
+                emit = match args.get(i) {
+                    Some(target) if EMIT_TARGETS.contains(&target.as_str()) => target.clone(),
+                    Some(target) => {
+                        eprintln!("unknown --emit target `{target}`\n");
+                        usage()
+                    }
+                    None => usage(),
+                };
             }
             "--hyperplane" => {
                 i += 1;
@@ -108,10 +118,10 @@ fn main() -> ExitCode {
 
     match emit.as_str() {
         "c" => {
-            print!("{}", comp.c_code);
+            print!("{}", comp.emit_c(options.codegen));
             if let Some(t) = &comp.transformed {
                 println!("\n/* ---- transformed (hyperplane) version ---- */\n");
-                print!("{}", t.c_code);
+                print!("{}", t.emit_c(options.codegen));
             }
         }
         "flowchart" => {
@@ -139,10 +149,7 @@ fn main() -> ExitCode {
                 println!("{label}: {verdict}");
             }
         }
-        other => {
-            eprintln!("unknown --emit target `{other}`");
-            return ExitCode::FAILURE;
-        }
+        other => unreachable!("`{other}` passed argument parsing"),
     }
     ExitCode::SUCCESS
 }

@@ -20,6 +20,11 @@
 //! assert!(fc.starts_with("DOALL I (DOALL J (eq.1))"));
 //! ```
 //!
+//! [`compile`] stops at the schedule (and the Section-4 transform when
+//! asked): it writes no text. The C of the diagram's upper branch is
+//! produced on demand by [`Compilation::emit_c`] /
+//! [`TransformedArtifacts::emit_c`], as `psc --emit c` does.
+//!
 //! # Compile once, run many
 //!
 //! Execution splits along the compile/run seam: [`Program::compile`]

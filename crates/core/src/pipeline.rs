@@ -8,6 +8,7 @@ use ps_hyperplane::{
     HyperplaneResult, StorageMode,
 };
 use ps_lang::HirModule;
+use ps_runtime::store::RuntimeError;
 use ps_runtime::{run_module, Inputs, Outputs, RuntimeOptions, StripVerdict};
 use ps_scheduler::{schedule_module, ScheduleError, ScheduleOptions, ScheduleResult};
 use ps_support::{DiagnosticSink, SourceMap};
@@ -19,6 +20,8 @@ pub struct CompileOptions {
     /// Apply the Section-4 hyperplane transformation to the (unique)
     /// recursive array, producing [`Compilation::transformed`].
     pub hyperplane: Option<StorageMode>,
+    /// Not read by [`compile`], which emits no C; pass it to
+    /// [`Compilation::emit_c`].
     pub codegen: CodegenOptions,
 }
 
@@ -47,7 +50,19 @@ impl std::error::Error for CompileError {}
 pub struct TransformedArtifacts {
     pub result: HyperplaneResult,
     pub schedule: ScheduleResult,
+    /// Left empty by [`compile`]: C is produced on demand by
+    /// [`TransformedArtifacts::emit_c`]. The field remains only for the
+    /// frozen benchmark's struct literals.
     pub c_code: String,
+}
+
+impl TransformedArtifacts {
+    /// Emit C for the transformed (wavefront) program.
+    pub fn emit_c(&self, options: CodegenOptions) -> String {
+        let schedule = &self.schedule;
+        let module = &self.result.module;
+        emit_module(module, &schedule.flowchart, &schedule.memory, options)
+    }
 }
 
 /// Everything produced for one module.
@@ -55,11 +70,21 @@ pub struct Compilation {
     pub module: HirModule,
     pub depgraph: DepGraph,
     pub schedule: ScheduleResult,
+    /// Left empty by [`compile`]: C is produced on demand by
+    /// [`Compilation::emit_c`]. The field remains only for the frozen
+    /// benchmark's struct literals.
     pub c_code: String,
     pub transformed: Option<TransformedArtifacts>,
 }
 
 impl Compilation {
+    /// Emit C for the scheduled module. A compile writes none: only `psc
+    /// --emit c`, the examples and `codegen_e2e` read it.
+    pub fn emit_c(&self, options: CodegenOptions) -> String {
+        let schedule = &self.schedule;
+        emit_module(&self.module, &schedule.flowchart, &schedule.memory, options)
+    }
+
     /// One-line flowchart with `eq.N` labels (Figure 6/7 compact form).
     pub fn compact_flowchart(&self) -> String {
         self.schedule
@@ -77,7 +102,9 @@ impl Compilation {
     }
 }
 
-/// Compile a single-module source string through the full pipeline.
+/// Compile a single-module source string through the full pipeline: front
+/// end, dependence graph, schedule and (when asked) the hyperplane
+/// transform. No text is generated; see [`Compilation::emit_c`].
 pub fn compile(source: &str, options: CompileOptions) -> Result<Compilation, CompileError> {
     let mut sources = SourceMap::new();
     let file = sources.add_file("<input>", source);
@@ -99,12 +126,6 @@ pub fn compile(source: &str, options: CompileOptions) -> Result<Compilation, Com
     let depgraph = build_depgraph(&module);
     let schedule =
         schedule_module(&module, &depgraph, options.schedule).map_err(CompileError::Schedule)?;
-    let c_code = emit_module(
-        &module,
-        &schedule.flowchart,
-        &schedule.memory,
-        options.codegen,
-    );
 
     let transformed = match options.hyperplane {
         None => None,
@@ -113,18 +134,12 @@ pub fn compile(source: &str, options: CompileOptions) -> Result<Compilation, Com
                 .ok_or(CompileError::Hyperplane(HyperplaneError::NoRecursiveArray))?;
             let result =
                 hyperplane_transform(&module, target, mode).map_err(CompileError::Hyperplane)?;
-            let tsched = schedule_transformed(&result, options.schedule)
+            let schedule = schedule_transformed(&result, options.schedule)
                 .map_err(CompileError::Hyperplane)?;
-            let tc = emit_module(
-                &result.module,
-                &tsched.flowchart,
-                &tsched.memory,
-                options.codegen,
-            );
             Some(TransformedArtifacts {
                 result,
-                schedule: tsched,
-                c_code: tc,
+                schedule,
+                c_code: String::new(),
             })
         }
     };
@@ -133,7 +148,7 @@ pub fn compile(source: &str, options: CompileOptions) -> Result<Compilation, Com
         module,
         depgraph,
         schedule,
-        c_code,
+        c_code: String::new(),
         transformed,
     })
 }
@@ -167,19 +182,25 @@ pub struct Program<'c> {
 }
 
 impl<'c> Program<'c> {
+    /// Layout planning, lowering and (under `Verify`) the static verifier
+    /// for one scheduled module; a rejection is the rendered diagnostics.
+    fn lower(
+        module: &'c HirModule,
+        schedule: &'c ScheduleResult,
+        options: RuntimeOptions,
+    ) -> Result<Program<'c>, RuntimeError> {
+        let (flowchart, memory) = (&schedule.flowchart, &schedule.memory);
+        let inner = ps_runtime::Program::try_new(module, flowchart, memory, options)?;
+        Ok(Program { inner })
+    }
+
     /// Compile the reusable artifact for `comp`'s scheduled module.
     ///
     /// Panics if [`ps_runtime::AnalysisLevel::Verify`] rejects the
     /// program; use [`Program::try_compile`] to receive the diagnostics.
     pub fn compile(comp: &'c Compilation, options: RuntimeOptions) -> Program<'c> {
-        Program {
-            inner: ps_runtime::Program::new(
-                &comp.module,
-                &comp.schedule.flowchart,
-                &comp.schedule.memory,
-                options,
-            ),
-        }
+        Program::try_compile(comp, options)
+            .unwrap_or_else(|e| panic!("static analysis rejected program: {e}"))
     }
 
     /// Like [`Program::compile`], but surfaces static-verifier
@@ -187,15 +208,8 @@ impl<'c> Program<'c> {
     pub fn try_compile(
         comp: &'c Compilation,
         options: RuntimeOptions,
-    ) -> Result<Program<'c>, ps_runtime::store::RuntimeError> {
-        Ok(Program {
-            inner: ps_runtime::Program::try_new(
-                &comp.module,
-                &comp.schedule.flowchart,
-                &comp.schedule.memory,
-                options,
-            )?,
-        })
+    ) -> Result<Program<'c>, RuntimeError> {
+        Program::lower(&comp.module, &comp.schedule, options)
     }
 
     /// Number of arrays the static verifier proved safe for tag elision
@@ -207,28 +221,30 @@ impl<'c> Program<'c> {
     /// Compile the artifact for `comp`'s hyperplane-transformed module.
     ///
     /// # Panics
-    /// When `comp` was compiled without [`CompileOptions::hyperplane`].
+    /// When `comp` was compiled without [`CompileOptions::hyperplane`], or
+    /// [`ps_runtime::AnalysisLevel::Verify`] rejects the transformed
+    /// program; [`Program::try_compile_transformed`] returns both as errors.
     pub fn compile_transformed(comp: &'c Compilation, options: RuntimeOptions) -> Program<'c> {
+        Program::try_compile_transformed(comp, options)
+            .unwrap_or_else(|e| panic!("cannot compile the transformed program: {e}"))
+    }
+
+    /// Like [`Program::compile_transformed`], but a compilation without
+    /// transformed artifacts and a static-verifier rejection (rendered
+    /// `E06xx` diagnostics) are errors, not panics.
+    pub fn try_compile_transformed(
+        comp: &'c Compilation,
+        options: RuntimeOptions,
+    ) -> Result<Program<'c>, RuntimeError> {
         let t = comp
             .transformed
             .as_ref()
-            .expect("compilation has no transformed artifacts");
-        Program {
-            inner: ps_runtime::Program::new(
-                &t.result.module,
-                &t.schedule.flowchart,
-                &t.schedule.memory,
-                options,
-            ),
-        }
+            .ok_or_else(|| RuntimeError("compilation has no transformed artifacts".into()))?;
+        Program::lower(&t.result.module, &t.schedule, options)
     }
 
     /// Execute one run. Reentrant and thread-safe.
-    pub fn run(
-        &self,
-        inputs: &Inputs,
-        executor: &dyn Executor,
-    ) -> Result<Outputs, ps_runtime::store::RuntimeError> {
+    pub fn run(&self, inputs: &Inputs, executor: &dyn Executor) -> Result<Outputs, RuntimeError> {
         self.inner.run(inputs, executor)
     }
 
@@ -264,7 +280,7 @@ pub fn execute(
     inputs: &Inputs,
     executor: &dyn Executor,
     options: RuntimeOptions,
-) -> Result<Outputs, ps_runtime::store::RuntimeError> {
+) -> Result<Outputs, RuntimeError> {
     run_module(
         &comp.module,
         &comp.schedule.flowchart,
@@ -281,7 +297,7 @@ pub fn execute_transformed(
     inputs: &Inputs,
     executor: &dyn Executor,
     options: RuntimeOptions,
-) -> Result<Outputs, ps_runtime::store::RuntimeError> {
+) -> Result<Outputs, RuntimeError> {
     let t = comp
         .transformed
         .as_ref()
@@ -311,7 +327,9 @@ mod tests {
             "DOALL I (DOALL J (eq.1)); DO K (DOALL I (DOALL J (eq.3))); \
              DOALL I (DOALL J (eq.2))"
         );
-        assert!(comp.c_code.contains("void ps_Relaxation"));
+        assert!(comp.c_code.is_empty(), "a compile emits no C");
+        let c = comp.emit_c(CodegenOptions::default());
+        assert!(c.contains("void ps_Relaxation"));
         assert!(comp.transformed.is_none());
     }
 
@@ -337,7 +355,53 @@ mod tests {
         );
         let art = comp.transformed.as_ref().unwrap();
         assert_eq!(art.result.pi, vec![2, 1, 1]);
-        assert!(art.c_code.contains("ps_Relaxation2"));
+        assert!(art.c_code.is_empty(), "a compile emits no C");
+        let c = art.emit_c(CodegenOptions::default());
+        assert!(c.contains("ps_Relaxation2"));
+    }
+
+    /// The verifier falsely rejects the windowed wavefront (its guarded
+    /// loads look out of bounds to the interval domain; ROADMAP item 1a):
+    /// that is an `Err` naming `E0602`, never a panic, and with analysis
+    /// off the program still runs bit-identical to the oracle.
+    #[test]
+    fn verify_rejecting_the_transformed_program_is_an_error() {
+        let options = CompileOptions {
+            hyperplane: Some(StorageMode::Windowed),
+            ..Default::default()
+        };
+        let comp = compile(programs::RELAXATION_V2, options).unwrap();
+        let verify = RuntimeOptions {
+            analysis: ps_runtime::AnalysisLevel::Verify,
+            ..Default::default()
+        };
+        let Err(err) = Program::try_compile_transformed(&comp, verify) else {
+            panic!("the transformed relaxation_v2 verifies: drop ROADMAP 1(a)'s note");
+        };
+        assert!(err.0.contains("E0602"), "{err}");
+
+        let plain = compile(programs::RELAXATION_V2, CompileOptions::default()).unwrap();
+        let Err(err) = Program::try_compile_transformed(&plain, RuntimeOptions::default()) else {
+            panic!("no transformed artifacts to compile");
+        };
+        assert!(err.0.contains("no transformed artifacts"), "{err}");
+
+        let (m, side) = (5i64, 7usize);
+        let init: Vec<f64> = (0..side * side).map(|i| (i % 13) as f64 * 0.75).collect();
+        let inputs = Inputs::new().set_int("M", m).set_int("maxK", 6).set_array(
+            "InitialA",
+            OwnedArray::real(vec![(0, m + 1), (0, m + 1)], init),
+        );
+        let wave = Program::try_compile_transformed(&comp, RuntimeOptions::default())
+            .unwrap()
+            .run(&inputs, &Sequential)
+            .unwrap();
+        let oracle = ps_runtime::run_naive(&comp.module, &inputs).unwrap();
+        let bits = |o: &Outputs| -> Vec<u64> {
+            let a = o.array("newA").as_real_slice();
+            a.iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&wave), bits(&oracle));
     }
 
     #[test]

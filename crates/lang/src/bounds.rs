@@ -63,15 +63,20 @@ impl Affine {
 
     pub fn add(&self, other: &Affine) -> Affine {
         let mut out = self.clone();
-        out.konst += other.konst;
+        out.add_scaled(other, 1);
+        out
+    }
+
+    /// `self += k·other`, in place: no form is built for `k·other`.
+    pub fn add_scaled(&mut self, other: &Affine, k: i64) {
+        self.konst += k * other.konst;
         for (&p, &c) in &other.terms {
-            let e = out.terms.entry(p).or_insert(0);
-            *e += c;
+            let e = self.terms.entry(p).or_insert(0);
+            *e += k * c;
             if *e == 0 {
-                out.terms.remove(&p);
+                self.terms.remove(&p);
             }
         }
-        out
     }
 
     pub fn sub(&self, other: &Affine) -> Affine {

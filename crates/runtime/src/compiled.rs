@@ -575,7 +575,7 @@ pub(super) struct CompiledEq {
     pub(super) out: OutSpec,
     pub(super) src: Reg,
     /// Whether the equation's innermost `DOALL` runs in strips, decided
-    /// once by [`strip::plan_tapes`] after lowering.
+    /// once by [`Tapes::plan_strips`] when a `Program` is built.
     pub(super) strip: Result<StripPlan, ScalarReason>,
 }
 
@@ -864,6 +864,22 @@ impl Tapes {
         &self.params
     }
 
+    /// Decide which equations run their innermost `DOALL` in strips
+    /// ([`strip::plan_tapes`]). Only a [`crate::Program`] executes tapes, so
+    /// only its construction pays for the plans; the verifier reads the
+    /// instructions alone.
+    pub(crate) fn plan_strips(&mut self, module: &HirModule, plan: &StorePlan, fc: &Flowchart) {
+        let windowed = |array, dim| plan.dim_has_window(array, dim);
+        strip::plan_tapes(
+            &mut self.eqs,
+            module,
+            &fc.items,
+            None,
+            self.checked,
+            &windowed,
+        );
+    }
+
     /// Lowering statistics for one equation, used by tests: instruction
     /// count and address-table size.
     #[cfg(test)]
@@ -938,16 +954,16 @@ impl Tapes {
         for insn in &ceq.insns {
             steps.push(match *insn {
                 Insn::CopyF { src, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::F(src)],
+                    uses: [Some(pa::Reg::F(src)), None],
                     def: Some(pa::Reg::F(dst)),
                 },
                 Insn::CopyI { src, dst } => pa::Step::CopyI { src, dst },
                 Insn::CopyB { src, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::B(src)],
+                    uses: [Some(pa::Reg::B(src)), None],
                     def: Some(pa::Reg::B(dst)),
                 },
                 Insn::ReadScalar { dst, .. } => pa::Step::Op {
-                    uses: Vec::new(),
+                    uses: [None, None],
                     def: Some(reg(dst)),
                 },
                 Insn::LoadF { addr, dst, .. } => {
@@ -980,7 +996,7 @@ impl Tapes {
                 | Insn::DivF { a, b, dst }
                 | Insn::MinF { a, b, dst }
                 | Insn::MaxF { a, b, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::F(a), pa::Reg::F(b)],
+                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
                     def: Some(pa::Reg::F(dst)),
                 },
                 Insn::AddI { a, b, dst }
@@ -990,7 +1006,7 @@ impl Tapes {
                 | Insn::ModI { a, b, dst }
                 | Insn::MinI { a, b, dst }
                 | Insn::MaxI { a, b, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::I(a), pa::Reg::I(b)],
+                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
                     def: Some(pa::Reg::I(dst)),
                 },
                 Insn::NegF { a, dst }
@@ -1000,35 +1016,35 @@ impl Tapes {
                 | Insn::LnF { a, dst }
                 | Insn::SinF { a, dst }
                 | Insn::CosF { a, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::F(a)],
+                    uses: [Some(pa::Reg::F(a)), None],
                     def: Some(pa::Reg::F(dst)),
                 },
                 Insn::NegI { a, dst } | Insn::AbsI { a, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::I(a)],
+                    uses: [Some(pa::Reg::I(a)), None],
                     def: Some(pa::Reg::I(dst)),
                 },
                 Insn::NotB { a, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::B(a)],
+                    uses: [Some(pa::Reg::B(a)), None],
                     def: Some(pa::Reg::B(dst)),
                 },
                 Insn::CastIF { a, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::I(a)],
+                    uses: [Some(pa::Reg::I(a)), None],
                     def: Some(pa::Reg::F(dst)),
                 },
                 Insn::TruncFI { a, dst } | Insn::RoundFI { a, dst } => pa::Step::Op {
-                    uses: vec![pa::Reg::F(a)],
+                    uses: [Some(pa::Reg::F(a)), None],
                     def: Some(pa::Reg::I(dst)),
                 },
                 Insn::CmpF { a, b, dst, .. } => pa::Step::Op {
-                    uses: vec![pa::Reg::F(a), pa::Reg::F(b)],
+                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
                     def: Some(pa::Reg::B(dst)),
                 },
                 Insn::CmpI { a, b, dst, .. } => pa::Step::Op {
-                    uses: vec![pa::Reg::I(a), pa::Reg::I(b)],
+                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
                     def: Some(pa::Reg::B(dst)),
                 },
                 Insn::CmpB { a, b, dst, .. } => pa::Step::Op {
-                    uses: vec![pa::Reg::B(a), pa::Reg::B(b)],
+                    uses: [Some(pa::Reg::B(a)), Some(pa::Reg::B(b))],
                     def: Some(pa::Reg::B(dst)),
                 },
                 Insn::Jump { target } => pa::Step::Jump {
@@ -1036,13 +1052,13 @@ impl Tapes {
                 },
                 Insn::JumpIfNot { cond, target } | Insn::JumpIf { cond, target } => {
                     pa::Step::Branch {
-                        uses: vec![pa::Reg::B(cond)],
+                        uses: [Some(pa::Reg::B(cond)), None],
                         target: target as usize,
                         cmp: None,
                     }
                 }
                 Insn::JumpCmpFNot { op, a, b, target } => pa::Step::Branch {
-                    uses: vec![pa::Reg::F(a), pa::Reg::F(b)],
+                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
                     target: target as usize,
                     cmp: Some(pa::CmpInfo {
                         op: cmp(op),
@@ -1052,7 +1068,7 @@ impl Tapes {
                     }),
                 },
                 Insn::JumpCmpF { op, a, b, target } => pa::Step::Branch {
-                    uses: vec![pa::Reg::F(a), pa::Reg::F(b)],
+                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
                     target: target as usize,
                     cmp: Some(pa::CmpInfo {
                         op: cmp(op),
@@ -1062,7 +1078,7 @@ impl Tapes {
                     }),
                 },
                 Insn::JumpCmpINot { op, a, b, target } => pa::Step::Branch {
-                    uses: vec![pa::Reg::I(a), pa::Reg::I(b)],
+                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
                     target: target as usize,
                     cmp: Some(pa::CmpInfo {
                         op: cmp(op),
@@ -1072,7 +1088,7 @@ impl Tapes {
                     }),
                 },
                 Insn::JumpCmpI { op, a, b, target } => pa::Step::Branch {
-                    uses: vec![pa::Reg::I(a), pa::Reg::I(b)],
+                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
                     target: target as usize,
                     cmp: Some(pa::CmpInfo {
                         op: cmp(op),
@@ -1520,8 +1536,6 @@ pub(crate) fn compile_tapes(
         let lowerer = Lowerer::new(module, plan, &params, eq_id, &mut bufs, fold_static);
         eqs[eq_id] = Some(lowerer.lower_equation());
     }
-    let windowed = |array, dim| plan.dim_has_window(array, dim);
-    strip::plan_tapes(&mut eqs, module, &flowchart.items, None, checked, &windowed);
     let n_slots = plan.slot_count();
     for (eq_id, opt) in eqs.iter_enumerated() {
         let Some(ceq) = opt else { continue };

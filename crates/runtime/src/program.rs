@@ -154,8 +154,11 @@ impl<'m> Program<'m> {
         options: RuntimeOptions,
     ) -> Result<Program<'m>, RuntimeError> {
         let plan = StorePlan::new(&module, memory);
-        let tapes = (options.engine == Engine::Compiled)
-            .then(|| compile_tapes(&module, &plan, &flowchart, options.check_writes, true));
+        let tapes = (options.engine == Engine::Compiled).then(|| {
+            let mut tapes = compile_tapes(&module, &plan, &flowchart, options.check_writes, true);
+            tapes.plan_strips(&module, &plan, &flowchart);
+            tapes
+        });
         let verified = match (&tapes, options.analysis) {
             (Some(tapes), AnalysisLevel::Verify) => {
                 let outcome = analyze_tapes(&module, &flowchart, &plan, tapes);

@@ -731,7 +731,8 @@ mod tests {
     fn verdict(src: &str, label: &str, checked: bool) -> StripVerdict {
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
-        let tapes = compile_tapes(&m, &plan, &sched.flowchart, checked, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, checked, true);
+        tapes.plan_strips(&m, &plan, &sched.flowchart);
         let report = tapes.strip_report(&m, &sched.flowchart);
         let found = report.into_iter().find(|(l, _)| l == label);
         found.unwrap_or_else(|| panic!("{label} not scheduled")).1
@@ -775,7 +776,8 @@ mod tests {
             end T;";
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
-        let tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        tapes.plan_strips(&m, &plan, &sched.flowchart);
         let eq = m.equation_by_label("eq.1").unwrap();
         let plan = tapes.eqs[eq].as_ref().unwrap().strip.as_ref().unwrap();
         let [copy, compute] = &plan.paths[..] else {
@@ -842,6 +844,7 @@ mod tests {
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
         let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        tapes.plan_strips(&m, &plan, &sched.flowchart);
         let eq = m.equation_by_label("eq.1").unwrap();
         assert!(tapes.eqs[eq].as_ref().unwrap().strip.is_ok());
         let xs = m.data_by_name("xs").unwrap();

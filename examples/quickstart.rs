@@ -6,8 +6,8 @@
 //! ```
 
 use ps_core::{
-    compile, execute, programs, CompileOptions, Inputs, OwnedArray, Program, RuntimeOptions,
-    Sequential,
+    compile, execute, programs, CodegenOptions, CompileOptions, Inputs, OwnedArray, Program,
+    RuntimeOptions, Sequential,
 };
 
 fn main() {
@@ -92,9 +92,9 @@ fn main() {
         prog.specialization_count()
     );
 
-    // 8. The generated C is in `comp.c_code` (see the emit_c example).
+    // 8. C is generated on demand, not by `compile` (see the emit_c example).
     println!(
         "\nGenerated C: {} lines (run the emit_c example to see it).",
-        comp.c_code.lines().count()
+        comp.emit_c(CodegenOptions::default()).lines().count()
     );
 }

@@ -16,8 +16,8 @@
 # the ps-trace CLI), the ps-analyze static verification of every builtin
 # program, the repo benchmark's smoke pass (benchmark/ is not a workspace
 # member, so nothing else builds it; it also checks every op against the
-# native kernels at the real problem size), docs with warnings denied, and
-# rustfmt.
+# native kernels at the real problem size) and its own tests, docs with
+# warnings denied, and rustfmt.
 #
 # The stress/TCP/chaos suites run under a hang watchdog: a wedged drain or
 # a deadlocked pool fails the gate with a kill instead of hanging CI.
@@ -206,6 +206,11 @@ echo "$analyze_out" | grep -q ' 0 errors$' \
 
 echo "==> bash benchmark/run.sh --smoke (builds benchmark/, every op checked)"
 bounded 600 bash benchmark/run.sh --smoke >/dev/null
+
+# The benchmark is frozen outside benchmark-type PRs and builds `Compilation`
+# by struct literal: a change that breaks its view of `ps-core` fails here.
+echo "==> benchmark: cargo test --release --offline (its own 29 tests)"
+bounded 300 bash -c 'cd benchmark && cargo test --release --offline -q'
 
 echo "==> cargo doc --offline --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q

@@ -14,7 +14,8 @@ mod generators;
 
 use generators::{arb_chain, arb_grid, assert_bits_eq, grid_inputs, shrink_chain, shrink_grid};
 use ps_core::{
-    analyze, compile, AnalysisLevel, CompileOptions, Inputs, Program, RuntimeOptions, Sequential,
+    analyze, compile, programs, AnalysisLevel, CompileOptions, Inputs, Program, RuntimeOptions,
+    Sequential,
 };
 use ps_support::rng::check;
 
@@ -66,4 +67,35 @@ fn accepted_random_grids_never_trip_checked_writes() {
     check(0xa11a_c3e2, 16, arb_grid, shrink_grid, |prog| {
         accepted_runs_clean(&prog.source(), &grid_inputs(5, 5))
     });
+}
+
+/// The report's lines are formatted by `render()`, not by the analysis;
+/// the text is pinned whole against files captured while it was eager.
+#[test]
+fn builtin_reports_render_like_the_goldens() {
+    let goldens = [
+        (
+            "relaxation_v1",
+            include_str!("golden/analyze_relaxation_v1.txt"),
+        ),
+        (
+            "relaxation_v2",
+            include_str!("golden/analyze_relaxation_v2.txt"),
+        ),
+        ("heat_1d", include_str!("golden/analyze_heat_1d.txt")),
+        (
+            "recurrence_1d",
+            include_str!("golden/analyze_recurrence_1d.txt"),
+        ),
+        ("pipeline", include_str!("golden/analyze_pipeline.txt")),
+        ("gather", include_str!("golden/analyze_gather.txt")),
+        ("table_2d", include_str!("golden/analyze_table_2d.txt")),
+        ("wave_1d", include_str!("golden/analyze_wave_1d.txt")),
+    ];
+    assert_eq!(goldens.len(), programs::ALL.len());
+    for ((name, src), (golden_name, golden)) in programs::ALL.iter().zip(goldens) {
+        assert_eq!(*name, golden_name);
+        let comp = compile(src, CompileOptions::default()).unwrap();
+        assert_eq!(analyze(&comp).render(), golden, "{name}");
+    }
 }

@@ -147,3 +147,40 @@ fn strips_report_pins_paths_and_op_counts() {
         assert_eq!(stdout.lines().collect::<Vec<_>>(), want, "{program}");
     }
 }
+
+/// `compile` emits no C; `--emit c` asks for it. The text is pinned whole
+/// against files captured before C became lazy.
+#[test]
+fn c_emission_matches_the_goldens() {
+    let pinned: [(&[&str], &str); 3] = [
+        (
+            &["@relaxation_v1", "--emit", "c"],
+            include_str!("golden/relaxation_v1.c"),
+        ),
+        (
+            &["@relaxation_v2", "--hyperplane", "windowed", "--emit", "c"],
+            include_str!("golden/relaxation_v2.windowed.c"),
+        ),
+        (
+            &["@table_2d", "--hyperplane", "full", "--emit", "c"],
+            include_str!("golden/table_2d.full.c"),
+        ),
+    ];
+    for (args, golden) in pinned {
+        let (stdout, _, ok) = psc(args);
+        assert!(ok, "{args:?}");
+        assert!(stdout == golden, "{args:?} differs from its golden");
+    }
+}
+
+/// An unknown `--emit` target is a usage error, caught before the program
+/// is read or compiled (the built-in named here does not exist).
+#[test]
+fn unknown_emit_target_is_rejected_before_compiling() {
+    let (stdout, stderr, ok) = psc(&["@nope", "--emit", "bogus"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("unknown --emit target `bogus`"), "{stderr}");
+    assert!(stderr.contains("usage: psc"), "{stderr}");
+    assert!(!stderr.contains("unknown built-in"), "{stderr}");
+}

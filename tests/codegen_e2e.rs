@@ -4,8 +4,8 @@
 //! Skipped silently when no C compiler is installed.
 
 use ps_core::{
-    compile, emit_main, execute, CompileOptions, Inputs, OwnedArray, RuntimeOptions, Sequential,
-    StorageMode,
+    compile, emit_main, execute, CodegenOptions, CompileOptions, Inputs, OwnedArray,
+    RuntimeOptions, Sequential, StorageMode,
 };
 use std::process::Command;
 
@@ -68,7 +68,12 @@ fn relaxation_v1_c_matches_interpreter() {
     let (m, maxk) = (8i64, 10i64);
     let comp = compile(ps_core::programs::RELAXATION_V1, CompileOptions::default()).unwrap();
     let main_code = emit_main(&comp.module, &[("M", m), ("maxK", maxk)]);
-    let checks = run_c(cc, &comp.c_code, &main_code, "v1");
+    let checks = run_c(
+        cc,
+        &comp.emit_c(CodegenOptions::default()),
+        &main_code,
+        "v1",
+    );
 
     let side = (m + 2) as usize;
     let inputs = Inputs::new()
@@ -107,12 +112,22 @@ fn wavefront_c_matches_interpreter() {
 
     // Untransformed C.
     let main_plain = emit_main(&comp.module, &[("M", m), ("maxK", maxk)]);
-    let plain = run_c(cc, &comp.c_code, &main_plain, "v2_plain");
+    let plain = run_c(
+        cc,
+        &comp.emit_c(CodegenOptions::default()),
+        &main_plain,
+        "v2_plain",
+    );
 
     // Transformed (windowed wavefront with drain) C.
     let art = comp.transformed.as_ref().unwrap();
     let main_wave = emit_main(&art.result.module, &[("M", m), ("maxK", maxk)]);
-    let wave = run_c(cc, &art.c_code, &main_wave, "v2_wave");
+    let wave = run_c(
+        cc,
+        &art.emit_c(CodegenOptions::default()),
+        &main_wave,
+        "v2_wave",
+    );
 
     assert_eq!(plain[0].0, "newA");
     assert_eq!(wave[0].0, "newA");
@@ -146,11 +161,12 @@ fn builtin_programs_emit_compilable_c() {
     // Compile-only smoke test over the whole program library.
     for (name, src) in ps_core::programs::ALL {
         let comp = compile(src, CompileOptions::default()).unwrap();
+        let c_code = comp.emit_c(CodegenOptions::default());
         let dir =
             std::env::temp_dir().join(format!("ps_codegen_smoke_{name}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let srcf = dir.join("mod.c");
-        std::fs::write(&srcf, &comp.c_code).unwrap();
+        std::fs::write(&srcf, &c_code).unwrap();
         let out = Command::new(cc)
             .arg("-c")
             .arg("-O1")
@@ -163,7 +179,7 @@ fn builtin_programs_emit_compilable_c() {
             out.status.success(),
             "{name}: cc failed:\n{}\n{}",
             String::from_utf8_lossy(&out.stderr),
-            comp.c_code
+            c_code
         );
     }
 }

@@ -10,8 +10,8 @@
 //! any per-iteration allocation in the tape walk would show up directly.
 
 use ps_core::{
-    compile, execute, programs, Compilation, CompileOptions, Engine, Inputs, OwnedArray, Program,
-    RuntimeOptions, Sequential,
+    analyze, compile, execute, programs, Compilation, CompileOptions, Engine, Inputs, OwnedArray,
+    Program, RuntimeOptions, Sequential, StorageMode,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -226,4 +226,45 @@ fn strip_path_selection_is_allocation_free() {
         .collect();
     assert_eq!(counts[0], counts[1], "per row length: {counts:?}");
     assert_eq!(counts[1], counts[2], "per row count: {counts:?}");
+}
+
+/// One cold sweep as a `psc` user or a registry miss pays it: `compile`,
+/// `analyze` and the `Program` artifact for the eight builtins plus the two
+/// hyperplane variants the goldens pin.
+fn cold_sweep() {
+    let variants = [
+        (programs::RELAXATION_V2, StorageMode::Windowed),
+        (programs::TABLE_2D, StorageMode::Full),
+    ];
+    for (_, src) in programs::ALL {
+        let comp = compile(src, CompileOptions::default()).unwrap();
+        assert!(!analyze(&comp).has_errors());
+        Program::try_compile(&comp, RuntimeOptions::default()).unwrap();
+    }
+    for (src, mode) in variants {
+        let options = CompileOptions {
+            hyperplane: Some(mode),
+            ..Default::default()
+        };
+        let comp = compile(src, options).unwrap();
+        assert!(!analyze(&comp).has_errors());
+        Program::compile_transformed(&comp, RuntimeOptions::default());
+    }
+}
+
+/// The cold path's allocation count repeats exactly and stays at most
+/// 70 % of what it was while `compile` emitted C eagerly and the verifier
+/// cloned its state per tape step and formatted its report as it went:
+/// 17 368 allocations per sweep then, 10 440 once both stopped (60 %).
+#[test]
+fn cold_compile_allocation_budget() {
+    const EAGER_SWEEP: usize = 17_368;
+    cold_sweep(); // first-use interning
+    let first = allocs_during(cold_sweep);
+    let second = allocs_during(cold_sweep);
+    assert_eq!(first, second, "a cold sweep's allocation count repeats");
+    assert!(
+        first * 10 <= EAGER_SWEEP * 7,
+        "a cold sweep allocates {first} times, over 70 % of {EAGER_SWEEP}"
+    );
 }
