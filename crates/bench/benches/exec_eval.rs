@@ -1,11 +1,10 @@
-//! Perf D (PR 3): per-iteration evaluation cost of the two engines.
+//! Perf D (PR 3): per-iteration evaluation cost of the compiled engine.
 //!
 //! PR 2 made region dispatch nearly free, so a DOALL iteration's cost is
-//! now the equation body itself. This bench times the same workloads under
-//! `Engine::TreeWalk` (recursive `HExpr` walk, tagged values, environment
-//! scans) and `Engine::Compiled` (typed register tape, strength-reduced
-//! subscripts) on the sequential executor, so the difference is pure
-//! per-iteration evaluation cost:
+//! now the equation body itself. This bench times the typed register tapes
+//! (strength-reduced subscripts, strip-mined innermost loops) on the
+//! sequential executor, so the figure is pure per-iteration evaluation
+//! cost:
 //!
 //! * `jacobi/*` — Relaxation v1's guarded five-point stencil body
 //!   (Figure 6), the paper's flagship DOALL loop;
@@ -13,27 +12,16 @@
 //!   general affine subscripts (`K' - 2I' - J'`-style) are exactly the
 //!   addressing the strength reduction targets.
 //!
-//! Throughput is in grid cells. In smoke mode both engines run once and
-//! the outputs are asserted identical, so the bench doubles as a
-//! cross-engine regression test.
+//! Throughput is in grid cells. Every run is asserted bit-identical to
+//! `run_naive` — for the wavefront on the *untransformed* module, so the
+//! row also checks the transform — and in smoke mode each row runs once,
+//! so the bench doubles as a regression test against the oracle.
 
 use ps_bench::{compile_v1, compile_v2, relaxation_inputs, Harness};
 use ps_core::{
-    compile, execute, execute_transformed, programs, AnalysisLevel, CompileOptions, Engine, Inputs,
-    OwnedArray, Program, RuntimeOptions, Sequential, StorageMode,
+    compile, execute, execute_transformed, programs, run_naive, AnalysisLevel, CompileOptions,
+    Inputs, OwnedArray, Program, RuntimeOptions, Sequential, StorageMode,
 };
-
-fn opts(engine: Engine) -> RuntimeOptions {
-    RuntimeOptions {
-        engine,
-        ..Default::default()
-    }
-}
-
-const ENGINES: [(&str, Engine); 2] = [
-    ("compiled", Engine::Compiled),
-    ("treewalk", Engine::TreeWalk),
-];
 
 fn main() {
     let mut g = Harness::new("exec_eval");
@@ -43,18 +31,16 @@ fn main() {
         let maxk = 8i64;
         let inputs = relaxation_inputs(m, maxk);
         let cells = ((m + 2) * (m + 2) * maxk) as u64;
-        let baseline = execute(&v1, &inputs, &Sequential, opts(Engine::TreeWalk)).unwrap();
-        for (name, engine) in ENGINES {
-            g.bench_with_elements(&format!("jacobi/{name}/{m}"), cells, || {
-                let out = execute(&v1, &inputs, &Sequential, opts(engine)).unwrap();
-                assert_eq!(
-                    out.array("newA").max_abs_diff(baseline.array("newA")),
-                    0.0,
-                    "engines must agree bitwise"
-                );
-                out
-            });
-        }
+        let baseline = run_naive(&v1.module, &inputs).unwrap();
+        g.bench_with_elements(&format!("jacobi/compiled/{m}"), cells, || {
+            let out = execute(&v1, &inputs, &Sequential, RuntimeOptions::default()).unwrap();
+            assert_eq!(
+                out.array("newA").max_abs_diff(baseline.array("newA")),
+                0.0,
+                "the tapes must agree bitwise with the oracle"
+            );
+            out
+        });
     }
 
     let v2 = compile_v2(Some(StorageMode::Windowed));
@@ -62,19 +48,17 @@ fn main() {
         let maxk = 8i64;
         let inputs = relaxation_inputs(m, maxk);
         let cells = ((m + 2) * (m + 2) * maxk) as u64;
-        let baseline =
-            execute_transformed(&v2, &inputs, &Sequential, opts(Engine::TreeWalk)).unwrap();
-        for (name, engine) in ENGINES {
-            g.bench_with_elements(&format!("wavefront/{name}/{m}"), cells, || {
-                let out = execute_transformed(&v2, &inputs, &Sequential, opts(engine)).unwrap();
-                assert_eq!(
-                    out.array("newA").max_abs_diff(baseline.array("newA")),
-                    0.0,
-                    "engines must agree bitwise"
-                );
-                out
-            });
-        }
+        let baseline = run_naive(&v2.module, &inputs).unwrap();
+        g.bench_with_elements(&format!("wavefront/compiled/{m}"), cells, || {
+            let out =
+                execute_transformed(&v2, &inputs, &Sequential, RuntimeOptions::default()).unwrap();
+            assert_eq!(
+                out.array("newA").max_abs_diff(baseline.array("newA")),
+                0.0,
+                "the wavefront must agree bitwise with the oracle on the original module"
+            );
+            out
+        });
     }
 
     // Perf F (PR 6): checked-writes cost, with and without static

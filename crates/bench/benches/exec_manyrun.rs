@@ -24,22 +24,15 @@
 //! (`Program::run` on a pre-built artifact; the first run, which builds
 //! the address specialization, happens before timing).
 //!
-//! Each variant is asserted bit-identical to a tree-walk baseline — in
+//! Each variant is asserted bit-identical to the `run_naive` oracle — in
 //! smoke mode inside the (single-run) closures, in full timing mode
 //! outside them so verification never inflates the measured latencies.
 
 use ps_bench::{compile_v1, relaxation_inputs, synthetic_chain, Harness};
 use ps_core::{
-    compile, execute, CompileOptions, Engine, Inputs, OwnedArray, Program, RuntimeOptions,
+    compile, execute, run_naive, CompileOptions, Inputs, OwnedArray, Program, RuntimeOptions,
     Sequential,
 };
-
-fn opts(engine: Engine) -> RuntimeOptions {
-    RuntimeOptions {
-        engine,
-        ..Default::default()
-    }
-}
 
 fn main() {
     let mut g = Harness::new("exec_manyrun");
@@ -51,7 +44,7 @@ fn main() {
         let inputs = Inputs::new()
             .set_int("n", m)
             .set_array("xs", OwnedArray::real(vec![(1, m)], xs));
-        let baseline = execute(&chain, &inputs, &Sequential, opts(Engine::TreeWalk)).unwrap();
+        let baseline = run_naive(&chain.module, &inputs).unwrap();
         let elems = (18 * m) as u64;
 
         // Verification stays outside the timed closures (smoke mode runs
@@ -60,23 +53,23 @@ fn main() {
             assert_eq!(
                 out.scalar("y").as_real().to_bits(),
                 baseline.scalar("y").as_real().to_bits(),
-                "{label} must agree bitwise with the tree-walk baseline"
+                "{label} must agree bitwise with the oracle"
             );
         };
         let full = g.is_full();
         verify(
-            &execute(&chain, &inputs, &Sequential, opts(Engine::Compiled)).unwrap(),
+            &execute(&chain, &inputs, &Sequential, RuntimeOptions::default()).unwrap(),
             "per-call",
         );
         g.bench_with_elements(&format!("chain/percall/m{m}"), elems, || {
-            let out = execute(&chain, &inputs, &Sequential, opts(Engine::Compiled)).unwrap();
+            let out = execute(&chain, &inputs, &Sequential, RuntimeOptions::default()).unwrap();
             if !full {
                 verify(&out, "per-call");
             }
             out
         });
 
-        let prog = Program::compile(&chain, opts(Engine::Compiled));
+        let prog = Program::compile(&chain, RuntimeOptions::default());
         prog.run(&inputs, &Sequential).unwrap(); // specialize + fill pools
         verify(&prog.run(&inputs, &Sequential).unwrap(), "pooled run");
         g.bench_with_elements(&format!("chain/program/m{m}"), elems, || {
@@ -100,29 +93,29 @@ fn main() {
         let maxk = 6i64;
         let inputs = relaxation_inputs(m, maxk);
         let cells = ((m + 2) * (m + 2) * maxk) as u64;
-        let baseline = execute(&jacobi, &inputs, &Sequential, opts(Engine::TreeWalk)).unwrap();
+        let baseline = run_naive(&jacobi.module, &inputs).unwrap();
 
         let verify = |out: &ps_core::Outputs, label: &str| {
             assert_eq!(
                 out.array("newA").max_abs_diff(baseline.array("newA")),
                 0.0,
-                "{label} must agree bitwise with the tree-walk baseline"
+                "{label} must agree bitwise with the oracle"
             );
         };
         let full = g.is_full();
         verify(
-            &execute(&jacobi, &inputs, &Sequential, opts(Engine::Compiled)).unwrap(),
+            &execute(&jacobi, &inputs, &Sequential, RuntimeOptions::default()).unwrap(),
             "per-call",
         );
         g.bench_with_elements(&format!("jacobi/percall/m{m}"), cells, || {
-            let out = execute(&jacobi, &inputs, &Sequential, opts(Engine::Compiled)).unwrap();
+            let out = execute(&jacobi, &inputs, &Sequential, RuntimeOptions::default()).unwrap();
             if !full {
                 verify(&out, "per-call");
             }
             out
         });
 
-        let prog = Program::compile(&jacobi, opts(Engine::Compiled));
+        let prog = Program::compile(&jacobi, RuntimeOptions::default());
         prog.run(&inputs, &Sequential).unwrap();
         verify(&prog.run(&inputs, &Sequential).unwrap(), "pooled run");
         g.bench_with_elements(&format!("jacobi/program/m{m}"), cells, || {

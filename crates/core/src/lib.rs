@@ -74,8 +74,8 @@ pub use ps_hyperplane::{
 pub use ps_lang::{frontend, HirModule};
 pub use ps_runtime::{
     analyze_compiled, run_module, run_naive, AnalysisLevel, AnalysisReport, AnalysisVerdict,
-    Engine, Inputs, Outputs, OwnedArray, RuntimeOptions, ScalarReason, StoreArena, StorePlan,
-    StripVerdict, Value,
+    Inputs, Outputs, OwnedArray, RuntimeOptions, ScalarReason, StoreArena, StorePlan, StripVerdict,
+    Value,
 };
 pub use ps_scheduler::{
     schedule_module, validate_flowchart, Flowchart, MemoryPlan, PickPolicy, ScheduleOptions,

@@ -16,7 +16,7 @@
 //! * windowed arrays never elide (their tags also catch window
 //!   evictions, which the interval domain does not model);
 //! * arrays touched by a hyperplane drain never elide (the drain copies
-//!   through the tree-walker's checked accessors, outside the tapes the
+//!   through `ArrayInstance`'s checked accessors, outside the tapes the
 //!   analyzer saw);
 //! * everything else elides only when every store is proven in-bounds,
 //!   injective over all enclosing counters, and pairwise disjoint across
@@ -72,7 +72,7 @@ pub(crate) fn analyze_tapes(
             input: item.kind == DataKind::Param,
         });
     }
-    // Drained arrays copy through the tree-walker's checked accessors,
+    // Drained arrays copy through `ArrayInstance`'s checked accessors,
     // outside anything the analyzer inspects: never elide either side.
     let mut drained: Vec<DataId> = Vec::new();
     collect_drains(&flowchart.items, &mut drained);

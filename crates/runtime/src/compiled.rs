@@ -62,12 +62,14 @@
 //!   lowering, never per call; everything else runs the scalar walker below.
 //! * **Optional checked mode**: when built with `check_writes`, every load
 //!   and store re-derives its *logical* index from the same affine forms
-//!   and performs the tree-walker's tag transitions (double-write and
-//!   window-eviction detection) against the store's tag tables — the
-//!   stress suites exercise the compiled path instead of falling back.
+//!   and performs the tag transitions of `ArrayInstance`'s checked
+//!   accessors (double-write and window-eviction detection) against the
+//!   store's tag tables.
 //!
-//! Evaluation order matches the tree-walker exactly — the differential
-//! suite asserts bit-identical outputs between engines.
+//! Operation order is the post-order of the equation's `HExpr`, with
+//! `and`/`or` and `if` evaluating only the side taken — the order
+//! [`crate::naive`] evaluates in, so the differential suites can assert
+//! bit-identical outputs against it.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -112,8 +114,8 @@ pub(crate) enum Reg {
     B(u16),
 }
 
-/// Comparison operator with the tree-walker's `partial_cmp` semantics
-/// (NaN compares false under everything except `<>`).
+/// Comparison operator with `partial_cmp` semantics: an unordered pair
+/// (a NaN operand) compares false under everything except `<>`.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(super) enum CmpOp {
     Eq,
@@ -855,7 +857,7 @@ pub(crate) struct Tapes {
     /// order ([`HirModule::scalar_params`]).
     params: Vec<DataId>,
     /// Tape-level checked-writes mode: loads and stores perform the
-    /// logical-tag transitions of the tree-walker's checked accessors.
+    /// logical-tag transitions of `ArrayInstance`'s checked accessors.
     pub(crate) checked: bool,
 }
 
@@ -1966,8 +1968,9 @@ impl<'a, 'p, 'm> Lowerer<'a, 'p, 'm> {
     /// through* iff `e` is true; every returned placeholder must be
     /// patched to the false target. Short-circuit `and`/`or` become pure
     /// control flow and comparisons fuse into compare-and-branch
-    /// instructions, so guards never materialize booleans. Evaluation
-    /// order matches the tree-walker exactly.
+    /// instructions, so guards never materialize booleans. Operands are
+    /// evaluated left to right, and the right side of an `and`/`or` only
+    /// when the left does not decide.
     fn lower_cond(&mut self, e: &HExpr) -> Vec<usize> {
         match e {
             HExpr::Binary {

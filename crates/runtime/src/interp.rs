@@ -1,49 +1,33 @@
-//! The scheduled flowchart interpreter.
+//! The scheduled flowchart walker.
 //!
 //! `DO` loops run in order; `DOALL` loops are handed to the executor.
 //! Perfectly nested `DOALL` chains are flattened into a single
 //! `parallel_for` over the product index space so a `DOALL I (DOALL J)`
 //! nest saturates the pool even when the outer extent is small.
 //!
-//! Two execution engines walk the same flowchart:
+//! Equations execute as typed register tapes (`compiled.rs`) —
+//! lowered **once per [`crate::Program`]**, specialized per parameter
+//! layout, and reused across runs — with strength-reduced addressing and
+//! zero per-iteration allocations. The one thing here that is not a tape
+//! is the windowed-hyperplane drain, which copies element by element
+//! through [`crate::ndarray::ArrayInstance`]'s checked accessors.
 //!
-//! * [`Engine::Compiled`] (the default) executes equations as typed
-//!   register tapes — lowered **once per [`crate::Program`]**, specialized
-//!   per parameter layout, and reused across runs — with strength-reduced
-//!   addressing and zero per-iteration allocations;
-//! * [`Engine::TreeWalk`] evaluates the `HExpr` trees directly via
-//!   [`crate::eval`] — slower, but structurally independent, so it serves
-//!   as the differential-testing oracle for the compiled engine.
-//!
-//! `check_writes` works under **both** engines: the tree-walker's checked
-//! store accessors maintain the logical-index tags, and the compiled
-//! engine's checked tape mode performs the identical tag transitions
-//! inline.
+//! `check_writes` is the tapes' checked mode: every load and store
+//! re-derives its logical index and maintains the store's per-slot tags
+//! inline, the transitions the checked accessors perform for a drain.
 //!
 //! [`run_module`] is a thin compile-and-run-once wrapper over
 //! [`crate::Program`]; callers serving many runs should hold a `Program`.
 
 use crate::compiled::{ExecProg, Frames};
-use crate::eval::{eval, Env, SubScratch};
 use crate::program::Program;
 use crate::store::{Inputs, Outputs, RuntimeError, Store};
-use crate::value::Value;
 use ps_executor::Executor;
-use ps_lang::hir::{HirModule, LhsSub};
+use ps_lang::hir::HirModule;
 use ps_lang::EqId;
 use ps_scheduler::{Descriptor, DrainSpec, Flowchart, LoopDescriptor, LoopKind, MemoryPlan};
 use ps_support::idx::Idx;
 use ps_trace::EvKind;
-
-/// Which evaluation engine executes equation bodies.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Engine {
-    /// Typed register bytecode with strength-reduced subscripts (fast).
-    #[default]
-    Compiled,
-    /// Direct recursive `HExpr` evaluation (the differential oracle).
-    TreeWalk,
-}
 
 /// How much static verification [`crate::Program`] construction performs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -55,9 +39,7 @@ pub enum AnalysisLevel {
     /// def-before-use, in-bounds addressing, and write-disjointness for
     /// every admissible parameter vector. Construction fails on any
     /// provable violation; arrays whose accesses are fully proven skip the
-    /// `check_writes` tag machinery. Only meaningful under
-    /// [`Engine::Compiled`] (the tree-walker has no tapes to analyze; the
-    /// level is then a documented no-op).
+    /// `check_writes` tag machinery.
     Verify,
 }
 
@@ -68,10 +50,8 @@ pub enum AnalysisLevel {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Track logical tags per physical slot, catching double writes and
-    /// window evictions (slow; for tests). Works under both engines.
+    /// window evictions (slow; for tests).
     pub check_writes: bool,
-    /// Evaluation engine (compiled by default).
-    pub engine: Engine,
     /// Upper bound on cached per-integer-parameter-layout specializations
     /// held by a [`crate::Program`]. Past it, the least-recently-used
     /// layout is evicted (see [`crate::Program::spec_evictions`]), so
@@ -86,7 +66,6 @@ impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
         RuntimeOptions {
             check_writes: false,
-            engine: Engine::default(),
             spec_cache_cap: 64,
             analysis: AnalysisLevel::default(),
         }
@@ -107,14 +86,6 @@ pub fn run_module(
     options: RuntimeOptions,
 ) -> Result<Outputs, RuntimeError> {
     Program::new(module, flowchart, plan, options).run(inputs, executor)
-}
-
-/// Mutable per-worker state of the tree-walk engine: the index environment
-/// plus reusable subscript buffers.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TreeState {
-    env: Env,
-    scratch: SubScratch,
 }
 
 pub(crate) struct Interp<'a, 'm> {
@@ -180,33 +151,16 @@ fn flatten_doall<'l>(
 }
 
 impl<'a, 'm> Interp<'a, 'm> {
-    fn module(&self) -> &'m HirModule {
-        self.store.module
-    }
-
     /// Open a trace span for a parallel region about to be handed to the
-    /// executor, labelled with the first equation in `body` (so profiles
-    /// and flight dumps name the equation, not just an epoch). `None` —
-    /// and zero work — while tracing is disabled.
-    fn region_span(&self, body: &[Descriptor], total: i64) -> Option<ps_trace::SpanGuard> {
+    /// executor, labelled with the first of the equations it runs (so
+    /// profiles and flight dumps name the equation, not just an epoch).
+    /// `None` — and zero work — while tracing is disabled.
+    fn region_span(&self, body_eqs: &[EqId], total: i64) -> Option<ps_trace::SpanGuard> {
         if !ps_trace::enabled() {
             return None;
         }
-        fn first_eq(items: &[Descriptor]) -> Option<EqId> {
-            for d in items {
-                match d {
-                    Descriptor::Equation(eq) => return Some(*eq),
-                    Descriptor::Loop(l) => {
-                        if let Some(eq) = first_eq(&l.body) {
-                            return Some(eq);
-                        }
-                    }
-                    Descriptor::Drain(_) => {}
-                }
-            }
-            None
-        }
-        let label = first_eq(body)
+        let label = body_eqs
+            .first()
             .and_then(|eq| self.eq_labels.get(eq.index()).copied())
             .unwrap_or(0);
         Some(ps_trace::span(EvKind::Region, label, total as u64))
@@ -216,306 +170,134 @@ impl<'a, 'm> Interp<'a, 'm> {
         self.store.subrange_bounds(sr)
     }
 
-    // ---- compiled engine ----
+    /// Run a whole flowchart. A `DOALL` may publish a region only when the
+    /// executor has someone to hand it to.
+    pub(crate) fn run(&self, prog: &ExecProg<'_, 'm>, items: &[Descriptor], frames: &mut Frames) {
+        self.run_items(prog, items, frames, self.executor.threads() > 1, None);
+    }
 
-    pub(crate) fn run_items_compiled(
+    /// Walk `items` in order. With `publish`, a `DOALL` met here becomes
+    /// a region on the executor; without it — on the sequential executor,
+    /// and everywhere inside an outer-range chunk — it runs on the current
+    /// thread. `time` is the counter of the `DO` loop whose body `items`
+    /// is, when it is one: what a drain needs.
+    fn run_items(
         &self,
         prog: &ExecProg<'_, 'm>,
         items: &[Descriptor],
         frames: &mut Frames,
+        publish: bool,
+        time: Option<i64>,
     ) {
         for d in items {
-            match d {
-                Descriptor::Equation(eq) => prog.run_eq(*eq, frames),
-                Descriptor::Loop(l) => self.run_loop_compiled(prog, l, frames),
-                Descriptor::Drain(spec) => {
+            match (d, time) {
+                (Descriptor::Equation(eq), _) => prog.run_eq(*eq, frames),
+                (Descriptor::Loop(l), _) => self.run_loop(prog, l, frames, publish),
+                (Descriptor::Drain(spec), Some(t)) => self.run_drain(spec, t),
+                (Descriptor::Drain(spec), None) => {
                     panic!("drain over {} reached outside a time loop", spec.time_name)
                 }
             }
         }
     }
 
-    fn run_loop_compiled(&self, prog: &ExecProg<'_, 'm>, l: &LoopDescriptor, frames: &mut Frames) {
+    fn run_loop(
+        &self,
+        prog: &ExecProg<'_, 'm>,
+        l: &LoopDescriptor,
+        frames: &mut Frames,
+        publish: bool,
+    ) {
+        let (lo, hi) = self.bounds(l.subrange);
         match l.kind {
             LoopKind::Do => {
-                let (lo, hi) = self.bounds(l.subrange);
                 for i in lo..=hi {
                     // Counters live in flat per-equation slots: binding is
                     // an indexed store, no environment structure at all.
                     for &(eq, iv) in &l.bindings {
                         frames.set_iv(eq, iv, i);
                     }
-                    for d in &l.body {
-                        match d {
-                            Descriptor::Drain(spec) => self.run_drain(spec, i),
-                            other => {
-                                self.run_items_compiled(prog, std::slice::from_ref(other), frames)
-                            }
-                        }
-                    }
+                    self.run_items(prog, &l.body, frames, publish, Some(i));
                 }
             }
+            LoopKind::Doall if publish => self.publish_doall(prog, l, frames),
+            // Inline: no flattening, no chunk teardown, no allocation —
+            // bind counters in the caller's frames and walk the nest. The
+            // nested order equals the flattened row-major order, so outputs
+            // stay bit-identical; this is what keeps small solves cheap in
+            // compile-once / run-many serving.
             LoopKind::Doall => {
-                // Sequential executor: no flattening, no chunk teardown,
-                // no allocation — bind counters in the caller's frames
-                // and walk the nest inline. The nested order equals the
-                // flattened row-major order, so outputs stay bit-identical;
-                // this is what keeps small solves cheap in compile-once /
-                // run-many serving.
-                if self.executor.threads() == 1 {
-                    self.run_doall_compiled_inline(prog, l, frames);
+                // A single-equation body (the common innermost case) hoists
+                // the tape lookup out of the element loop.
+                if let [Descriptor::Equation(eq)] = &l.body[..] {
+                    prog.run_eq_range(*eq, &l.bindings, lo, hi, frames);
                     return;
                 }
-                let (chain, ranges, widths, total, innermost_body) =
-                    flatten_doall(l, |sr| self.bounds(sr));
-                if total <= 0 {
-                    return;
-                }
-                // Nested chains with enough work per outer iteration skip
-                // the flattened decomposition: workers claim chunks of the
-                // *outer* range and each chunk reuses the sequential inline
-                // nested walk (`run_eq_range` innermost fast path) — one
-                // frame clone per chunk, no per-element `div`/`mod`. Row-
-                // major element order per outer index is preserved, so
-                // outputs stay bit-identical to the flattened walk.
-                let inner_per_outer = total / widths[0].max(1);
-                if chain.len() > 1
-                    && inner_per_outer >= INLINE_NEST_MIN_INNER
-                    && widths[0] >= self.executor.threads() as i64
-                {
-                    let body_eqs = collect_equations(&l.body);
-                    let parent: &Frames = frames;
-                    let (lo0, hi0) = ranges[0];
-                    let _rspan = self.region_span(&l.body, total);
-                    self.executor.for_chunks(lo0, hi0, &|start, stop| {
-                        let mut local = parent.clone_for(&body_eqs);
-                        for i in start..stop {
-                            for &(eq, iv) in &l.bindings {
-                                local.set_iv(eq, iv, i);
-                            }
-                            self.run_items_compiled_inline(prog, &l.body, &mut local);
-                        }
-                    });
-                    return;
-                }
-                // Each chunk clones the body equations' frames once
-                // (inheriting outer DO counters and preloaded constants);
-                // the element loop then runs allocation-free.
-                let body_eqs = collect_equations(innermost_body);
-                let parent: &Frames = frames;
-                let _rspan = self.region_span(innermost_body, total);
-                self.executor.for_chunks(0, total - 1, &|start, stop| {
-                    let mut local = parent.clone_for(&body_eqs);
-                    for flat in start..stop {
-                        let mut rem = flat;
-                        for k in (0..chain.len()).rev() {
-                            let idx = ranges[k].0 + rem % widths[k];
-                            rem /= widths[k];
-                            for &(eq, iv) in &chain[k].bindings {
-                                local.set_iv(eq, iv, idx);
-                            }
-                        }
-                        self.run_items_compiled(prog, innermost_body, &mut local);
+                for i in lo..=hi {
+                    for &(eq, iv) in &l.bindings {
+                        frames.set_iv(eq, iv, i);
                     }
-                });
-            }
-        }
-    }
-
-    /// The sequential inline walk over `items`: every `DOALL` met below
-    /// here runs on the current thread. Used both by the sequential
-    /// executor and inside a pool worker's outer-range chunk. The
-    /// work-stealing pool does allow reentrant `for_chunks` from inside a
-    /// running chunk (it publishes a nested region), but at this
-    /// granularity the inline walk is the deliberate choice: the outer
-    /// region already saturates the pool, so nested publication would add
-    /// latch and steal traffic without exposing new parallelism.
-    fn run_items_compiled_inline(
-        &self,
-        prog: &ExecProg<'_, 'm>,
-        items: &[Descriptor],
-        frames: &mut Frames,
-    ) {
-        for d in items {
-            match d {
-                Descriptor::Equation(eq) => prog.run_eq(*eq, frames),
-                Descriptor::Loop(l) => match l.kind {
-                    LoopKind::Do => self.run_do_compiled_inline(prog, l, frames),
-                    LoopKind::Doall => self.run_doall_compiled_inline(prog, l, frames),
-                },
-                Descriptor::Drain(spec) => {
-                    panic!("drain over {} reached outside a time loop", spec.time_name)
+                    self.run_items(prog, &l.body, frames, false, None);
                 }
             }
         }
     }
 
-    fn run_do_compiled_inline(
-        &self,
-        prog: &ExecProg<'_, 'm>,
-        l: &LoopDescriptor,
-        frames: &mut Frames,
-    ) {
-        let (lo, hi) = self.bounds(l.subrange);
-        for i in lo..=hi {
-            for &(eq, iv) in &l.bindings {
-                frames.set_iv(eq, iv, i);
-            }
-            for d in &l.body {
-                match d {
-                    Descriptor::Drain(spec) => self.run_drain(spec, i),
-                    other => {
-                        self.run_items_compiled_inline(prog, std::slice::from_ref(other), frames)
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_doall_compiled_inline(
-        &self,
-        prog: &ExecProg<'_, 'm>,
-        l: &LoopDescriptor,
-        frames: &mut Frames,
-    ) {
-        let (lo, hi) = self.bounds(l.subrange);
-        // A single-equation body (the common innermost case) hoists the
-        // tape lookup out of the element loop.
-        if let [Descriptor::Equation(eq)] = &l.body[..] {
-            prog.run_eq_range(*eq, &l.bindings, lo, hi, frames);
+    /// Hand the `DOALL` nest rooted at `l` to the executor as one region.
+    fn publish_doall(&self, prog: &ExecProg<'_, 'm>, l: &LoopDescriptor, frames: &Frames) {
+        let (chain, ranges, widths, total, innermost_body) = flatten_doall(l, |sr| self.bounds(sr));
+        if total <= 0 {
             return;
         }
-        for i in lo..=hi {
-            for &(eq, iv) in &l.bindings {
-                frames.set_iv(eq, iv, i);
-            }
-            self.run_items_compiled_inline(prog, &l.body, frames);
+        // Nested chains with enough work per outer iteration skip the
+        // flattened decomposition: workers claim chunks of the *outer*
+        // range and each chunk walks the inner nest inline (`run_eq_range`
+        // innermost fast path) — one frame clone per chunk, no per-element
+        // `div`/`mod`. The work-stealing pool does allow reentrant
+        // `for_chunks` from inside a running chunk (it publishes a nested
+        // region), but the outer region already saturates the pool, so
+        // nested publication would add latch and steal traffic without
+        // exposing new parallelism. Row-major element order per outer
+        // index is preserved, so outputs stay bit-identical to the
+        // flattened walk.
+        let inner_per_outer = total / widths[0].max(1);
+        if chain.len() > 1
+            && inner_per_outer >= INLINE_NEST_MIN_INNER
+            && widths[0] >= self.executor.threads() as i64
+        {
+            let body_eqs = collect_equations(&l.body);
+            let (lo0, hi0) = ranges[0];
+            let _rspan = self.region_span(&body_eqs, total);
+            self.executor.for_chunks(lo0, hi0, &|start, stop| {
+                let mut local = frames.clone_for(&body_eqs);
+                for i in start..stop {
+                    for &(eq, iv) in &l.bindings {
+                        local.set_iv(eq, iv, i);
+                    }
+                    self.run_items(prog, &l.body, &mut local, false, None);
+                }
+            });
+            return;
         }
-    }
-
-    // ---- tree-walk engine ----
-
-    pub(crate) fn run_items(&self, items: &[Descriptor], st: &mut TreeState) {
-        for d in items {
-            match d {
-                Descriptor::Equation(eq) => self.run_equation(*eq, st),
-                Descriptor::Loop(l) => self.run_loop(l, st),
-                Descriptor::Drain(spec) => {
-                    panic!("drain over {} reached outside a time loop", spec.time_name)
+        // Each chunk clones the body equations' frames once (inheriting
+        // outer DO counters and preloaded constants); the element loop
+        // then runs allocation-free.
+        let body_eqs = collect_equations(innermost_body);
+        let _rspan = self.region_span(&body_eqs, total);
+        self.executor.for_chunks(0, total - 1, &|start, stop| {
+            let mut local = frames.clone_for(&body_eqs);
+            for flat in start..stop {
+                let mut rem = flat;
+                for k in (0..chain.len()).rev() {
+                    let idx = ranges[k].0 + rem % widths[k];
+                    rem /= widths[k];
+                    for &(eq, iv) in &chain[k].bindings {
+                        local.set_iv(eq, iv, idx);
+                    }
                 }
+                self.run_items(prog, innermost_body, &mut local, true, None);
             }
-        }
-    }
-
-    fn run_loop(&self, l: &LoopDescriptor, st: &mut TreeState) {
-        match l.kind {
-            LoopKind::Do => {
-                let (lo, hi) = self.bounds(l.subrange);
-                // Like the DOALL path: push binding slots once, overwrite
-                // them per iteration, truncate afterwards — no per-iteration
-                // environment clone.
-                let base = st.env.len();
-                let slots: Vec<usize> = l
-                    .bindings
-                    .iter()
-                    .map(|&(eq, iv)| st.env.push_slot(eq, iv))
-                    .collect();
-                for i in lo..=hi {
-                    for &slot in &slots {
-                        st.env.set_slot(slot, i);
-                    }
-                    // A DO body may contain a Drain, which needs the time
-                    // index: handle it inline here.
-                    for d in &l.body {
-                        match d {
-                            Descriptor::Drain(spec) => self.run_drain(spec, i),
-                            other => self.run_items(std::slice::from_ref(other), st),
-                        }
-                    }
-                }
-                st.env.truncate(base);
-            }
-            LoopKind::Doall => {
-                // Sequential executor: bind slots in the caller's
-                // environment and recurse (mirrors the compiled engine's
-                // inline fast path; same element order, bit-identical).
-                if self.executor.threads() == 1 {
-                    let (lo, hi) = self.bounds(l.subrange);
-                    let base = st.env.len();
-                    let slots: Vec<usize> = l
-                        .bindings
-                        .iter()
-                        .map(|&(eq, iv)| st.env.push_slot(eq, iv))
-                        .collect();
-                    for i in lo..=hi {
-                        for &slot in &slots {
-                            st.env.set_slot(slot, i);
-                        }
-                        self.run_items(&l.body, st);
-                    }
-                    st.env.truncate(base);
-                    return;
-                }
-                let (chain, ranges, widths, total, innermost_body) =
-                    flatten_doall(l, |sr| self.bounds(sr));
-                if total <= 0 {
-                    return;
-                }
-                // One environment per chunk: binding slots are created once
-                // and overwritten per element (hot path).
-                let parent: &TreeState = st;
-                self.executor.for_chunks(0, total - 1, &|start, stop| {
-                    let mut local = parent.clone();
-                    // Slot layout: per chain level, one slot per binding.
-                    let mut slots: Vec<Vec<usize>> = Vec::with_capacity(chain.len());
-                    for level in &chain {
-                        slots.push(
-                            level
-                                .bindings
-                                .iter()
-                                .map(|&(eq, iv)| local.env.push_slot(eq, iv))
-                                .collect(),
-                        );
-                    }
-                    for flat in start..stop {
-                        let mut rem = flat;
-                        for k in (0..chain.len()).rev() {
-                            let idx = ranges[k].0 + rem % widths[k];
-                            rem /= widths[k];
-                            for &slot in &slots[k] {
-                                local.env.set_slot(slot, idx);
-                            }
-                        }
-                        self.run_items(innermost_body, &mut local);
-                    }
-                });
-            }
-        }
-    }
-
-    fn run_equation(&self, eq_id: EqId, st: &mut TreeState) {
-        let eq = &self.module().equations[eq_id];
-        let value = eval(self.store, eq_id, eq, &st.env, &mut st.scratch, &eq.rhs);
-        match eq.lhs_field {
-            Some(fidx) => self.store.write_scalar(eq.lhs, fidx + 1, value),
-            None => {
-                if eq.lhs_subs.is_empty() {
-                    self.store.write_scalar(eq.lhs, 0, value);
-                } else {
-                    let mut index = st.scratch.take();
-                    for s in &eq.lhs_subs {
-                        index.push(match s {
-                            LhsSub::Const(a) => a
-                                .eval(&self.store.params)
-                                .unwrap_or_else(|| panic!("cannot evaluate {a}")),
-                            LhsSub::Var(iv) => st.env.lookup(eq_id, *iv),
-                        });
-                    }
-                    self.store.array(eq.lhs).write(&index, value);
-                    st.scratch.put(index);
-                }
-            }
-        }
+        });
     }
 
     /// The windowed-hyperplane drain: copy finished elements of the
@@ -530,41 +312,36 @@ impl<'a, 'm> Interp<'a, 'm> {
         if total <= 0 {
             return;
         }
+        let eval = |a: &ps_lang::Affine| {
+            a.eval(&self.store.params)
+                .unwrap_or_else(|| panic!("cannot evaluate {a}"))
+        };
         let bounds: Vec<(i64, i64)> = spec
             .original_bounds
             .iter()
-            .map(|(lo, hi)| {
-                (
-                    lo.eval(&self.store.params)
-                        .unwrap_or_else(|| panic!("cannot evaluate {lo}")),
-                    hi.eval(&self.store.params)
-                        .unwrap_or_else(|| panic!("cannot evaluate {hi}")),
-                )
-            })
+            .map(|(lo, hi)| (eval(lo), eval(hi)))
             .collect();
+        let rests: Vec<i64> = spec.original.iter().map(|(_, rest)| eval(rest)).collect();
 
         self.executor.for_chunks(0, total - 1, &|start, stop| {
             let n_inner = widths.len();
-            let mut inner_idx = vec![0i64; n_inner];
-            let mut loop_vals = vec![0i64; 1 + n_inner];
-            let mut original = vec![0i64; spec.original.len()];
+            // Transformed point [t, inner...]: the loop values and the
+            // source index are the same vector.
             let mut src_index = vec![0i64; 1 + n_inner];
+            src_index[0] = t;
+            let mut original = vec![0i64; spec.original.len()];
+            let mut dst_index = Vec::with_capacity(spec.original.len());
             'elem: for flat in start..stop {
                 let mut rem = flat;
                 for k in (0..n_inner).rev() {
-                    inner_idx[k] = ranges[k].0 + rem % widths[k];
+                    src_index[1 + k] = ranges[k].0 + rem % widths[k];
                     rem /= widths[k];
                 }
-                // Transformed point [t, inner...] → original coordinates.
-                loop_vals[0] = t;
-                loop_vals[1..].copy_from_slice(&inner_idx);
-                for (o, (coeffs, rest)) in original.iter_mut().zip(&spec.original) {
-                    *o = rest.eval(&self.store.params).unwrap_or(0)
-                        + coeffs
-                            .iter()
-                            .zip(&loop_vals)
-                            .map(|(c, v)| c * v)
-                            .sum::<i64>();
+                // Through the inverse transform: original coordinates.
+                for ((o, (coeffs, _)), rest) in original.iter_mut().zip(&spec.original).zip(&rests)
+                {
+                    let dot: i64 = coeffs.iter().zip(&src_index).map(|(c, v)| c * v).sum();
+                    *o = rest + dot;
                 }
                 for (k, &(lo, hi)) in bounds.iter().enumerate() {
                     if original[k] < lo || original[k] > hi {
@@ -574,31 +351,23 @@ impl<'a, 'm> Interp<'a, 'm> {
                 if original[spec.drain_dim] != bounds[spec.drain_dim].1 {
                     continue 'elem;
                 }
-                src_index[0] = t;
-                src_index[1..].copy_from_slice(&inner_idx);
                 let v = self.store.array(spec.src).read(&src_index);
-                let dst_index: Vec<i64> = original
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| *k != spec.drain_dim)
-                    .map(|(_, &x)| x)
-                    .collect();
+                dst_index.clear();
+                dst_index.extend(
+                    (original.iter().enumerate())
+                        .filter(|(k, _)| *k != spec.drain_dim)
+                        .map(|(_, &x)| x),
+                );
                 self.store.array(spec.dst).write(&dst_index, v);
             }
         });
     }
 }
 
-/// Convenience used by tests and benches: read one element of an array
-/// through an equation-free context (inputs validation path).
-pub fn read_result(outputs: &Outputs, name: &str, index: &[i64]) -> Value {
-    outputs.array(name).get(index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::OwnedArray;
+    use crate::value::{OwnedArray, Value};
     use ps_depgraph::build_depgraph;
     use ps_executor::{Sequential, ThreadPool};
     use ps_lang::frontend;
@@ -683,28 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_tree_walk_agree_bitwise() {
+    fn compiled_and_naive_agree_bitwise() {
         let m = frontend(RELAXATION_V1).unwrap();
-        let dg = build_depgraph(&m);
-        let sched = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
-        let run = |engine| {
-            run_module(
-                &m,
-                &sched.flowchart,
-                &sched.memory,
-                &grid_inputs(6, 8),
-                &Sequential,
-                RuntimeOptions {
-                    engine,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let compiled = run(Engine::Compiled);
-        let tree = run(Engine::TreeWalk);
+        let naive = crate::naive::run_naive(&m, &grid_inputs(6, 8)).unwrap();
+        let compiled = run_relaxation(&Sequential, false);
         assert_eq!(
-            compiled.array("newA").max_abs_diff(tree.array("newA")),
+            compiled.array("newA").max_abs_diff(naive.array("newA")),
             0.0,
             "same operations in the same order, bit-identical"
         );

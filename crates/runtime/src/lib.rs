@@ -53,51 +53,47 @@
 //! assert_eq!(b.scalar("y").as_real(), 1.953125);
 //! ```
 //!
-//! # The two-engine design
+//! # One engine, one oracle
 //!
-//! Equation bodies execute under one of two engines, selected by
-//! `RuntimeOptions::engine`:
+//! **The engine.** Every scheduled equation is lowered **once per
+//! [`Program`]** to a flat postorder tape of typed instructions over
+//! untagged `f64`/`i64`/`bool` registers, with types synthesized ahead of
+//! time from the checked HIR. Module parameters live in *registers* bound
+//! at run start (pure-integer parameter expressions hoist into derived
+//! registers), so the tapes are valid for every parameter vector. Affine
+//! array subscripts strength-reduce — per cached parameter layout — into
+//! `base + Σ cᵢ·regᵢ` dot products against each array's *physical* layout
+//! (the window `mod` survives only for genuinely windowed dimensions), and
+//! loop counters are the leading registers of each equation's frame. An
+//! iteration is a non-recursive tape walk with direct buffer loads and
+//! stores and **zero per-iteration heap allocations** — the interpretive
+//! cost the paper's loop-level speedups would otherwise drown in.
+//! Single-equation innermost `DOALL` bodies go one step further and run
+//! **strip-mined**: a row segment resolves its branches once, and each
+//! fused op of the straight-line path they select is dispatched once per
+//! 64 iterations and applied to 64 lanes ([`Program::strip_report`] says
+//! which equations do, along which paths, and why the others do not).
 //!
-//! * **Compiled** (the default, [`interp::Engine::Compiled`]) — every
-//!   scheduled equation is lowered **once per [`Program`]** to a flat
-//!   postorder tape of typed instructions over untagged
-//!   `f64`/`i64`/`bool` registers, with types synthesized ahead of time
-//!   from the checked HIR. Module parameters live in *registers* bound at
-//!   run start (pure-integer parameter expressions hoist into derived
-//!   registers), so the tapes are valid for every parameter vector.
-//!   Affine array subscripts strength-reduce — per cached parameter
-//!   layout — into `base + Σ cᵢ·regᵢ` dot products against each array's
-//!   *physical* layout (the window `mod` survives only for genuinely
-//!   windowed dimensions), and loop counters are the leading registers of
-//!   each equation's frame. An iteration is a non-recursive tape walk
-//!   with direct buffer loads and stores and **zero per-iteration heap
-//!   allocations** — the interpretive cost the paper's loop-level
-//!   speedups would otherwise drown in. Single-equation innermost
-//!   `DOALL` bodies go one step further and run **strip-mined**: a row
-//!   segment resolves its branches once, and each fused op of the
-//!   straight-line path they select is dispatched once per 64 iterations
-//!   and applied to 64 lanes ([`Program::strip_report`] says which
-//!   equations do, along which paths, and why the others do not).
-//! * **TreeWalk** ([`interp::Engine::TreeWalk`]) — direct recursive
-//!   evaluation of the `HExpr` trees via [`eval`], with tagged [`Value`]
-//!   dispatch and an index-variable environment. Slower, but structurally
-//!   independent of the lowering pass, so it doubles as the differential
-//!   oracle for the compiled engine (the `engine_diff` suite asserts
-//!   bit-identical outputs on random programs and across one `Program`'s
-//!   sequential and concurrent runs).
-//!
-//! A third, fully independent path is [`naive`] — a demand-driven
-//! memoizing evaluator executing the nonprocedural semantics straight from
-//! the equations, with no scheduler involved: slow, sequential, and
-//! obviously correct; both scheduled engines are tested against it.
+//! **The oracle.** [`naive`] is a demand-driven memoizing evaluator
+//! executing the nonprocedural semantics straight from the equations:
+//! slow, sequential, and obviously correct. A schedule is only one legal
+//! order of evaluating the equations, so the oracle needs none: it shares
+//! with the engine nothing but `ps-lang` (the checked HIR), the
+//! [`Inputs`]/[`Outputs`]/[`Value`] types a caller hands over and gets
+//! back, and [`store::Store::bounds_of`] (declared array bounds) — no
+//! flowchart, no [`MemoryPlan`], no store, no tape. The differential suites
+//! (`engine_diff`, `strip_diff`) assert **bit-identical** outputs against
+//! it on random programs, on `Sequential` and on a pool, with and without
+//! `check_writes`, and across one `Program`'s sequential and concurrent
+//! runs; because the oracle has no schedule and no windows, a wrong
+//! `DO`/`DOALL` classification or an undersized window fails there too.
 //!
 //! Writes from `DOALL` iterations go through interior-mutability cells; the
 //! single-assignment discipline (enforced by the checker and the scheduler)
 //! guarantees disjointness. `RuntimeOptions::check_writes` additionally
 //! tags every physical slot with the logical index it holds, catching both
-//! double writes and window-eviction races in tests — under **either**
-//! engine: the tree-walker checks in its store accessors, the compiled
-//! engine in its checked tape mode.
+//! double writes and window-eviction races in tests: the tapes run in a
+//! checked mode that maintains the tags inline.
 //!
 //! # Static verification ([`analysis`])
 //!
@@ -118,7 +114,6 @@
 
 pub mod analysis;
 mod compiled;
-pub mod eval;
 pub mod interp;
 pub mod naive;
 pub mod ndarray;
@@ -128,7 +123,7 @@ mod strip;
 pub mod value;
 
 pub use analysis::analyze_compiled;
-pub use interp::{run_module, AnalysisLevel, Engine, RuntimeOptions};
+pub use interp::{run_module, AnalysisLevel, RuntimeOptions};
 pub use naive::run_naive;
 pub use program::{Program, RunSession};
 pub use ps_analyze::{Report as AnalysisReport, Verdict as AnalysisVerdict};

@@ -320,8 +320,8 @@ impl<'m> Oracle<'m> {
 }
 
 fn naive_binary(op: BinOp, l: Value, r: Value) -> Value {
-    // Same semantics as the scheduled evaluator; duplicated to keep the
-    // oracle a fully independent code path for differential testing.
+    // The language's scalar semantics on tagged values; the tapes state
+    // the same table on typed registers, sharing no code with this one.
     use Value::*;
     match op {
         BinOp::Add => match (l, r) {
@@ -402,6 +402,63 @@ fn naive_call(builtin: Builtin, args: &[Value]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn binary_semantics() {
+        use Value::{Bool, Int, Real};
+        assert_eq!(naive_binary(BinOp::Add, Int(2), Int(3)), Int(5));
+        assert_eq!(naive_binary(BinOp::Div, Real(1.0), Real(4.0)), Real(0.25));
+        // `div`/`mod` are euclidean: the remainder is never negative,
+        // whatever the signs of the operands.
+        let cases = [
+            (7, 2, 3, 1),
+            (-7, 2, -4, 1),
+            (7, -2, -3, 1),
+            (-7, -2, 4, 1),
+            (-1, 3, -1, 2),
+        ];
+        for (a, b, q, r) in cases {
+            assert_eq!(naive_binary(BinOp::IntDiv, Int(a), Int(b)), Int(q));
+            assert_eq!(naive_binary(BinOp::Mod, Int(a), Int(b)), Int(r));
+        }
+        assert_eq!(naive_binary(BinOp::Le, Real(1.0), Real(1.0)), Bool(true));
+        assert_eq!(naive_binary(BinOp::Lt, Bool(false), Bool(true)), Bool(true));
+    }
+
+    #[test]
+    fn builtins() {
+        use Value::{Int, Real};
+        assert_eq!(naive_call(Builtin::Abs, &[Int(-3)]), Int(3));
+        assert_eq!(naive_call(Builtin::Abs, &[Real(-0.0)]), Real(0.0));
+        assert_eq!(naive_call(Builtin::Max, &[Real(1.0), Real(2.0)]), Real(2.0));
+        assert_eq!(naive_call(Builtin::Min, &[Int(-4), Int(3)]), Int(-4));
+        // `min`/`max` drop a NaN operand, as `f64::min`/`f64::max` do.
+        assert_eq!(
+            naive_call(Builtin::Min, &[Real(f64::NAN), Real(2.0)]),
+            Real(2.0)
+        );
+        assert_eq!(
+            naive_call(Builtin::Max, &[Real(2.0), Real(f64::NAN)]),
+            Real(2.0)
+        );
+        assert_eq!(naive_call(Builtin::Sqrt, &[Real(9.0)]), Real(3.0));
+        assert!(naive_call(Builtin::Sqrt, &[Real(-1.0)]).as_real().is_nan());
+        assert_eq!(naive_call(Builtin::Round, &[Real(2.6)]), Int(3));
+        assert_eq!(naive_call(Builtin::Trunc, &[Real(-2.6)]), Int(-2));
+        assert_eq!(naive_call(Builtin::RealFn, &[Int(2)]), Real(2.0));
+    }
+
+    #[test]
+    fn nan_comparisons() {
+        let nan = Value::Real(f64::NAN);
+        let one = Value::Real(1.0);
+        assert_eq!(naive_binary(BinOp::Ne, nan, nan), Value::Bool(true));
+        for op in [BinOp::Eq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
+            assert_eq!(naive_binary(op, nan, nan), Value::Bool(false));
+            assert_eq!(naive_binary(op, nan, one), Value::Bool(false));
+            assert_eq!(naive_binary(op, one, nan), Value::Bool(false));
+        }
+    }
 
     #[test]
     fn oracle_computes_recurrence() {

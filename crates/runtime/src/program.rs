@@ -31,7 +31,7 @@
 
 use crate::analysis::analyze_tapes;
 use crate::compiled::{compile_tapes, specialize, ExecProg, Frames, Spec, Tapes};
-use crate::interp::{AnalysisLevel, Engine, Interp, RuntimeOptions, TreeState};
+use crate::interp::{AnalysisLevel, Interp, RuntimeOptions};
 use crate::store::{Inputs, Outputs, RuntimeError, Store, StoreArena, StorePlan};
 use crate::strip::StripVerdict;
 use ps_executor::Executor;
@@ -49,7 +49,7 @@ use std::time::Instant;
 const RUN_POOL_CAP: usize = 16;
 
 /// One run's worth of recyclable state. `frames` is `None` until the
-/// slot's first compiled run builds them.
+/// slot's first run builds them.
 #[derive(Default)]
 struct RunSlot {
     arena: StoreArena,
@@ -74,8 +74,7 @@ pub struct Program<'m> {
     flowchart: Cow<'m, Flowchart>,
     plan: StorePlan,
     options: RuntimeOptions,
-    /// `None` under [`Engine::TreeWalk`] (the oracle needs no tapes).
-    tapes: Option<Tapes>,
+    tapes: Tapes,
     /// Per-`DataId` tag-elision mask from [`AnalysisLevel::Verify`]:
     /// arrays the static verifier proved safe skip checked-write tags
     /// and runtime bounds dims. `None` when analysis is off.
@@ -98,8 +97,8 @@ pub struct Program<'m> {
 }
 
 impl<'m> Program<'m> {
-    /// Compile the reusable artifact: layout planning plus (under the
-    /// compiled engine) tape lowering and validation.
+    /// Compile the reusable artifact: layout planning plus tape lowering
+    /// and validation.
     ///
     /// Panics if [`AnalysisLevel::Verify`] rejects the program; use
     /// [`Program::try_new`] to receive the diagnostics instead.
@@ -154,20 +153,17 @@ impl<'m> Program<'m> {
         options: RuntimeOptions,
     ) -> Result<Program<'m>, RuntimeError> {
         let plan = StorePlan::new(&module, memory);
-        let tapes = (options.engine == Engine::Compiled).then(|| {
-            let mut tapes = compile_tapes(&module, &plan, &flowchart, options.check_writes, true);
-            tapes.plan_strips(&module, &plan, &flowchart);
-            tapes
-        });
-        let verified = match (&tapes, options.analysis) {
-            (Some(tapes), AnalysisLevel::Verify) => {
-                let outcome = analyze_tapes(&module, &flowchart, &plan, tapes);
+        let mut tapes = compile_tapes(&module, &plan, &flowchart, options.check_writes, true);
+        tapes.plan_strips(&module, &plan, &flowchart);
+        let verified = match options.analysis {
+            AnalysisLevel::Verify => {
+                let outcome = analyze_tapes(&module, &flowchart, &plan, &tapes);
                 if outcome.report.has_errors() {
                     return Err(RuntimeError(outcome.report.render()));
                 }
                 Some(outcome.verified)
             }
-            _ => None,
+            AnalysisLevel::Off => None,
         };
         let key_syms = module
             .scalar_int_params()
@@ -219,12 +215,9 @@ impl<'m> Program<'m> {
     /// `stripped along J — 2 paths: copy(1), compute(5)` (the straight-line
     /// bodies its branches select between and the ops a strip dispatches
     /// for each) or `scalar: <reason>` — the strip walker's eligibility
-    /// decision, taken once when the tapes were lowered. Empty under
-    /// [`Engine::TreeWalk`], which has no tapes.
+    /// decision, taken once when the tapes were lowered.
     pub fn strip_report(&self) -> Vec<(String, StripVerdict)> {
-        self.tapes.as_ref().map_or_else(Vec::new, |tapes| {
-            tapes.strip_report(&self.module, &self.flowchart)
-        })
+        self.tapes.strip_report(&self.module, &self.flowchart)
     }
 
     /// The module this program executes.
@@ -259,39 +252,6 @@ impl<'m> Program<'m> {
     /// Execute one run against `inputs`. Reentrant: any number of runs
     /// may execute concurrently on one shared `&Program`.
     pub fn run(&self, inputs: &Inputs, executor: &dyn Executor) -> Result<Outputs, RuntimeError> {
-        match &self.tapes {
-            None => self.run_tree(inputs, executor),
-            Some(tapes) => self.run_compiled(tapes, inputs, executor),
-        }
-    }
-
-    /// The tree-walk oracle path: structurally independent of the tapes,
-    /// deliberately unpooled (it exists to cross-check, not to serve).
-    fn run_tree(&self, inputs: &Inputs, executor: &dyn Executor) -> Result<Outputs, RuntimeError> {
-        let store = self.plan.instantiate(
-            &self.module,
-            inputs,
-            self.options.check_writes,
-            &mut StoreArena::default(),
-        )?;
-        {
-            let cx = Interp {
-                store: &store,
-                executor,
-                eq_labels: &self.eq_labels,
-            };
-            let mut st = TreeState::default();
-            cx.run_items(&self.flowchart.items, &mut st);
-        }
-        Ok(store.into_outputs())
-    }
-
-    fn run_compiled(
-        &self,
-        tapes: &Tapes,
-        inputs: &Inputs,
-        executor: &dyn Executor,
-    ) -> Result<Outputs, RuntimeError> {
         // Claim a pooled run slot (or start fresh); the lock is released
         // before any real work so concurrent runs don't serialize. The
         // slot goes back to the pool even when the run errors (a failing
@@ -302,7 +262,7 @@ impl<'m> Program<'m> {
             .expect("run pool poisoned")
             .pop()
             .unwrap_or_default();
-        let result = self.run_in_slot(tapes, inputs, executor, &mut slot);
+        let result = self.run_in_slot(inputs, executor, &mut slot);
         let mut pool = self.pool.lock().expect("run pool poisoned");
         if pool.len() < RUN_POOL_CAP {
             pool.push(slot);
@@ -312,7 +272,6 @@ impl<'m> Program<'m> {
 
     fn run_in_slot(
         &self,
-        tapes: &Tapes,
         inputs: &Inputs,
         executor: &dyn Executor,
         slot: &mut RunSlot,
@@ -320,6 +279,7 @@ impl<'m> Program<'m> {
         // Frames (and their lane files) live as long as the slot: built
         // before the store's buffers, for the reason given where
         // `instantiate_masked` sizes the result maps.
+        let tapes = &self.tapes;
         let frames = slot.frames.get_or_insert_with(|| Frames::new(tapes));
         let store = self.plan.instantiate_masked(
             &self.module,
@@ -337,7 +297,7 @@ impl<'m> Program<'m> {
                 executor,
                 eq_labels: &self.eq_labels,
             };
-            cx.run_items_compiled(&view, &self.flowchart.items, frames);
+            cx.run(&view, &self.flowchart.items, frames);
         }
         Ok(store.into_outputs_into(&mut slot.arena))
     }
@@ -448,18 +408,13 @@ impl<'p, 'm> RunSession<'p, 'm> {
         inputs: &Inputs,
         executor: &dyn Executor,
     ) -> Result<Outputs, RuntimeError> {
-        match &self.prog.tapes {
-            None => self.prog.run_tree(inputs, executor),
-            Some(tapes) => {
-                let mut slot = self.slot.take().unwrap_or_default();
-                let result = self.prog.run_in_slot(tapes, inputs, executor, &mut slot);
-                // Only reached when the run did not panic; errors still
-                // recycle the slot (a failing request must not degrade
-                // later runs' pooling).
-                self.slot = Some(slot);
-                result
-            }
-        }
+        let mut slot = self.slot.take().unwrap_or_default();
+        let result = self.prog.run_in_slot(inputs, executor, &mut slot);
+        // Only reached when the run did not panic; errors still recycle
+        // the slot (a failing request must not degrade later runs'
+        // pooling).
+        self.slot = Some(slot);
+        result
     }
 }
 

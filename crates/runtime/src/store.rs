@@ -546,10 +546,6 @@ impl<'m> Store<'m> {
             })
     }
 
-    pub fn write_scalar(&self, id: DataId, field: usize, v: Value) {
-        self.write_slot(self.slot_index(id, field), v);
-    }
-
     /// The current values of the scalar parameters in `table` order (the
     /// compiled engine's parameter-register preload source).
     pub(crate) fn param_values(&self, table: &[DataId]) -> Vec<Value> {

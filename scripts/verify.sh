@@ -6,9 +6,12 @@
 #
 # Runs: the `unsafe` allowlist (the files that may contain unsafe code are
 # named here, so the set can only shrink), release build, the full test
-# suite (unit + integration + doc), the executor schedule-stress suite (explicitly, so a pool regression
-# names itself), the service/TCP concurrency suites (overlapping solves,
-# bounded-queue shedding, cross-connection shutdown drain), the seeded
+# suite (unit + integration + doc), the differential suites against the
+# `run_naive` oracle (`engine_diff`, `strip_diff`: explicitly, so a tape,
+# strip, schedule or window regression names itself), the executor
+# schedule-stress suite (likewise for a pool regression), the service/TCP
+# concurrency suites (overlapping solves, bounded-queue shedding,
+# cross-connection shutdown drain), the seeded
 # chaos suite (fault injection across service, executor, and TCP), the
 # benchmark smoke pass (structural figure assertions),
 # a bench-JSON smoke step (including the ps-trace overhead contract), a
@@ -19,8 +22,9 @@
 # native kernels at the real problem size) and its own tests, docs with
 # warnings denied, and rustfmt.
 #
-# The stress/TCP/chaos suites run under a hang watchdog: a wedged drain or
-# a deadlocked pool fails the gate with a kill instead of hanging CI.
+# The differential/stress/TCP/chaos suites run under a hang watchdog: a
+# wedged drain or a deadlocked pool fails the gate with a kill instead of
+# hanging CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +53,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 bounded 1800 cargo test -q --offline
 
+echo "==> cargo test -q --offline --test engine_diff --test strip_diff (bit-identical to the oracle)"
+bounded 600 cargo test -q --offline --test engine_diff --test strip_diff
+
 echo "==> cargo test -q --offline --test executor_stress (exactly-once accounting)"
 bounded 600 cargo test -q --offline --test executor_stress
 
@@ -76,12 +83,12 @@ PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
 grep -q '"benchmarks"' "$json_out" && grep -q '"median_ns"' "$json_out" \
     || { echo "bench-json smoke: $json_out missing expected fields" >&2; exit 1; }
 
-echo "==> bench-JSON smoke (exec_eval: engine comparison + batching fields)"
+echo "==> bench-JSON smoke (exec_eval: oracle-checked rows + batching fields)"
 json_out="$PWD/target/bench_eval_smoke.json"
 rm -f "$json_out"
 PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
     cargo bench --offline --bench exec_eval -- --bench-json "$json_out" >/dev/null
-grep -q 'jacobi/compiled' "$json_out" && grep -q 'jacobi/treewalk' "$json_out" \
+grep -q 'jacobi/compiled' "$json_out" && grep -q 'wavefront/compiled' "$json_out" \
     && grep -q 'pipeline/checked_elide' "$json_out" \
     && grep -q '"batch"' "$json_out" && grep -q '"rejected_outliers"' "$json_out" \
     || { echo "bench-json smoke: $json_out missing expected fields" >&2; exit 1; }

@@ -10,8 +10,8 @@
 //! any per-iteration allocation in the tape walk would show up directly.
 
 use ps_core::{
-    analyze, compile, execute, programs, Compilation, CompileOptions, Engine, Inputs, OwnedArray,
-    Program, RuntimeOptions, Sequential, StorageMode,
+    analyze, compile, execute, programs, Compilation, CompileOptions, Inputs, OwnedArray, Program,
+    RuntimeOptions, Sequential, StorageMode,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,17 +59,8 @@ fn grid_inputs(m: i64, maxk: i64) -> Inputs {
         )
 }
 
-fn run(comp: &Compilation, inputs: &Inputs, engine: Engine) {
-    execute(
-        comp,
-        inputs,
-        &Sequential,
-        RuntimeOptions {
-            engine,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+fn run(comp: &Compilation, inputs: &Inputs) {
+    execute(comp, inputs, &Sequential, RuntimeOptions::default()).unwrap();
 }
 
 /// Same region structure, vastly different element counts: the compiled
@@ -84,11 +75,11 @@ fn doall_elements_are_allocation_free() {
     let large = grid_inputs(24, maxk);
     // Warm both shapes once: first-use interning and lazy one-time setup
     // must not pollute the measured runs.
-    run(&comp, &small, Engine::Compiled);
-    run(&comp, &large, Engine::Compiled);
+    run(&comp, &small);
+    run(&comp, &large);
 
-    let a_small = allocs_during(|| run(&comp, &small, Engine::Compiled));
-    let a_large = allocs_during(|| run(&comp, &large, Engine::Compiled));
+    let a_small = allocs_during(|| run(&comp, &small));
+    let a_large = allocs_during(|| run(&comp, &large));
     assert_eq!(
         a_small, a_large,
         "allocation count must not depend on the DOALL element count \
@@ -129,8 +120,8 @@ fn program_second_run_does_no_lowering_allocations() {
     );
     // The compile-per-call path pays lowering + validation + fresh-store
     // allocation on every call.
-    run(&comp, &inputs, Engine::Compiled); // warm interning etc.
-    let per_call = allocs_during(|| run(&comp, &inputs, Engine::Compiled));
+    run(&comp, &inputs); // warm interning etc.
+    let per_call = allocs_during(|| run(&comp, &inputs));
     assert!(
         steady[0] * 2 < per_call,
         "pooled Program::run ({}) must allocate less than half of the \
@@ -155,11 +146,11 @@ fn do_iterations_cost_constant_allocations() {
     let m = 8;
     let inputs: Vec<Inputs> = [8, 16, 32, 64].iter().map(|&k| grid_inputs(m, k)).collect();
     for i in &inputs {
-        run(&comp, i, Engine::Compiled);
+        run(&comp, i);
     }
     let counts: Vec<usize> = inputs
         .iter()
-        .map(|i| allocs_during(|| run(&comp, i, Engine::Compiled)))
+        .map(|i| allocs_during(|| run(&comp, i)))
         .collect();
     // Per-DO-iteration deltas: 8→16, 16→32, 32→64 double the added
     // iterations, so the deltas must double too (pure linearity).

@@ -1,12 +1,16 @@
-//! Differential property suite for the two evaluation engines.
+//! Differential property suite: the scheduled engine against the oracle.
 //!
 //! Random PS programs — 1-D recurrences with mixed real/int/bool bodies
 //! (if-chains, short-circuit `and`/`or`, builtins, guarded `div`/`mod`,
 //! dynamic subscripts, windowed and full storage) plus 2-D guarded grids —
-//! run through both `Engine::Compiled` and `Engine::TreeWalk`, and through
-//! the compiled engine on a thread pool. Outputs must be **bit-identical**:
-//! the compiled tape preserves the tree-walker's operation order exactly,
-//! so even NaN/infinity propagation must match to the last bit.
+//! run through the compiled engine (on `Sequential`, on a thread pool, and
+//! with `check_writes`) and through `run_naive`, which evaluates the
+//! equations on demand with no schedule, window or tape. Outputs must be
+//! **bit-identical**: a tape performs an equation's operations in the
+//! post-order of its `HExpr`, as the oracle does, so even NaN/infinity
+//! propagation must match to the last bit — and because the oracle shares
+//! neither the flowchart nor the memory plan, a wrong schedule or an
+//! undersized window shows up here too.
 //!
 //! Driven by the shrinking `ps_support::rng::check` harness: a failure is
 //! greedily minimized (operator chains halved, then bisected) and reported
@@ -18,28 +22,32 @@ mod generators;
 
 use generators::{arb_chain, arb_grid, assert_bits_eq, shrink_chain, shrink_grid, GridProgram};
 use ps_core::{
-    compile, execute, Compilation, CompileOptions, Engine, Inputs, Outputs, OwnedArray, Program,
+    compile, execute, run_naive, Compilation, CompileOptions, Inputs, Outputs, OwnedArray, Program,
     RuntimeOptions, Sequential, ThreadPool,
 };
 use ps_support::rng::{check, shrink_vec};
 use ps_support::Lcg;
 
-/// Run `comp` under tree-walk/sequential, compiled/sequential and
-/// compiled/pooled; all three must agree bit-for-bit.
+/// Run `comp` compiled/sequential, compiled/pooled and compiled with
+/// `check_writes`; all three must agree bit-for-bit with the oracle.
 fn run_all_engines(comp: &Compilation, inputs: &Inputs) -> Result<(), String> {
-    let opts = |engine| RuntimeOptions {
-        engine,
-        ..Default::default()
-    };
-    let tree = execute(comp, inputs, &Sequential, opts(Engine::TreeWalk))
-        .map_err(|e| format!("tree-walk: {e}"))?;
-    let compiled = execute(comp, inputs, &Sequential, opts(Engine::Compiled))
-        .map_err(|e| format!("compiled: {e}"))?;
-    assert_bits_eq("compiled vs tree-walk", &compiled, &tree)?;
+    let naive = run_naive(&comp.module, inputs).map_err(|e| format!("naive: {e}"))?;
     let pool = ThreadPool::new(3);
-    let par = execute(comp, inputs, &pool, opts(Engine::Compiled))
-        .map_err(|e| format!("compiled/pool: {e}"))?;
-    assert_bits_eq("compiled pooled vs sequential", &par, &compiled)
+    let plain = RuntimeOptions::default();
+    let checked = RuntimeOptions {
+        check_writes: true,
+        ..plain
+    };
+    let legs: [(&str, &dyn ps_core::Executor, RuntimeOptions); 3] = [
+        ("compiled", &Sequential, plain),
+        ("compiled pooled", &pool, plain),
+        ("compiled checked", &Sequential, checked),
+    ];
+    for (leg, executor, options) in legs {
+        let out = execute(comp, inputs, executor, options).map_err(|e| format!("{leg}: {e}"))?;
+        assert_bits_eq(&format!("{leg} vs naive"), &out, &naive)?;
+    }
+    Ok(())
 }
 
 #[test]
@@ -55,7 +63,7 @@ fn random_chains_are_bit_identical_across_engines() {
 
 /// A random batch of parameter vectors for the fixed grid program: one
 /// `Program` must serve all of them — sequentially *and* concurrently —
-/// each run bit-identical to a fresh tree-walk execution.
+/// each run bit-identical to the oracle's answer for that vector.
 #[derive(Clone, Debug)]
 struct ParamBatch {
     vecs: Vec<(i64, i64)>,
@@ -92,21 +100,11 @@ fn one_program_many_runs_bit_identical() {
     let comp = compile(&src, CompileOptions::default()).expect("grid compiles");
     check(0xd1ff_e4e3, 6, arb, shrink, |batch| {
         let prog = Program::compile(&comp, RuntimeOptions::default());
-        // Fresh tree-walk oracle per vector.
         let oracles: Vec<Outputs> = batch
             .vecs
             .iter()
             .map(|&(m, maxk)| {
-                execute(
-                    &comp,
-                    &grid_param_inputs(m, maxk),
-                    &Sequential,
-                    RuntimeOptions {
-                        engine: Engine::TreeWalk,
-                        ..Default::default()
-                    },
-                )
-                .expect("oracle runs")
+                run_naive(&comp.module, &grid_param_inputs(m, maxk)).expect("oracle runs")
             })
             .collect();
         // Sequential pass: every vector twice (the second run of each
@@ -117,7 +115,7 @@ fn one_program_many_runs_bit_identical() {
                     .run(&grid_param_inputs(m, maxk), &Sequential)
                     .map_err(|e| format!("program run: {e}"))?;
                 assert_bits_eq(
-                    &format!("program vs tree-walk (round {round}, vec {ix})"),
+                    &format!("program vs naive (round {round}, vec {ix})"),
                     &out,
                     &oracles[ix],
                 )?;
@@ -166,4 +164,46 @@ fn random_grids_are_bit_identical_across_engines() {
         let comp = compile(&src, CompileOptions::default()).map_err(|e| format!("{e}\n{src}"))?;
         run_all_engines(&comp, &generators::grid_inputs(5, 5)).map_err(|e| format!("{e}\n{src}"))
     });
+}
+
+/// Fixed operands the generators never draw: negative divisors and
+/// dividends under `div`/`mod`, every comparison against a NaN, an `and`
+/// guard whose right side decides, signed zeros and infinities through
+/// `min`/`max`/`abs`/`sqrt`.
+#[test]
+fn semantic_corners_match_the_oracle() {
+    let src = "Corners: module (xs: array[I] of real; ys: array[I] of real;
+                         ps: array[I] of int; qs: array[I] of int; n: int):
+             [q: array[I] of int; r: array[I] of int; cmp: array[I] of int;
+              lo: array[I] of real; hi: array[I] of real; mag: array[I] of real;
+              root: array[I] of real; ilo: array[I] of int; ihi: array[I] of int];
+         type I = 1 .. n;
+         define
+            q[I] = ps[I] div qs[I];
+            r[I] = ps[I] mod qs[I];
+            cmp[I] = (if xs[I] = ys[I] then 1 else 0) + (if xs[I] <> ys[I] then 2 else 0)
+                   + (if xs[I] < ys[I] then 4 else 0) + (if xs[I] <= ys[I] then 8 else 0)
+                   + (if xs[I] > ys[I] then 16 else 0) + (if xs[I] >= ys[I] then 32 else 0)
+                   + (if (xs[I] < ys[I]) and (ps[I] > qs[I]) then 64 else 0);
+            lo[I] = min(xs[I], ys[I]);
+            hi[I] = max(xs[I], ys[I]);
+            mag[I] = abs(xs[I]);
+            root[I] = sqrt(ys[I]);
+            ilo[I] = min(ps[I], abs(qs[I]));
+            ihi[I] = max(ps[I], -qs[I]);
+         end Corners;";
+    let comp = compile(src, CompileOptions::default()).expect("corners compile");
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let xs = vec![nan, 1.0, nan, -0.0, 0.0, inf, -inf, -2.5];
+    let ys = vec![nan, nan, 1.0, 0.0, -0.0, inf, inf, -1.0];
+    let ps = vec![7, -7, 7, -7, 0, -1, i64::MAX, i64::MIN + 1];
+    let qs = vec![2, 2, -2, -2, -5, 3, -1, 7];
+    let n = xs.len() as i64;
+    let inputs = Inputs::new()
+        .set_int("n", n)
+        .set_array("xs", OwnedArray::real(vec![(1, n)], xs))
+        .set_array("ys", OwnedArray::real(vec![(1, n)], ys))
+        .set_array("ps", OwnedArray::int(vec![(1, n)], ps))
+        .set_array("qs", OwnedArray::int(vec![(1, n)], qs));
+    run_all_engines(&comp, &inputs).unwrap_or_else(|e| panic!("{e}"));
 }

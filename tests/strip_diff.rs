@@ -3,9 +3,10 @@
 //! Every case names the equations that must run strip-mined (checked
 //! against `Program::strip_report`, so a change to the eligibility rule
 //! cannot silently turn the suite into a scalar-vs-scalar comparison) and
-//! then demands **bit-identical** outputs from four runs: the compiled
-//! engine on `Sequential` and on `ThreadPool::new(2)`, the tree-walk
-//! engine, and the scheduler-independent `run_naive` oracle.
+//! then demands **bit-identical** outputs from the compiled engine on
+//! `Sequential` (twice, the second run on pooled frames) and on
+//! `ThreadPool::new(2)` and from the scheduler-independent `run_naive`
+//! oracle.
 //!
 //! Sizes straddle the strip width — rows of 1, 2, 3 and one below, at and
 //! above W and 2W cells — so segments end on, before and after strip edges,
@@ -19,8 +20,8 @@ mod generators;
 
 use generators::assert_bits_eq;
 use ps_core::{
-    compile, execute, programs, run_naive, CompileOptions, Engine, Inputs, OwnedArray, Program,
-    RuntimeOptions, ScalarReason, Sequential, StripVerdict, ThreadPool,
+    compile, programs, run_naive, CompileOptions, Inputs, OwnedArray, Program, RuntimeOptions,
+    ScalarReason, Sequential, StripVerdict, ThreadPool,
 };
 
 /// The strip walker's lane count (`ps_runtime`'s private `strip::W`).
@@ -49,16 +50,6 @@ fn check(case: &str, src: &str, inputs: &Inputs, stripped: &[&str]) {
         );
     }
     let naive = run_naive(&comp.module, inputs).unwrap_or_else(|e| panic!("{case}: naive: {e}"));
-    let tree = execute(
-        &comp,
-        inputs,
-        &Sequential,
-        RuntimeOptions {
-            engine: Engine::TreeWalk,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{case}: tree-walk: {e}"));
     let seq = prog
         .run(inputs, &Sequential)
         .unwrap_or_else(|e| panic!("{case}: strips: {e}"));
@@ -69,8 +60,6 @@ fn check(case: &str, src: &str, inputs: &Inputs, stripped: &[&str]) {
     // A second sequential run reuses the pooled frames and their lanes.
     let again = prog.run(inputs, &Sequential).unwrap();
     for (what, got) in [("sequential", &seq), ("pooled", &par), ("rerun", &again)] {
-        assert_bits_eq(&format!("{case}: {what} strips vs tree-walk"), got, &tree)
-            .unwrap_or_else(|e| panic!("{e}"));
         assert_bits_eq(&format!("{case}: {what} strips vs naive"), got, &naive)
             .unwrap_or_else(|e| panic!("{e}"));
     }
