@@ -1,37 +1,38 @@
 //! A minimal, std-only timing harness replacing `criterion`.
 //!
-//! Each bench target sets `harness = false` and drives a [`Harness`] from
-//! its `main`. Two modes:
+//! The `micro` bench target sets `harness = false` and drives one
+//! [`Harness`] from its `main`. Two modes:
 //!
 //! * **Full** (`cargo bench`, which passes `--bench` to the binary):
-//!   warmup runs followed by `N` timed samples per benchmark; reports
-//!   min / median / max wall-clock per iteration.
-//! * **Smoke** (`cargo test`, no `--bench` argument): every closure runs
-//!   exactly once so the structural assertions in each bench file stay
-//!   part of the test suite, without paying for timing.
+//!   warmup runs followed by `N` timed samples per row; reports quiet /
+//!   median / min / max wall-clock per iteration.
+//! * **Smoke** (`cargo test --benches`, no `--bench` argument): every
+//!   closure runs exactly once, so the assertions inside the timed
+//!   closures stay part of the test suite without paying for timing.
 //!
-//! Two accuracy mechanisms (full mode):
+//! **Iteration batching** (full mode): a calibration run sizes a batch of
+//! `B` closure calls per `Instant` sample so each sample is well above the
+//! clock resolution; reported durations are per iteration (`elapsed / B`).
 //!
-//! * **Iteration batching** — a calibration run sizes a batch of `B`
-//!   closure calls per `Instant` sample so each sample is well above the
-//!   clock resolution; reported durations are per-iteration (`elapsed / B`).
-//!   Sub-microsecond benches (`solve_time_vector` and friends) would
-//!   otherwise sit at the timer floor.
-//! * **IQR outlier rejection** — samples outside
-//!   `[Q1 − 1.5·IQR, Q3 + 1.5·IQR]` (scheduler preemptions, page faults)
-//!   are discarded before min/median/max are taken; the JSON records how
-//!   many were rejected.
+//! **One estimator.** Interference (preemption, a noisy neighbour, a page
+//! fault) only ever adds time, so the figure to compare between runs is
+//! `quiet`: the median of the fastest quarter of the samples (of the
+//! fastest one, below four samples). It is the rule of the repo
+//! benchmark's `quiet_ops_per_s` (`benchmark/src/stats.rs::quiet_rate`),
+//! restated here because `benchmark/` is not a workspace member. Nothing
+//! is discarded: `min`, `median` and `max` are over all samples and are
+//! reported beside it.
 //!
-//! Tuning knobs (full mode): `PS_BENCH_WARMUP` (default 3) and
-//! `PS_BENCH_SAMPLES` (default 15) samples per benchmark, and
-//! `PS_BENCH_BATCH` to force a fixed batch size (0 = auto-calibrate).
+//! Tuning knobs (full mode): `PS_BENCH_WARMUP` (default 3) runs and
+//! `PS_BENCH_SAMPLES` (default 15) samples per row.
 //!
 //! Machine-readable output: pass `--bench-json <path>` (after `--` under
 //! `cargo bench`) and [`Harness::finish`] writes every measurement as a
-//! JSON document — name, samples, batch, rejected-outlier count,
-//! min/median/max in nanoseconds, and element throughput where declared —
-//! so CI can diff runs and track regressions. Smoke mode records its
-//! single run so the JSON pipeline itself can be exercised cheaply.
+//! JSON document — `group`, `mode`, `nproc` (a pool row means nothing
+//! without the CPU count it was taken on), and per row name, samples,
+//! batch, quiet/median/min/max in nanoseconds and element throughput at
+//! `quiet`. Smoke mode records its single run so the JSON pipeline itself
+//! can be exercised cheaply.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -43,38 +44,50 @@ const BATCH_TARGET: Duration = Duration::from_micros(200);
 /// Hard cap on the calibrated batch size.
 const BATCH_MAX: usize = 16_384;
 
-/// One summarised benchmark measurement. Durations are per iteration
-/// (batch-normalised); `samples` counts the measurements kept after
-/// outlier rejection and `rejected` those discarded by the IQR fence.
+/// One summarised measurement. Durations are per iteration
+/// (batch-normalised); `quiet` is the figure to compare between runs.
 #[derive(Clone, Copy, Debug)]
 pub struct Summary {
-    pub min: Duration,
+    /// Median of the fastest quarter of the samples.
+    pub quiet: Duration,
     pub median: Duration,
+    pub min: Duration,
     pub max: Duration,
     pub samples: usize,
     /// Closure invocations per timed sample.
     pub batch: usize,
-    /// Samples discarded as IQR outliers.
-    pub rejected: usize,
 }
 
-/// One benchmark's row in the `--bench-json` report.
+impl Summary {
+    /// Summarise per-iteration sample times (at least one).
+    fn of(mut times: Vec<Duration>, batch: usize) -> Summary {
+        times.sort();
+        Summary {
+            quiet: quiet(&times),
+            median: median(&times),
+            min: times[0],
+            max: times[times.len() - 1],
+            samples: times.len(),
+            batch,
+        }
+    }
+}
+
+/// One row of the `--bench-json` report.
 #[derive(Clone, Debug)]
 struct JsonEntry {
     name: String,
     summary: Summary,
-    /// Elements per call, when declared via [`Harness::bench_with_elements`].
-    elements: Option<u64>,
+    /// Units of work per closure call (regions, emits, cells).
+    elements: u64,
 }
 
-/// A named group of benchmarks, mirroring criterion's `benchmark_group`.
+/// One bench target's rows.
 pub struct Harness {
     group: String,
     full: bool,
     warmup: usize,
     samples: usize,
-    /// Forced batch size (`PS_BENCH_BATCH`); 0 auto-calibrates per bench.
-    batch: usize,
     json_path: Option<String>,
     entries: Vec<JsonEntry>,
 }
@@ -87,9 +100,14 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// CPUs this process may run on; 0 when the platform cannot say.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
+}
+
 /// Render a duration compactly (ns / µs / ms / s, three significant-ish
 /// digits), close to criterion's formatting.
-pub fn fmt_duration(d: Duration) -> String {
+fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns} ns")
@@ -112,31 +130,23 @@ fn calibrate_batch(once: Duration) -> usize {
     ((BATCH_TARGET.as_nanos() / once_ns).max(1) as usize).min(BATCH_MAX)
 }
 
-/// Drop samples outside the Tukey fences `[Q1 − 1.5·IQR, Q3 + 1.5·IQR]`.
-/// Input must be sorted ascending; the result is never empty (the
-/// quartiles themselves always sit inside the fences).
-fn reject_outliers(sorted: &[Duration]) -> Vec<Duration> {
-    if sorted.len() < 4 {
-        return sorted.to_vec();
-    }
-    let q1 = sorted[sorted.len() / 4];
-    let q3 = sorted[(3 * sorted.len()) / 4];
-    let margin = {
-        let iqr = q3.saturating_sub(q1);
-        iqr + iqr / 2
-    };
-    let lo = q1.saturating_sub(margin);
-    let hi = q3.saturating_add(margin);
-    let kept: Vec<Duration> = sorted
-        .iter()
-        .copied()
-        .filter(|&t| t >= lo && t <= hi)
-        .collect();
-    if kept.is_empty() {
-        sorted.to_vec()
+/// Median of a non-empty ascending slice (mean of the two middle samples
+/// for even counts).
+fn median(sorted: &[Duration]) -> Duration {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
     } else {
-        kept
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2
     }
+}
+
+/// The quiet estimate of a non-empty ascending slice: the median of its
+/// fastest quarter (of the fastest sample, below four). A slowdown of the
+/// code shows here in full; a neighbour that slows three quarters of the
+/// samples does not show at all.
+fn quiet(sorted: &[Duration]) -> Duration {
+    median(&sorted[..(sorted.len() / 4).max(1)])
 }
 
 impl Harness {
@@ -156,17 +166,16 @@ impl Harness {
             full,
             warmup: env_usize("PS_BENCH_WARMUP", 3),
             samples: env_usize("PS_BENCH_SAMPLES", 15),
-            batch: std::env::var("PS_BENCH_BATCH")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
             json_path,
             entries: Vec::new(),
         };
         if h.full {
             println!(
-                "## {} (warmup {}, samples {})",
-                h.group, h.warmup, h.samples
+                "## {} (warmup {}, samples {}, nproc {})",
+                h.group,
+                h.warmup,
+                h.samples,
+                nproc()
             );
         } else {
             println!("## {} (smoke mode; run `cargo bench` for timings)", h.group);
@@ -174,145 +183,91 @@ impl Harness {
         h
     }
 
-    /// True when timing for real (`--bench` present).
-    pub fn is_full(&self) -> bool {
-        self.full
-    }
-
-    /// Time `f`, printing a `group/label` line. Returns the summary in full
-    /// mode, `None` in smoke mode (where `f` runs once for its assertions).
-    pub fn bench<T>(&mut self, label: &str, f: impl FnMut() -> T) -> Option<Summary> {
-        self.bench_inner(label, None, f)
-    }
-
-    /// Like [`Harness::bench`] but also reports element throughput
-    /// (elements / second at the median), criterion's `Throughput::Elements`.
-    pub fn bench_with_elements<T>(
+    /// Time `f`, which does `elements` units of work per call, as the row
+    /// `name`. Returns the summary in full mode, `None` in smoke mode
+    /// (where `f` runs once for its assertions).
+    pub fn bench<T>(
         &mut self,
-        label: &str,
+        name: &str,
         elements: u64,
-        f: impl FnMut() -> T,
-    ) -> Option<Summary> {
-        self.bench_inner(label, Some(elements), f)
-    }
-
-    fn bench_inner<T>(
-        &mut self,
-        label: &str,
-        elements: Option<u64>,
         mut f: impl FnMut() -> T,
     ) -> Option<Summary> {
-        let name = format!("{}/{label}", self.group);
-        if !self.full {
+        let summary = if self.full {
+            for _ in 0..self.warmup {
+                black_box(f());
+            }
+            // Calibrate the batch size off one timed run (which doubles as
+            // an extra warmup): fast closures get batched until a sample
+            // spans BATCH_TARGET, slow ones keep batch = 1.
+            let t0 = Instant::now();
+            black_box(f());
+            let batch = calibrate_batch(t0.elapsed());
+            let times = (0..self.samples)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..batch {
+                        black_box(f());
+                    }
+                    t0.elapsed() / batch as u32
+                })
+                .collect();
+            let s = Summary::of(times, batch);
+            println!(
+                "  {name:<40} quiet {:>10}  median {:>10}  min {:>10}  max {:>10}  \
+                 (batch {batch}, {:.2} ns/elem)",
+                fmt_duration(s.quiet),
+                fmt_duration(s.median),
+                fmt_duration(s.min),
+                fmt_duration(s.max),
+                s.quiet.as_secs_f64() * 1e9 / elements as f64,
+            );
+            s
+        } else {
             // Smoke: one timed run keeps the JSON pipeline exercisable
             // without paying for warmup and sampling.
             let t0 = Instant::now();
             black_box(f());
-            let once = t0.elapsed();
             println!("  {name}: ok");
-            self.entries.push(JsonEntry {
-                name,
-                summary: Summary {
-                    min: once,
-                    median: once,
-                    max: once,
-                    samples: 1,
-                    batch: 1,
-                    rejected: 0,
-                },
-                elements,
-            });
-            return None;
-        }
-        for _ in 0..self.warmup {
-            black_box(f());
-        }
-        // Calibrate the batch size off one timed run (which doubles as an
-        // extra warmup): fast closures get batched until a sample spans
-        // BATCH_TARGET, slow ones keep batch = 1.
-        let batch = if self.batch > 0 {
-            self.batch
-        } else {
-            let t0 = Instant::now();
-            black_box(f());
-            calibrate_batch(t0.elapsed())
+            Summary::of(vec![t0.elapsed()], 1)
         };
-        let mut times = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            times.push(t0.elapsed() / batch as u32);
-        }
-        times.sort();
-        let kept = reject_outliers(&times);
-        let rejected = times.len() - kept.len();
-        let s = Summary {
-            min: kept[0],
-            median: kept[kept.len() / 2],
-            max: kept[kept.len() - 1],
-            samples: kept.len(),
-            batch,
-            rejected,
-        };
-        println!(
-            "  {}/{label:<40} min {:>11}  median {:>11}  max {:>11}  \
-             (batch {}, {} outliers)",
-            self.group,
-            fmt_duration(s.min),
-            fmt_duration(s.median),
-            fmt_duration(s.max),
-            batch,
-            rejected
-        );
-        if let Some(elements) = elements {
-            let secs = s.median.as_secs_f64();
-            if secs > 0.0 {
-                println!(
-                    "  {}/{label:<40} throughput {:.1} Melem/s",
-                    self.group,
-                    elements as f64 / secs / 1e6
-                );
-            }
-        }
         self.entries.push(JsonEntry {
-            name,
-            summary: s,
+            name: name.to_string(),
+            summary,
             elements,
         });
-        Some(s)
+        self.full.then_some(summary)
     }
 
     /// Render the collected measurements as a JSON document.
     fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"group\": \"{}\",\n  \"mode\": \"{}\",\n  \"benchmarks\": [\n",
+        let mut out = format!(
+            "{{\n  \"group\": \"{}\",\n  \"mode\": \"{}\",\n  \"nproc\": {},\n  \
+             \"benchmarks\": [\n",
             json_escape(&self.group),
-            if self.full { "full" } else { "smoke" }
-        ));
+            if self.full { "full" } else { "smoke" },
+            nproc()
+        );
         for (i, e) in self.entries.iter().enumerate() {
             let s = &e.summary;
-            let throughput = match e.elements {
-                Some(n) if s.median.as_secs_f64() > 0.0 => {
-                    format!("{:.1}", n as f64 / s.median.as_secs_f64())
-                }
-                _ => "null".to_string(),
+            let quiet_s = s.quiet.as_secs_f64();
+            let throughput = if quiet_s > 0.0 {
+                format!("{:.1}", e.elements as f64 / quiet_s)
+            } else {
+                "null".to_string()
             };
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"samples\": {}, \"batch\": {}, \
-                 \"rejected_outliers\": {}, \"min_ns\": {}, \
-                 \"median_ns\": {}, \"max_ns\": {}, \"elements\": {}, \
+                 \"quiet_ns\": {}, \"median_ns\": {}, \"min_ns\": {}, \
+                 \"max_ns\": {}, \"elements\": {}, \
                  \"throughput_elems_per_s\": {}}}{}\n",
                 json_escape(&e.name),
                 s.samples,
                 s.batch,
-                s.rejected,
-                s.min.as_nanos(),
+                s.quiet.as_nanos(),
                 s.median.as_nanos(),
+                s.min.as_nanos(),
                 s.max.as_nanos(),
-                e.elements.map_or("null".to_string(), |n| n.to_string()),
+                e.elements,
                 throughput,
                 if i + 1 < self.entries.len() { "," } else { "" }
             ));
@@ -369,7 +324,7 @@ mod tests {
         // Unit tests see no `--bench` argument, so this exercises smoke mode.
         let mut h = Harness::new("harness_selftest");
         let mut runs = 0;
-        let out = h.bench("counts", || {
+        let out = h.bench("counts", 1, || {
             runs += 1;
             runs
         });
@@ -381,24 +336,28 @@ mod tests {
     #[test]
     fn json_report_has_all_fields() {
         let mut h = Harness::new("json_selftest");
-        h.bench("plain", || 1);
-        h.bench_with_elements("with_elems", 1000, || 2);
+        h.bench("plain/row", 1000, || 1);
+        h.bench("other", 1, || 2);
         let doc = h.render_json();
         assert!(doc.contains("\"group\": \"json_selftest\""));
         assert!(doc.contains("\"mode\": \"smoke\""));
-        assert!(doc.contains("\"name\": \"json_selftest/plain\""));
-        assert!(doc.contains("\"elements\": null"));
+        assert!(doc.contains(&format!("\"nproc\": {},", nproc())), "{doc}");
+        assert!(doc.contains("\"name\": \"plain/row\""));
         assert!(doc.contains("\"elements\": 1000"));
         assert!(doc.contains("\"samples\": 1"));
         for key in [
-            "min_ns",
+            "quiet_ns",
             "median_ns",
+            "min_ns",
             "max_ns",
             "throughput_elems_per_s",
             "batch",
-            "rejected_outliers",
         ] {
-            assert!(doc.contains(&format!("\"{key}\"")), "missing {key}\n{doc}");
+            assert_eq!(
+                doc.matches(&format!("\"{key}\"")).count(),
+                2,
+                "{key}\n{doc}"
+            );
         }
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
@@ -417,21 +376,31 @@ mod tests {
     }
 
     #[test]
-    fn iqr_rejection_drops_only_outliers() {
+    fn quiet_ignores_interference_but_not_a_slower_program() {
         let ms = Duration::from_millis;
-        // Tight cluster plus one wild sample: the fence removes it.
-        let mut times: Vec<Duration> = (0..15).map(|i| ms(10 + i % 3)).collect();
-        times.push(ms(500));
-        times.sort();
-        let kept = reject_outliers(&times);
-        assert_eq!(kept.len(), 15, "exactly the wild sample goes");
-        assert!(kept.iter().all(|&t| t <= ms(12)));
-        // A uniform set survives untouched.
-        let flat = vec![ms(7); 9];
-        assert_eq!(reject_outliers(&flat).len(), 9);
-        // Tiny sets are passed through (quartiles are meaningless).
-        let few = vec![ms(1), ms(900)];
-        assert_eq!(reject_outliers(&few).len(), 2);
+        // 15 samples, fastest quarter = 3: {10, 11, 12} → 11.
+        let calm: Vec<Duration> = (0..15).map(|i| ms(10 + i)).collect();
+        let s = Summary::of(calm.clone(), 1);
+        assert_eq!(
+            (s.quiet, s.median, s.min, s.max),
+            (ms(11), ms(17), ms(10), ms(24))
+        );
+        // Perturb the slow three quarters: quiet holds, median and max move.
+        let noisy: Vec<Duration> = calm
+            .iter()
+            .map(|&t| if t > ms(12) { t * 40 } else { t })
+            .collect();
+        let s = Summary::of(noisy, 1);
+        assert_eq!((s.quiet, s.min, s.samples), (ms(11), ms(10), 15));
+        assert_eq!((s.median, s.max), (ms(17) * 40, ms(24) * 40));
+        // A program a tenth slower everywhere is seen in full.
+        let slower: Vec<Duration> = calm.iter().map(|&t| t * 11 / 10).collect();
+        assert_eq!(Summary::of(slower, 1).quiet, ms(11) * 11 / 10);
+        // Fewer than four samples: the fastest.
+        assert_eq!(quiet(&[ms(1), ms(2), ms(900)]), ms(1));
+        // An even quarter takes the mean of its two middle samples.
+        let sixteen: Vec<Duration> = (1..=16).map(ms).collect();
+        assert_eq!(quiet(&sixteen), ms(2) + ms(1) / 2);
     }
 
     #[test]

@@ -1,91 +1,13 @@
-//! Shared helpers for the benchmark harness and the `experiments` binary.
+//! The timing harness behind the one `micro` bench target.
 //!
-//! Every bench regenerates one figure (or implied performance claim) of the
-//! paper; see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
-//! recorded paper-vs-measured results.
+//! Performance numbers for anything an op of the repo benchmark crosses
+//! (`benchmark/`, `BENCHMARK.json`) come from there; `benches/micro.rs`
+//! holds the rows it cannot see and `BENCH_micro.json` at the repo root
+//! their last committed run. The paper's figures are pinned by
+//! `tests/figures.rs`, not timed here.
 
 #![forbid(unsafe_code)]
 
 pub mod harness;
 
-pub use harness::{fmt_duration, Harness, Summary};
-
-use ps_core::{compile, Compilation, CompileOptions, Inputs, OwnedArray, StorageMode};
-
-/// Deterministic relaxation inputs: an (M+2)² grid with a mixed pattern.
-pub fn relaxation_inputs(m: i64, maxk: i64) -> Inputs {
-    let side = (m + 2) as usize;
-    let data: Vec<f64> = (0..side * side)
-        .map(|i| ((i * 31 + 7) % 101) as f64 * 0.25)
-        .collect();
-    Inputs::new()
-        .set_int("M", m)
-        .set_int("maxK", maxk)
-        .set_array(
-            "InitialA",
-            OwnedArray::real(vec![(0, m + 1), (0, m + 1)], data),
-        )
-}
-
-/// Compile Relaxation v1 (Jacobi / Figure 6).
-pub fn compile_v1() -> Compilation {
-    compile(ps_core::programs::RELAXATION_V1, CompileOptions::default()).expect("v1 compiles")
-}
-
-/// Compile Relaxation v2 (Gauss–Seidel / Figure 7), optionally transformed.
-pub fn compile_v2(hyperplane: Option<StorageMode>) -> Compilation {
-    compile(
-        ps_core::programs::RELAXATION_V2,
-        CompileOptions {
-            hyperplane,
-            ..Default::default()
-        },
-    )
-    .expect("v2 compiles")
-}
-
-/// Generate a synthetic PS module with `n` chained equation groups, used by
-/// the compile-scaling bench: group g defines `a<g>[I] = a<g-1>[I] * 2 + 1`
-/// plus a recurrence `r[K] = r[K-1] + a<last>[K]`.
-pub fn synthetic_chain(n: usize) -> String {
-    let mut eqs = String::new();
-    let mut vars = String::new();
-    for g in 0..n {
-        vars.push_str(&format!("    a{g}: array [1 .. n] of real;\n"));
-        if g == 0 {
-            eqs.push_str("    a0[I] = xs[I] * 2.0 + 1.0;\n");
-        } else {
-            eqs.push_str(&format!("    a{g}[I] = a{}[I] * 2.0 + 1.0;\n", g - 1));
-        }
-    }
-    format!(
-        "Chain: module (xs: array[I] of real; n: int): [y: real];
-         type I = 1 .. n; K = 2 .. n;
-         var
-         {vars}
-             r: array [1 .. n] of real;
-         define
-         {eqs}
-             r[1] = a{last}[1];
-             r[K] = r[K-1] + a{last}[K];
-             y = r[n];
-         end Chain;",
-        last = n - 1
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_work() {
-        let c1 = compile_v1();
-        assert!(c1.compact_flowchart().contains("DO K"));
-        let c2 = compile_v2(Some(StorageMode::Windowed));
-        assert!(c2.transformed.is_some());
-        let src = synthetic_chain(5);
-        ps_lang::frontend(&src).expect("synthetic program checks");
-        let _ = relaxation_inputs(4, 3);
-    }
-}
+pub use harness::Harness;

@@ -47,9 +47,11 @@
 //!
 //! See `examples/` for runnable end-to-end programs (`quickstart.rs`
 //! demonstrates the compile-once / run-many API, `solve_service.rs` the
-//! embedded service) and `ps-bench` for the benchmark harness
-//! regenerating every figure of the paper (`exec_manyrun` measures the
-//! amortization, `exec_serve` the service throughput).
+//! embedded service). The paper's figures are pinned by `tests/figures.rs`;
+//! performance is measured by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`), and `ps-bench`'s one `micro` target times the three
+//! costs too small to show in one of its ops (region dispatch, a trace
+//! site, checked writes).
 
 pub mod pipeline;
 pub mod programs;

@@ -21,8 +21,8 @@
 //!
 //! The paper also mentions *hierarchical* edges relating record fields to
 //! their record; this implementation does not give fields their own nodes —
-//! field definitions appear as def edges on the record's node (documented
-//! substitution, see DESIGN.md).
+//! field definitions appear as def edges on the record's node (a deliberate
+//! substitution).
 
 #![forbid(unsafe_code)]
 

@@ -136,10 +136,14 @@ mod tests {
     use ps_lang::frontend;
 
     fn fused_compact(src: &str) -> String {
+        compact(src, true)
+    }
+
+    fn compact(src: &str, fuse_loops: bool) -> String {
         let m = frontend(src).unwrap();
         let dg = build_depgraph(&m);
         let opts = ScheduleOptions {
-            fuse_loops: true,
+            fuse_loops,
             ..Default::default()
         };
         let r = schedule_module(&m, &dg, opts).unwrap();
@@ -174,6 +178,27 @@ mod tests {
              end T;",
         );
         assert_eq!(s, "DOALL I (eq.1; eq.2); eq.3");
+        // A longer chain is one loop per equation unfused and exactly one
+        // fused: fusing a pair must leave the result fusable with the next
+        // neighbour.
+        let chain = "T: module (n: int; b: array[1..n] of real): [y: real];
+             type I = 1 .. n;
+             var a0, a1, a2, a3: array [1..n] of real;
+             define
+                a0[I] = b[I] * 2.0 + 1.0;
+                a1[I] = a0[I] * 2.0 + 1.0;
+                a2[I] = a1[I] * 2.0 + 1.0;
+                a3[I] = a2[I] * 2.0 + 1.0;
+                y = a3[1];
+             end T;";
+        assert_eq!(
+            compact(chain, false),
+            "DOALL I (eq.1); DOALL I (eq.2); DOALL I (eq.3); DOALL I (eq.4); eq.5"
+        );
+        assert_eq!(
+            compact(chain, true),
+            "DOALL I (eq.1; eq.2; eq.3; eq.4); eq.5"
+        );
     }
 
     #[test]

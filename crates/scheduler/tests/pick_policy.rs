@@ -62,8 +62,15 @@ fn both_policies_validate() {
 
 #[test]
 fn policies_agree_when_no_choice_exists() {
-    // Relaxation v1: K must come first either way (I/J have I+1/J+1 refs).
-    let src = "
+    // Relaxation v1 (Jacobi): K must come first either way (I/J have
+    // I+1/J+1 refs). Relaxation v2 (Gauss-Seidel, Figure 7): every
+    // dimension of the recursive component deletes edges, so
+    // prefer-parallel cannot rescue it: same flowchart, same loop counts.
+    let jacobi = "A[K-1,I,J-1] + A[K-1,I-1,J]";
+    let gauss_seidel = "A[K,I,J-1] + A[K,I-1,J]";
+    for west_north in [jacobi, gauss_seidel] {
+        let src = format!(
+            "
         R: module (InitialA: array[I,J] of real; M: int; maxK: int):
             [newA: array[I,J] of real];
         type I, J = 0 .. M+1; K = 2 .. maxK;
@@ -73,11 +80,13 @@ fn policies_agree_when_no_choice_exists() {
             newA = A[maxK];
             A[K,I,J] = if (I = 0) or (J = 0) or (I = M+1) or (J = M+1)
                        then A[K-1,I,J]
-                       else ( A[K-1,I,J-1] + A[K-1,I-1,J]
+                       else ( {west_north}
                             + A[K-1,I,J+1] + A[K-1,I+1,J] ) / 4;
         end R;
-    ";
-    let (_, a, _) = compact(src, PickPolicy::DeclarationOrder);
-    let (_, b, _) = compact(src, PickPolicy::PreferParallel);
-    assert_eq!(a, b);
+    "
+        );
+        let (_, a, _) = compact(&src, PickPolicy::DeclarationOrder);
+        let (_, b, _) = compact(&src, PickPolicy::PreferParallel);
+        assert_eq!(a, b, "{west_north}");
+    }
 }

@@ -13,18 +13,18 @@
 # concurrency suites (overlapping solves, bounded-queue shedding,
 # cross-connection shutdown drain), the seeded
 # chaos suite (fault injection across service, executor, and TCP), the
-# benchmark smoke pass (structural figure assertions),
-# a bench-JSON smoke step (including the ps-trace overhead contract), a
-# traced serve round-trip (--trace-out export validated and summarized by
-# the ps-trace CLI), the ps-analyze static verification of every builtin
-# program, the repo benchmark's smoke pass (benchmark/ is not a workspace
-# member, so nothing else builds it; it also checks every op against the
-# native kernels at the real problem size) and its own tests, docs with
-# warnings denied, and rustfmt.
+# one bench target (`micro`) in smoke mode and once in reduced full mode
+# (the ps-trace disabled-site contract; its row names must be exactly the
+# committed BENCH_micro.json's), a traced serve round-trip (--trace-out
+# export validated and summarized by the ps-trace CLI), the ps-analyze
+# static verification of every builtin program, the repo benchmark's smoke
+# pass (benchmark/ is not a workspace member, so nothing else builds it; it
+# also checks every op against the native kernels at the real problem
+# size) and its own tests, docs with warnings denied, and rustfmt.
 #
-# The differential/stress/TCP/chaos suites run under a hang watchdog: a
-# wedged drain or a deadlocked pool fails the gate with a kill instead of
-# hanging CI.
+# The differential/stress/TCP/chaos suites and both bench steps (`micro`
+# drives the pool) run under a hang watchdog: a wedged drain or a
+# deadlocked pool fails the gate with a kill instead of hanging CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,54 +71,18 @@ bounded 600 cargo test -q --offline --test chaos
 echo "==> cargo test -q --offline --test proto_fuzz (wire-parser properties)"
 bounded 300 cargo test -q --offline --test proto_fuzz
 
-echo "==> cargo test -q --offline --benches (smoke: figure assertions)"
-cargo test -q --offline --benches
+echo "==> cargo test -q --offline --benches (micro in smoke mode: every row once, assertions live)"
+bounded 600 cargo test -q --offline --benches
 
-echo "==> bench-JSON smoke (exec_dispatch, reduced sampling)"
+echo "==> bench-JSON smoke (micro, reduced sampling; row names must equal BENCH_micro.json's)"
 # Absolute path: cargo runs bench binaries with the package dir as cwd.
-json_out="$PWD/target/bench_smoke.json"
+json_out="$PWD/target/bench_micro_smoke.json"
 rm -f "$json_out"
 PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
-    cargo bench --offline --bench exec_dispatch -- --bench-json "$json_out" >/dev/null
-grep -q '"benchmarks"' "$json_out" && grep -q '"median_ns"' "$json_out" \
-    || { echo "bench-json smoke: $json_out missing expected fields" >&2; exit 1; }
-
-echo "==> bench-JSON smoke (exec_eval: oracle-checked rows + batching fields)"
-json_out="$PWD/target/bench_eval_smoke.json"
-rm -f "$json_out"
-PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
-    cargo bench --offline --bench exec_eval -- --bench-json "$json_out" >/dev/null
-grep -q 'jacobi/compiled' "$json_out" && grep -q 'wavefront/compiled' "$json_out" \
-    && grep -q 'pipeline/checked_elide' "$json_out" \
-    && grep -q '"batch"' "$json_out" && grep -q '"rejected_outliers"' "$json_out" \
-    || { echo "bench-json smoke: $json_out missing expected fields" >&2; exit 1; }
-
-echo "==> bench-JSON smoke (exec_manyrun: compile-once/run-many amortization)"
-json_out="$PWD/target/bench_manyrun_smoke.json"
-rm -f "$json_out"
-PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
-    cargo bench --offline --bench exec_manyrun -- --bench-json "$json_out" >/dev/null
-grep -q 'chain/percall' "$json_out" && grep -q 'chain/program' "$json_out" \
-    && grep -q 'jacobi/program' "$json_out" \
-    || { echo "bench-json smoke: $json_out missing expected fields" >&2; exit 1; }
-
-echo "==> bench-JSON smoke (exec_serve: service throughput)"
-json_out="$PWD/target/bench_serve_smoke.json"
-rm -f "$json_out"
-PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
-    cargo bench --offline --bench exec_serve -- --bench-json "$json_out" >/dev/null
-grep -q 'serve_warm/w4' "$json_out" && grep -q 'percall_compile_run' "$json_out" \
-    && grep -q 'serve_cold' "$json_out" \
-    || { echo "bench-json smoke: $json_out missing expected fields" >&2; exit 1; }
-
-echo "==> bench-JSON smoke (exec_trace: tracing overhead contract)"
-json_out="$PWD/target/bench_trace_smoke.json"
-rm -f "$json_out"
-PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
-    cargo bench --offline --bench exec_trace -- --bench-json "$json_out" >/dev/null
-grep -q 'exec_trace/emit_off' "$json_out" && grep -q 'exec_trace/serve_off' "$json_out" \
-    && grep -q 'exec_trace/serve_on' "$json_out" \
-    || { echo "bench-json smoke: $json_out missing expected fields" >&2; exit 1; }
+    bounded 600 cargo bench --offline --bench micro -- --bench-json "$json_out" >/dev/null
+row_names() { grep -o '"name": "[^"]*"' "$1" | sort; }
+[ "$(row_names "$json_out")" = "$(row_names BENCH_micro.json)" ] \
+    || { echo "bench-json smoke: $json_out rows differ from the committed BENCH_micro.json" >&2; exit 1; }
 
 echo "==> ps-serve TCP round-trip smoke (ephemeral port)"
 serve_log="$PWD/target/ps_serve_smoke.log"

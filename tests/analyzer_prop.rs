@@ -97,5 +97,12 @@ fn builtin_reports_render_like_the_goldens() {
         assert_eq!(*name, golden_name);
         let comp = compile(src, CompileOptions::default()).unwrap();
         assert_eq!(analyze(&comp).render(), golden, "{name}");
+        // The elisions the report prints are the ones the runtime takes.
+        let elided = Program::compile(&comp, checked(AnalysisLevel::Verify));
+        assert_eq!(
+            elided.verified_arrays(),
+            golden.matches("[checked-writes elided]").count(),
+            "{name}"
+        );
     }
 }

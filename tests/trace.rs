@@ -167,12 +167,19 @@ fn stage_histograms_reconcile_with_service_stats() {
         .map(|i| svc.submit(SolveRequest::new(key.clone(), inputs(4 + (i % 3)))))
         .collect();
     let spans: Vec<u64> = handles.iter().map(|h| h.trace_span()).collect();
-    for h in handles {
-        h.wait().expect("solves succeed");
-    }
+    let traced: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.wait().expect("solves succeed"))
+        .collect();
     let stats = svc.stats();
-    svc.shutdown();
     ps_trace::disable();
+    let untraced = svc.solve(&key, inputs(4)).expect("untraced solve");
+    svc.shutdown();
+    assert_eq!(
+        traced[0].scalar("final").as_real().to_bits(),
+        untraced.scalar("final").as_real().to_bits(),
+        "tracing must not change results"
+    );
     assert!(spans.iter().all(|&s| s != 0), "live tracing mints spans");
     assert_eq!(stats.responses, 6);
     let solve = stats.stages.get(Stage::Solve);
