@@ -11,7 +11,6 @@ use ps_lang::HirModule;
 use ps_runtime::store::RuntimeError;
 use ps_runtime::{run_module, Inputs, Outputs, RuntimeOptions, StripVerdict};
 use ps_scheduler::{schedule_module, ScheduleError, ScheduleOptions, ScheduleResult};
-use ps_support::{DiagnosticSink, SourceMap};
 
 /// Options for [`compile`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -106,22 +105,7 @@ impl Compilation {
 /// end, dependence graph, schedule and (when asked) the hyperplane
 /// transform. No text is generated; see [`Compilation::emit_c`].
 pub fn compile(source: &str, options: CompileOptions) -> Result<Compilation, CompileError> {
-    let mut sources = SourceMap::new();
-    let file = sources.add_file("<input>", source);
-    let sink = DiagnosticSink::new();
-    let tokens = ps_lang::lexer::lex(source, &sink);
-    let program = ps_lang::parser::parse_program(&tokens, &sink);
-    if sink.has_errors() {
-        return Err(CompileError::Frontend(sink.render_all(file, &sources)));
-    }
-    let Some(ast) = program.modules.into_iter().next() else {
-        return Err(CompileError::Frontend("no module in source".into()));
-    };
-    let module = ps_lang::check::check_module(&ast, &sink);
-    if sink.has_errors() {
-        return Err(CompileError::Frontend(sink.render_all(file, &sources)));
-    }
-    let module = module.expect("no errors implies a module");
+    let module = ps_lang::frontend(source).map_err(CompileError::Frontend)?;
 
     let depgraph = build_depgraph(&module);
     let schedule =

@@ -28,7 +28,11 @@ pub fn figure3(comp: &Compilation) -> String {
 pub fn figure5(comp: &Compilation) -> String {
     let mut w = PrettyWriter::new();
     w.line("Figure 5 — component graph and corresponding flowchart");
-    w.write(&render_component_table(&comp.schedule));
+    w.write(&render_component_table(
+        &comp.module,
+        &comp.depgraph,
+        &comp.schedule,
+    ));
     w.finish()
 }
 

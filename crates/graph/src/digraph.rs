@@ -25,9 +25,10 @@ struct EdgeData<E> {
     weight: E,
     source: NodeId,
     target: NodeId,
-    /// The scheduler deletes `I - constant` edges while scheduling a
-    /// dimension; deactivation keeps ids stable so labels and diagnostics
-    /// survive the deletion.
+    /// A deactivated edge keeps its id, endpoints and weight but is skipped
+    /// by the iterators below and everything built on them (`topo`,
+    /// `traverse`, `dot`, the whole-graph SCC entry point). The scheduler
+    /// does not use this: its deleted edges are a mask of its own.
     active: bool,
 }
 
@@ -160,6 +161,18 @@ impl<N, E> DiGraph<N, E> {
     /// Iterate active edge ids only.
     pub fn active_edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.edge_ids().filter(|&e| self.is_edge_active(e))
+    }
+
+    /// Every outgoing edge of `node` in insertion order, deactivated ones
+    /// included: for callers that keep their own notion of which edges
+    /// count (the SCC routine's predicate, the scheduler's deletion mask).
+    pub fn out_edge_list(&self, node: NodeId) -> &[EdgeId] {
+        &self.nodes[node.0 as usize].out_edges
+    }
+
+    /// Every incoming edge of `node`; see [`DiGraph::out_edge_list`].
+    pub fn in_edge_list(&self, node: NodeId) -> &[EdgeId] {
+        &self.nodes[node.0 as usize].in_edges
     }
 
     /// Active outgoing edges of `node`.

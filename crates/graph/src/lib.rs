@@ -7,10 +7,19 @@
 //! provides the generic machinery:
 //!
 //! * [`DiGraph`] — an adjacency-list directed multigraph with typed node and
-//!   edge ids and edge deactivation (the scheduler "deletes" `I - constant`
-//!   edges without rebuilding),
-//! * [`scc`] — an iterative Tarjan strongly-connected-components algorithm
-//!   whose output order is reverse-topological over the condensation,
+//!   edge ids. It has an `active` flag per edge that `topo`, `traverse`,
+//!   `dot` and [`strongly_connected_components`] honour, but the scheduler
+//!   does not use it: it "deletes" `I - constant` edges in a mask of its own
+//!   and reads the raw edge lists ([`DiGraph::out_edge_list`]), so the graph
+//!   it schedules is never copied or modified,
+//! * [`scc`] — iterative Tarjan over a *node slice* and an edge-activity
+//!   predicate ([`SccScratch::components`]), returning the components in
+//!   the one topological order that breaks ties by smallest node id. **Cost
+//!   model:** the work of a call is proportional to the nodes of the slice
+//!   plus their out-edges (the predicate is asked about each at most
+//!   twice) plus a heap operation per component — never to the size of the
+//!   graph around the slice; per-node state lives in a caller-owned scratch
+//!   that is sized once and reset only where a call touched it,
 //! * [`topo`] — Kahn topological sort and cycle detection,
 //! * [`traverse`] — DFS/BFS iterators and reachability,
 //! * [`dot`] — Graphviz export used to render Figure 3.
@@ -24,8 +33,5 @@ pub mod topo;
 pub mod traverse;
 
 pub use digraph::{DiGraph, EdgeId, NodeId};
-pub use scc::{
-    condensation, ordered_components_filtered, strongly_connected_components, Condensation, SccId,
-    Sccs,
-};
+pub use scc::{strongly_connected_components, SccScratch, Sccs};
 pub use topo::{topological_sort, TopoError};

@@ -1,266 +1,255 @@
-//! Strongly connected components (iterative Tarjan) and condensation.
+//! Strongly connected components (iterative Tarjan) in scheduling order.
 //!
-//! `Schedule-Graph` step 1 is "Find the MSCC's of the graph". Tarjan's
-//! algorithm emits components in *reverse* topological order of the
-//! condensation; we reverse that so callers can process producers before
-//! consumers, which is exactly the equation ordering the paper needs.
+//! `Schedule-Graph` step 1 is "Find the MSCC's of the graph", and the
+//! scheduler repeats it on every component after each loop level deletes
+//! edges. One routine, [`SccScratch::components`], serves every level: it
+//! decomposes the subgraph induced by a node slice, counting only the edges
+//! an activity predicate accepts, in time proportional to those nodes and
+//! their out-edges. The per-node state lives in a scratch the caller keeps
+//! and is reset only where a call touched it, so the size of the rest of
+//! the graph never enters.
+//!
+//! Components come out in *the* topological order of the condensation that
+//! breaks ties by the smallest node id in each component (Kahn's algorithm
+//! over a min-heap): producers precede consumers, independent components
+//! appear in node-insertion (declaration) order, and the order does not
+//! depend on how the DFS happened to walk. Inside a component, nodes are in
+//! DFS discovery order, roots taken in slice order.
 
-use crate::digraph::{DiGraph, NodeId};
-use ps_support::new_index_type;
+use crate::digraph::{DiGraph, EdgeId, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-new_index_type! {
-    /// Component handle within [`Sccs`] / [`Condensation`].
-    pub struct SccId; "scc"
-}
-
-/// The SCC decomposition of (the active part of) a graph.
+/// Consecutive groups of items in one allocation.
 #[derive(Clone, Debug)]
-pub struct Sccs {
-    /// Components in topological order: if an edge runs from component X to
-    /// component Y (X ≠ Y), X appears before Y.
-    pub components: Vec<Vec<NodeId>>,
-    /// For each node, the index (into `components`) of its component.
-    component_of: Vec<u32>,
+struct Groups<T> {
+    items: Vec<T>,
+    /// `ends[i]` is where group `i` ends in `items` (exclusive).
+    ends: Vec<u32>,
 }
+
+impl<T> Default for Groups<T> {
+    fn default() -> Self {
+        Groups {
+            items: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+}
+
+impl<T> Groups<T> {
+    fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &[T] {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.items[start..self.ends[i] as usize]
+    }
+
+    /// End the group that the items pushed since the last call form.
+    fn close(&mut self) {
+        self.ends.push(self.items.len() as u32);
+    }
+}
+
+/// An SCC decomposition: the components' node lists in scheduling order (if
+/// an edge runs from component X to component Y ≠ X, X comes first).
+#[derive(Clone, Debug)]
+pub struct Sccs(Groups<NodeId>);
 
 impl Sccs {
-    /// The component containing `node`.
-    pub fn component_of(&self, node: NodeId) -> SccId {
-        SccId(self.component_of[node.0 as usize])
-    }
-
-    /// Nodes in component `id`.
-    pub fn nodes(&self, id: SccId) -> &[NodeId] {
-        &self.components[id.0 as usize]
-    }
-
     pub fn len(&self) -> usize {
-        self.components.len()
+        self.0.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.0.len() == 0
     }
 
-    /// True when `a` and `b` are in the same component.
-    pub fn same_component(&self, a: NodeId, b: NodeId) -> bool {
-        self.component_of(a) == self.component_of(b)
-    }
-
-    /// Iterate `(SccId, &nodes)` in topological order.
-    pub fn iter(&self) -> impl Iterator<Item = (SccId, &[NodeId])> {
-        self.components
-            .iter()
-            .enumerate()
-            .map(|(i, ns)| (SccId(i as u32), ns.as_slice()))
+    /// The components in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        (0..self.len()).map(|i| self.0.get(i))
     }
 }
 
-/// Compute SCCs over the active edges of `graph`, restricted to the nodes for
-/// which `include` returns true. Excluded nodes belong to no component.
-///
-/// The scheduler passes shrinking `include` filters as it recurses into
-/// subgraphs, so restriction must be first-class rather than a rebuild.
-pub fn strongly_connected_components_filtered<N, E>(
-    graph: &DiGraph<N, E>,
-    include: impl Fn(NodeId) -> bool,
-) -> Sccs {
-    const UNVISITED: u32 = u32::MAX;
+/// `index` of a node outside the slice being decomposed (every node,
+/// between calls).
+const OUTSIDE: u32 = u32::MAX;
+/// `index` of a slice node the DFS has not reached yet.
+const UNVISITED: u32 = u32::MAX - 1;
+/// `comp` of a visited node whose component is still on Tarjan's stack.
+const OPEN: u32 = u32::MAX;
 
-    let n = graph.node_count();
-    let mut index_of = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut next_index = 0u32;
-    let mut components: Vec<Vec<NodeId>> = Vec::new();
-    let mut component_of = vec![u32::MAX; n];
+/// Working storage of [`SccScratch::components`]. Keep one per graph and
+/// reuse it: the per-node vectors are sized once and a call resets only
+/// the entries of its own slice.
+#[derive(Default)]
+pub struct SccScratch {
+    /// Per node: `OUTSIDE`, `UNVISITED`, or the DFS index.
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    /// Per slice node: its component in closing order, `OPEN` until closed.
+    comp: Vec<u32>,
+    next_index: u32,
+    stack: Vec<NodeId>,
+    /// DFS frames: a node and a cursor into its out-edge list.
+    frames: Vec<(NodeId, u32)>,
+    /// Components in the order Tarjan closes them (consumers first).
+    closed: Groups<NodeId>,
+    /// Per closed component, the component at the far end of each edge
+    /// leaving it — all closed earlier, so the lists are final when built.
+    succ: Groups<u32>,
+    in_deg: Vec<u32>,
+    min_id: Vec<u32>,
+    ready: BinaryHeap<Reverse<(u32, u32)>>,
+}
 
-    // Explicit DFS frame: node plus an iterator position over its successors.
-    struct Frame {
-        node: NodeId,
-        succ_pos: usize,
-    }
-
-    for start in graph.node_ids() {
-        if !include(start) || index_of[start.0 as usize] != UNVISITED {
-            continue;
+impl SccScratch {
+    /// Decompose the subgraph of `graph` induced by `nodes`, over the edges
+    /// for which `active` holds. Nodes outside the slice belong to no
+    /// component and edges to them are ignored; `active` is asked about an
+    /// edge at most twice and must answer the same both times.
+    pub fn components<N, E>(
+        &mut self,
+        graph: &DiGraph<N, E>,
+        nodes: &[NodeId],
+        mut active: impl FnMut(EdgeId) -> bool,
+    ) -> Sccs {
+        if self.index.len() < graph.node_count() {
+            self.index.resize(graph.node_count(), OUTSIDE);
+            self.lowlink.resize(graph.node_count(), 0);
+            self.comp.resize(graph.node_count(), OPEN);
         }
-        let mut call_stack = vec![Frame {
-            node: start,
-            succ_pos: 0,
-        }];
-        index_of[start.0 as usize] = next_index;
-        lowlink[start.0 as usize] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start.0 as usize] = true;
+        for &v in nodes {
+            self.index[v.0 as usize] = UNVISITED;
+            self.comp[v.0 as usize] = OPEN;
+        }
+        self.next_index = 0;
+        self.closed.clear();
+        self.succ.clear();
+        self.in_deg.clear();
+        self.min_id.clear();
 
-        while let Some(frame) = call_stack.last_mut() {
-            let v = frame.node;
-            // Materialized on demand; successor lists are short in practice.
-            let succs: Vec<NodeId> = graph.successors(v).filter(|&w| include(w)).collect();
-            if frame.succ_pos < succs.len() {
-                let w = succs[frame.succ_pos];
-                frame.succ_pos += 1;
-                let wi = w.0 as usize;
-                if index_of[wi] == UNVISITED {
-                    index_of[wi] = next_index;
-                    lowlink[wi] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[wi] = true;
-                    call_stack.push(Frame {
-                        node: w,
-                        succ_pos: 0,
-                    });
-                } else if on_stack[wi] {
-                    let vi = v.0 as usize;
-                    lowlink[vi] = lowlink[vi].min(index_of[wi]);
-                }
-            } else {
-                // v is finished: pop, fold lowlink into parent, maybe emit.
+        for &root in nodes {
+            if self.index[root.0 as usize] != UNVISITED {
+                continue;
+            }
+            self.enter(root);
+            while let Some(&(v, cursor)) = self.frames.last() {
                 let vi = v.0 as usize;
-                if lowlink[vi] == index_of[vi] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w.0 as usize] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+                if let Some(&e) = graph.out_edge_list(v).get(cursor as usize) {
+                    self.frames.last_mut().expect("frame just read").1 += 1;
+                    let w = graph.edge_target(e);
+                    let wi = w.0 as usize;
+                    if self.index[wi] == OUTSIDE || !active(e) {
+                        continue;
                     }
-                    comp.reverse();
-                    for &m in &comp {
-                        component_of[m.0 as usize] = components.len() as u32;
+                    if self.index[wi] == UNVISITED {
+                        self.enter(w);
+                    } else if self.comp[wi] == OPEN {
+                        self.lowlink[vi] = self.lowlink[vi].min(self.index[wi]);
                     }
-                    components.push(comp);
-                }
-                call_stack.pop();
-                if let Some(parent) = call_stack.last() {
-                    let pi = parent.node.0 as usize;
-                    lowlink[pi] = lowlink[pi].min(lowlink[vi]);
+                } else {
+                    // v is finished: fold its lowlink into the parent, and
+                    // close a component if v is its root.
+                    self.frames.pop();
+                    if let Some(&(parent, _)) = self.frames.last() {
+                        let pi = parent.0 as usize;
+                        self.lowlink[pi] = self.lowlink[pi].min(self.lowlink[vi]);
+                    }
+                    if self.lowlink[vi] == self.index[vi] {
+                        self.close(graph, v, &mut active);
+                    }
                 }
             }
         }
-    }
 
-    // Tarjan emits components in reverse topological order; flip so that
-    // producers come first (the order Schedule-Graph wants).
-    components.reverse();
-    let count = components.len() as u32;
-    for c in component_of.iter_mut() {
-        if *c != u32::MAX {
-            *c = count - 1 - *c;
+        // Kahn over the condensation, smallest member id first among the
+        // ready components.
+        let mut ordered = Groups {
+            items: Vec::with_capacity(self.closed.items.len()),
+            ends: Vec::with_capacity(self.closed.len()),
+        };
+        self.ready.clear();
+        for c in 0..self.closed.len() {
+            if self.in_deg[c] == 0 {
+                self.ready.push(Reverse((self.min_id[c], c as u32)));
+            }
         }
+        while let Some(Reverse((_, c))) = self.ready.pop() {
+            ordered.items.extend_from_slice(self.closed.get(c as usize));
+            ordered.close();
+            for &s in self.succ.get(c as usize) {
+                self.in_deg[s as usize] -= 1;
+                if self.in_deg[s as usize] == 0 {
+                    self.ready.push(Reverse((self.min_id[s as usize], s)));
+                }
+            }
+        }
+        debug_assert_eq!(ordered.len(), self.closed.len(), "condensation is acyclic");
+
+        for &v in nodes {
+            self.index[v.0 as usize] = OUTSIDE;
+        }
+        Sccs(ordered)
     }
 
-    Sccs {
-        components,
-        component_of,
+    /// First visit of `v`: number it and open a DFS frame.
+    fn enter(&mut self, v: NodeId) {
+        self.index[v.0 as usize] = self.next_index;
+        self.lowlink[v.0 as usize] = self.next_index;
+        self.next_index += 1;
+        self.stack.push(v);
+        self.frames.push((v, 0));
+    }
+
+    /// `root` is the root of a finished component: move its members off the
+    /// stack and record the edges leaving it. Everything an active edge of
+    /// a member reaches is in this component or in one closed before it.
+    fn close<N, E>(
+        &mut self,
+        graph: &DiGraph<N, E>,
+        root: NodeId,
+        active: &mut impl FnMut(EdgeId) -> bool,
+    ) {
+        let c = self.closed.len() as u32;
+        let at = self.stack.iter().rposition(|&m| m == root);
+        let first = self.closed.items.len();
+        self.closed
+            .items
+            .extend(self.stack.drain(at.expect("a root is on the stack")..));
+        self.closed.close();
+        let members = &self.closed.items[first..];
+        for &m in members {
+            self.comp[m.0 as usize] = c;
+        }
+        self.min_id
+            .push(members.iter().map(|m| m.0).min().expect("non-empty"));
+        self.in_deg.push(0);
+        for &m in members {
+            for &e in graph.out_edge_list(m) {
+                let wi = graph.edge_target(e).0 as usize;
+                if self.index[wi] == OUTSIDE || self.comp[wi] == c || !active(e) {
+                    continue;
+                }
+                self.succ.items.push(self.comp[wi]);
+                self.in_deg[self.comp[wi] as usize] += 1;
+            }
+        }
+        self.succ.close();
     }
 }
 
-/// SCCs over all nodes of the graph.
+/// SCCs of the whole graph over its active edges.
 pub fn strongly_connected_components<N, E>(graph: &DiGraph<N, E>) -> Sccs {
-    strongly_connected_components_filtered(graph, |_| true)
-}
-
-/// Like [`strongly_connected_components_filtered`], but with a fully
-/// deterministic component order: Kahn's algorithm over the condensation,
-/// breaking ties by the smallest node id in each component. Independent
-/// components therefore appear in node-insertion (declaration) order, which
-/// keeps scheduler output stable and matches the paper's presentation.
-pub fn ordered_components_filtered<N, E>(
-    graph: &DiGraph<N, E>,
-    include: impl Fn(NodeId) -> bool,
-) -> Sccs {
-    let sccs = strongly_connected_components_filtered(graph, &include);
-    let n = sccs.len();
-    if n == 0 {
-        return sccs;
-    }
-
-    // Build condensation edges and in-degrees.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut in_deg = vec![0usize; n];
-    let mut seen = ps_support::FxHashSet::default();
-    for e in graph.active_edge_ids() {
-        let (s, t) = graph.edge_endpoints(e);
-        if !include(s) || !include(t) {
-            continue;
-        }
-        let (cs, ct) = (
-            sccs.component_of(s).0 as usize,
-            sccs.component_of(t).0 as usize,
-        );
-        if cs != ct && seen.insert((cs, ct)) {
-            succs[cs].push(ct);
-            in_deg[ct] += 1;
-        }
-    }
-
-    let min_id: Vec<u32> = sccs
-        .components
-        .iter()
-        .map(|c| c.iter().map(|n| n.0).min().unwrap_or(u32::MAX))
-        .collect();
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<(u32, usize)>> = (0..n)
-        .filter(|&c| in_deg[c] == 0)
-        .map(|c| std::cmp::Reverse((min_id[c], c)))
-        .collect();
-
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    while let Some(std::cmp::Reverse((_, c))) = ready.pop() {
-        order.push(c);
-        for &s in &succs[c] {
-            in_deg[s] -= 1;
-            if in_deg[s] == 0 {
-                ready.push(std::cmp::Reverse((min_id[s], s)));
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "condensation must be acyclic");
-
-    let mut components = Vec::with_capacity(n);
-    let mut component_of = vec![u32::MAX; graph.node_count()];
-    for (new_idx, &old_idx) in order.iter().enumerate() {
-        let nodes = sccs.components[old_idx].clone();
-        for &node in &nodes {
-            component_of[node.0 as usize] = new_idx as u32;
-        }
-        components.push(nodes);
-    }
-    Sccs {
-        components,
-        component_of,
-    }
-}
-
-/// The condensation: one node per SCC, with deduplicated edges between
-/// distinct components.
-#[derive(Clone, Debug)]
-pub struct Condensation {
-    pub sccs: Sccs,
-    /// Edges between components (no self-edges, deduplicated), as index
-    /// pairs into `sccs.components`.
-    pub edges: Vec<(SccId, SccId)>,
-}
-
-/// Build the condensation of the active part of `graph`.
-pub fn condensation<N, E>(graph: &DiGraph<N, E>) -> Condensation {
-    let sccs = strongly_connected_components(graph);
-    let mut edges = Vec::new();
-    let mut seen = ps_support::FxHashSet::default();
-    for e in graph.active_edge_ids() {
-        let (s, t) = graph.edge_endpoints(e);
-        let (cs, ct) = (sccs.component_of(s), sccs.component_of(t));
-        if cs != ct && seen.insert((cs, ct)) {
-            edges.push((cs, ct));
-        }
-    }
-    Condensation { sccs, edges }
+    let nodes: Vec<NodeId> = graph.node_ids().collect();
+    SccScratch::default().components(graph, &nodes, |e| graph.is_edge_active(e))
 }
 
 #[cfg(test)]
@@ -283,14 +272,23 @@ mod tests {
         (g, ns)
     }
 
+    /// Position of the component holding `n`, `None` when it is in none.
+    fn component_of(sccs: &Sccs, n: NodeId) -> Option<usize> {
+        sccs.iter().position(|c| c.contains(&n))
+    }
+
+    fn same_component(sccs: &Sccs, a: NodeId, b: NodeId) -> bool {
+        component_of(sccs, a) == component_of(sccs, b)
+    }
+
     #[test]
     fn finds_both_cycles() {
         let (g, ns) = two_cycles();
         let sccs = strongly_connected_components(&g);
         assert_eq!(sccs.len(), 2);
-        assert!(sccs.same_component(ns[0], ns[2]));
-        assert!(sccs.same_component(ns[3], ns[4]));
-        assert!(!sccs.same_component(ns[0], ns[3]));
+        assert!(same_component(&sccs, ns[0], ns[2]));
+        assert!(same_component(&sccs, ns[3], ns[4]));
+        assert!(!same_component(&sccs, ns[0], ns[3]));
     }
 
     #[test]
@@ -298,10 +296,8 @@ mod tests {
         let (g, ns) = two_cycles();
         let sccs = strongly_connected_components(&g);
         // {a,b,c} feeds {d,e}, so it must come first.
-        let first = sccs.component_of(ns[0]);
-        let second = sccs.component_of(ns[3]);
         assert!(
-            first.0 < second.0,
+            component_of(&sccs, ns[0]) < component_of(&sccs, ns[3]),
             "producer component must precede consumer"
         );
     }
@@ -315,9 +311,8 @@ mod tests {
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
         let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs.len(), 3);
-        let order: Vec<_> = [a, b, c].iter().map(|&n| sccs.component_of(n).0).collect();
-        assert!(order[0] < order[1] && order[1] < order[2]);
+        let order: Vec<&[NodeId]> = sccs.iter().collect();
+        assert_eq!(order, [&[a][..], &[b][..], &[c][..]]);
     }
 
     #[test]
@@ -328,19 +323,24 @@ mod tests {
         g.deactivate_edge(e);
         let sccs = strongly_connected_components(&g);
         assert_eq!(sccs.len(), 4); // a, b, c singletons + {d,e}
-        assert!(!sccs.same_component(ns[0], ns[2]));
-        assert!(sccs.same_component(ns[3], ns[4]));
+        assert!(!same_component(&sccs, ns[0], ns[2]));
+        assert!(same_component(&sccs, ns[3], ns[4]));
     }
 
     #[test]
     fn filtered_nodes_excluded() {
         let (g, ns) = two_cycles();
-        // Exclude c: the first cycle disappears.
-        let sccs = strongly_connected_components_filtered(&g, |n| n != ns[2]);
-        assert!(!sccs.same_component(ns[0], ns[1]));
-        assert!(sccs.same_component(ns[3], ns[4]));
-        // c belongs to no component.
-        assert_eq!(sccs.component_of[ns[2].0 as usize], u32::MAX);
+        // Leave c out of the slice: the first cycle disappears.
+        let slice = [ns[0], ns[1], ns[3], ns[4]];
+        let mut scratch = SccScratch::default();
+        let sccs = scratch.components(&g, &slice, |_| true);
+        assert!(!same_component(&sccs, ns[0], ns[1]));
+        assert!(same_component(&sccs, ns[3], ns[4]));
+        assert_eq!(component_of(&sccs, ns[2]), None, "c is in no component");
+        // The scratch is clean again: the whole graph decomposes as ever.
+        let all = scratch.components(&g, &ns, |_| true);
+        assert_eq!(all.len(), 2);
+        assert!(same_component(&all, ns[0], ns[2]));
     }
 
     #[test]
@@ -352,18 +352,7 @@ mod tests {
         g.add_edge(a, b, ());
         let sccs = strongly_connected_components(&g);
         assert_eq!(sccs.len(), 2);
-        assert_eq!(sccs.nodes(sccs.component_of(a)), &[a]);
-    }
-
-    #[test]
-    fn condensation_edges_deduplicated() {
-        let (g, ns) = two_cycles();
-        let cond = condensation(&g);
-        assert_eq!(cond.sccs.len(), 2);
-        assert_eq!(cond.edges.len(), 1);
-        let (s, t) = cond.edges[0];
-        assert_eq!(s, cond.sccs.component_of(ns[0]));
-        assert_eq!(t, cond.sccs.component_of(ns[3]));
+        assert_eq!(sccs.iter().next(), Some(&[a][..]));
     }
 
     #[test]
@@ -384,6 +373,6 @@ mod tests {
         }
         let sccs = strongly_connected_components(&g);
         assert_eq!(sccs.len(), 1);
-        assert_eq!(sccs.nodes(SccId(0)).len(), n);
+        assert_eq!(sccs.iter().next().map(<[NodeId]>::len), Some(n));
     }
 }

@@ -48,13 +48,18 @@ use ps_support::{DiagnosticSink, SourceMap};
 ///
 /// Returns the checked module or the rendered diagnostics.
 pub fn frontend(source: &str) -> Result<hir::HirModule, String> {
-    let mut sources = SourceMap::new();
-    let file = sources.add_file("<input>", source);
     let sink = DiagnosticSink::new();
+    // The source map copies the text and indexes its lines; only a
+    // diagnostic reads either, so it is built when there is one to render.
+    let render = || {
+        let mut sources = SourceMap::new();
+        let file = sources.add_file("<input>", source);
+        sink.render_all(file, &sources)
+    };
     let tokens = lexer::lex(source, &sink);
     let program = parser::parse_program(&tokens, &sink);
     if sink.has_errors() {
-        return Err(sink.render_all(file, &sources));
+        return Err(render());
     }
     let module = program
         .modules
@@ -63,7 +68,7 @@ pub fn frontend(source: &str) -> Result<hir::HirModule, String> {
         .ok_or_else(|| "no module in source".to_string())?;
     let hir = check::check_module(&module, &sink);
     if sink.has_errors() {
-        return Err(sink.render_all(file, &sources));
+        return Err(render());
     }
     hir.ok_or_else(|| "internal: checker produced no module without errors".to_string())
 }

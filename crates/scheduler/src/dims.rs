@@ -16,19 +16,18 @@
 //! position 0 and position 1 of `A`).
 
 use crate::schedule::SchedState;
-use ps_depgraph::{DepGraph, EdgeKind, SubscriptForm};
+use ps_depgraph::{DepNodeKind, EdgeKind, SubscriptForm};
 use ps_graph::{EdgeId, NodeId};
 use ps_lang::hir::{HirModule, LhsSub};
 use ps_lang::{IvId, SubrangeId};
-use ps_support::{FxHashMap, FxHashSet};
 
 /// A verified dimension assignment for a component.
 #[derive(Clone, Debug)]
 pub struct DimMatch {
-    /// Matched index variable per equation node.
-    pub eq_iv: FxHashMap<NodeId, IvId>,
-    /// Matched dimension position per data node.
-    pub data_pos: FxHashMap<NodeId, usize>,
+    /// Matched index variable per equation node of the component.
+    pub eqs: Vec<(NodeId, IvId)>,
+    /// Matched dimension position per data node of the component.
+    pub data: Vec<(NodeId, usize)>,
     /// Read edges with `I - constant` form at the matched dimension — the
     /// edges Schedule-Component deletes (step 4).
     pub deletable: Vec<EdgeId>,
@@ -39,64 +38,60 @@ pub struct DimMatch {
 }
 
 /// Attempt to extend the seed `(seed_eq_node, seed_iv)` to a consistent
-/// dimension over all of `comp`. Returns `None` when the paper's step-3
-/// verification fails.
+/// dimension over the component `state` is working on, whose nodes are
+/// `comp`. Returns `None` when the paper's step-3 verification fails.
 pub fn try_match(
     module: &HirModule,
-    dg: &DepGraph,
-    state: &SchedState,
-    comp: &FxHashSet<NodeId>,
+    state: &mut SchedState,
+    comp: &[NodeId],
     seed_eq_node: NodeId,
     seed_iv: IvId,
 ) -> Option<DimMatch> {
-    let mut eq_iv: FxHashMap<NodeId, IvId> = FxHashMap::default();
-    let mut data_pos: FxHashMap<NodeId, usize> = FxHashMap::default();
-    let mut work: Vec<NodeId> = vec![seed_eq_node];
-    eq_iv.insert(seed_eq_node, seed_iv);
+    let dg = state.dg;
+    let equation = |n: NodeId| match dg.node_kind(n) {
+        DepNodeKind::Equation(eq) => Some(&module.equations[eq]),
+        _ => None,
+    };
+    state.matched.clear();
+    state.work.clear();
+    assign(state, seed_eq_node, seed_iv.0);
 
-    // Fixed-point propagation over the component's active edges.
-    while let Some(n) = work.pop() {
-        if dg.is_equation(n) {
-            let v = eq_iv[&n];
-            let eq_id = match dg.node_kind(n) {
-                ps_depgraph::DepNodeKind::Equation(e) => e,
-                _ => unreachable!(),
-            };
-            let eq = &module.equations[eq_id];
+    // Fixed-point propagation over the component's undeleted edges.
+    while let Some(n) = state.work.pop() {
+        let at = state.matched.get(n).expect("queued when assigned");
+        if let Some(eq) = equation(n) {
+            let v = IvId(at);
 
             // Def edge: the LHS dimension bound to v fixes the position of
             // the defined array.
             let lhs_node = dg.data_node(eq.lhs);
-            if comp.contains(&lhs_node) {
+            if state.in_component(lhs_node) {
                 let pos = eq
                     .lhs_subs
                     .iter()
                     .position(|s| matches!(s, LhsSub::Var(iv) if *iv == v))?;
-                if !assign_data(&mut data_pos, &mut work, lhs_node, pos) {
+                if !assign(state, lhs_node, pos as u32) {
                     return None;
                 }
             }
 
             // Read edges into this equation: labels using v fix the source
             // array's position.
-            for e in state.graph.in_edges(n) {
-                if state.graph.edge(e).kind != EdgeKind::Read {
+            for &e in dg.graph.in_edge_list(n) {
+                let edge = dg.graph.edge(e);
+                let src = dg.graph.edge_source(e);
+                if edge.kind != EdgeKind::Read || state.is_deleted(e) || !state.in_component(src) {
                     continue;
                 }
-                let src = state.graph.edge_source(e);
-                if !comp.contains(&src) {
-                    continue;
-                }
-                let labels = &state.graph.edge(e).labels;
                 let mut pos_for_v: Option<usize> = None;
-                for (d, l) in labels.iter().enumerate() {
+                for (d, l) in edge.labels.iter().enumerate() {
                     if l.iv == Some(v) && pos_for_v.replace(d).is_some() {
                         // v used at two positions of the same reference.
                         return None;
                     }
                 }
                 if let Some(d) = pos_for_v {
-                    if !assign_data(&mut data_pos, &mut work, src, d) {
+                    if !assign(state, src, d as u32) {
                         return None;
                     }
                 }
@@ -106,20 +101,18 @@ pub fn try_match(
             // at that position must be `I` / `I - constant` over a single
             // index variable of the target equation; every in-component
             // definition must bind a variable there.
-            let d = data_pos[&n];
-            for e in state.graph.out_edges(n) {
-                if state.graph.edge(e).kind != EdgeKind::Read {
+            let d = at as usize;
+            for &e in dg.graph.out_edge_list(n) {
+                let edge = dg.graph.edge(e);
+                let tgt = dg.graph.edge_target(e);
+                if edge.kind != EdgeKind::Read || state.is_deleted(e) || !state.in_component(tgt) {
                     continue;
                 }
-                let tgt = state.graph.edge_target(e);
-                if !comp.contains(&tgt) {
-                    continue;
-                }
-                let l = state.graph.edge(e).labels.get(d)?;
+                let l = edge.labels.get(d)?;
                 match l.form {
                     SubscriptForm::Identity | SubscriptForm::OffsetBack => {
                         let v = l.iv.expect("identity/offset labels carry an iv");
-                        if !assign_eq(&mut eq_iv, &mut work, tgt, v) {
+                        if !assign(state, tgt, v.0) {
                             return None;
                         }
                     }
@@ -128,21 +121,18 @@ pub fn try_match(
                     SubscriptForm::Other | SubscriptForm::Constant => return None,
                 }
             }
-            for e in state.graph.in_edges(n) {
-                if state.graph.edge(e).kind != EdgeKind::Def {
+            for &e in dg.graph.in_edge_list(n) {
+                let src = dg.graph.edge_source(e);
+                if dg.graph.edge(e).kind != EdgeKind::Def
+                    || state.is_deleted(e)
+                    || !state.in_component(src)
+                {
                     continue;
                 }
-                let src = state.graph.edge_source(e);
-                if !comp.contains(&src) {
-                    continue;
-                }
-                let eq_id = match dg.node_kind(src) {
-                    ps_depgraph::DepNodeKind::Equation(eq) => eq,
-                    _ => continue,
-                };
-                match module.equations[eq_id].lhs_subs.get(d) {
+                let Some(eq) = equation(src) else { continue };
+                match eq.lhs_subs.get(d) {
                     Some(LhsSub::Var(v)) => {
-                        if !assign_eq(&mut eq_iv, &mut work, src, *v) {
+                        if !assign(state, src, v.0) {
                             return None;
                         }
                     }
@@ -154,107 +144,64 @@ pub fn try_match(
         }
     }
 
-    // Every node of the component must participate in the dimension.
+    // Every node of the component must participate in the dimension; the
+    // matched variables and positions must be unscheduled, and all equation
+    // loops must range over provably identical subranges.
+    let seed = &equation(seed_eq_node).expect("seeds are equations").ivs[seed_iv];
+    let mut m = DimMatch {
+        eqs: Vec::new(),
+        data: Vec::new(),
+        deletable: Vec::new(),
+        name: seed.name.to_string(),
+        subrange: seed.subrange,
+    };
     for &n in comp {
-        if dg.is_equation(n) {
-            if !eq_iv.contains_key(&n) {
+        let at = state.matched.get(n)?;
+        if let Some(eq) = equation(n) {
+            let v = IvId(at);
+            let sr = eq.ivs[v].subrange;
+            if state.is_eq_scheduled(n, v)
+                || (sr != m.subrange
+                    && !module.subranges[sr].same_bounds(&module.subranges[m.subrange]))
+            {
                 return None;
             }
-        } else if !data_pos.contains_key(&n) {
-            return None;
-        }
-    }
-
-    // The matched variables must be unscheduled, and all equation loops must
-    // range over provably identical subranges.
-    let seed_subrange = iv_subrange(module, dg, seed_eq_node, seed_iv);
-    for (&n, &v) in &eq_iv {
-        if state.is_eq_scheduled(n, v) {
-            return None;
-        }
-        let sr = iv_subrange(module, dg, n, v);
-        if sr != seed_subrange
-            && !module.subranges[sr].same_bounds(&module.subranges[seed_subrange])
-        {
-            return None;
-        }
-    }
-    for (&n, &d) in &data_pos {
-        if state.is_data_scheduled(n, d) {
-            return None;
+            m.eqs.push((n, v));
+        } else {
+            if state.is_data_scheduled(n, at as usize) {
+                return None;
+            }
+            m.data.push((n, at as usize));
         }
     }
 
     // Collect the deletable `I - constant` edges (step 4): in-component read
     // edges whose label at the source's matched position is OffsetBack.
-    let mut deletable = Vec::new();
-    for (&src, &d) in &data_pos {
-        for e in state.graph.out_edges(src) {
-            if state.graph.edge(e).kind != EdgeKind::Read {
-                continue;
-            }
-            let tgt = state.graph.edge_target(e);
-            if !comp.contains(&tgt) {
-                continue;
-            }
-            if state.graph.edge(e).labels[d].form == SubscriptForm::OffsetBack {
-                deletable.push(e);
+    for &(src, d) in &m.data {
+        for &e in dg.graph.out_edge_list(src) {
+            let edge = dg.graph.edge(e);
+            if edge.kind == EdgeKind::Read
+                && !state.is_deleted(e)
+                && state.in_component(dg.graph.edge_target(e))
+                && edge.labels[d].form == SubscriptForm::OffsetBack
+            {
+                m.deletable.push(e);
             }
         }
     }
-
-    let name = eq_iv_name(module, dg, seed_eq_node, seed_iv);
-    Some(DimMatch {
-        eq_iv,
-        data_pos,
-        deletable,
-        name,
-        subrange: seed_subrange,
-    })
+    Some(m)
 }
 
-fn assign_data(
-    data_pos: &mut FxHashMap<NodeId, usize>,
-    work: &mut Vec<NodeId>,
-    node: NodeId,
-    pos: usize,
-) -> bool {
-    match data_pos.get(&node) {
-        Some(&existing) => existing == pos,
+/// Record `node ↦ value` (an equation's index variable or a data node's
+/// position, as a raw index) and queue the node; `false` when it conflicts
+/// with what the node was assigned before.
+fn assign(state: &mut SchedState, node: NodeId, value: u32) -> bool {
+    match state.matched.get(node) {
+        Some(existing) => existing == value,
         None => {
-            data_pos.insert(node, pos);
-            work.push(node);
+            state.matched.set(node, value);
+            state.work.push(node);
             true
         }
-    }
-}
-
-fn assign_eq(
-    eq_iv: &mut FxHashMap<NodeId, IvId>,
-    work: &mut Vec<NodeId>,
-    node: NodeId,
-    iv: IvId,
-) -> bool {
-    match eq_iv.get(&node) {
-        Some(&existing) => existing == iv,
-        None => {
-            eq_iv.insert(node, iv);
-            work.push(node);
-            true
-        }
-    }
-}
-
-fn iv_subrange(module: &HirModule, dg: &DepGraph, node: NodeId, iv: IvId) -> SubrangeId {
-    match dg.node_kind(node) {
-        ps_depgraph::DepNodeKind::Equation(eq) => module.equations[eq].ivs[iv].subrange,
-        _ => unreachable!("iv lookup on data node"),
-    }
-}
-
-fn eq_iv_name(module: &HirModule, dg: &DepGraph, node: NodeId, iv: IvId) -> String {
-    match dg.node_kind(node) {
-        ps_depgraph::DepNodeKind::Equation(eq) => module.equations[eq].ivs[iv].name.to_string(),
-        _ => unreachable!(),
     }
 }

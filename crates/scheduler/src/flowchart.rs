@@ -150,23 +150,25 @@ impl Flowchart {
     /// Compact one-line rendering: `DO K (DOALL I (DOALL J (eq.3)))`.
     /// Top-level items are `;`-separated.
     pub fn compact(&self, eq_label: &impl Fn(EqId) -> String) -> String {
-        fn go(items: &[Descriptor], eq_label: &impl Fn(EqId) -> String) -> String {
-            items
-                .iter()
-                .map(|d| match d {
-                    Descriptor::Equation(e) => eq_label(*e),
-                    Descriptor::Loop(l) => format!(
-                        "{} {} ({})",
-                        l.kind.keyword(),
-                        l.name,
-                        go(&l.body, eq_label)
-                    ),
-                    Descriptor::Drain(s) => format!("DRAIN {}", s.time_name),
-                })
-                .collect::<Vec<_>>()
-                .join("; ")
-        }
-        go(&self.items, eq_label)
+        Flowchart::compact_items(&self.items, eq_label)
+    }
+
+    /// [`Flowchart::compact`] for a run of items.
+    pub fn compact_items(items: &[Descriptor], eq_label: &impl Fn(EqId) -> String) -> String {
+        items
+            .iter()
+            .map(|d| match d {
+                Descriptor::Equation(e) => eq_label(*e),
+                Descriptor::Loop(l) => format!(
+                    "{} {} ({})",
+                    l.kind.keyword(),
+                    l.name,
+                    Flowchart::compact_items(&l.body, eq_label)
+                ),
+                Descriptor::Drain(s) => format!("DRAIN {}", s.time_name),
+            })
+            .collect::<Vec<_>>()
+            .join("; ")
     }
 
     /// The maximum loop-nesting depth.

@@ -10,6 +10,21 @@
 //!   edges, emit a loop descriptor (**DO** if edges were deleted, **DOALL**
 //!   otherwise), and recurse.
 //!
+//! **Cost model.** Schedule-Component recurses once per loop level, and
+//! each level decomposes only the component it is inside
+//! (`ps_graph::SccScratch::components` over that component's nodes: work ∝
+//! its nodes + their edges; a one-node subgraph skips the call). So
+//! Schedule-Graph costs Σ over loop levels of the size of the component
+//! scheduled at that level — linear in the program for a fixed nesting
+//! depth (`chain16 … chain1024`: ≈ 0.4 µs and ≈ 9 allocations per equation
+//! throughout). Edge deletion (step 4) is a bit in the scheduler's own
+//! mask, `SchedState`: the [`ps_depgraph::DepGraph`] is borrowed, never
+//! cloned, and its graph's `active` flags are not touched. Scheduled
+//! dimensions, component membership and the matcher's assignment are dense
+//! per-node tables that empty by bumping a stamp. The Figure-5 table is not
+//! formatted while scheduling: [`ScheduleResult::components`] holds node
+//! ids, and [`render::component_rows`] names them when asked.
+//!
 //! On top of the core algorithm this crate provides:
 //!
 //! * [`virtualdim`] — the Section 3.4 analysis marking dimensions *virtual*
@@ -33,9 +48,8 @@ pub mod virtualdim;
 
 pub use flowchart::{Descriptor, DrainSpec, Flowchart, LoopDescriptor, LoopKind};
 pub use memory::{DimAlloc, MemoryPlan};
-pub use schedule::{
-    schedule_module, ComponentInfo, PickPolicy, ScheduleError, ScheduleOptions, ScheduleResult,
-};
+pub use render::ComponentInfo;
+pub use schedule::{schedule_module, PickPolicy, ScheduleError, ScheduleOptions, ScheduleResult};
 pub use validate::{validate_flowchart, ValidationError};
 
 /// Shared test programs (the paper's two Relaxation variants).

@@ -2,6 +2,7 @@
 
 use crate::flowchart::{Descriptor, Flowchart};
 use crate::schedule::ScheduleResult;
+use ps_depgraph::DepGraph;
 use ps_lang::hir::HirModule;
 use ps_support::pretty::PrettyWriter;
 
@@ -40,12 +41,50 @@ pub fn render_flowchart(module: &HirModule, fc: &Flowchart) -> String {
     w.finish()
 }
 
+/// A row of the Figure-5 table, formatted.
+#[derive(Clone, Debug)]
+pub struct ComponentInfo {
+    /// Names of the nodes in the MSCC (`["A", "eq.3"]`).
+    pub nodes: Vec<String>,
+    /// Compact flowchart returned by Schedule-Component for this component.
+    pub flowchart: String,
+}
+
+/// The Figure-5 rows of `result`, which must be the schedule of `module`
+/// over `dg`: the scheduler records node ids and flowchart items only, and
+/// names them here, when someone reads the table.
+pub fn component_rows(
+    module: &HirModule,
+    dg: &DepGraph,
+    result: &ScheduleResult,
+) -> Vec<ComponentInfo> {
+    let label = |e| module.equations[e].label.clone();
+    result
+        .component_rows()
+        .map(|(nodes, items)| ComponentInfo {
+            nodes: nodes
+                .iter()
+                .map(|&n| dg.graph.node(n).name.clone())
+                .collect(),
+            flowchart: if items.is_empty() {
+                "null".to_string()
+            } else {
+                Flowchart::compact_items(items, &label)
+            },
+        })
+        .collect()
+}
+
 /// Figure 5 style table: one row per top-level MSCC.
-pub fn render_component_table(result: &ScheduleResult) -> String {
+pub fn render_component_table(
+    module: &HirModule,
+    dg: &DepGraph,
+    result: &ScheduleResult,
+) -> String {
     let mut w = PrettyWriter::new();
     w.line("Component | Node(s)            | Flowchart");
     w.line("----------|--------------------|----------");
-    for (i, c) in result.components.iter().enumerate() {
+    for (i, c) in component_rows(module, dg, result).iter().enumerate() {
         w.line(&format!(
             "{:<9} | {:<18} | {}",
             i + 1,
@@ -121,7 +160,7 @@ DOALL I (
         let m = frontend(crate::testprogs::RELAXATION_V1).unwrap();
         let dg = build_depgraph(&m);
         let r = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
-        let table = render_component_table(&r);
+        let table = render_component_table(&m, &dg, &r);
         assert_eq!(table.lines().count(), 2 + 7);
         assert!(table.contains("null"));
     }

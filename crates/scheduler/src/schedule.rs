@@ -4,12 +4,10 @@ use crate::dims::{try_match, DimMatch};
 use crate::flowchart::{Descriptor, Flowchart, LoopDescriptor, LoopKind};
 use crate::memory::MemoryPlan;
 use crate::virtualdim;
-use ps_depgraph::{DepEdge, DepGraph, DepNode, DepNodeKind};
-use ps_graph::scc::ordered_components_filtered;
-use ps_graph::{DiGraph, NodeId};
+use ps_depgraph::{DepGraph, DepNodeKind};
+use ps_graph::{EdgeId, NodeId, SccScratch, Sccs};
 use ps_lang::hir::HirModule;
 use ps_lang::IvId;
-use ps_support::{FxHashMap, FxHashSet};
 
 /// How Schedule-Component picks among candidate dimensions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -30,15 +28,6 @@ pub struct ScheduleOptions {
     /// Run the loop-fusion post-pass (paper: "improvement of the scheduler
     /// to better merge iterative loops").
     pub fuse_loops: bool,
-}
-
-/// A component row of the Figure-5 table.
-#[derive(Clone, Debug)]
-pub struct ComponentInfo {
-    /// Names of the nodes in the MSCC (`["A", "eq.3"]`).
-    pub nodes: Vec<String>,
-    /// Compact flowchart returned by Schedule-Component for this component.
-    pub flowchart: String,
 }
 
 /// Scheduling failure: the algorithm of the paper signals an error when a
@@ -69,41 +58,134 @@ pub struct ScheduleResult {
     pub flowchart: Flowchart,
     /// Virtual-dimension memory plan (Section 3.4).
     pub memory: MemoryPlan,
-    /// Top-level MSCCs in scheduling order with their per-component
-    /// flowcharts (the Figure-5 table).
-    pub components: Vec<ComponentInfo>,
+    /// Top-level MSCCs in scheduling order, as node ids: the rows of the
+    /// Figure-5 table. [`ScheduleResult::component_rows`] pairs them with
+    /// their flowcharts; `render` turns both into text when asked.
+    pub components: Sccs,
+    /// How many top-level flowchart items components `0..=i` produced.
+    component_item_ends: Vec<u32>,
+    /// The flowchart as Schedule-Graph built it, kept only when the fusion
+    /// post-pass rewrote `flowchart`: the rows index into it.
+    unfused: Option<Flowchart>,
 }
 
-/// Internal scheduling state shared with the dimension matcher.
-pub struct SchedState {
-    /// Mutable copy of the dependency graph; edge deletion is deactivation.
-    pub graph: DiGraph<DepNode, DepEdge>,
-    /// Scheduled index variables per equation node.
-    scheduled_eq: FxHashMap<NodeId, FxHashSet<IvId>>,
-    /// Scheduled dimension positions per data node.
-    scheduled_data: FxHashMap<NodeId, FxHashSet<usize>>,
+impl ScheduleResult {
+    /// Each top-level MSCC with the flowchart Schedule-Component returned
+    /// for it (empty — "null" — for a data node).
+    pub fn component_rows(&self) -> impl Iterator<Item = (&[NodeId], &[Descriptor])> + '_ {
+        let items = &self.unfused.as_ref().unwrap_or(&self.flowchart).items;
+        let mut start = 0;
+        let ends = self.component_item_ends.iter().map(|&end| end as usize);
+        self.components.iter().zip(ends).map(move |(nodes, end)| {
+            let row = (nodes, &items[start..end]);
+            start = end;
+            row
+        })
+    }
 }
 
-impl SchedState {
+/// A per-node table that empties in O(1): an entry counts only while its
+/// stamp is the current epoch.
+pub(crate) struct Stamped {
+    epoch: u32,
+    cells: Vec<(u32, u32)>,
+}
+
+impl Stamped {
+    fn new(nodes: usize) -> Stamped {
+        Stamped {
+            epoch: 1,
+            cells: vec![(0, 0); nodes],
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.epoch += 1;
+    }
+
+    pub(crate) fn get(&self, node: NodeId) -> Option<u32> {
+        let (stamp, value) = self.cells[node.0 as usize];
+        (stamp == self.epoch).then_some(value)
+    }
+
+    pub(crate) fn set(&mut self, node: NodeId, value: u32) {
+        self.cells[node.0 as usize] = (self.epoch, value);
+    }
+}
+
+/// Scheduling state shared with the dimension matcher and the window
+/// analysis. The dependence graph is borrowed and never modified: deleting
+/// an edge (step 4) sets its bit in a mask here.
+pub struct SchedState<'a> {
+    pub dg: &'a DepGraph,
+    /// Per edge id: deleted while scheduling an enclosing dimension.
+    deleted: Vec<bool>,
+    /// `scheduled[dim_base[n] + k]`: dimension `k` of node `n` is scheduled
+    /// (`k` an equation's index variable, or a data node's position).
+    dim_base: Vec<u32>,
+    scheduled: Vec<bool>,
+    /// Membership in the component Schedule-Component is working on.
+    comp: Stamped,
+    /// The matcher's per-node assignment and worklist.
+    pub(crate) matched: Stamped,
+    pub(crate) work: Vec<NodeId>,
+}
+
+impl<'a> SchedState<'a> {
+    fn new(dg: &'a DepGraph) -> SchedState<'a> {
+        let nodes = dg.graph.node_count();
+        let mut dim_base = Vec::with_capacity(nodes + 1);
+        let mut dims = 0;
+        for n in dg.graph.node_ids() {
+            dim_base.push(dims);
+            dims += dg.graph.node(n).dim_subranges.len() as u32;
+        }
+        dim_base.push(dims);
+        SchedState {
+            dg,
+            deleted: vec![false; dg.graph.edge_count()],
+            dim_base,
+            scheduled: vec![false; dims as usize],
+            comp: Stamped::new(nodes),
+            matched: Stamped::new(nodes),
+            work: Vec::new(),
+        }
+    }
+
+    fn dim_slot(&self, node: NodeId, dim: usize) -> usize {
+        let slot = self.dim_base[node.0 as usize] as usize + dim;
+        debug_assert!(slot < self.dim_base[node.0 as usize + 1] as usize);
+        slot
+    }
+
     pub fn is_eq_scheduled(&self, node: NodeId, iv: IvId) -> bool {
-        self.scheduled_eq
-            .get(&node)
-            .map(|s| s.contains(&iv))
-            .unwrap_or(false)
+        self.scheduled[self.dim_slot(node, iv.0 as usize)]
     }
 
     pub fn is_data_scheduled(&self, node: NodeId, dim: usize) -> bool {
-        self.scheduled_data
-            .get(&node)
-            .map(|s| s.contains(&dim))
-            .unwrap_or(false)
+        self.scheduled[self.dim_slot(node, dim)]
+    }
+
+    fn mark_scheduled(&mut self, node: NodeId, dim: usize) {
+        let slot = self.dim_slot(node, dim);
+        self.scheduled[slot] = true;
+    }
+
+    /// Has Schedule-Component deleted this edge (for an enclosing loop)?
+    pub fn is_deleted(&self, edge: EdgeId) -> bool {
+        self.deleted[edge.0 as usize]
+    }
+
+    /// Is `node` in the component being scheduled?
+    pub fn in_component(&self, node: NodeId) -> bool {
+        self.comp.get(node).is_some()
     }
 }
 
 struct Scheduler<'a> {
     module: &'a HirModule,
-    dg: &'a DepGraph,
-    state: SchedState,
+    state: SchedState<'a>,
+    scc: SccScratch,
     memory: MemoryPlan,
     options: ScheduleOptions,
 }
@@ -116,39 +198,26 @@ pub fn schedule_module(
 ) -> Result<ScheduleResult, ScheduleError> {
     let mut sched = Scheduler {
         module,
-        dg,
-        state: SchedState {
-            graph: dg.graph.clone(),
-            scheduled_eq: FxHashMap::default(),
-            scheduled_data: FxHashMap::default(),
-        },
+        state: SchedState::new(dg),
+        scc: SccScratch::default(),
         memory: MemoryPlan::new(),
         options,
     };
 
-    // Top level of Schedule-Graph, with per-component bookkeeping for the
-    // Figure-5 table.
-    let all: FxHashSet<NodeId> = sched.state.graph.node_ids().collect();
-    let sccs = ordered_components_filtered(&sched.state.graph, |n| all.contains(&n));
+    // Top level of Schedule-Graph, remembering which items each component
+    // produced (the Figure-5 table).
+    let all: Vec<NodeId> = dg.graph.node_ids().collect();
+    let components = sched.decompose(&all);
     let mut flowchart = Flowchart::new();
-    let mut components = Vec::new();
-    for (_, comp_nodes) in sccs.iter() {
-        let comp_fc = sched.schedule_component(comp_nodes)?;
-        components.push(ComponentInfo {
-            nodes: comp_nodes
-                .iter()
-                .map(|&n| sched.state.graph.node(n).name.clone())
-                .collect(),
-            flowchart: if comp_fc.is_empty() {
-                "null".to_string()
-            } else {
-                comp_fc.compact(&|e| sched.module.equations[e].label.clone())
-            },
-        });
-        flowchart.concat(comp_fc);
+    let mut component_item_ends = Vec::with_capacity(components.len());
+    for comp in components.iter() {
+        flowchart.concat(sched.schedule_component(comp)?);
+        component_item_ends.push(flowchart.items.len() as u32);
     }
 
+    let mut unfused = None;
     if options.fuse_loops {
+        unfused = Some(flowchart.clone());
         flowchart = crate::fusion::fuse(module, dg, flowchart);
     }
 
@@ -156,18 +225,28 @@ pub fn schedule_module(
         flowchart,
         memory: sched.memory,
         components,
+        component_item_ends,
+        unfused,
     })
 }
 
 impl<'a> Scheduler<'a> {
-    /// Schedule-Graph: MSCC decomposition in topological order.
-    fn schedule_graph(&mut self, nodes: &FxHashSet<NodeId>) -> Result<Flowchart, ScheduleError> {
-        let sccs = ordered_components_filtered(&self.state.graph, |n| nodes.contains(&n));
+    /// MSCCs of the subgraph induced by `nodes`, minus the deleted edges.
+    fn decompose(&mut self, nodes: &[NodeId]) -> Sccs {
+        let state = &self.state;
+        self.scc
+            .components(&state.dg.graph, nodes, |e| !state.is_deleted(e))
+    }
+
+    /// Schedule-Graph: MSCC decomposition in topological order. Scheduling
+    /// deletes edges but never nodes, so the decomposition stays valid
+    /// while its components are scheduled.
+    fn schedule_graph(&mut self, nodes: &[NodeId]) -> Result<Flowchart, ScheduleError> {
+        if nodes.len() == 1 {
+            return self.schedule_component(nodes); // its own component
+        }
         let mut fc = Flowchart::new();
-        // Collect node lists first: scheduling mutates edge activation, but
-        // never the node set, so the decomposition stays valid.
-        let comps: Vec<Vec<NodeId>> = sccs.components.clone();
-        for comp in &comps {
+        for comp in self.decompose(nodes).iter() {
             fc.concat(self.schedule_component(comp)?);
         }
         Ok(fc)
@@ -176,17 +255,24 @@ impl<'a> Scheduler<'a> {
     /// Schedule-Component: steps 1–8 of the paper.
     fn schedule_component(&mut self, comp: &[NodeId]) -> Result<Flowchart, ScheduleError> {
         // Step 1: a single data node schedules to null.
-        if comp.len() == 1 && self.dg.is_data(comp[0]) {
+        if comp.len() == 1 && self.state.dg.is_data(comp[0]) {
             return Ok(Flowchart::new());
         }
 
-        let comp_set: FxHashSet<NodeId> = comp.iter().copied().collect();
-        let candidates = self.candidates(comp);
+        // In id order: the declaration order of the seeds, and the order
+        // the decomposition of the loop body takes its DFS roots in.
+        let mut nodes = comp.to_vec();
+        nodes.sort_unstable();
+        self.state.comp.clear();
+        for &n in &nodes {
+            self.state.comp.set(n, 0);
+        }
+        let candidates = self.candidates(&nodes);
 
         if candidates.is_empty() {
             // Step 2a/2b: no dimensions left.
             if comp.len() == 1 {
-                if let DepNodeKind::Equation(eq) = self.dg.node_kind(comp[0]) {
+                if let DepNodeKind::Equation(eq) = self.state.dg.node_kind(comp[0]) {
                     return Ok(Flowchart {
                         items: vec![Descriptor::Equation(eq)],
                     });
@@ -195,34 +281,24 @@ impl<'a> Scheduler<'a> {
             return Err(self.not_schedulable(comp, "no unscheduled dimension is available"));
         }
 
-        // Steps 2–3: try candidates until one verifies.
-        let mut matches: Vec<DimMatch> = Vec::new();
+        // Steps 2–3: try candidates until one verifies. Prefer-parallel
+        // keeps looking for one that deletes nothing (an outer DOALL) and
+        // falls back to the first that verified.
+        let mut chosen: Option<DimMatch> = None;
         for (seed_node, seed_iv) in candidates {
-            if let Some(m) = try_match(
-                self.module,
-                self.dg,
-                &self.state,
-                &comp_set,
-                seed_node,
-                seed_iv,
-            ) {
-                match self.options.pick {
-                    PickPolicy::DeclarationOrder => {
-                        matches.push(m);
-                        break;
-                    }
-                    PickPolicy::PreferParallel => {
-                        if m.deletable.is_empty() {
-                            // An outer DOALL: take it immediately.
-                            matches.insert(0, m);
-                            break;
-                        }
-                        matches.push(m);
-                    }
-                }
+            let Some(m) = try_match(self.module, &mut self.state, &nodes, seed_node, seed_iv)
+            else {
+                continue;
+            };
+            let parallel = m.deletable.is_empty();
+            if chosen.is_none() || parallel {
+                chosen = Some(m);
+            }
+            if self.options.pick == PickPolicy::DeclarationOrder || parallel {
+                break;
             }
         }
-        let Some(m) = matches.into_iter().next() else {
+        let Some(m) = chosen else {
             return Err(self.not_schedulable(
                 comp,
                 "no dimension appears in a consistent position with only \
@@ -231,20 +307,13 @@ impl<'a> Scheduler<'a> {
         };
 
         // Section 3.4: virtual-dimension analysis runs while the component
-        // is being scheduled, before edge deletion (it must see every
-        // reference, including edges deleted for outer dimensions).
-        virtualdim::analyze(
-            self.module,
-            self.dg,
-            &self.state,
-            &comp_set,
-            &m,
-            &mut self.memory,
-        );
+        // is being scheduled (it looks at every reference, including edges
+        // deleted for outer dimensions).
+        virtualdim::analyze(self.module, &self.state, &m, &mut self.memory);
 
         // Step 4: delete the `I - constant` edges.
         for &e in &m.deletable {
-            self.state.graph.deactivate_edge(e);
+            self.state.deleted[e.0 as usize] = true;
         }
         // Step 6: iterative if edges were deleted, parallel otherwise.
         let kind = if m.deletable.is_empty() {
@@ -254,24 +323,20 @@ impl<'a> Scheduler<'a> {
         };
 
         // Step 5: mark the dimension scheduled.
-        let mut bindings = Vec::new();
-        for (&node, &iv) in &m.eq_iv {
-            self.state.scheduled_eq.entry(node).or_default().insert(iv);
-            if let DepNodeKind::Equation(eq) = self.dg.node_kind(node) {
+        let mut bindings = Vec::with_capacity(m.eqs.len());
+        for &(node, iv) in &m.eqs {
+            self.state.mark_scheduled(node, iv.0 as usize);
+            if let DepNodeKind::Equation(eq) = self.state.dg.node_kind(node) {
                 bindings.push((eq, iv));
             }
         }
         bindings.sort_by_key(|(eq, _)| *eq);
-        for (&node, &dim) in &m.data_pos {
-            self.state
-                .scheduled_data
-                .entry(node)
-                .or_default()
-                .insert(dim);
+        for &(node, dim) in &m.data {
+            self.state.mark_scheduled(node, dim);
         }
 
         // Steps 7–8: recurse on the subgraph and wrap in the loop.
-        let body = self.schedule_graph(&comp_set)?;
+        let body = self.schedule_graph(&nodes)?;
         Ok(Flowchart {
             items: vec![Descriptor::Loop(LoopDescriptor {
                 kind,
@@ -284,17 +349,11 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Candidate seeds: unscheduled index variables of the component's
-    /// equation nodes, in declaration order.
-    fn candidates(&self, comp: &[NodeId]) -> Vec<(NodeId, IvId)> {
-        let mut nodes: Vec<NodeId> = comp
-            .iter()
-            .copied()
-            .filter(|&n| self.dg.is_equation(n))
-            .collect();
-        nodes.sort();
+    /// equation nodes (`nodes` in id order), in declaration order.
+    fn candidates(&self, nodes: &[NodeId]) -> Vec<(NodeId, IvId)> {
         let mut out = Vec::new();
-        for n in nodes {
-            if let DepNodeKind::Equation(eq) = self.dg.node_kind(n) {
+        for &n in nodes {
+            if let DepNodeKind::Equation(eq) = self.state.dg.node_kind(n) {
                 for (iv, _) in self.module.equations[eq].ivs.iter_enumerated() {
                     if !self.state.is_eq_scheduled(n, iv) {
                         out.push((n, iv));
@@ -310,7 +369,7 @@ impl<'a> Scheduler<'a> {
             message: format!("equations cannot be scheduled by this algorithm: {reason}"),
             component: comp
                 .iter()
-                .map(|&n| self.state.graph.node(n).name.clone())
+                .map(|&n| self.state.dg.graph.node(n).name.clone())
                 .collect(),
         }
     }
@@ -360,10 +419,13 @@ mod tests {
 
     #[test]
     fn figure5_component_table() {
-        let (_, r) = run(RELAXATION_V1);
+        let m = frontend(RELAXATION_V1).unwrap();
+        let dg = build_depgraph(&m);
+        let r = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
         // Seven MSCCs (paper Figure 5).
         assert_eq!(r.components.len(), 7);
-        let names: Vec<Vec<String>> = r.components.iter().map(|c| c.nodes.clone()).collect();
+        let components = crate::render::component_rows(&m, &dg, &r);
+        let names: Vec<Vec<String>> = components.iter().map(|c| c.nodes.clone()).collect();
         // The multi-node component is exactly {A, eq.3}.
         let multi: Vec<_> = names.iter().filter(|c| c.len() > 1).collect();
         assert_eq!(multi.len(), 1);
@@ -371,14 +433,14 @@ mod tests {
         ab.sort();
         assert_eq!(ab, vec!["A".to_string(), "eq.3".to_string()]);
         // Data-only components schedule to null.
-        for c in &r.components {
+        for c in &components {
             if c.nodes.len() == 1 && !c.nodes[0].starts_with("eq.") {
                 assert_eq!(c.flowchart, "null");
             }
         }
         // eq.1 must come before the recursive component, which precedes eq.2.
         let pos = |label: &str| {
-            r.components
+            components
                 .iter()
                 .position(|c| c.flowchart.contains(label))
                 .unwrap()

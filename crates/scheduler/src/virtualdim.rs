@@ -32,23 +32,15 @@
 use crate::dims::DimMatch;
 use crate::memory::MemoryPlan;
 use crate::schedule::SchedState;
-use ps_depgraph::{DepGraph, DepNodeKind, EdgeKind, SubscriptForm};
-use ps_graph::NodeId;
+use ps_depgraph::{DepNodeKind, EdgeKind, SubscriptForm};
 use ps_lang::hir::{DataKind, HirModule, LhsSub};
-use ps_support::FxHashSet;
 
-/// Run the analysis for one scheduled dimension of one component, recording
-/// windows into `memory`. `state` carries which dimensions are already
-/// scheduled (the enclosing loops).
-pub fn analyze(
-    module: &HirModule,
-    dg: &DepGraph,
-    state: &SchedState,
-    comp: &FxHashSet<NodeId>,
-    m: &DimMatch,
-    memory: &mut MemoryPlan,
-) {
-    for (&node, &dim) in &m.data_pos {
+/// Run the analysis for one scheduled dimension of the component `state` is
+/// working on, recording windows into `memory`. `state` also carries which
+/// dimensions are already scheduled (the enclosing loops).
+pub fn analyze(module: &HirModule, state: &SchedState, m: &DimMatch, memory: &mut MemoryPlan) {
+    let dg = state.dg;
+    for &(node, dim) in &m.data {
         let DepNodeKind::Data(data_id) = dg.node_kind(node) else {
             continue;
         };
@@ -60,18 +52,14 @@ pub fn analyze(
 
         let mut ok = true;
         let mut max_offset: i64 = 0;
-        // All read edges out of this data node, active or deleted.
-        for e in dg.graph.edge_ids() {
+        // All read edges out of this data node, deleted or not.
+        for &e in dg.graph.out_edge_list(node) {
             let edge = dg.graph.edge(e);
             if edge.kind != EdgeKind::Read {
                 continue;
             }
-            let (src, tgt) = dg.graph.edge_endpoints(e);
-            if src != node {
-                continue;
-            }
             let label = &edge.labels[dim];
-            if comp.contains(&tgt) {
+            if state.in_component(dg.graph.edge_target(e)) {
                 // Form 1: I or I - constant, target inside the component.
                 match label.form {
                     SubscriptForm::Identity => {}
@@ -115,13 +103,9 @@ pub fn analyze(
         // which the window would evict before the loop reads them.)
         if ok {
             let loop_lo = &module.subranges[m.subrange].lo;
-            for e in dg.graph.edge_ids() {
-                let edge = dg.graph.edge(e);
-                if edge.kind != EdgeKind::Def {
-                    continue;
-                }
-                let (src, tgt) = dg.graph.edge_endpoints(e);
-                if tgt != node || comp.contains(&src) {
+            for &e in dg.graph.in_edge_list(node) {
+                let src = dg.graph.edge_source(e);
+                if dg.graph.edge(e).kind != EdgeKind::Def || state.in_component(src) {
                     continue;
                 }
                 let DepNodeKind::Equation(eq_id) = dg.node_kind(src) else {

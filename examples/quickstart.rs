@@ -26,7 +26,7 @@ fn main() {
     println!("\n=== Components (Figure 5) ===");
     print!(
         "{}",
-        ps_scheduler::render::render_component_table(&comp.schedule)
+        ps_scheduler::render::render_component_table(&comp.module, &comp.depgraph, &comp.schedule)
     );
 
     // 4. The scheduled flowchart (Figure 6) with DO/DOALL annotations.

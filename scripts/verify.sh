@@ -8,7 +8,9 @@
 # named here, so the set can only shrink), release build, the full test
 # suite (unit + integration + doc), the differential suites against the
 # `run_naive` oracle (`engine_diff`, `strip_diff`: explicitly, so a tape,
-# strip, schedule or window regression names itself), the executor
+# strip, schedule or window regression names itself), the schedule suites
+# (`scc_props`, then `figures`, `scheduler_props`, `window_props`: likewise
+# for a component-order, flowchart or window regression), the executor
 # schedule-stress suite (likewise for a pool regression), the service/TCP
 # concurrency suites (overlapping solves, bounded-queue shedding,
 # cross-connection shutdown drain), the seeded
@@ -22,8 +24,8 @@
 # also checks every op against the native kernels at the real problem
 # size) and its own tests, docs with warnings denied, and rustfmt.
 #
-# The differential/stress/TCP/chaos suites and both bench steps (`micro`
-# drives the pool) run under a hang watchdog: a wedged drain or a
+# The differential/schedule/stress/TCP/chaos suites and both bench steps
+# (`micro` drives the pool) run under a hang watchdog: a wedged drain or a
 # deadlocked pool fails the gate with a kill instead of hanging CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,6 +57,10 @@ bounded 1800 cargo test -q --offline
 
 echo "==> cargo test -q --offline --test engine_diff --test strip_diff (bit-identical to the oracle)"
 bounded 600 cargo test -q --offline --test engine_diff --test strip_diff
+
+echo "==> schedule suites: ps-graph scc_props, then figures, scheduler_props, window_props"
+bounded 600 bash -c 'cargo test -q --offline -p ps-graph --test scc_props \
+    && cargo test -q --offline --test figures --test scheduler_props --test window_props'
 
 echo "==> cargo test -q --offline --test executor_stress (exactly-once accounting)"
 bounded 600 cargo test -q --offline --test executor_stress

@@ -2,6 +2,9 @@
 
 use std::process::Command;
 
+#[path = "generators.rs"]
+mod generators;
+
 fn psc(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_psc"))
         .args(args)
@@ -171,6 +174,59 @@ fn c_emission_matches_the_goldens() {
         assert!(ok, "{args:?}");
         assert!(stdout == golden, "{args:?} differs from its golden");
     }
+}
+
+/// Everything the scheduler decides, as `psc` prints it — the Figure-5
+/// table, the flowchart with its windows, the memory plan — pinned whole
+/// against text captured from the binary of the commit before Schedule-Graph
+/// was rewritten to cost what its component costs: the eight builtins under
+/// both pick policies, the two hyperplane variants, fusion, and two
+/// generated chains. Each golden is a list of `## psc <args>` headers, each
+/// followed by that command's output; `chainN.ps` stands for a file holding
+/// `generators::chain_source(N)`.
+#[test]
+fn scheduler_reports_match_the_goldens() {
+    let goldens = [
+        include_str!("golden/sched_relaxation_v1.txt"),
+        include_str!("golden/sched_relaxation_v2.txt"),
+        include_str!("golden/sched_heat_1d.txt"),
+        include_str!("golden/sched_recurrence_1d.txt"),
+        include_str!("golden/sched_pipeline.txt"),
+        include_str!("golden/sched_gather.txt"),
+        include_str!("golden/sched_table_2d.txt"),
+        include_str!("golden/sched_wave_1d.txt"),
+        include_str!("golden/sched_prefer_parallel.txt"),
+        include_str!("golden/sched_relaxation_v2.windowed.txt"),
+        include_str!("golden/sched_table_2d.full.txt"),
+        include_str!("golden/sched_pipeline.fuse.txt"),
+        include_str!("golden/sched_chain16.txt"),
+        include_str!("golden/sched_chain64.txt"),
+    ];
+    let dir = std::env::temp_dir().join(format!("psc_sched_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut commands = 0;
+    for golden in goldens {
+        let mut got = String::new();
+        for header in golden.lines().filter(|l| l.starts_with("## psc ")) {
+            let mut args: Vec<String> = header.split(' ').skip(2).map(str::to_string).collect();
+            if let Some(n) = args[0]
+                .strip_prefix("chain")
+                .and_then(|rest| rest.strip_suffix(".ps"))
+            {
+                let file = dir.join(&args[0]);
+                std::fs::write(&file, generators::chain_source(n.parse().unwrap())).unwrap();
+                args[0] = file.to_str().unwrap().to_string();
+            }
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let (stdout, stderr, ok) = psc(&args);
+            assert!(ok, "{header}: {stderr}");
+            got.push_str(&format!("{header}\n{stdout}"));
+            commands += 1;
+        }
+        assert!(got == golden, "differs from its golden:\n{got}");
+    }
+    assert_eq!(commands, 8 * 3 * 2 + 2 * 2 + 3 + 2 * 3);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An unknown `--emit` target is a usage error, caught before the program

@@ -16,6 +16,9 @@ use ps_core::{
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+#[path = "generators.rs"]
+mod generators;
+
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
@@ -246,10 +249,15 @@ fn cold_sweep() {
 /// The cold path's allocation count repeats exactly and stays at most
 /// 70 % of what it was while `compile` emitted C eagerly and the verifier
 /// cloned its state per tape step and formatted its report as it went:
-/// 17 368 allocations per sweep then, 10 440 once both stopped (60 %).
+/// 17 368 allocations per sweep then, 10 440 once both stopped (60 %) — and
+/// at most 8 400 since the scheduler stopped cloning the dependence graph,
+/// hashing node sets and formatting the Figure-5 table nobody asked for,
+/// and the front end stopped copying its source for diagnostics it does not
+/// print (7 803 measured at that change).
 #[test]
 fn cold_compile_allocation_budget() {
     const EAGER_SWEEP: usize = 17_368;
+    const GRAPH_CLONING_SWEEP: usize = 10_440;
     cold_sweep(); // first-use interning
     let first = allocs_during(cold_sweep);
     let second = allocs_during(cold_sweep);
@@ -257,5 +265,39 @@ fn cold_compile_allocation_budget() {
     assert!(
         first * 10 <= EAGER_SWEEP * 7,
         "a cold sweep allocates {first} times, over 70 % of {EAGER_SWEEP}"
+    );
+    assert!(
+        first <= 8_400,
+        "a cold sweep allocates {first} times, over 8 400 ({GRAPH_CLONING_SWEEP} before)"
+    );
+}
+
+/// Schedule-Graph allocates per component it schedules, not per node of
+/// the graph it is a part of: on `chain64` (67 equations, 135 nodes) at
+/// most a third of the 4 701 allocations it made while every recursion
+/// re-ran SCC over the whole graph through hash sets (606 measured now),
+/// and four times the equations cost about four times as much (`chain256`:
+/// 2 160, 3.6 ×; 18 675 before, 4.0 × — it was the time, not the count,
+/// that grew faster than the program).
+#[test]
+fn schedule_allocations_are_linear_and_lean() {
+    const WHOLE_GRAPH_SCC_CHAIN64: usize = 4_701;
+    let schedule_allocs = |n: usize| {
+        let module = ps_core::frontend(&generators::chain_source(n)).unwrap();
+        let dg = ps_core::build_depgraph(&module);
+        let run = || {
+            ps_core::schedule_module(&module, &dg, Default::default()).unwrap();
+        };
+        run(); // first-use interning
+        allocs_during(run)
+    };
+    let (chain64, chain256) = (schedule_allocs(64), schedule_allocs(256));
+    assert!(
+        chain64 * 3 <= WHOLE_GRAPH_SCC_CHAIN64,
+        "chain64 schedules in {chain64} allocations, over a third of {WHOLE_GRAPH_SCC_CHAIN64}"
+    );
+    assert!(
+        chain256 * 10 <= chain64 * 42,
+        "chain256 schedules in {chain256} allocations, over 4.2 x chain64's {chain64}"
     );
 }

@@ -90,7 +90,7 @@ fn fig3_depgraph_structure() {
 #[test]
 fn fig5_component_table() {
     let comp = v1();
-    let comps = &comp.schedule.components;
+    let comps = &ps_scheduler::render::component_rows(&comp.module, &comp.depgraph, &comp.schedule);
     assert_eq!(comps.len(), 7);
 
     let find = |name: &str| {

@@ -277,3 +277,35 @@ pub fn grid_inputs(m: i64, maxk: i64) -> Inputs {
         .set_int("maxK", maxk)
         .set_array("init", OwnedArray::real(vec![(0, m + 1), (0, m + 1)], data))
 }
+
+// ---- fixed-shape scaling input ----
+
+/// `chain<n>`: `n` identity-dependent pointwise equations feeding one
+/// recurrence — the source behind the scheduler's scaling rows (`chain16`,
+/// `chain64`, …) and the `sched_chain*.txt` goldens.
+pub fn chain_source(n: usize) -> String {
+    let mut eqs = String::new();
+    let mut vars = String::new();
+    for g in 0..n {
+        vars.push_str(&format!("    a{g}: array [1 .. n] of real;\n"));
+        if g == 0 {
+            eqs.push_str("    a0[I] = xs[I] * 2.0 + 1.0;\n");
+        } else {
+            eqs.push_str(&format!("    a{g}[I] = a{}[I] * 2.0 + 1.0;\n", g - 1));
+        }
+    }
+    format!(
+        "Chain: module (xs: array[I] of real; n: int): [y: real];
+         type I = 1 .. n; K = 2 .. n;
+         var
+         {vars}
+             r: array [1 .. n] of real;
+         define
+         {eqs}
+             r[1] = a{last}[1];
+             r[K] = r[K-1] + a{last}[K];
+             y = r[n];
+         end Chain;",
+        last = n - 1
+    )
+}
