@@ -2,15 +2,20 @@
 //!
 //! Tape control flow is forward-only (every branch target points past the
 //! branch), so instruction order is a topological order of the CFG and a
-//! single forward pass with per-edge state joins computes, for every step:
+//! single forward pass with per-edge state joins computes, for every
+//! instruction (a *step*):
 //!
 //! * which registers are *definitely assigned* on **all** paths reaching
 //!   it (meet = intersection over incoming edges), and
 //! * a symbolic interval for every integer register (join = convex hull),
 //!   refined along the edges of fused compare-and-branch guards.
+//!
+//! The pass reads each instruction through [`crate::Insn::operands`]; the
+//! only instruction it treats apart is `CopyI`, whose source interval
+//! carries over.
 
 use crate::interval::{fmt_affine, refine, Facts, Ival};
-use crate::ir::{ADim, AProgram, ArrayIx, CmpInfo, CmpOp, EqIx, EqTape, IVal, Reg, Step};
+use crate::ir::{ADim, AProgram, ArrayIx, CmpOp, EqIx, EqTape, Flow, IVal, Insn, Reg};
 use crate::report::Verdict;
 use ps_lang::Affine;
 use ps_support::diag::Diagnostic;
@@ -158,8 +163,8 @@ fn merge(
 /// Move `st` onto the edge where `a op b` effectively holds, refining the
 /// interval of either operand when the other is a known single value (both
 /// refinements read the state as it reached the branch).
-fn refine_edge(mut st: State, c: &CmpInfo, op: CmpOp) -> State {
-    if let (Reg::I(a), Reg::I(b)) = (c.a, c.b) {
+fn refine_edge(mut st: State, operands: [Option<Reg>; 2], op: CmpOp) -> State {
+    if let [Some(Reg::I(a)), Some(Reg::I(b))] = operands {
         let (a, b) = (a as usize, b as usize);
         let new_a = st.iv[b].singleton().map(|k| refine(&st.iv[a], op, k));
         let new_b = st.iv[a]
@@ -325,7 +330,7 @@ pub fn analyze_eq<'s>(
     scratch: &'s mut EqScratch,
 ) -> EqOutcome<'s> {
     let eq: &EqTape = &p.eqs[eq_ix];
-    let n = eq.steps.len();
+    let n = eq.insns.len();
     let mut diags = Vec::new();
     let EqScratch {
         states,
@@ -405,56 +410,48 @@ pub fn analyze_eq<'s>(
         let Some(mut st) = states[ix].take() else {
             continue; // unreachable step
         };
-        match &eq.steps[ix] {
-            Step::Op { uses, def } => {
-                for &u in uses.iter().flatten() {
-                    check_use(&st, u, format_args!("step {ix}"), &mut diags);
-                }
-                if let Some(d) = def {
-                    st.define(*d);
-                }
-                merge(states, spare, ix + 1, st, facts);
+        let insn = eq.insns[ix];
+        let ops = insn.operands();
+        for &u in ops.uses.iter().flatten() {
+            check_use(&st, u, format_args!("step {ix}"), &mut diags);
+        }
+        if let Some(mem) = ops.mem {
+            let (array, addr) = eq.addrs[mem.addr as usize];
+            for &(r, _) in addr.iter().flat_map(|dim| &dim.terms) {
+                let at = format_args!("step {ix} (address)");
+                check_use(&st, Reg::I(r), at, &mut diags);
             }
-            Step::CopyI { src, dst } => {
-                check_use(&st, Reg::I(*src), format_args!("step {ix}"), &mut diags);
-                st.set(Reg::I(*dst));
-                st.iv[*dst as usize] = st.iv[*src as usize].clone();
-                merge(states, spare, ix + 1, st, facts);
+            let verdict = access_check(
+                p, array, addr, &st, facts, eq.label, "load", region, &mut diags, dims,
+            );
+            loads.push(LoadOutcome { array, verdict });
+        }
+        match (insn, ops.def) {
+            (Insn::CopyI { src, dst }, _) => {
+                st.set(Reg::I(dst));
+                st.iv[dst as usize] = st.iv[src as usize].clone();
             }
-            Step::Load { array, addr, def } => {
-                for &(r, _) in addr.iter().flat_map(|dim| &dim.terms) {
-                    let at = format_args!("step {ix} (address)");
-                    check_use(&st, Reg::I(r), at, &mut diags);
-                }
-                let verdict = access_check(
-                    p, *array, addr, &st, facts, eq.label, "load", region, &mut diags, dims,
-                );
-                loads.push(LoadOutcome {
-                    array: *array,
-                    verdict,
-                });
-                st.define(*def);
-                merge(states, spare, ix + 1, st, facts);
-            }
-            Step::Jump { target } => merge(states, spare, *target, st, facts),
-            Step::Branch { uses, target, cmp } => {
-                for &u in uses.iter().flatten() {
-                    check_use(&st, u, format_args!("step {ix}"), &mut diags);
-                }
+            (_, Some(d)) => st.define(d),
+            (_, None) => {}
+        }
+        match ops.flow {
+            Flow::Next => merge(states, spare, ix + 1, st, facts),
+            Flow::Jump(target) => merge(states, spare, target as usize, st, facts),
+            Flow::Branch { target, cmp } => {
                 // The jump edge takes a copy; the fall-through edge keeps
                 // the state that reached the branch.
                 let jump_st = copy_of(spare, &st);
                 let (jump_st, fall_st) = match cmp {
-                    Some(c) => {
-                        let jop = if c.jump_on_true { c.op } else { c.op.negate() };
+                    Some((op, jump_on_true)) => {
+                        let jop = if jump_on_true { op } else { op.negate() };
                         (
-                            refine_edge(jump_st, c, jop),
-                            refine_edge(st, c, jop.negate()),
+                            refine_edge(jump_st, ops.uses, jop),
+                            refine_edge(st, ops.uses, jop.negate()),
                         )
                     }
                     None => (jump_st, st),
                 };
-                merge(states, spare, *target, jump_st, facts);
+                merge(states, spare, target as usize, jump_st, facts);
                 merge(states, spare, ix + 1, fall_st, facts);
             }
         }
@@ -462,7 +459,7 @@ pub fn analyze_eq<'s>(
 
     // --- exit: result + final store ---
     let exit = states[n].take();
-    let store = match (&eq.store, &exit) {
+    let store = match (eq.store, &exit) {
         (_, None) => None, // no path reaches exit: vacuous (empty tape only)
         (store, Some(exit)) => {
             check_use(
@@ -471,16 +468,16 @@ pub fn analyze_eq<'s>(
                 format_args!("tape exit (result)"),
                 &mut diags,
             );
-            store.as_ref().map(|sp| {
-                for &(r, _) in sp.dims.iter().flat_map(|dim| &dim.terms) {
+            store.map(|at| {
+                let (array, addr) = eq.addrs[at as usize];
+                for &(r, _) in addr.iter().flat_map(|dim| &dim.terms) {
                     let at = format_args!("tape exit (store address)");
                     check_use(exit, Reg::I(r), at, &mut diags);
                 }
                 // The store's per-dimension intervals stay in the report.
-                let mut dims = Vec::with_capacity(sp.dims.len());
+                let mut dims = Vec::with_capacity(addr.len());
                 let in_bounds = access_check(
-                    p, sp.array, sp.dims, exit, facts, eq.label, "store", region, &mut diags,
-                    &mut dims,
+                    p, array, addr, exit, facts, eq.label, "store", region, &mut diags, &mut dims,
                 );
                 let invariant = |r: u16| {
                     matches!(
@@ -489,7 +486,7 @@ pub fn analyze_eq<'s>(
                     )
                 };
                 let varies = |c: u16| {
-                    let mut terms = sp.dims.iter().flat_map(|d| &d.terms);
+                    let mut terms = addr.iter().flat_map(|d| &d.terms);
                     terms.any(|&(r, k)| r == c && k != 0)
                 };
                 let overlap = loops.iter().find(|l| !varies(l.counter));
@@ -501,18 +498,18 @@ pub fn analyze_eq<'s>(
                             "{}: store address into {} never varies with enclosing \
                              counter {name} — loop iterations overwrite the same \
                              elements (region: {region})",
-                            eq.label, p.arrays[sp.array].name
+                            eq.label, p.arrays[array].name
                         ),
                     ));
                 }
-                let injective = injective_in(sp.dims, loops.iter(), &invariant, pins);
+                let injective = injective_in(addr, loops.iter(), &invariant, pins);
                 // Sequential counters are fixed while a DOALL nest runs.
                 let par = loops.iter().filter(|l| l.parallel);
                 let seq = |r| loops.iter().any(|l| !l.parallel && l.counter == r);
                 let par_invariant = |r| invariant(r) || seq(r);
-                let doall_injective = injective_in(sp.dims, par, &par_invariant, pins);
+                let doall_injective = injective_in(addr, par, &par_invariant, pins);
                 StoreOutcome {
-                    array: sp.array,
+                    array,
                     in_bounds,
                     injective,
                     doall_injective,

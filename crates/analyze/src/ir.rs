@@ -1,20 +1,30 @@
-//! The analyzer's neutral input IR.
+//! The tape instruction set, and the verifier's view of a program built on
+//! it.
 //!
-//! `ps-analyze` sits *below* the runtime: it knows nothing about buffers,
-//! specialization keys or thread pools. A producer (the compiled engine's
-//! glue in `ps-runtime`, or a test building programs by hand) describes its
-//! tapes as an [`AProgram`]: per-equation step lists over typed register
-//! files, affine array addresses over the integer registers, and the
+//! [`Insn`] is the one definition of what a compiled PS tape holds: the
+//! runtime lowers equations to it and executes it, and this crate verifies
+//! it. Every pass that reads a tape without running it — the runtime's
+//! structural validation, its strip planner, and the analyzer's forward
+//! pass — learns what an instruction names from one accessor,
+//! [`Insn::operands`]: the registers read and written, the jump and the
+//! compare it branches on, the memory access and the scalar slot. Only the
+//! walkers that give instructions their meaning match on variants.
+//!
+//! `ps-analyze` sits *below* the runtime: it knows nothing about buffers
+//! beyond their indices, specialization keys or thread pools. A producer
+//! (the runtime's glue, or a test building programs by hand) describes its
+//! program as an [`AProgram`]: per equation the tape itself and its address
+//! table, borrowed, plus which registers hold what on entry, and the
 //! scheduled loop tree with its counter bindings. Everything symbolic is an
 //! [`Affine`] form over the module's integer parameters, so one analysis
 //! run covers *all admissible parameter vectors* at once.
 //!
-//! The IR borrows what the producer already holds: a load or store points
-//! at the producer's own address dimensions ([`ADim`] is the runtime's
-//! address form too), and labels, names and declared bounds are the
-//! producer's own. So describing a tape costs one step per instruction and
-//! nothing per address.
+//! Nothing is copied per instruction or per address: an [`EqTape`] borrows
+//! the producer's instructions and address dimensions ([`ADim`] is the
+//! runtime's address form too), and labels, names and declared bounds are
+//! the producer's own.
 
+use ps_lang::ast::BinOp;
 use ps_lang::Affine;
 use ps_support::SmallVec;
 
@@ -23,12 +33,30 @@ pub type ArrayIx = usize;
 /// Index of an equation in [`AProgram::eqs`].
 pub type EqIx = usize;
 
-/// Typed register reference.
+/// Register file and typed buffer kind. `char` and enumeration values are
+/// carried as integers.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Kind {
+    F,
+    I,
+    B,
+}
+
+/// A typed register reference.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Reg {
     F(u16),
     I(u16),
     B(u16),
+}
+
+impl Reg {
+    /// The register's index in its file.
+    pub fn index(self) -> u16 {
+        match self {
+            Reg::F(r) | Reg::I(r) | Reg::B(r) => r,
+        }
+    }
 }
 
 impl std::fmt::Display for Reg {
@@ -41,7 +69,8 @@ impl std::fmt::Display for Reg {
     }
 }
 
-/// Comparison operator of a fused compare-and-branch.
+/// Comparison operator with `partial_cmp` semantics: an unordered pair
+/// (a NaN operand) compares false under everything except `<>`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CmpOp {
     Eq,
@@ -53,6 +82,33 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    pub fn from_binop(op: BinOp) -> CmpOp {
+        match op {
+            BinOp::Eq => CmpOp::Eq,
+            BinOp::Ne => CmpOp::Ne,
+            BinOp::Lt => CmpOp::Lt,
+            BinOp::Le => CmpOp::Le,
+            BinOp::Gt => CmpOp::Gt,
+            BinOp::Ge => CmpOp::Ge,
+            other => panic!("{other:?} is not a comparison"),
+        }
+    }
+
+    #[inline]
+    pub fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
+        match a.partial_cmp(&b) {
+            None => matches!(self, CmpOp::Ne),
+            Some(ord) => match self {
+                CmpOp::Eq => ord.is_eq(),
+                CmpOp::Ne => !ord.is_eq(),
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Le => ord.is_le(),
+                CmpOp::Gt => ord.is_gt(),
+                CmpOp::Ge => ord.is_ge(),
+            },
+        }
+    }
+
     /// The operator holding exactly when `self` does not (over integers).
     pub fn negate(self) -> CmpOp {
         match self {
@@ -78,6 +134,342 @@ impl CmpOp {
     }
 }
 
+/// One tape instruction. Operands are register indices into the executing
+/// equation's register files; `addr` indices refer to the equation's
+/// address table, `buf` indices to the program-wide typed buffer tables.
+/// All control flow is forward-only: a jump target always points *past*
+/// the jump (it may equal the tape length, meaning the exit), so tape order
+/// is a topological order of the control-flow graph.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Insn {
+    CopyF {
+        src: u16,
+        dst: u16,
+    },
+    CopyI {
+        src: u16,
+        dst: u16,
+    },
+    CopyB {
+        src: u16,
+        dst: u16,
+    },
+    /// Typed read of a live scalar slot (locals/results written earlier in
+    /// the schedule; parameters are constant-folded instead).
+    ReadScalar {
+        slot: u32,
+        dst: Reg,
+    },
+    LoadF {
+        buf: u16,
+        addr: u16,
+        dst: u16,
+    },
+    LoadI {
+        buf: u16,
+        addr: u16,
+        dst: u16,
+    },
+    LoadB {
+        buf: u16,
+        addr: u16,
+        dst: u16,
+    },
+    AddF {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    SubF {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    MulF {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    DivF {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    MinF {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    MaxF {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    AddI {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    SubI {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    MulI {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    DivI {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    ModI {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    MinI {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    MaxI {
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    NegF {
+        a: u16,
+        dst: u16,
+    },
+    NegI {
+        a: u16,
+        dst: u16,
+    },
+    AbsF {
+        a: u16,
+        dst: u16,
+    },
+    AbsI {
+        a: u16,
+        dst: u16,
+    },
+    NotB {
+        a: u16,
+        dst: u16,
+    },
+    SqrtF {
+        a: u16,
+        dst: u16,
+    },
+    ExpF {
+        a: u16,
+        dst: u16,
+    },
+    LnF {
+        a: u16,
+        dst: u16,
+    },
+    SinF {
+        a: u16,
+        dst: u16,
+    },
+    CosF {
+        a: u16,
+        dst: u16,
+    },
+    /// `int → real` widening (checker casts and the `real` builtin).
+    CastIF {
+        a: u16,
+        dst: u16,
+    },
+    TruncFI {
+        a: u16,
+        dst: u16,
+    },
+    RoundFI {
+        a: u16,
+        dst: u16,
+    },
+    CmpF {
+        op: CmpOp,
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    CmpI {
+        op: CmpOp,
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    CmpB {
+        op: CmpOp,
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    Jump {
+        target: u32,
+    },
+    JumpIfNot {
+        cond: u16,
+        target: u32,
+    },
+    JumpIf {
+        cond: u16,
+        target: u32,
+    },
+    /// Fused compare-and-branch (branch-lowered `if` guards): jump when
+    /// the comparison is *false*.
+    JumpCmpFNot {
+        op: CmpOp,
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+    JumpCmpINot {
+        op: CmpOp,
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+    /// Fused compare-and-branch: jump when the comparison is *true*.
+    JumpCmpF {
+        op: CmpOp,
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+    JumpCmpI {
+        op: CmpOp,
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+}
+
+/// Where control goes after an instruction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Flow {
+    /// On to the next instruction.
+    #[default]
+    Next,
+    /// Always to `target`.
+    Jump(u32),
+    /// To `target` or on, as the instruction's operands decide. `cmp` is
+    /// the fused comparison `uses[0] op uses[1]` and whether the jump is
+    /// taken when it holds (`false`: when it does not); a branch on a
+    /// boolean register has none.
+    Branch {
+        target: u32,
+        cmp: Option<(CmpOp, bool)>,
+    },
+}
+
+/// A load's typed buffer and entry in the equation's address table.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Mem {
+    pub kind: Kind,
+    pub buf: u16,
+    pub addr: u16,
+}
+
+/// Everything an instruction names besides its operator, as
+/// [`Insn::operands`] reports it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Operands {
+    /// Registers read, in operand order (no instruction reads more than
+    /// two; a load's address registers are its address table entry's).
+    pub uses: [Option<Reg>; 2],
+    /// The register written: every instruction but a jump writes one.
+    pub def: Option<Reg>,
+    pub flow: Flow,
+    pub mem: Option<Mem>,
+    /// The scalar slot a `ReadScalar` reads.
+    pub slot: Option<u32>,
+}
+
+impl Insn {
+    /// What this instruction reads, writes, jumps to and accesses: the one
+    /// place each variant's operands are listed for the passes that read
+    /// tapes without running them.
+    pub fn operands(&self) -> Operands {
+        use Reg::{B, F, I};
+        let op = |uses, def| Operands {
+            uses,
+            def: Some(def),
+            ..Operands::default()
+        };
+        let un = |a, dst| op([Some(a), None], dst);
+        let bin = |a, b, dst| op([Some(a), Some(b)], dst);
+        let load = |kind, buf, addr, dst| Operands {
+            mem: Some(Mem { kind, buf, addr }),
+            ..op([None, None], dst)
+        };
+        let branch = |uses, target, cmp| Operands {
+            uses,
+            flow: Flow::Branch { target, cmp },
+            ..Operands::default()
+        };
+        let fused = |a, b, target, cmp, jump_on_true| {
+            branch([Some(a), Some(b)], target, Some((cmp, jump_on_true)))
+        };
+        match *self {
+            Insn::CopyF { src, dst } => un(F(src), F(dst)),
+            Insn::CopyI { src, dst } => un(I(src), I(dst)),
+            Insn::CopyB { src, dst } => un(B(src), B(dst)),
+            Insn::ReadScalar { slot, dst } => Operands {
+                slot: Some(slot),
+                ..op([None, None], dst)
+            },
+            Insn::LoadF { buf, addr, dst } => load(Kind::F, buf, addr, F(dst)),
+            Insn::LoadI { buf, addr, dst } => load(Kind::I, buf, addr, I(dst)),
+            Insn::LoadB { buf, addr, dst } => load(Kind::B, buf, addr, B(dst)),
+            Insn::AddF { a, b, dst }
+            | Insn::SubF { a, b, dst }
+            | Insn::MulF { a, b, dst }
+            | Insn::DivF { a, b, dst }
+            | Insn::MinF { a, b, dst }
+            | Insn::MaxF { a, b, dst } => bin(F(a), F(b), F(dst)),
+            Insn::AddI { a, b, dst }
+            | Insn::SubI { a, b, dst }
+            | Insn::MulI { a, b, dst }
+            | Insn::DivI { a, b, dst }
+            | Insn::ModI { a, b, dst }
+            | Insn::MinI { a, b, dst }
+            | Insn::MaxI { a, b, dst } => bin(I(a), I(b), I(dst)),
+            Insn::NegF { a, dst }
+            | Insn::AbsF { a, dst }
+            | Insn::SqrtF { a, dst }
+            | Insn::ExpF { a, dst }
+            | Insn::LnF { a, dst }
+            | Insn::SinF { a, dst }
+            | Insn::CosF { a, dst } => un(F(a), F(dst)),
+            Insn::NegI { a, dst } | Insn::AbsI { a, dst } => un(I(a), I(dst)),
+            Insn::NotB { a, dst } => un(B(a), B(dst)),
+            Insn::CastIF { a, dst } => un(I(a), F(dst)),
+            Insn::TruncFI { a, dst } | Insn::RoundFI { a, dst } => un(F(a), I(dst)),
+            Insn::CmpF { a, b, dst, .. } => bin(F(a), F(b), B(dst)),
+            Insn::CmpI { a, b, dst, .. } => bin(I(a), I(b), B(dst)),
+            Insn::CmpB { a, b, dst, .. } => bin(B(a), B(b), B(dst)),
+            Insn::Jump { target } => Operands {
+                flow: Flow::Jump(target),
+                ..Operands::default()
+            },
+            Insn::JumpIfNot { cond, target } | Insn::JumpIf { cond, target } => {
+                branch([Some(B(cond)), None], target, None)
+            }
+            Insn::JumpCmpFNot { op, a, b, target } => fused(F(a), F(b), target, op, false),
+            Insn::JumpCmpINot { op, a, b, target } => fused(I(a), I(b), target, op, false),
+            Insn::JumpCmpF { op, a, b, target } => fused(F(a), F(b), target, op, true),
+            Insn::JumpCmpI { op, a, b, target } => fused(I(a), I(b), target, op, true),
+        }
+    }
+}
+
 /// One dimension of an array address: `base + Σ coeff·i-reg`, in the
 /// array's *logical* index space. Zero coefficients must be dropped.
 ///
@@ -90,49 +482,6 @@ impl CmpOp {
 pub struct ADim {
     pub base: i64,
     pub terms: SmallVec<(u16, i64)>,
-}
-
-/// The comparison fused into a conditional branch, when the producer can
-/// expose one. Branches without it are analyzed conservatively (no interval
-/// refinement on either edge).
-#[derive(Clone, Copy, Debug)]
-pub struct CmpInfo {
-    pub op: CmpOp,
-    pub a: Reg,
-    pub b: Reg,
-    /// `true`: the branch is taken when the comparison holds; `false`: the
-    /// branch is taken when it does not (fall-through means it holds).
-    pub jump_on_true: bool,
-}
-
-/// One analyzable step of an equation tape. All control flow is
-/// forward-only: a `target` always points *past* the branch, so step order
-/// is a topological order of the control-flow graph.
-#[derive(Clone, Debug)]
-pub enum Step<'a> {
-    /// Straight-line instruction: reads `uses` (no tape instruction reads
-    /// more than two registers), then defines `def`.
-    Op {
-        uses: [Option<Reg>; 2],
-        def: Option<Reg>,
-    },
-    /// Integer register copy (preserves the source's interval).
-    CopyI { src: u16, dst: u16 },
-    /// Array element load at an affine address (the producer's, borrowed).
-    Load {
-        array: ArrayIx,
-        addr: &'a [ADim],
-        def: Reg,
-    },
-    /// Unconditional forward jump (`target` may equal `steps.len()`,
-    /// meaning the tape exit).
-    Jump { target: usize },
-    /// Conditional forward branch; `uses` are the condition registers.
-    Branch {
-        uses: [Option<Reg>; 2],
-        target: usize,
-        cmp: Option<CmpInfo>,
-    },
 }
 
 /// Entry classification of an i-register.
@@ -150,13 +499,6 @@ pub enum IVal {
     Temp,
 }
 
-/// The array store performed after the tape's last step.
-#[derive(Clone, Debug)]
-pub struct StoreSpec<'a> {
-    pub array: ArrayIx,
-    pub dims: &'a [ADim],
-}
-
 /// One equation described for analysis.
 #[derive(Clone, Debug)]
 pub struct EqTape<'a> {
@@ -171,9 +513,13 @@ pub struct EqTape<'a> {
     pub entry_b: SmallVec<u16>,
     /// Entry classification of every i-register (length `n_i`).
     pub ivals: Vec<IVal>,
-    pub steps: Vec<Step<'a>>,
-    /// Array store executed at tape exit (`None`: scalar output).
-    pub store: Option<StoreSpec<'a>>,
+    pub insns: &'a [Insn],
+    /// Per entry of the tape's address table, the array it addresses and
+    /// its subscripts.
+    pub addrs: &'a [(ArrayIx, &'a [ADim])],
+    /// Address-table entry of the array store executed at tape exit
+    /// (`None`: scalar output).
+    pub store: Option<u16>,
     /// Register whose value feeds the output (scalar slot or array store).
     pub result: Reg,
 }

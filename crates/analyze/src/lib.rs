@@ -36,13 +36,20 @@
 //! per-equation and per-array lines exist as text only in
 //! [`Report::render`], built from the facts the [`Report`] keeps.
 //!
+//! The tape instruction set is defined here, in `ir.rs`, not in the runtime
+//! that executes it: [`Insn`], [`Reg`] and [`CmpOp`] have one definition,
+//! and [`Insn::operands`] is the one place each variant's operands are
+//! listed. The analysis walks the runtime's own instructions through that
+//! accessor.
+//!
 //! The [`AProgram`] borrows the producer's tables rather than copying
-//! them: a [`Step::Load`] or [`StoreSpec`] points into the producer's own
-//! address table (the runtime keeps its subscripts as [`ADim`]s), and
-//! labels, names and declared bounds are the producer's. [`analyze`] runs
-//! every equation in one [`EqScratch`], so its dataflow states, load
-//! verdicts and pinning buffers are allocated per program, not per
-//! equation; the fact base holds references to the bounds it reasons with.
+//! them: an [`EqTape`] holds the producer's instructions and, per entry of
+//! its address table, the array and the producer's own subscripts (the
+//! runtime keeps them as [`ADim`]s); labels, names and declared bounds are
+//! the producer's. [`analyze`] runs every equation in one [`EqScratch`], so
+//! its dataflow states, load verdicts and pinning buffers are allocated per
+//! program, not per equation; the fact base holds references to the bounds
+//! it reasons with.
 
 #![forbid(unsafe_code)]
 
@@ -54,8 +61,8 @@ mod report;
 pub use eq::{analyze_eq, EqOutcome, EqScratch, LoadOutcome, LoopCtx, StoreOutcome};
 pub use interval::{fmt_affine, Facts, Ival};
 pub use ir::{
-    ADim, AProgram, ArrayInfo, ArrayIx, CmpInfo, CmpOp, DimInfo, EqIx, EqTape, IVal, Node, Reg,
-    Step, StoreSpec,
+    ADim, AProgram, ArrayInfo, ArrayIx, CmpOp, DimInfo, EqIx, EqTape, Flow, IVal, Insn, Kind, Mem,
+    Node, Operands, Reg,
 };
 pub use report::{ArrayReport, EqReport, LoopRec, Region, Report, Verdict};
 
@@ -301,22 +308,13 @@ mod tests {
             entry_f: [0].into(),
             entry_b: [0].into(),
             ivals: vec![],
-            steps: vec![
-                Step::Branch {
-                    uses: [Some(Reg::B(0)), None],
-                    target: 2,
-                    cmp: None,
-                },
-                Step::Op {
-                    uses: [Some(Reg::F(0)), None],
-                    def: Some(Reg::F(1)),
-                },
+            insns: &[
+                Insn::JumpIfNot { cond: 0, target: 2 },
+                Insn::CopyF { src: 0, dst: 1 },
                 // f1 is defined only on the fall-through path.
-                Step::Op {
-                    uses: [Some(Reg::F(1)), None],
-                    def: Some(Reg::F(1)),
-                },
+                Insn::NegF { a: 1, dst: 1 },
             ],
+            addrs: &[],
             store: None,
             result: Reg::F(1),
         };
@@ -354,11 +352,9 @@ mod tests {
             entry_f: [0].into(),
             entry_b: SmallVec::new(),
             ivals: vec![IVal::Counter],
-            steps: vec![],
-            store: Some(StoreSpec {
-                array: 0,
-                dims: &[dim(0, &[(0, 1)])],
-            }),
+            insns: &[],
+            addrs: &[(0, &[dim(0, &[(0, 1)])])],
+            store: Some(0),
             result: Reg::F(0),
         };
         let p = AProgram {
@@ -397,11 +393,9 @@ mod tests {
             entry_f: [0].into(),
             entry_b: SmallVec::new(),
             ivals: vec![IVal::Counter],
-            steps: vec![],
-            store: Some(StoreSpec {
-                array: 0,
-                dims: &[dim(3, &[])],
-            }),
+            insns: &[],
+            addrs: &[(0, &[dim(3, &[])])],
+            store: Some(0),
             result: Reg::F(0),
         };
         let p = AProgram {
@@ -447,30 +441,27 @@ mod tests {
             entry_f: SmallVec::new(),
             entry_b: SmallVec::new(),
             ivals: vec![IVal::Counter, IVal::Exact(Affine::constant(0))],
-            steps: vec![
+            insns: &[
                 // Fused guard: fall through when I = 0, jump when I ≠ 0.
-                Step::Branch {
-                    uses: [Some(Reg::I(0)), Some(Reg::I(1))],
+                Insn::JumpCmpINot {
+                    op: CmpOp::Eq,
+                    a: 0,
+                    b: 1,
                     target: 3,
-                    cmp: Some(CmpInfo {
-                        op: CmpOp::Eq,
-                        a: Reg::I(0),
-                        b: Reg::I(1),
-                        jump_on_true: false,
-                    }),
                 },
-                Step::Load {
-                    array: 0,
-                    addr: &one,
-                    def: Reg::F(0),
+                Insn::LoadF {
+                    buf: 0,
+                    addr: 0,
+                    dst: 0,
                 },
-                Step::Jump { target: 4 },
-                Step::Load {
-                    array: 0,
-                    addr: &at_i,
-                    def: Reg::F(0),
+                Insn::Jump { target: 4 },
+                Insn::LoadF {
+                    buf: 0,
+                    addr: 1,
+                    dst: 0,
                 },
             ],
+            addrs: &[(0, &one), (0, &at_i)],
             store: None,
             result: Reg::F(0),
         };
@@ -505,11 +496,9 @@ mod tests {
             entry_f: [0].into(),
             entry_b: SmallVec::new(),
             ivals: vec![],
-            steps: vec![],
-            store: Some(StoreSpec {
-                array: 0,
-                dims: &[dim(1, &[])],
-            }),
+            insns: &[],
+            addrs: &[(0, &[dim(1, &[])])],
+            store: Some(0),
             result: Reg::F(0),
         };
         let previous = [dim(-1, &[(0, 1)])];
@@ -521,15 +510,13 @@ mod tests {
             entry_f: SmallVec::new(),
             entry_b: SmallVec::new(),
             ivals: vec![IVal::Counter],
-            steps: vec![Step::Load {
-                array: 0,
-                addr: &previous,
-                def: Reg::F(0),
+            insns: &[Insn::LoadF {
+                buf: 0,
+                addr: 0,
+                dst: 0,
             }],
-            store: Some(StoreSpec {
-                array: 0,
-                dims: &[dim(0, &[(0, 1)])],
-            }),
+            addrs: &[(0, &previous), (0, &[dim(0, &[(0, 1)])])],
+            store: Some(1),
             result: Reg::F(0),
         };
         let p = AProgram {
@@ -567,11 +554,9 @@ mod tests {
             entry_f: [0].into(),
             entry_b: SmallVec::new(),
             ivals: vec![IVal::Counter],
-            steps: vec![],
-            store: Some(StoreSpec {
-                array: 0,
-                dims: &[dim(0, &[(0, 1)])],
-            }),
+            insns: &[],
+            addrs: &[(0, &[dim(0, &[(0, 1)])])],
+            store: Some(0),
             result: Reg::F(0),
         };
         let mut a = arr("a", &bounds);
@@ -609,22 +594,20 @@ mod tests {
             entry_f: SmallVec::new(),
             entry_b: SmallVec::new(),
             ivals: vec![IVal::Counter, IVal::Temp],
-            steps: vec![
-                Step::Load {
-                    array: 2,
-                    addr: &at_i,
-                    def: Reg::I(1),
+            insns: &[
+                Insn::LoadI {
+                    buf: 0,
+                    addr: 0,
+                    dst: 1,
                 },
-                Step::Load {
-                    array: 1,
-                    addr: &at_k,
-                    def: Reg::F(0),
+                Insn::LoadF {
+                    buf: 0,
+                    addr: 1,
+                    dst: 0,
                 },
             ],
-            store: Some(StoreSpec {
-                array: 0,
-                dims: &[dim(0, &[(0, 1)])],
-            }),
+            addrs: &[(2, &at_i), (1, &at_k), (0, &at_i)],
+            store: Some(2),
             result: Reg::F(0),
         };
         let (one, n) = (Affine::constant(1), param("n"));

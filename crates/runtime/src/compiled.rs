@@ -7,7 +7,13 @@
 //! `f64` / `i64` / `bool` files, with types synthesized ahead of time by
 //! `HirModule::expr_scalar_ty`. An iteration of a `DO`/`DOALL` body then
 //! executes as a non-recursive tape walk with direct buffer loads and
-//! stores. The artifact splits in three:
+//! stores. The instruction set itself — [`Insn`] over [`Reg`]s, with
+//! [`CmpOp`] — is defined once, in `ps_analyze::ir`, below this crate: the
+//! verifier reads the very tapes this module executes, and every pass that
+//! reads a tape without running it (`validate`, the strip planner, the
+//! verifier) learns an instruction's operands from [`Insn::operands`]. Only
+//! the walkers here and in [`crate::strip`] match on variants, to give them
+//! their meaning. The artifact splits in three:
 //!
 //! * [`Tapes`] — the parameter-*independent* program: instruction tapes,
 //!   register-file sizes, constant pools, the parameter-register preload
@@ -77,10 +83,9 @@ use crate::ndarray::{NdSpec, ParVec, SharedBuffer};
 use crate::store::{RuntimeError, Store, StorePlan};
 use crate::strip::{self, fop, ScalarReason, StripPlan};
 use crate::value::Value;
-use ps_analyze::{self as pa, ADim};
+use ps_analyze::{ADim, CmpOp, Flow, Insn, Kind, Mem, Reg};
 use ps_lang::ast::{BinOp, UnOp};
 use ps_lang::hir::{Builtin, DataKind, Equation, HExpr, LhsSub, SubscriptExpr};
-use ps_lang::Affine;
 use ps_lang::{DataId, EqId, HirModule, IvId, ScalarTy, Ty};
 use ps_scheduler::Flowchart;
 use ps_support::diag::Diagnostic;
@@ -89,286 +94,14 @@ use ps_support::{FxHashMap, SmallVec, Symbol};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Runtime register kind. `char` and enumeration values are carried as
-/// integers, mirroring [`Value`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Kind {
-    F,
-    I,
-    B,
-}
-
+/// The register kind of a scalar type: `char` and enumeration values are
+/// carried as integers, mirroring [`Value`].
 fn kind_of(ty: ScalarTy) -> Kind {
     match ty {
         ScalarTy::Real => Kind::F,
         ScalarTy::Int | ScalarTy::Char => Kind::I,
         ScalarTy::Bool => Kind::B,
     }
-}
-
-/// A typed register reference.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub(crate) enum Reg {
-    F(u16),
-    I(u16),
-    B(u16),
-}
-
-/// Comparison operator with `partial_cmp` semantics: an unordered pair
-/// (a NaN operand) compares false under everything except `<>`.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub(super) enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CmpOp {
-    fn from_binop(op: BinOp) -> CmpOp {
-        match op {
-            BinOp::Eq => CmpOp::Eq,
-            BinOp::Ne => CmpOp::Ne,
-            BinOp::Lt => CmpOp::Lt,
-            BinOp::Le => CmpOp::Le,
-            BinOp::Gt => CmpOp::Gt,
-            BinOp::Ge => CmpOp::Ge,
-            other => panic!("{other:?} is not a comparison"),
-        }
-    }
-
-    #[inline]
-    pub(super) fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
-        match a.partial_cmp(&b) {
-            None => matches!(self, CmpOp::Ne),
-            Some(ord) => match self {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => !ord.is_eq(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            },
-        }
-    }
-}
-
-/// One tape instruction. Operands are register indices into the executing
-/// equation's [`Frame`]; `addr` indices refer to the equation's
-/// strength-reduced [`Addr`] table, `buf` indices to the program-wide
-/// typed buffer tables. All indices are range-checked once by
-/// `CompiledEq::validate`, so execution uses unchecked access.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub(super) enum Insn {
-    CopyF {
-        src: u16,
-        dst: u16,
-    },
-    CopyI {
-        src: u16,
-        dst: u16,
-    },
-    CopyB {
-        src: u16,
-        dst: u16,
-    },
-    /// Typed read of a live scalar slot (locals/results written earlier in
-    /// the schedule; parameters are constant-folded instead).
-    ReadScalar {
-        slot: u32,
-        dst: Reg,
-    },
-    LoadF {
-        buf: u16,
-        addr: u16,
-        dst: u16,
-    },
-    LoadI {
-        buf: u16,
-        addr: u16,
-        dst: u16,
-    },
-    LoadB {
-        buf: u16,
-        addr: u16,
-        dst: u16,
-    },
-    AddF {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    SubF {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    MulF {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    DivF {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    MinF {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    MaxF {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    AddI {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    SubI {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    MulI {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    DivI {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    ModI {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    MinI {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    MaxI {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    NegF {
-        a: u16,
-        dst: u16,
-    },
-    NegI {
-        a: u16,
-        dst: u16,
-    },
-    AbsF {
-        a: u16,
-        dst: u16,
-    },
-    AbsI {
-        a: u16,
-        dst: u16,
-    },
-    NotB {
-        a: u16,
-        dst: u16,
-    },
-    SqrtF {
-        a: u16,
-        dst: u16,
-    },
-    ExpF {
-        a: u16,
-        dst: u16,
-    },
-    LnF {
-        a: u16,
-        dst: u16,
-    },
-    SinF {
-        a: u16,
-        dst: u16,
-    },
-    CosF {
-        a: u16,
-        dst: u16,
-    },
-    /// `int → real` widening (checker casts and the `real` builtin).
-    CastIF {
-        a: u16,
-        dst: u16,
-    },
-    TruncFI {
-        a: u16,
-        dst: u16,
-    },
-    RoundFI {
-        a: u16,
-        dst: u16,
-    },
-    CmpF {
-        op: CmpOp,
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    CmpI {
-        op: CmpOp,
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    CmpB {
-        op: CmpOp,
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    Jump {
-        target: u32,
-    },
-    JumpIfNot {
-        cond: u16,
-        target: u32,
-    },
-    JumpIf {
-        cond: u16,
-        target: u32,
-    },
-    /// Fused compare-and-branch (branch-lowered `if` guards): jump when
-    /// the comparison is *false*.
-    JumpCmpFNot {
-        op: CmpOp,
-        a: u16,
-        b: u16,
-        target: u32,
-    },
-    JumpCmpINot {
-        op: CmpOp,
-        a: u16,
-        b: u16,
-        target: u32,
-    },
-    /// Fused compare-and-branch: jump when the comparison is *true*.
-    JumpCmpF {
-        op: CmpOp,
-        a: u16,
-        b: u16,
-        target: u32,
-    },
-    JumpCmpI {
-        op: CmpOp,
-        a: u16,
-        b: u16,
-        target: u32,
-    },
 }
 
 /// One array access before layout folding: the target array plus one
@@ -536,6 +269,20 @@ pub(super) enum OutSpec {
     ArrayB { buf: u16, addr: u16 },
 }
 
+impl OutSpec {
+    /// The store's typed buffer and address-table entry, when it writes an
+    /// array element.
+    pub(super) fn mem(self) -> Option<Mem> {
+        let (kind, buf, addr) = match self {
+            OutSpec::Scalar { .. } => return None,
+            OutSpec::ArrayF { buf, addr } => (Kind::F, buf, addr),
+            OutSpec::ArrayI { buf, addr } => (Kind::I, buf, addr),
+            OutSpec::ArrayB { buf, addr } => (Kind::B, buf, addr),
+        };
+        Some(Mem { kind, buf, addr })
+    }
+}
+
 /// One lowered equation: instruction tape, symbolic address table,
 /// register-file sizes, preloaded constants, the per-run preload tables
 /// (parameter registers and derived integer registers), and the final
@@ -547,15 +294,15 @@ pub(super) struct CompiledEq {
     /// Every access's dimensions, in address-table order.
     addr_dims: Vec<ADim>,
     pub(super) n_f: u16,
-    n_i: u16,
-    n_b: u16,
-    consts_f: Vec<(u16, f64)>,
+    pub(super) n_i: u16,
+    pub(super) n_b: u16,
+    pub(super) consts_f: Vec<(u16, f64)>,
     pub(super) consts_i: Vec<(u16, i64)>,
-    consts_b: Vec<(u16, bool)>,
+    pub(super) consts_b: Vec<(u16, bool)>,
     /// `(register, parameter-table index)` pairs filled per run.
-    preload_f: Vec<(u16, u16)>,
+    pub(super) preload_f: Vec<(u16, u16)>,
     pub(super) preload_i: Vec<(u16, u16)>,
-    preload_b: Vec<(u16, u16)>,
+    pub(super) preload_b: Vec<(u16, u16)>,
     /// Derived integer registers: hoisted pure-parameter expressions,
     /// evaluated once per run.
     pub(super) derived_i: Vec<(u16, PInt)>,
@@ -585,14 +332,7 @@ impl CompiledEq {
     /// panic. The walk keeps only a position; text — the instruction's
     /// `Debug` form included — is built only for a fault, so a clean tape
     /// costs no formatting at all.
-    fn validate(
-        &self,
-        n_bufs_f: usize,
-        n_bufs_i: usize,
-        n_bufs_b: usize,
-        n_slots: usize,
-        n_params: usize,
-    ) -> Vec<String> {
+    fn validate(&self, n_bufs: [usize; 3], n_slots: usize, n_params: usize) -> Vec<String> {
         /// Where the walk stands: an instruction, or a table section.
         #[derive(Clone, Copy)]
         enum At {
@@ -608,49 +348,27 @@ impl CompiledEq {
             };
             faults.borrow_mut().push(text);
         };
-        let f = |r: u16| {
-            if r >= self.n_f {
-                fault(format!("f-register {r} out of range"));
+        let reg = |r: Reg| {
+            let (file, r, n) = match r {
+                Reg::F(r) => ('f', r, self.n_f),
+                Reg::I(r) => ('i', r, self.n_i),
+                Reg::B(r) => ('b', r, self.n_b),
+            };
+            if r >= n {
+                fault(format!("{file}-register {r} out of range"));
             }
         };
-        let i = |r: u16| {
-            if r >= self.n_i {
-                fault(format!("i-register {r} out of range"));
+        let mem = |m: Mem| {
+            let (file, n) = match m.kind {
+                Kind::F => ('f', n_bufs[0]),
+                Kind::I => ('i', n_bufs[1]),
+                Kind::B => ('b', n_bufs[2]),
+            };
+            if (m.buf as usize) >= n {
+                fault(format!("{file}-buffer {} out of range", m.buf));
             }
-        };
-        let b = |r: u16| {
-            if r >= self.n_b {
-                fault(format!("b-register {r} out of range"));
-            }
-        };
-        let reg = |r: Reg| match r {
-            Reg::F(x) => f(x),
-            Reg::I(x) => i(x),
-            Reg::B(x) => b(x),
-        };
-        let addr = |a: u16| {
-            if (a as usize) >= self.sym_addrs.len() {
-                fault(format!("addr {a} out of range"));
-            }
-        };
-        let jump = |t: u32| {
-            if (t as usize) > self.insns.len() {
-                fault(format!("jump {t} out of range"));
-            }
-        };
-        let buf_f = |x: u16| {
-            if (x as usize) >= n_bufs_f {
-                fault(format!("f-buffer {x} out of range"));
-            }
-        };
-        let buf_i = |x: u16| {
-            if (x as usize) >= n_bufs_i {
-                fault(format!("i-buffer {x} out of range"));
-            }
-        };
-        let buf_b = |x: u16| {
-            if (x as usize) >= n_bufs_b {
-                fault(format!("b-buffer {x} out of range"));
+            if (m.addr as usize) >= self.sym_addrs.len() {
+                fault(format!("addr {} out of range", m.addr));
             }
         };
         let slot_ok = |slot: u32| {
@@ -660,184 +378,59 @@ impl CompiledEq {
         };
         for (ix, insn) in self.insns.iter().enumerate() {
             at.set(At::Insn(ix));
-            match *insn {
-                Insn::CopyF { src, dst } => {
-                    f(src);
-                    f(dst);
-                }
-                Insn::CopyI { src, dst } => {
-                    i(src);
-                    i(dst);
-                }
-                Insn::CopyB { src, dst } => {
-                    b(src);
-                    b(dst);
-                }
-                Insn::ReadScalar { slot, dst } => {
-                    slot_ok(slot);
-                    reg(dst);
-                }
-                Insn::LoadF { buf, addr: a, dst } => {
-                    buf_f(buf);
-                    addr(a);
-                    f(dst);
-                }
-                Insn::LoadI { buf, addr: a, dst } => {
-                    buf_i(buf);
-                    addr(a);
-                    i(dst);
-                }
-                Insn::LoadB { buf, addr: a, dst } => {
-                    buf_b(buf);
-                    addr(a);
-                    b(dst);
-                }
-                Insn::AddF { a, b: o, dst }
-                | Insn::SubF { a, b: o, dst }
-                | Insn::MulF { a, b: o, dst }
-                | Insn::DivF { a, b: o, dst }
-                | Insn::MinF { a, b: o, dst }
-                | Insn::MaxF { a, b: o, dst } => {
-                    f(a);
-                    f(o);
-                    f(dst);
-                }
-                Insn::AddI { a, b: o, dst }
-                | Insn::SubI { a, b: o, dst }
-                | Insn::MulI { a, b: o, dst }
-                | Insn::DivI { a, b: o, dst }
-                | Insn::ModI { a, b: o, dst }
-                | Insn::MinI { a, b: o, dst }
-                | Insn::MaxI { a, b: o, dst } => {
-                    i(a);
-                    i(o);
-                    i(dst);
-                }
-                Insn::NegF { a, dst } | Insn::AbsF { a, dst } => {
-                    f(a);
-                    f(dst);
-                }
-                Insn::NegI { a, dst } | Insn::AbsI { a, dst } => {
-                    i(a);
-                    i(dst);
-                }
-                Insn::NotB { a, dst } => {
-                    b(a);
-                    b(dst);
-                }
-                Insn::SqrtF { a, dst }
-                | Insn::ExpF { a, dst }
-                | Insn::LnF { a, dst }
-                | Insn::SinF { a, dst }
-                | Insn::CosF { a, dst } => {
-                    f(a);
-                    f(dst);
-                }
-                Insn::CastIF { a, dst } => {
-                    i(a);
-                    f(dst);
-                }
-                Insn::TruncFI { a, dst } | Insn::RoundFI { a, dst } => {
-                    f(a);
-                    i(dst);
-                }
-                Insn::CmpF { a, b: o, dst, .. } => {
-                    f(a);
-                    f(o);
-                    b(dst);
-                }
-                Insn::CmpI { a, b: o, dst, .. } => {
-                    i(a);
-                    i(o);
-                    b(dst);
-                }
-                Insn::CmpB { a, b: o, dst, .. } => {
-                    b(a);
-                    b(o);
-                    b(dst);
-                }
-                Insn::Jump { target } => jump(target),
-                Insn::JumpIfNot { cond, target } | Insn::JumpIf { cond, target } => {
-                    b(cond);
-                    jump(target);
-                }
-                Insn::JumpCmpFNot {
-                    a, b: o, target, ..
-                }
-                | Insn::JumpCmpF {
-                    a, b: o, target, ..
-                } => {
-                    f(a);
-                    f(o);
-                    jump(target);
-                }
-                Insn::JumpCmpINot {
-                    a, b: o, target, ..
-                }
-                | Insn::JumpCmpI {
-                    a, b: o, target, ..
-                } => {
-                    i(a);
-                    i(o);
-                    jump(target);
+            let ops = insn.operands();
+            if let Some(slot) = ops.slot {
+                slot_ok(slot);
+            }
+            if let Some(m) = ops.mem {
+                mem(m);
+            }
+            for &r in ops.uses.iter().chain([&ops.def]).flatten() {
+                reg(r);
+            }
+            if let Flow::Jump(t) | Flow::Branch { target: t, .. } = ops.flow {
+                if (t as usize) > self.insns.len() {
+                    fault(format!("jump {t} out of range"));
                 }
             }
         }
         at.set(At::Section("address table"));
         for d in &self.addr_dims {
             for &(r, _) in &d.terms {
-                i(r);
+                reg(Reg::I(r));
             }
         }
         at.set(At::Section("constant pool"));
-        for &(r, _) in &self.consts_f {
-            f(r);
-        }
-        for &(r, _) in &self.consts_i {
-            i(r);
-        }
-        for &(r, _) in &self.consts_b {
-            b(r);
-        }
+        self.consts_f.iter().for_each(|&(r, _)| reg(Reg::F(r)));
+        self.consts_i.iter().for_each(|&(r, _)| reg(Reg::I(r)));
+        self.consts_b.iter().for_each(|&(r, _)| reg(Reg::B(r)));
         at.set(At::Section("preload table"));
         let param = |p: u16| {
             if (p as usize) >= n_params {
                 fault(format!("param {p} out of range"));
             }
         };
-        for &(r, p) in &self.preload_f {
-            f(r);
-            param(p);
-        }
-        for &(r, p) in &self.preload_i {
-            i(r);
-            param(p);
-        }
-        for &(r, p) in &self.preload_b {
-            b(r);
-            param(p);
-        }
+        let preload = |file: fn(u16) -> Reg, table: &[(u16, u16)]| {
+            for &(r, p) in table {
+                reg(file(r));
+                param(p);
+            }
+        };
+        preload(Reg::F, &self.preload_f);
+        preload(Reg::I, &self.preload_i);
+        preload(Reg::B, &self.preload_b);
         at.set(At::Section("derived registers"));
         for (r, p) in &self.derived_i {
-            i(*r);
+            reg(Reg::I(*r));
             p.for_each_param(&param);
         }
         at.set(At::Section("output"));
         reg(self.src);
-        match self.out {
-            OutSpec::Scalar { slot } => slot_ok(slot),
-            OutSpec::ArrayF { buf, addr: a } => {
-                buf_f(buf);
-                addr(a);
-            }
-            OutSpec::ArrayI { buf, addr: a } => {
-                buf_i(buf);
-                addr(a);
-            }
-            OutSpec::ArrayB { buf, addr: a } => {
-                buf_b(buf);
-                addr(a);
-            }
+        if let OutSpec::Scalar { slot } = self.out {
+            slot_ok(slot);
+        }
+        if let Some(m) = self.out.mem() {
+            mem(m);
         }
         faults.into_inner()
     }
@@ -888,274 +481,6 @@ impl Tapes {
     fn stats(&self, eq: EqId) -> (usize, usize) {
         let ceq = self.eqs[eq].as_ref().expect("lowered");
         (ceq.insns.len(), ceq.sym_addrs.len())
-    }
-
-    /// Describe one compiled equation in the `ps-analyze` neutral IR (see
-    /// [`crate::analysis`]). `array_ix` maps a referenced array's `DataId`
-    /// to its index in the analyzer's array table. Returns `None` for
-    /// equations the flowchart never scheduled.
-    ///
-    /// The description borrows: every load and the store point at this
-    /// tape's own address table, and the label is the module's.
-    ///
-    /// The conversion is *structural*: every instruction keeps its exact
-    /// use/def sets and the forward-only jump targets, fused integer
-    /// compares carry their operator so the analyzer can refine intervals
-    /// along guard edges, and entry i-registers are classified as loop
-    /// counters (the leading [`IvId`]-ordered registers), exact affine
-    /// forms (constants, preloaded parameters, affine derived registers),
-    /// opaque preset values (`min`/`max`/`abs` derived forms), or plain
-    /// temporaries.
-    pub(crate) fn analysis_tape<'t>(
-        &'t self,
-        eq_id: EqId,
-        module: &'t HirModule,
-        array_ix: &dyn Fn(DataId) -> usize,
-    ) -> Option<pa::EqTape<'t>> {
-        let ceq = self.eqs[eq_id].as_ref()?;
-        let eq = &module.equations[eq_id];
-        let cmp = |op: CmpOp| match op {
-            CmpOp::Eq => pa::CmpOp::Eq,
-            CmpOp::Ne => pa::CmpOp::Ne,
-            CmpOp::Lt => pa::CmpOp::Lt,
-            CmpOp::Le => pa::CmpOp::Le,
-            CmpOp::Gt => pa::CmpOp::Gt,
-            CmpOp::Ge => pa::CmpOp::Ge,
-        };
-        let reg = |r: Reg| match r {
-            Reg::F(x) => pa::Reg::F(x),
-            Reg::I(x) => pa::Reg::I(x),
-            Reg::B(x) => pa::Reg::B(x),
-        };
-        let access = |a: u16| {
-            let sym = &ceq.sym_addrs[a as usize];
-            (array_ix(sym.array), ceq.dims(sym))
-        };
-        let mut ivals = vec![pa::IVal::Temp; ceq.n_i as usize];
-        for c in ivals.iter_mut().take(eq.ivs.len()) {
-            *c = pa::IVal::Counter;
-        }
-        for &(r, v) in &ceq.consts_i {
-            ivals[r as usize] = pa::IVal::Exact(Affine::constant(v));
-        }
-        for &(r, p) in &ceq.preload_i {
-            let name = module.data[self.params[p as usize]].name;
-            ivals[r as usize] = pa::IVal::Exact(Affine::param(name));
-        }
-        for (r, pint) in &ceq.derived_i {
-            ivals[*r as usize] = match self.pint_affine(pint, module) {
-                Some(a) => pa::IVal::Exact(a),
-                None => pa::IVal::Opaque,
-            };
-        }
-        let mut steps = Vec::with_capacity(ceq.insns.len());
-        for insn in &ceq.insns {
-            steps.push(match *insn {
-                Insn::CopyF { src, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::F(src)), None],
-                    def: Some(pa::Reg::F(dst)),
-                },
-                Insn::CopyI { src, dst } => pa::Step::CopyI { src, dst },
-                Insn::CopyB { src, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::B(src)), None],
-                    def: Some(pa::Reg::B(dst)),
-                },
-                Insn::ReadScalar { dst, .. } => pa::Step::Op {
-                    uses: [None, None],
-                    def: Some(reg(dst)),
-                },
-                Insn::LoadF { addr, dst, .. } => {
-                    let (array, dims) = access(addr);
-                    pa::Step::Load {
-                        array,
-                        addr: dims,
-                        def: pa::Reg::F(dst),
-                    }
-                }
-                Insn::LoadI { addr, dst, .. } => {
-                    let (array, dims) = access(addr);
-                    pa::Step::Load {
-                        array,
-                        addr: dims,
-                        def: pa::Reg::I(dst),
-                    }
-                }
-                Insn::LoadB { addr, dst, .. } => {
-                    let (array, dims) = access(addr);
-                    pa::Step::Load {
-                        array,
-                        addr: dims,
-                        def: pa::Reg::B(dst),
-                    }
-                }
-                Insn::AddF { a, b, dst }
-                | Insn::SubF { a, b, dst }
-                | Insn::MulF { a, b, dst }
-                | Insn::DivF { a, b, dst }
-                | Insn::MinF { a, b, dst }
-                | Insn::MaxF { a, b, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
-                    def: Some(pa::Reg::F(dst)),
-                },
-                Insn::AddI { a, b, dst }
-                | Insn::SubI { a, b, dst }
-                | Insn::MulI { a, b, dst }
-                | Insn::DivI { a, b, dst }
-                | Insn::ModI { a, b, dst }
-                | Insn::MinI { a, b, dst }
-                | Insn::MaxI { a, b, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
-                    def: Some(pa::Reg::I(dst)),
-                },
-                Insn::NegF { a, dst }
-                | Insn::AbsF { a, dst }
-                | Insn::SqrtF { a, dst }
-                | Insn::ExpF { a, dst }
-                | Insn::LnF { a, dst }
-                | Insn::SinF { a, dst }
-                | Insn::CosF { a, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::F(a)), None],
-                    def: Some(pa::Reg::F(dst)),
-                },
-                Insn::NegI { a, dst } | Insn::AbsI { a, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::I(a)), None],
-                    def: Some(pa::Reg::I(dst)),
-                },
-                Insn::NotB { a, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::B(a)), None],
-                    def: Some(pa::Reg::B(dst)),
-                },
-                Insn::CastIF { a, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::I(a)), None],
-                    def: Some(pa::Reg::F(dst)),
-                },
-                Insn::TruncFI { a, dst } | Insn::RoundFI { a, dst } => pa::Step::Op {
-                    uses: [Some(pa::Reg::F(a)), None],
-                    def: Some(pa::Reg::I(dst)),
-                },
-                Insn::CmpF { a, b, dst, .. } => pa::Step::Op {
-                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
-                    def: Some(pa::Reg::B(dst)),
-                },
-                Insn::CmpI { a, b, dst, .. } => pa::Step::Op {
-                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
-                    def: Some(pa::Reg::B(dst)),
-                },
-                Insn::CmpB { a, b, dst, .. } => pa::Step::Op {
-                    uses: [Some(pa::Reg::B(a)), Some(pa::Reg::B(b))],
-                    def: Some(pa::Reg::B(dst)),
-                },
-                Insn::Jump { target } => pa::Step::Jump {
-                    target: target as usize,
-                },
-                Insn::JumpIfNot { cond, target } | Insn::JumpIf { cond, target } => {
-                    pa::Step::Branch {
-                        uses: [Some(pa::Reg::B(cond)), None],
-                        target: target as usize,
-                        cmp: None,
-                    }
-                }
-                Insn::JumpCmpFNot { op, a, b, target } => pa::Step::Branch {
-                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
-                    target: target as usize,
-                    cmp: Some(pa::CmpInfo {
-                        op: cmp(op),
-                        a: pa::Reg::F(a),
-                        b: pa::Reg::F(b),
-                        jump_on_true: false,
-                    }),
-                },
-                Insn::JumpCmpF { op, a, b, target } => pa::Step::Branch {
-                    uses: [Some(pa::Reg::F(a)), Some(pa::Reg::F(b))],
-                    target: target as usize,
-                    cmp: Some(pa::CmpInfo {
-                        op: cmp(op),
-                        a: pa::Reg::F(a),
-                        b: pa::Reg::F(b),
-                        jump_on_true: true,
-                    }),
-                },
-                Insn::JumpCmpINot { op, a, b, target } => pa::Step::Branch {
-                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
-                    target: target as usize,
-                    cmp: Some(pa::CmpInfo {
-                        op: cmp(op),
-                        a: pa::Reg::I(a),
-                        b: pa::Reg::I(b),
-                        jump_on_true: false,
-                    }),
-                },
-                Insn::JumpCmpI { op, a, b, target } => pa::Step::Branch {
-                    uses: [Some(pa::Reg::I(a)), Some(pa::Reg::I(b))],
-                    target: target as usize,
-                    cmp: Some(pa::CmpInfo {
-                        op: cmp(op),
-                        a: pa::Reg::I(a),
-                        b: pa::Reg::I(b),
-                        jump_on_true: true,
-                    }),
-                },
-            });
-        }
-        let store = match ceq.out {
-            OutSpec::Scalar { .. } => None,
-            OutSpec::ArrayF { addr, .. }
-            | OutSpec::ArrayI { addr, .. }
-            | OutSpec::ArrayB { addr, .. } => {
-                let (array, dims) = access(addr);
-                Some(pa::StoreSpec { array, dims })
-            }
-        };
-        Some(pa::EqTape {
-            label: &eq.label,
-            n_f: ceq.n_f,
-            n_i: ceq.n_i,
-            n_b: ceq.n_b,
-            entry_f: ceq
-                .consts_f
-                .iter()
-                .map(|&(r, _)| r)
-                .chain(ceq.preload_f.iter().map(|&(r, _)| r))
-                .collect(),
-            entry_b: ceq
-                .consts_b
-                .iter()
-                .map(|&(r, _)| r)
-                .chain(ceq.preload_b.iter().map(|&(r, _)| r))
-                .collect(),
-            ivals,
-            steps,
-            store,
-            result: reg(ceq.src),
-        })
-    }
-
-    /// A derived register's value as an affine form over the module's
-    /// integer parameters, when it is one (`min`/`max`/`abs` are not).
-    fn pint_affine(&self, p: &PInt, module: &HirModule) -> Option<Affine> {
-        Some(match p {
-            PInt::Const(v) => Affine::constant(*v),
-            PInt::Param(ix) => Affine::param(module.data[self.params[*ix as usize]].name),
-            PInt::Add(a, b) => self
-                .pint_affine(a, module)?
-                .add(&self.pint_affine(b, module)?),
-            PInt::Sub(a, b) => self
-                .pint_affine(a, module)?
-                .sub(&self.pint_affine(b, module)?),
-            PInt::Mul(a, b) => {
-                let x = self.pint_affine(a, module)?;
-                let y = self.pint_affine(b, module)?;
-                if let Some(k) = x.as_constant() {
-                    y.scale(k)
-                } else if let Some(k) = y.as_constant() {
-                    x.scale(k)
-                } else {
-                    return None;
-                }
-            }
-            PInt::Neg(a) => self.pint_affine(a, module)?.scale(-1),
-            PInt::Min(..) | PInt::Max(..) | PInt::Abs(..) => return None,
-        })
     }
 }
 
@@ -1548,13 +873,8 @@ pub(crate) fn compile_tapes(
 impl Tapes {
     /// [`CompiledEq::validate`] every tape against the program-wide tables.
     fn faults(&self, ceq: &CompiledEq, n_slots: usize) -> Vec<String> {
-        ceq.validate(
-            self.buf_f.len(),
-            self.buf_i.len(),
-            self.buf_b.len(),
-            n_slots,
-            self.params.len(),
-        )
+        let n_bufs = [self.buf_f.len(), self.buf_i.len(), self.buf_b.len()];
+        ceq.validate(n_bufs, n_slots, self.params.len())
     }
 
     /// Panic with an `E0604` diagnostic if any tape is malformed.
@@ -3211,5 +2531,173 @@ pub(crate) mod tests {
                 faults[0]
             )
         );
+    }
+
+    /// One line per instruction in the form the verifier reads it: the
+    /// registers read, then `-> def` for a straight-line instruction (with
+    /// the loaded array and its subscripts for a load, `(copy)` for the one
+    /// copy whose interval carries over), or the jump, its target and the
+    /// fused compare it branches on.
+    fn verifier_view(tapes: &Tapes, m: &HirModule, eq: EqId) -> String {
+        let ceq = tapes.eqs[eq].as_ref().unwrap();
+        let access = |sym: &SymAddr| (sym.array.index(), ceq.dims(sym));
+        let addrs: Vec<_> = ceq.sym_addrs.iter().map(access).collect();
+        let tape = crate::analysis::eq_tape(m, tapes, eq, ceq, &addrs);
+        let insn = tape.insns[0];
+        let ops = insn.operands();
+        let regs: String = ops.uses.iter().flatten().map(|r| format!("{r} ")).collect();
+        let dims = |dims: &[ADim]| -> String {
+            let term = |&(r, c): &(u16, i64)| format!("{c:+}i{r}");
+            let dim =
+                |d: &ADim| format!("{}{}", d.base, d.terms.iter().map(term).collect::<String>());
+            dims.iter().map(dim).collect::<Vec<_>>().join(", ")
+        };
+        match (ops.flow, ops.mem, ops.def) {
+            (Flow::Next, None, Some(def)) if matches!(insn, Insn::CopyI { .. }) => {
+                format!("{regs}-> {def} (copy)")
+            }
+            (Flow::Next, Some(mem), Some(def)) => {
+                let (array, addr) = tape.addrs[mem.addr as usize];
+                format!("-> {def} load a{array}[{}]", dims(addr))
+            }
+            (Flow::Next, None, Some(def)) => format!("{regs}-> {def}"),
+            (Flow::Jump(target), ..) => format!("jump {target}"),
+            (Flow::Branch { target, cmp }, ..) => {
+                let cmp = cmp.map_or(String::new(), |(op, jump_on_true)| {
+                    let when = if jump_on_true { "" } else { "not " };
+                    let [a, b] = ops.uses.map(Option::unwrap);
+                    format!(" if {when}{op:?} {a} {b}")
+                });
+                format!("{regs}? jump {target}{cmp}")
+            }
+            other => panic!("{insn:?} reads as {other:?}"),
+        }
+    }
+
+    /// Every instruction variant with every operand out of range, pinned
+    /// before the instruction set left this file: the verifier's reading of
+    /// it (its address table padded so the load resolves) and the exact
+    /// faults `validate` names, in walk order. Also the instruction's size.
+    #[test]
+    fn every_insn_variant_reads_and_validates_as_pinned() {
+        #[rustfmt::skip]
+        let table: &[(Insn, &str, &[&str])] = &[
+            (Insn::CopyF { src: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::CopyI { src: 40, dst: 42 }, "i40 -> i42 (copy)",
+             &["i-register 40 out of range", "i-register 42 out of range"]),
+            (Insn::CopyB { src: 40, dst: 42 }, "b40 -> b42",
+             &["b-register 40 out of range", "b-register 42 out of range"]),
+            (Insn::ReadScalar { slot: 90, dst: Reg::F(42) }, "-> f42",
+             &["slot 90 out of range", "f-register 42 out of range"]),
+            (Insn::ReadScalar { slot: 90, dst: Reg::I(42) }, "-> i42",
+             &["slot 90 out of range", "i-register 42 out of range"]),
+            (Insn::ReadScalar { slot: 90, dst: Reg::B(42) }, "-> b42",
+             &["slot 90 out of range", "b-register 42 out of range"]),
+            (Insn::LoadF { buf: 7, addr: 70, dst: 42 }, "-> f42 load a4[-1+1i0, 0+1i1, 0+1i2]",
+             &["f-buffer 7 out of range", "addr 70 out of range", "f-register 42 out of range"]),
+            (Insn::LoadI { buf: 7, addr: 70, dst: 42 }, "-> i42 load a4[-1+1i0, 0+1i1, 0+1i2]",
+             &["i-buffer 7 out of range", "addr 70 out of range", "i-register 42 out of range"]),
+            (Insn::LoadB { buf: 7, addr: 70, dst: 42 }, "-> b42 load a4[-1+1i0, 0+1i1, 0+1i2]",
+             &["b-buffer 7 out of range", "addr 70 out of range", "b-register 42 out of range"]),
+            (Insn::AddF { a: 40, b: 41, dst: 42 }, "f40 f41 -> f42",
+             &["f-register 40 out of range", "f-register 41 out of range", "f-register 42 out of range"]),
+            (Insn::SubF { a: 40, b: 41, dst: 42 }, "f40 f41 -> f42",
+             &["f-register 40 out of range", "f-register 41 out of range", "f-register 42 out of range"]),
+            (Insn::MulF { a: 40, b: 41, dst: 42 }, "f40 f41 -> f42",
+             &["f-register 40 out of range", "f-register 41 out of range", "f-register 42 out of range"]),
+            (Insn::DivF { a: 40, b: 41, dst: 42 }, "f40 f41 -> f42",
+             &["f-register 40 out of range", "f-register 41 out of range", "f-register 42 out of range"]),
+            (Insn::MinF { a: 40, b: 41, dst: 42 }, "f40 f41 -> f42",
+             &["f-register 40 out of range", "f-register 41 out of range", "f-register 42 out of range"]),
+            (Insn::MaxF { a: 40, b: 41, dst: 42 }, "f40 f41 -> f42",
+             &["f-register 40 out of range", "f-register 41 out of range", "f-register 42 out of range"]),
+            (Insn::AddI { a: 40, b: 41, dst: 42 }, "i40 i41 -> i42",
+             &["i-register 40 out of range", "i-register 41 out of range", "i-register 42 out of range"]),
+            (Insn::SubI { a: 40, b: 41, dst: 42 }, "i40 i41 -> i42",
+             &["i-register 40 out of range", "i-register 41 out of range", "i-register 42 out of range"]),
+            (Insn::MulI { a: 40, b: 41, dst: 42 }, "i40 i41 -> i42",
+             &["i-register 40 out of range", "i-register 41 out of range", "i-register 42 out of range"]),
+            (Insn::DivI { a: 40, b: 41, dst: 42 }, "i40 i41 -> i42",
+             &["i-register 40 out of range", "i-register 41 out of range", "i-register 42 out of range"]),
+            (Insn::ModI { a: 40, b: 41, dst: 42 }, "i40 i41 -> i42",
+             &["i-register 40 out of range", "i-register 41 out of range", "i-register 42 out of range"]),
+            (Insn::MinI { a: 40, b: 41, dst: 42 }, "i40 i41 -> i42",
+             &["i-register 40 out of range", "i-register 41 out of range", "i-register 42 out of range"]),
+            (Insn::MaxI { a: 40, b: 41, dst: 42 }, "i40 i41 -> i42",
+             &["i-register 40 out of range", "i-register 41 out of range", "i-register 42 out of range"]),
+            (Insn::NegF { a: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::NegI { a: 40, dst: 42 }, "i40 -> i42",
+             &["i-register 40 out of range", "i-register 42 out of range"]),
+            (Insn::AbsF { a: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::AbsI { a: 40, dst: 42 }, "i40 -> i42",
+             &["i-register 40 out of range", "i-register 42 out of range"]),
+            (Insn::NotB { a: 40, dst: 42 }, "b40 -> b42",
+             &["b-register 40 out of range", "b-register 42 out of range"]),
+            (Insn::SqrtF { a: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::ExpF { a: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::LnF { a: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::SinF { a: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::CosF { a: 40, dst: 42 }, "f40 -> f42",
+             &["f-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::CastIF { a: 40, dst: 42 }, "i40 -> f42",
+             &["i-register 40 out of range", "f-register 42 out of range"]),
+            (Insn::TruncFI { a: 40, dst: 42 }, "f40 -> i42",
+             &["f-register 40 out of range", "i-register 42 out of range"]),
+            (Insn::RoundFI { a: 40, dst: 42 }, "f40 -> i42",
+             &["f-register 40 out of range", "i-register 42 out of range"]),
+            (Insn::CmpF { op: CmpOp::Lt, a: 40, b: 41, dst: 42 }, "f40 f41 -> b42",
+             &["f-register 40 out of range", "f-register 41 out of range", "b-register 42 out of range"]),
+            (Insn::CmpI { op: CmpOp::Ge, a: 40, b: 41, dst: 42 }, "i40 i41 -> b42",
+             &["i-register 40 out of range", "i-register 41 out of range", "b-register 42 out of range"]),
+            (Insn::CmpB { op: CmpOp::Ne, a: 40, b: 41, dst: 42 }, "b40 b41 -> b42",
+             &["b-register 40 out of range", "b-register 41 out of range", "b-register 42 out of range"]),
+            (Insn::Jump { target: 99 }, "jump 99",
+             &["jump 99 out of range"]),
+            (Insn::JumpIfNot { cond: 40, target: 99 }, "b40 ? jump 99",
+             &["b-register 40 out of range", "jump 99 out of range"]),
+            (Insn::JumpIf { cond: 40, target: 99 }, "b40 ? jump 99",
+             &["b-register 40 out of range", "jump 99 out of range"]),
+            (Insn::JumpCmpFNot { op: CmpOp::Le, a: 40, b: 41, target: 99 }, "f40 f41 ? jump 99 if not Le f40 f41",
+             &["f-register 40 out of range", "f-register 41 out of range", "jump 99 out of range"]),
+            (Insn::JumpCmpINot { op: CmpOp::Eq, a: 40, b: 41, target: 99 }, "i40 i41 ? jump 99 if not Eq i40 i41",
+             &["i-register 40 out of range", "i-register 41 out of range", "jump 99 out of range"]),
+            (Insn::JumpCmpF { op: CmpOp::Gt, a: 40, b: 41, target: 99 }, "f40 f41 ? jump 99 if Gt f40 f41",
+             &["f-register 40 out of range", "f-register 41 out of range", "jump 99 out of range"]),
+            (Insn::JumpCmpI { op: CmpOp::Lt, a: 40, b: 41, target: 99 }, "i40 i41 ? jump 99 if Lt i40 i41",
+             &["i-register 40 out of range", "i-register 41 out of range", "jump 99 out of range"]),
+        ];
+        let (m, sched) = build(JACOBI);
+        let plan = StorePlan::new(&m, &sched.memory);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let eq3 = m.equation_by_label("eq.3").unwrap();
+        let n_addrs = tapes.eqs[eq3].as_ref().unwrap().sym_addrs.len();
+        for &(insn, reads, faults) in table {
+            let ceq = tapes.eqs[eq3].as_mut().unwrap();
+            ceq.insns = vec![insn];
+            ceq.sym_addrs.truncate(n_addrs);
+            let ceq = tapes.eqs[eq3].as_ref().unwrap();
+            let want: Vec<String> = faults
+                .iter()
+                .map(|f| format!("insn 0 `{insn:?}`: {f}"))
+                .collect();
+            assert_eq!(tapes.faults(ceq, plan.slot_count()), want);
+            let ceq = tapes.eqs[eq3].as_mut().unwrap();
+            let first = ceq.sym_addrs[0];
+            ceq.sym_addrs.resize(71, first);
+            assert_eq!(verifier_view(&tapes, &m, eq3), reads, "{insn:?}");
+        }
+        assert_eq!(
+            table.len(),
+            45,
+            "every variant, `ReadScalar` into each file"
+        );
+        assert_eq!(std::mem::size_of::<Insn>(), 12);
     }
 }

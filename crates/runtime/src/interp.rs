@@ -47,29 +47,13 @@ pub enum AnalysisLevel {
 ///
 /// `PartialEq`/`Eq` make options usable as part of a compile-cache key
 /// (a serving registry caches one `Program` per `(source, options)`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Track logical tags per physical slot, catching double writes and
     /// window evictions (slow; for tests).
     pub check_writes: bool,
-    /// Upper bound on cached per-integer-parameter-layout specializations
-    /// held by a [`crate::Program`]. Past it, the least-recently-used
-    /// layout is evicted (see [`crate::Program::spec_evictions`]), so
-    /// adversarial parameter diversity under serving load cannot grow
-    /// memory without bound. Clamped to at least 1.
-    pub spec_cache_cap: usize,
     /// Static verification level (off by default).
     pub analysis: AnalysisLevel,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> RuntimeOptions {
-        RuntimeOptions {
-            check_writes: false,
-            spec_cache_cap: 64,
-            analysis: AnalysisLevel::default(),
-        }
-    }
 }
 
 /// Execute a scheduled module: compile a [`Program`] and run it once.

@@ -125,7 +125,7 @@ pub mod value;
 pub use analysis::analyze_compiled;
 pub use interp::{run_module, AnalysisLevel, RuntimeOptions};
 pub use naive::run_naive;
-pub use program::{Program, RunSession};
+pub use program::{Program, RunSession, SPEC_CACHE_CAP};
 pub use ps_analyze::{Report as AnalysisReport, Verdict as AnalysisVerdict};
 pub use store::{Inputs, Outputs, StoreArena, StorePlan};
 pub use strip::{ScalarReason, StripVerdict};

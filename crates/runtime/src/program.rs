@@ -48,6 +48,12 @@ use std::time::Instant;
 /// storage); more than a handful only matters under heavy concurrency.
 const RUN_POOL_CAP: usize = 16;
 
+/// Upper bound on the per-integer-parameter-layout specializations one
+/// [`Program`] caches. Past it, the least-recently-used layout is evicted
+/// (see [`Program::spec_evictions`]), so adversarial parameter diversity
+/// under serving load cannot grow memory without bound.
+pub const SPEC_CACHE_CAP: usize = 64;
+
 /// One run's worth of recyclable state. `frames` is `None` until the
 /// slot's first run builds them.
 #[derive(Default)]
@@ -233,7 +239,7 @@ impl<'m> Program<'m> {
     /// Number of parameter layouts specialized *and cached* so far. A
     /// steady-state serving loop over one parameter shape sits at 1; a
     /// layout rebuilt after LRU eviction counts again (the cache itself
-    /// never exceeds [`RuntimeOptions::spec_cache_cap`] entries).
+    /// never exceeds [`SPEC_CACHE_CAP`] entries).
     pub fn specialization_count(&self) -> usize {
         self.spec_builds.load(Ordering::Relaxed)
     }
@@ -244,7 +250,7 @@ impl<'m> Program<'m> {
         self.spec_evictions.load(Ordering::Relaxed)
     }
 
-    /// Number of specializations currently cached (≤ the configured cap).
+    /// Number of specializations currently cached (≤ [`SPEC_CACHE_CAP`]).
     pub fn spec_cached(&self) -> usize {
         self.specs.read().expect("spec cache poisoned").len()
     }
@@ -304,7 +310,7 @@ impl<'m> Program<'m> {
 
     /// The specialization for this run's parameter layout: cache hit in
     /// the common case, a cheap address-folding pass on first sight. The
-    /// cache is bounded by [`RuntimeOptions::spec_cache_cap`]; at capacity
+    /// cache is bounded by [`SPEC_CACHE_CAP`]; at capacity
     /// the least-recently-used layout is replaced (its `Arc` keeps
     /// in-flight runs of the evicted spec alive).
     fn spec_for(&self, tapes: &Tapes, store: &Store<'_>) -> Result<Arc<Spec>, RuntimeError> {
@@ -345,13 +351,13 @@ impl<'m> Program<'m> {
         }
         // Insert under the write lock: a concurrent duplicate build is
         // never double-counted, and the cache never exceeds its cap.
-        if specs.len() >= self.options.spec_cache_cap.max(1) {
+        if specs.len() >= SPEC_CACHE_CAP {
             let lru = specs
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, c)| c.touched.load(Ordering::Relaxed))
                 .map(|(i, _)| i)
-                .expect("cap >= 1 implies a nonempty cache here");
+                .expect("a full cache is nonempty");
             specs.swap_remove(lru);
             self.spec_evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -562,10 +568,7 @@ mod tests {
             &m,
             &sched.flowchart,
             &sched.memory,
-            RuntimeOptions {
-                spec_cache_cap: 2,
-                ..Default::default()
-            },
+            RuntimeOptions::default(),
         );
         let run = |n: i64| {
             let out = prog
@@ -576,24 +579,33 @@ mod tests {
                 .unwrap();
             assert_eq!(out.scalar("y"), Value::Real(expected(n, 1.0)));
         };
-        run(4); // cache: {4}
-        run(9); // cache: {4, 9}
+        let cap = SPEC_CACHE_CAP as i64;
+        for n in 3..3 + cap {
+            run(n); // cache: {3, …, cap + 2}
+        }
         assert_eq!(prog.spec_evictions(), 0);
-        run(4); // touch 4, so 9 is now the LRU
-        run(17); // evicts 9; cache: {4, 17}
+        assert_eq!(prog.spec_cached(), SPEC_CACHE_CAP);
+        run(4); // touch 4, so 3 is now the LRU
+        run(3 + cap); // evicts 3
         assert_eq!(prog.spec_evictions(), 1);
-        assert_eq!(prog.spec_cached(), 2, "cache never exceeds its cap");
+        assert_eq!(
+            prog.spec_cached(),
+            SPEC_CACHE_CAP,
+            "cache never exceeds its cap"
+        );
         run(4); // still cached: no new build
-        assert_eq!(prog.specialization_count(), 3, "4, 9, 17");
-        run(9); // rebuilt after eviction (evicting the LRU, 17)
-        assert_eq!(prog.specialization_count(), 4);
+        assert_eq!(prog.specialization_count(), SPEC_CACHE_CAP + 1);
+        run(3); // rebuilt after eviction (evicting the LRU, 5)
+        assert_eq!(prog.specialization_count(), SPEC_CACHE_CAP + 2);
         assert_eq!(prog.spec_evictions(), 2);
-        assert_eq!(prog.spec_cached(), 2);
-        // Adversarial diversity: memory stays bounded at the cap.
-        for n in 3..40 {
+        assert_eq!(prog.spec_cached(), SPEC_CACHE_CAP);
+        // Adversarial diversity: memory stays bounded at the cap, and
+        // every new layout evicts one.
+        for n in 100..100 + 2 * cap {
             run(n);
         }
-        assert_eq!(prog.spec_cached(), 2);
+        assert_eq!(prog.spec_cached(), SPEC_CACHE_CAP);
+        assert_eq!(prog.spec_evictions(), 2 + 2 * SPEC_CACHE_CAP);
     }
 
     #[test]

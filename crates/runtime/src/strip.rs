@@ -62,10 +62,10 @@
 //! branch and evaluate no address. A Jacobi row is `[0]`, `[1..M]`,
 //! `[M+1]`: two one-op copies around two strips of five ops.
 
-use crate::compiled::{Addr, CompiledEq, ExecProg, Frame, Insn, OutSpec, Reg, SymAddr, Tapes};
+use crate::compiled::{Addr, CompiledEq, ExecProg, Frame, OutSpec, SymAddr, Tapes};
 use crate::ndarray::ParVec;
 use crate::value::Value;
-use ps_analyze::ADim;
+use ps_analyze::{ADim, Flow, Insn, Reg};
 use ps_lang::{DataId, EqId, HirModule, IvId};
 use ps_scheduler::{Descriptor, Flowchart, LoopDescriptor, LoopKind};
 use ps_support::idx::{Idx, IndexVec};
@@ -293,18 +293,17 @@ fn plan(
         return Err(ScalarReason::DynamicSubscript);
     }
     for insn in &ceq.insns {
-        match *insn {
-            Insn::Jump { .. } | Insn::LoadF { .. } | Insn::CastIF { .. } => {}
+        let ops = insn.operands();
+        match ops.flow {
             // An integer branch's operands are fixed along a row or the
             // counter itself: nothing on an eligible tape writes either.
-            Insn::JumpCmpI { .. } | Insn::JumpCmpINot { .. } => {}
-            Insn::ReadScalar { dst: Reg::F(_), .. } => {}
-            Insn::JumpIf { .. }
-            | Insn::JumpIfNot { .. }
-            | Insn::JumpCmpF { .. }
-            | Insn::JumpCmpFNot { .. } => return Err(ScalarReason::DataDependentBranch),
-            f_op if f_regs(f_op).is_some() => {}
-            _ => return Err(ScalarReason::NonFWrite),
+            Flow::Branch { .. } if !ops.uses.iter().flatten().all(|r| matches!(r, Reg::I(_))) => {
+                return Err(ScalarReason::DataDependentBranch)
+            }
+            Flow::Next if !matches!(ops.def, Some(Reg::F(_))) => {
+                return Err(ScalarReason::NonFWrite)
+            }
+            _ => {}
         }
     }
     if !matches!(ceq.out, OutSpec::ArrayF { .. }) {
@@ -346,11 +345,11 @@ impl StripPlan {
         }
         self.tree.push(Node::Leaf(0));
         self.tree[at] = loop {
-            match ceq.insns.get(pc).copied() {
-                Some(Insn::Jump { target }) => pc = target as usize,
-                Some(Insn::JumpCmpI { op, a, b, target })
-                | Some(Insn::JumpCmpINot { op, a, b, target }) => {
-                    let when = matches!(ceq.insns[pc], Insn::JumpCmpI { .. });
+            let ops = ceq.insns.get(pc).map(Insn::operands);
+            match ops.map(|o| (o.flow, o.uses)) {
+                Some((Flow::Jump(target), _)) => pc = target as usize,
+                Some((Flow::Branch { target, cmp }, [Some(Reg::I(a)), Some(Reg::I(b))])) => {
+                    let (op, when) = cmp.expect("integer branches fuse their compare");
                     let jump = (0..3).map(|o| ((op.eval(o, 1) == when) as u8) << o).sum();
                     // Not jumping first: paths come out in source order.
                     let fall = self.walk(ceq, pc + 1, scratch)?;
@@ -423,8 +422,11 @@ fn lower_path(ceq: &CompiledEq, body: &[usize], loaded: &mut [Option<u16>]) -> P
             } => (StripOp::Scalar { slot, dst }, dst),
             Insn::CastIF { a, dst } => (StripOp::Widen { a, dst }, dst),
             insn => {
-                let (a, b, dst) = f_regs(insn).expect("strip plans hold f-ops");
-                let (a, b) = (src(a, loaded), b.map(|b| src(b, loaded)));
+                let ops = insn.operands();
+                let (Some(Reg::F(dst)), [Some(a), b]) = (ops.def, ops.uses) else {
+                    unreachable!("strip plans hold f-ops, not {insn:?}")
+                };
+                let (a, b) = (src(a.index(), loaded), b.map(|b| src(b.index(), loaded)));
                 (StripOp::F { insn, a, b, dst }, dst)
             }
         };
@@ -527,49 +529,25 @@ pub(crate) mod fop {
     }
 }
 
-/// Where an element-wise `f`-op finds its operands in a strip — the
-/// [`Operands`] an op resolved them to, which then ignore the register
-/// numbers — or [`f_regs`], which only wants those.
-trait FRegs {
-    fn un(&mut self, a: u16, dst: u16, f: impl Fn(f64) -> f64);
-    fn bin(&mut self, a: u16, b: u16, dst: u16, f: impl Fn(f64, f64) -> f64);
-}
-
-impl FRegs for Option<(u16, Option<u16>, u16)> {
-    fn un(&mut self, a: u16, dst: u16, _: impl Fn(f64) -> f64) {
-        *self = Some((a, None, dst));
-    }
-    fn bin(&mut self, a: u16, b: u16, dst: u16, _: impl Fn(f64, f64) -> f64) {
-        *self = Some((a, Some(b), dst));
-    }
-}
-
-/// The registers `(a, b, dst)` of `insn` if it is an element-wise `f`-op.
-fn f_regs(insn: Insn) -> Option<(u16, Option<u16>, u16)> {
-    let mut regs = None;
-    apply_f(insn, &mut regs);
-    regs
-}
-
-/// Execute `insn` on `regs` if it is an element-wise `f`-op (register
+/// Execute `insn` on `lanes` if it is an element-wise `f`-op (register
 /// operands in, one `f`-register out); `false`, untouched, otherwise.
 #[inline(always)]
-fn apply_f(insn: Insn, regs: &mut impl FRegs) -> bool {
+fn apply_f(insn: Insn, lanes: &Lanes) -> bool {
     match insn {
-        Insn::CopyF { src, dst } => regs.un(src, dst, fop::copy),
-        Insn::AddF { a, b, dst } => regs.bin(a, b, dst, fop::add),
-        Insn::SubF { a, b, dst } => regs.bin(a, b, dst, fop::sub),
-        Insn::MulF { a, b, dst } => regs.bin(a, b, dst, fop::mul),
-        Insn::DivF { a, b, dst } => regs.bin(a, b, dst, fop::div),
-        Insn::MinF { a, b, dst } => regs.bin(a, b, dst, fop::min),
-        Insn::MaxF { a, b, dst } => regs.bin(a, b, dst, fop::max),
-        Insn::NegF { a, dst } => regs.un(a, dst, fop::neg),
-        Insn::AbsF { a, dst } => regs.un(a, dst, fop::abs),
-        Insn::SqrtF { a, dst } => regs.un(a, dst, fop::sqrt),
-        Insn::ExpF { a, dst } => regs.un(a, dst, fop::exp),
-        Insn::LnF { a, dst } => regs.un(a, dst, fop::ln),
-        Insn::SinF { a, dst } => regs.un(a, dst, fop::sin),
-        Insn::CosF { a, dst } => regs.un(a, dst, fop::cos),
+        Insn::CopyF { .. } => lanes.un(fop::copy),
+        Insn::AddF { .. } => lanes.bin(fop::add),
+        Insn::SubF { .. } => lanes.bin(fop::sub),
+        Insn::MulF { .. } => lanes.bin(fop::mul),
+        Insn::DivF { .. } => lanes.bin(fop::div),
+        Insn::MinF { .. } => lanes.bin(fop::min),
+        Insn::MaxF { .. } => lanes.bin(fop::max),
+        Insn::NegF { .. } => lanes.un(fop::neg),
+        Insn::AbsF { .. } => lanes.un(fop::abs),
+        Insn::SqrtF { .. } => lanes.un(fop::sqrt),
+        Insn::ExpF { .. } => lanes.un(fop::exp),
+        Insn::LnF { .. } => lanes.un(fop::ln),
+        Insn::SinF { .. } => lanes.un(fop::sin),
+        Insn::CosF { .. } => lanes.un(fop::cos),
         _ => return false,
     }
     true
@@ -590,22 +568,22 @@ impl Frame {
 /// The operands one [`StripOp::F`] resolved: lanes or cells of an array,
 /// one per iteration of the strip. An op may write the register it reads
 /// and an array is shared with other workers, so all are shared cells.
-struct Operands<'a> {
+struct Lanes<'a> {
     a: &'a [Cell<f64>],
     b: &'a [Cell<f64>],
     dst: &'a [Cell<f64>],
 }
 
-impl FRegs for Operands<'_> {
+impl Lanes<'_> {
     #[inline(always)]
-    fn un(&mut self, _: u16, _: u16, f: impl Fn(f64) -> f64) {
+    fn un(&self, f: impl Fn(f64) -> f64) {
         for (d, x) in self.dst.iter().zip(self.a) {
             d.set(f(x.get()));
         }
     }
 
     #[inline(always)]
-    fn bin(&mut self, _: u16, _: u16, _: u16, f: impl Fn(f64, f64) -> f64) {
+    fn bin(&self, f: impl Fn(f64, f64) -> f64) {
         for (d, (x, y)) in self.dst.iter().zip(self.a.iter().zip(self.b)) {
             d.set(f(x.get(), y.get()));
         }
@@ -706,7 +684,7 @@ impl Segment<'_, '_, '_> {
                 StripOp::F { insn, a, b, dst } => {
                     let (a, dst) = (src(a), lane(dst));
                     let b = b.map_or(a, src);
-                    let known = apply_f(insn, &mut Operands { a, b, dst });
+                    let known = apply_f(insn, &Lanes { a, b, dst });
                     assert!(known, "strip path holds {insn:?}");
                 }
                 StripOp::Store { src: vals, acc } => {

@@ -47,18 +47,10 @@ fn _assert_send_sync() {
 
 impl CompiledProgram {
     /// Compile `source` through the pipeline (front end → dependence graph
-    /// → schedule → tape lowering) into an owned artifact.
+    /// → schedule → tape lowering) into an owned artifact. A `sink` (the
+    /// registry passes its service's [`StageSet`]) receives the inner
+    /// program's specialization timings.
     pub fn compile(
-        source: Arc<str>,
-        options: RuntimeOptions,
-    ) -> Result<Arc<CompiledProgram>, ServiceError> {
-        CompiledProgram::compile_with_sink(source, options, None)
-    }
-
-    /// Like [`CompiledProgram::compile`], additionally wiring the inner
-    /// program's specialization timings into a shared [`StageSet`] (the
-    /// registry passes the service's set here).
-    pub fn compile_with_sink(
         source: Arc<str>,
         options: RuntimeOptions,
         sink: Option<Arc<StageSet>>,
@@ -122,7 +114,7 @@ impl CompiledProgram {
     }
 
     /// Parameter layouts currently cached (bounded by
-    /// `RuntimeOptions::spec_cache_cap`).
+    /// [`ps_runtime::SPEC_CACHE_CAP`]).
     pub fn spec_cached(&self) -> usize {
         self.program.spec_cached()
     }
@@ -149,7 +141,8 @@ mod tests {
 
     #[test]
     fn owned_artifact_runs_after_moves() {
-        let prog = CompiledProgram::compile(RECURRENCE.into(), RuntimeOptions::default()).unwrap();
+        let prog =
+            CompiledProgram::compile(RECURRENCE.into(), RuntimeOptions::default(), None).unwrap();
         // Move the Arc around (into an array, out again).
         let held = [prog];
         let prog = &held[0];
@@ -168,7 +161,8 @@ mod tests {
 
     #[test]
     fn compile_errors_are_reported_not_cached() {
-        let Err(err) = CompiledProgram::compile("not a module".into(), RuntimeOptions::default())
+        let Err(err) =
+            CompiledProgram::compile("not a module".into(), RuntimeOptions::default(), None)
         else {
             panic!("garbage must not compile");
         };
@@ -178,7 +172,8 @@ mod tests {
 
     #[test]
     fn sessions_share_the_artifact_across_threads() {
-        let prog = CompiledProgram::compile(RECURRENCE.into(), RuntimeOptions::default()).unwrap();
+        let prog =
+            CompiledProgram::compile(RECURRENCE.into(), RuntimeOptions::default(), None).unwrap();
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let prog = &prog;

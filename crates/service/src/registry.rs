@@ -91,21 +91,12 @@ pub struct Registry {
 
 impl Registry {
     /// An empty registry holding at most `capacity` compiled programs
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> Registry {
-        Registry::with_observability(capacity, FaultInjector::disabled(), None)
-    }
-
-    /// Like [`Registry::new`] with a seeded fault injector — the
-    /// `CompileFail` and `CompilePanic` points fire on a cache miss, before
-    /// any real compilation work — and a shared [`StageSet`] that receives compile
-    /// and specialization durations (the service passes its per-instance
-    /// set here).
-    pub fn with_observability(
-        capacity: usize,
-        faults: FaultInjector,
-        stages: Option<Arc<StageSet>>,
-    ) -> Registry {
+    /// (clamped to at least 1). `faults`' `CompileFail` and `CompilePanic`
+    /// points fire on a cache miss, before any real compilation work
+    /// ([`FaultInjector::disabled`] for none); `stages`, when given (the
+    /// service passes its per-instance set), receives compile and
+    /// specialization durations.
+    pub fn new(capacity: usize, faults: FaultInjector, stages: Option<Arc<StageSet>>) -> Registry {
         Registry {
             entries: RwLock::new(Vec::new()),
             capacity: capacity.max(1),
@@ -176,11 +167,8 @@ impl Registry {
         }
         let compile_t0 = std::time::Instant::now();
         let compile_span = ps_trace::span(EvKind::Compile, key.hash, 0);
-        let entry = CompiledProgram::compile_with_sink(
-            Arc::clone(&key.source),
-            key.options,
-            self.stages.clone(),
-        )?;
+        let entry =
+            CompiledProgram::compile(Arc::clone(&key.source), key.options, self.stages.clone())?;
         drop(compile_span);
         if ps_trace::enabled() {
             if let Some(stages) = &self.stages {
@@ -249,7 +237,7 @@ mod tests {
 
     #[test]
     fn compile_once_then_hit() {
-        let reg = Registry::new(4);
+        let reg = Registry::new(4, FaultInjector::disabled(), None);
         let key = ProgramKey::new(src(2), RuntimeOptions::default());
         assert!(reg.lookup(&key).is_none());
         let a = reg.get_or_compile(&key).unwrap();
@@ -261,7 +249,7 @@ mod tests {
 
     #[test]
     fn options_are_part_of_the_key() {
-        let reg = Registry::new(4);
+        let reg = Registry::new(4, FaultInjector::disabled(), None);
         let source: Arc<str> = src(3).into();
         let fast = ProgramKey::new(Arc::clone(&source), RuntimeOptions::default());
         let checked = ProgramKey::new(
@@ -279,7 +267,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_at_capacity() {
-        let reg = Registry::new(2);
+        let reg = Registry::new(2, FaultInjector::disabled(), None);
         let keys: Vec<ProgramKey> = (0..3)
             .map(|i| ProgramKey::new(src(i), RuntimeOptions::default()))
             .collect();
@@ -298,7 +286,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_and_compiles_are_safe() {
-        let reg = Arc::new(Registry::new(3));
+        let reg = Arc::new(Registry::new(3, FaultInjector::disabled(), None));
         let keys: Vec<ProgramKey> = (0..6)
             .map(|i| ProgramKey::new(src(i), RuntimeOptions::default()))
             .collect();
@@ -345,7 +333,7 @@ mod tests {
         // threads doing back-to-back lookups, every publish still
         // completes.
         use std::sync::atomic::AtomicBool;
-        let reg = Arc::new(Registry::new(8));
+        let reg = Arc::new(Registry::new(8, FaultInjector::disabled(), None));
         let hot = ProgramKey::new(src(100), RuntimeOptions::default());
         reg.get_or_compile(&hot).unwrap();
         let stop = Arc::new(AtomicBool::new(false));

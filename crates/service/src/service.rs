@@ -310,7 +310,7 @@ impl Service {
             queue: Mutex::new(VecDeque::new()),
             nonempty: Condvar::new(),
             closed: AtomicBool::new(false),
-            registry: Registry::with_observability(
+            registry: Registry::new(
                 options.registry_capacity,
                 options.faults.clone(),
                 Some(Arc::clone(&stages)),

@@ -11,9 +11,11 @@
 # strip, schedule or window regression names itself), the schedule suites
 # (`scc_props`, then `figures`, `scheduler_props`, `window_props`: likewise
 # for a component-order, flowchart or window regression), the allocation
-# budgets, the verifier suite and the `Affine` reference model
-# (`compiled_alloc`, `analyzer_prop`, then ps-lang's `affine_props`:
-# likewise for an allocation, verifier or bound-algebra regression), the executor
+# budgets, the verifier suites and the `Affine` reference model
+# (`compiled_alloc`, `analyzer_prop`, then ps-analyze's own unit tests,
+# whose hand-built tapes are `Insn`s, the instruction set the runtime
+# executes, then ps-lang's `affine_props`: likewise for an allocation,
+# verifier, tape-IR or bound-algebra regression), the executor
 # schedule-stress suite (likewise for a pool regression), the service/TCP
 # concurrency suites (overlapping solves, bounded-queue shedding,
 # cross-connection shutdown drain), the seeded
@@ -65,8 +67,9 @@ echo "==> schedule suites: ps-graph scc_props, then figures, scheduler_props, wi
 bounded 600 bash -c 'cargo test -q --offline -p ps-graph --test scc_props \
     && cargo test -q --offline --test figures --test scheduler_props --test window_props'
 
-echo "==> allocation budgets + verifier + Affine model: compiled_alloc, analyzer_prop, then ps-lang affine_props"
+echo "==> allocation budgets + verifier + Affine model: compiled_alloc, analyzer_prop, ps-analyze, then ps-lang affine_props"
 bounded 600 bash -c 'cargo test -q --offline --test compiled_alloc --test analyzer_prop \
+    && cargo test -q --offline -p ps-analyze \
     && cargo test -q --offline -p ps-lang --test affine_props'
 
 echo "==> cargo test -q --offline --test executor_stress (exactly-once accounting)"

@@ -256,12 +256,15 @@ fn cold_sweep() {
 /// print (7 803 measured at that change). At most 5 400 since tape
 /// validation formats only faults, `Affine` and subscript terms sit inline,
 /// and the verifier borrows the tapes it checks instead of copying them
-/// (5 094 measured at that change).
+/// (5 094 measured at that change). At most 5 078, measured, since the
+/// verifier walks the tapes' own instructions instead of a step list built
+/// per equation.
 #[test]
 fn cold_compile_allocation_budget() {
     const EAGER_SWEEP: usize = 17_368;
     const GRAPH_CLONING_SWEEP: usize = 10_440;
     const COPIED_VERIFIER_IR_SWEEP: usize = 7_803;
+    const STEP_LIST_SWEEP: usize = 5_094;
     cold_sweep(); // first-use interning
     let first = allocs_during(cold_sweep);
     let second = allocs_during(cold_sweep);
@@ -278,17 +281,24 @@ fn cold_compile_allocation_budget() {
         first <= 5_400,
         "a cold sweep allocates {first} times, over 5 400 ({COPIED_VERIFIER_IR_SWEEP} before)"
     );
+    assert!(
+        first <= 5_078,
+        "a cold sweep allocates {first} times, over 5 078 ({STEP_LIST_SWEEP} before)"
+    );
 }
 
 /// The verifier allocates per program and per equation only for what its
 /// report keeps: its per-equation buffers are one scratch reused across
-/// equations, and the IR borrows the tapes' address tables. `ps_core::analyze`
-/// on `chain64` (lowering included) allocates at most 45 % of the 3 973 it
-/// made while it copied every tape into a second IR (1 017 measured now),
-/// and `chain256` at most 4.2 × `chain64` (3 728, 3.7 ×).
+/// equations, and the IR borrows the tapes' instructions and address
+/// tables. `ps_core::analyze` on `chain64` (lowering included) allocates at
+/// most 45 % of the 3 973 it made while it copied every tape into a second
+/// IR, and at most the 946 measured once it stopped building a step list
+/// per equation (1 017 before); `chain256` at most 4.2 × `chain64` (3 463,
+/// 3.7 ×).
 #[test]
 fn verifier_allocations_are_per_program() {
     const COPIED_IR_CHAIN64: usize = 3_973;
+    const STEP_LIST_CHAIN64: usize = 1_017;
     let verify_allocs = |n: usize| {
         let comp = compile(&generators::chain_source(n), CompileOptions::default()).unwrap();
         let run = || assert!(!analyze(&comp).has_errors());
@@ -299,6 +309,10 @@ fn verifier_allocations_are_per_program() {
     assert!(
         chain64 * 100 <= COPIED_IR_CHAIN64 * 45,
         "chain64 verifies in {chain64} allocations, over 45 % of {COPIED_IR_CHAIN64}"
+    );
+    assert!(
+        chain64 <= 946,
+        "chain64 verifies in {chain64} allocations, over 946 ({STEP_LIST_CHAIN64} before)"
     );
     assert!(
         chain256 * 10 <= chain64 * 42,

@@ -9,8 +9,9 @@
 //! `ps_support::rng::check`.
 
 use ps_core::{
-    compile, execute, CompileOptions, Inputs, OwnedArray, Program, ProgramKey, Registry,
-    RuntimeOptions, Sequential, Service, ServiceOptions, SolveError, SolveRequest,
+    compile, execute, CompileOptions, FaultInjector, Inputs, OwnedArray, Program, ProgramKey,
+    Registry, RuntimeOptions, Sequential, Service, ServiceOptions, SolveError, SolveRequest,
+    SPEC_CACHE_CAP,
 };
 use ps_support::rng::{check, shrink_vec, Lcg};
 
@@ -278,7 +279,7 @@ fn parallel_solves_are_bit_identical_to_sequential_oracle() {
 /// keep solving — bit-identical to a direct `execute`.
 #[test]
 fn evicted_artifact_outlives_its_registry() {
-    let registry = Registry::new(1);
+    let registry = Registry::new(1, FaultInjector::disabled(), None);
     let held_key = ProgramKey::new(PIPELINE, RuntimeOptions::default());
     let held = registry.get_or_compile(&held_key).unwrap();
     let mut session = held.session();
@@ -338,19 +339,14 @@ fn warm_registry_hits_exceed_compiles() {
 
 #[test]
 fn spec_cache_stays_bounded_under_adversarial_diversity() {
-    // Registry-level view of the satellite: a tight per-program spec cache
-    // under a parameter sweep keeps memory bounded and counts evictions,
-    // while every answer stays correct.
-    let registry = ps_core::Registry::new(4);
-    let key = ProgramKey::new(
-        COMPOUND,
-        RuntimeOptions {
-            spec_cache_cap: 3,
-            ..Default::default()
-        },
-    );
+    // Registry-level view: a parameter sweep past the per-program spec
+    // cache's cap keeps memory bounded and counts evictions, while every
+    // answer stays correct.
+    let registry = Registry::new(4, FaultInjector::disabled(), None);
+    let key = ProgramKey::new(COMPOUND, RuntimeOptions::default());
     let entry = registry.get_or_compile(&key).unwrap();
-    for n in 2..40i64 {
+    let layouts = SPEC_CACHE_CAP + 38;
+    for n in 2..2 + layouts as i64 {
         let out = entry
             .run(
                 &Inputs::new().set_real("rate", 1.0).set_int("n", n),
@@ -363,10 +359,15 @@ fn spec_cache_stays_bounded_under_adversarial_diversity() {
             "n = {n}"
         );
     }
-    assert!(entry.spec_cached() <= 3, "cache bounded at its cap");
-    assert!(
-        entry.spec_evictions() >= 35 - 3,
-        "a 38-layout sweep over a 3-slot cache evicts constantly"
+    assert_eq!(
+        entry.spec_cached(),
+        SPEC_CACHE_CAP,
+        "cache bounded at its cap"
+    );
+    assert_eq!(
+        entry.spec_evictions(),
+        38,
+        "each layout past the cap evicts one"
     );
 }
 
