@@ -59,13 +59,15 @@
 //!   `f`-registers, subscripts only never-written registers, branches only
 //!   on integer compares, and keeps its counter out of windowed dimensions
 //!   is lowered once more, into the straight-line paths its branches select
-//!   between; a row picks a path per segment and dispatches its fused ops
-//!   once per 64 iterations, each applied to 64 lanes. Legal because a
-//!   `DOALL`'s iterations neither read nor write each other's cells (the
-//!   contract `ParVec::set` rests on), so op-major order reorders only
-//!   independent accesses; bit-identical because each lane runs the scalar
-//!   tape's operations in its order. Eligibility is decided once at
-//!   lowering, never per call; everything else runs the scalar walker below.
+//!   between; a nest of two `DOALL`s picks a path per rectangle its
+//!   branches cut it into (a lone `DOALL`, per row segment) and dispatches
+//!   its fused ops once per 64 iterations, each applied to 64 lanes. Legal
+//!   because a `DOALL`'s iterations neither read nor write each other's
+//!   cells (the contract `ParVec::set` rests on), so op-major order
+//!   reorders only independent accesses; bit-identical because each lane
+//!   runs the scalar tape's operations in its order. Eligibility is decided
+//!   once at lowering, never per call; everything else runs the scalar
+//!   walker below.
 //! * **Optional checked mode**: when built with `check_writes`, every load
 //!   and store re-derives its *logical* index from the same affine forms
 //!   and performs the tag transitions of `ArrayInstance`'s checked
@@ -469,7 +471,7 @@ impl Tapes {
             &mut self.eqs,
             module,
             &fc.items,
-            None,
+            [None, None],
             self.checked,
             &windowed,
         );
@@ -493,10 +495,10 @@ impl Tapes {
 pub(crate) struct Spec {
     pub(crate) key: Vec<i64>,
     pub(super) addrs: IndexVec<EqId, Vec<Addr>>,
-    /// Per stripped equation, each address's stride along the inner
-    /// counter and offset in its class ([`strip::inner_strides`]); empty
-    /// for scalar equations.
-    pub(super) strides: IndexVec<EqId, Vec<(i64, i64)>>,
+    /// Per stripped equation, each address's strides along the inner and
+    /// the outer counter of its nest and its offset in its class
+    /// ([`strip::strides`]); empty for scalar equations.
+    pub(super) strides: IndexVec<EqId, Vec<strip::Stride>>,
 }
 
 impl Spec {
@@ -589,7 +591,7 @@ pub(crate) fn specialize(
             ));
         }
         if let Ok(plan) = &ceq.strip {
-            strides[eq] = strip::inner_strides(plan, &folded);
+            strides[eq] = strip::strides(plan, &folded);
         }
         addrs[eq] = folded;
     }
@@ -627,9 +629,12 @@ pub(super) struct Frame {
     /// [`strip::W`] lanes per `f`-register when the equation strips (its
     /// constants and parameters broadcast once, like `f`), else empty.
     pub(super) lanes: Vec<f64>,
-    /// Where each access of the strip path in progress stands and, per
-    /// address class, its anchor on the row in progress; both as long as
-    /// the address table, empty when the equation does not strip.
+    /// Where each access of the strip path in progress stands at the start
+    /// of the rectangle line in progress and, per address class, its anchor
+    /// — where it stands at the nest's first cell (the row's, when the nest
+    /// is walked row by row); both as long as the address table, empty when
+    /// the equation does not strip. A nest's rectangles are cut on the fly,
+    /// so these are all the scratch a walk needs.
     pub(super) offs: Vec<usize>,
     pub(super) anchors: Vec<Option<i64>>,
 }
@@ -1943,7 +1948,7 @@ impl<'r, 'm> ExecProg<'r, 'm> {
         let frame = &mut frames.frames[eq_id];
         debug_assert!(bindings.iter().all(|&(eq, _)| eq == eq_id));
         if let Ok(plan) = &ceq.strip {
-            return plan.run(self, eq_id, frame, lo, hi);
+            return plan.run(self, eq_id, frame, None, (lo, hi));
         }
         for i in lo..=hi {
             for &(_, iv) in bindings {
@@ -1953,12 +1958,38 @@ impl<'r, 'm> ExecProg<'r, 'm> {
         }
     }
 
+    /// Whether `eq` strips as the body of a nest of two `DOALL`s, walked
+    /// as one by [`ExecProg::run_nest`].
+    pub(crate) fn strips_nest(&self, eq: EqId) -> bool {
+        let ceq = self.tapes.eqs[eq].as_ref();
+        ceq.is_some_and(|ceq| ceq.strip.as_ref().is_ok_and(StripPlan::is_nest))
+    }
+
+    /// Run the nest of two `DOALL`s whose body `eq` is over `rows` of the
+    /// outer counter and `cols` of the inner one.
+    pub(crate) fn run_nest(
+        &self,
+        eq: EqId,
+        rows: (i64, i64),
+        cols: (i64, i64),
+        frames: &mut Frames,
+    ) {
+        let ceq = self.tapes.eqs[eq]
+            .as_ref()
+            .expect("scheduled equations are lowered");
+        let plan = ceq
+            .strip
+            .as_ref()
+            .expect("only a stripped nest runs as one");
+        plan.run(self, eq, &mut frames.frames[eq], Some(rows), cols);
+    }
+
     /// A strip's store: `vals[l]` goes to `off + l·stride` of f-buffer
     /// `buf` (here, not in `strip.rs`, which stays free of `unsafe`).
     pub(super) fn store_strip(&self, buf: u16, off: usize, stride: i64, vals: &[Cell<f64>]) {
-        // SAFETY: the lanes are distinct iterations of one `DOALL`, which
-        // write disjoint offsets that nothing reads until the loop ends —
-        // the contract of the scalar store in `exec_tape`.
+        // SAFETY: the lanes are distinct iterations of one `DOALL` (or nest
+        // of them), which write disjoint offsets that nothing reads until
+        // the loop ends — the contract of the scalar store in `exec_tape`.
         unsafe { self.bufs_f[buf as usize].set_range(off, stride, vals) }
     }
 

@@ -205,25 +205,44 @@ impl<'a, 'm> Interp<'a, 'm> {
                 }
             }
             LoopKind::Doall if publish => self.publish_doall(prog, l, frames),
-            // Inline: no flattening, no chunk teardown, no allocation —
-            // bind counters in the caller's frames and walk the nest. The
-            // nested order equals the flattened row-major order, so outputs
-            // stay bit-identical; this is what keeps small solves cheap in
-            // compile-once / run-many serving.
-            LoopKind::Doall => {
-                // A single-equation body (the common innermost case) hoists
-                // the tape lookup out of the element loop.
-                if let [Descriptor::Equation(eq)] = &l.body[..] {
-                    prog.run_eq_range(*eq, &l.bindings, lo, hi, frames);
-                    return;
-                }
-                for i in lo..=hi {
-                    for &(eq, iv) in &l.bindings {
-                        frames.set_iv(eq, iv, i);
-                    }
-                    self.run_items(prog, &l.body, frames, false, None);
-                }
+            LoopKind::Doall => self.run_inline(prog, l, lo, hi, frames),
+        }
+    }
+
+    /// Run `DOALL l` over `lo..=hi` of its counter on this thread: no
+    /// flattening, no chunk teardown, no allocation — bind counters in the
+    /// caller's frames and walk the nest. Iterations are independent, so
+    /// any order gives the flattened walk's bits; this is what keeps small
+    /// solves cheap in compile-once / run-many serving.
+    fn run_inline(
+        &self,
+        prog: &ExecProg<'_, 'm>,
+        l: &LoopDescriptor,
+        lo: i64,
+        hi: i64,
+        frames: &mut Frames,
+    ) {
+        match &l.body[..] {
+            // A single-equation body (the common innermost case) hoists the
+            // tape lookup out of the element loop.
+            [Descriptor::Equation(eq)] => {
+                return prog.run_eq_range(*eq, &l.bindings, lo, hi, frames)
             }
+            // So does a single stripped equation two `DOALL`s deep, whose
+            // nest is one walk over the rectangles its branches cut.
+            [Descriptor::Loop(inner)] => match inner.body[..] {
+                [Descriptor::Equation(eq)] if prog.strips_nest(eq) => {
+                    return prog.run_nest(eq, (lo, hi), self.bounds(inner.subrange), frames)
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+        for i in lo..=hi {
+            for &(eq, iv) in &l.bindings {
+                frames.set_iv(eq, iv, i);
+            }
+            self.run_items(prog, &l.body, frames, false, None);
         }
     }
 
@@ -235,15 +254,13 @@ impl<'a, 'm> Interp<'a, 'm> {
         }
         // Nested chains with enough work per outer iteration skip the
         // flattened decomposition: workers claim chunks of the *outer*
-        // range and each chunk walks the inner nest inline (`run_eq_range`
-        // innermost fast path) — one frame clone per chunk, no per-element
-        // `div`/`mod`. The work-stealing pool does allow reentrant
-        // `for_chunks` from inside a running chunk (it publishes a nested
-        // region), but the outer region already saturates the pool, so
-        // nested publication would add latch and steal traffic without
-        // exposing new parallelism. Row-major element order per outer
-        // index is preserved, so outputs stay bit-identical to the
-        // flattened walk.
+        // range and each chunk walks its slice of the nest inline (the
+        // strip nest walk, or the `run_eq_range` innermost fast path) — one
+        // frame clone per chunk, no per-element `div`/`mod`. The
+        // work-stealing pool does allow reentrant `for_chunks` from inside
+        // a running chunk (it publishes a nested region), but the outer
+        // region already saturates the pool, so nested publication would
+        // add latch and steal traffic without exposing new parallelism.
         let inner_per_outer = total / widths[0].max(1);
         if chain.len() > 1
             && inner_per_outer >= INLINE_NEST_MIN_INNER
@@ -254,12 +271,7 @@ impl<'a, 'm> Interp<'a, 'm> {
             let _rspan = self.region_span(&body_eqs, total);
             self.executor.for_chunks(lo0, hi0, &|start, stop| {
                 let mut local = frames.clone_for(&body_eqs);
-                for i in start..stop {
-                    for &(eq, iv) in &l.bindings {
-                        local.set_iv(eq, iv, i);
-                    }
-                    self.run_items(prog, &l.body, &mut local, false, None);
-                }
+                self.run_inline(prog, l, start, stop - 1, &mut local);
             });
             return;
         }

@@ -69,9 +69,10 @@
 //! stores and **zero per-iteration heap allocations** — the interpretive
 //! cost the paper's loop-level speedups would otherwise drown in.
 //! Single-equation innermost `DOALL` bodies go one step further and run
-//! **strip-mined**: a row segment resolves its branches once, and each
-//! fused op of the straight-line path they select is dispatched once per
-//! 64 iterations and applied to 64 lanes ([`Program::strip_report`] says
+//! **strip-mined**: a rectangle of a `DOALL I (DOALL J)` nest (a row
+//! segment, for a lone `DOALL`) resolves its branches once, and each fused
+//! op of the straight-line path they select is dispatched once per 64
+//! iterations and applied to 64 lanes ([`Program::strip_report`] says
 //! which equations do, along which paths, and why the others do not).
 //!
 //! **The oracle.** [`naive`] is a demand-driven memoizing evaluator

@@ -6,22 +6,25 @@
 //! single-equation innermost `DOALL` body this walker instead runs **strips**
 //! of up to [`W`] consecutive iterations: `f`-registers become lanes (`W`
 //! values each), an op is dispatched once and applied to all lanes in a
-//! counted loop, and an address is found once per row segment and advanced
-//! by its inner-counter stride — a unit stride is read in place or copied
-//! as one range.
+//! counted loop, and an address is found once per rectangle of the nest
+//! (see *Control flow*) and advanced by its counter strides — a unit stride
+//! is read in place or copied as one range.
 //!
 //! # Legality
 //!
 //! The scheduler marks a loop `DOALL` exactly when no iteration reads a
 //! cell another iteration of the same loop writes, and single assignment
 //! means no two iterations write the same cell — the contract
-//! `ParVec::set` already rests on. Running op-major over a strip (every
-//! load of the strip before its one store) therefore reorders only
-//! accesses that are independent, and each lane performs the scalar tape's
-//! operations in the scalar tape's order, so results are bit-identical (no
-//! reassociation, no fused multiply-add). Memory safety does not depend on
-//! any of this: every access is range-checked against its buffer, once per
-//! strip for a unit stride and per lane otherwise.
+//! `ParVec::set` already rests on. In a nest of two `DOALL`s that holds for
+//! any two iterations `(i, j)` of the pair (Nuriyev's "independent steps"),
+//! so the order rectangles, rows and columns run in is free. Running
+//! op-major over a strip (every load of the strip before its one store)
+//! therefore reorders only accesses that are independent, and each lane
+//! performs the scalar tape's operations in the scalar tape's order, so
+//! results are bit-identical (no reassociation, no fused multiply-add).
+//! Memory safety does not depend on any of this: every access is
+//! range-checked against its buffer, once per strip for a unit stride and
+//! per lane otherwise.
 //!
 //! # Eligibility
 //!
@@ -42,25 +45,39 @@
 //! * the inner counter appears in no dimension the memory plan windowed;
 //! * its branches can be taken in at most [`MAX_PATHS`] ways.
 //!
-//! Everything else keeps the scalar loop, which pays one branch per row.
+//! When that `DOALL` is in turn the whole body of an outer `DOALL`, the
+//! equation strips as a **nest** `DOALL I (DOALL J (eq))`, walked as one
+//! (`stripped along J within I`). Its rectangles are one row high
+//! (`along J, row by row`) when a branch compares the two counters, or when
+//! the outer counter indexes a windowed dimension (a `mod` does not step by
+//! a stride). Everything else keeps the scalar loop, which pays one branch
+//! per row.
 //!
 //! # Control flow
 //!
 //! Branches are handled by **index-set splitting**, not predication (the
-//! untaken arm of a boundary guard reads out of bounds). A branch compares
-//! the inner counter with a value `v` that is fixed along the row, so its
-//! outcome can only change at `v` and `v + 1`: up to there — a **segment**
-//! — every branch taken has one outcome and the row executes one
+//! untaken arm of a boundary guard reads out of bounds). A branch that
+//! compares a counter with a value `v` fixed across the nest can change
+//! outcome only at `v` and `v + 1` of that counter, so the cuts of all such
+//! branches on `I` and on `J` split the nest into **rectangles** inside each
+//! of which every branch has one outcome and the nest executes one
 //! straight-line body. A tape only jumps forward, so it has finitely many
 //! bodies, and [`plan`] enumerates them when the tapes are lowered: the
 //! branches become a decision tree ([`Node`]) and each distinct body a
 //! **path** ([`Path`]) of fused ops ([`StripOp`]) — a load is no op but the
 //! memory operand of its consumer, so `load → store` is one range copy,
-//! and constants stay preset lanes. [`StripPlan::run`] walks the tree once
-//! per segment on the scalar frame, which yields the path and where the
-//! segment ends, places the path's accesses, and runs strips that see no
-//! branch and evaluate no address. A Jacobi row is `[0]`, `[1..M]`,
-//! `[M+1]`: two one-op copies around two strips of five ops.
+//! and constants stay preset lanes.
+//!
+//! [`StripPlan::run`] walks the tree once per rectangle, at its corner, to
+//! pick the path; evaluates each address class's anchor once per nest (per
+//! row when rectangles are one row high); and runs strips that see no
+//! branch and evaluate no address: rows along `J`, stepping every access by
+//! its `I`-stride from row to row, except that a one-column rectangle runs
+//! down `I` as strided strips. A Jacobi plane is nine rectangles:
+//! four one-cell corners, two edge rows, two edge columns of one strided
+//! copy per 64 rows, and the interior of two five-op strips per row. A
+//! `DOALL` that is not a nest — a 1-D loop, or one inside a `DO` — is the
+//! height-1 case: one row, cut along `J` alone.
 
 use crate::compiled::{Addr, CompiledEq, ExecProg, Frame, OutSpec, SymAddr, Tapes};
 use crate::ndarray::ParVec;
@@ -126,11 +143,15 @@ impl fmt::Display for ScalarReason {
 /// tapes are lowered; see [`crate::Program::strip_report`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StripVerdict {
-    /// Strip-mined along the named loop counter. `paths` are the distinct
-    /// bodies its branches select between: `copy` for one range copy, else
-    /// `compute`, each with the number of ops a strip dispatches.
+    /// Strip-mined along the named loop counter, `within` the outer
+    /// counter of a `DOALL` nest walked as one — `by_row` when its
+    /// rectangles are one row high. `paths` are the distinct bodies its
+    /// branches select between: `copy` for one range copy, else `compute`,
+    /// each with the number of ops a strip dispatches.
     Stripped {
         along: String,
+        within: Option<String>,
+        by_row: bool,
         paths: Vec<(&'static str, usize)>,
     },
     /// One tape walk per cell.
@@ -140,11 +161,21 @@ pub enum StripVerdict {
 impl fmt::Display for StripVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StripVerdict::Stripped { along, paths } => {
+            StripVerdict::Stripped {
+                along,
+                within,
+                by_row,
+                paths,
+            } => {
                 let list: Vec<_> = paths.iter().map(|(k, ops)| format!("{k}({ops})")).collect();
                 let s = if list.len() == 1 { "" } else { "s" };
                 let (n, list) = (list.len(), list.join(", "));
-                write!(f, "stripped along {along} — {n} path{s}: {list}")
+                let nest = match within {
+                    Some(_) if *by_row => ", row by row".to_string(),
+                    Some(outer) => format!(" within {outer}"),
+                    None => String::new(),
+                };
+                write!(f, "stripped along {along}{nest} — {n} path{s}: {list}")
             }
             StripVerdict::Scalar(why) => write!(f, "scalar: {why}"),
         }
@@ -177,7 +208,8 @@ struct Access {
 enum StripOp {
     /// `ReadScalar`: a live scalar slot, broadcast.
     Scalar { slot: u32, dst: u16 },
-    /// `CastIF`: an iota of the inner counter, a broadcast of any other.
+    /// `CastIF`: an iota of the counter a strip runs along, a broadcast of
+    /// any other.
     Widen { a: u16, dst: u16 },
     /// The element-wise `f`-op `insn` on resolved operands.
     F {
@@ -212,47 +244,57 @@ enum Node {
     Leaf(u16),
 }
 
-/// The parameter-independent half of a strip: which `i`-register is the
-/// inner counter, what selects a segment's path, and the paths.
+/// The parameter-independent half of a strip: which `i`-registers are the
+/// nest's counters, what selects a rectangle's path, and the paths.
 #[derive(Debug)]
 pub(crate) struct StripPlan {
     inner: u16,
+    /// The outer counter when the equation's `DOALL` is the whole body of
+    /// another, and the two are walked as one nest.
+    outer: Option<u16>,
+    /// Whether the nest's rectangles are one row high (see *Eligibility*).
+    by_row: bool,
     tree: Vec<Node>,
     paths: Vec<Path>,
     /// Per entry of the equation's address table, the first entry of its
     /// class: addresses of one array whose subscripts differ by constants,
     /// and in a windowed dimension (whose `mod` is not linear) not at all.
-    /// Along a row they move together, a constant apart.
+    /// Through a nest they move together, a constant apart.
     class: Vec<u16>,
 }
 
 /// Record on every equation lowered under `items` whether it strips (see
 /// *Eligibility* in the module docs). `enclosing` is the loop `items` is
-/// the body of; `windowed(array, dim)` is the memory plan's window
-/// decision.
+/// the body of, and `around` the loop whose whole body `enclosing` is;
+/// `windowed(array, dim)` is the memory plan's window decision.
 pub(crate) fn plan_tapes(
     eqs: &mut IndexVec<EqId, Option<CompiledEq>>,
     module: &HirModule,
     items: &[Descriptor],
-    enclosing: Option<&LoopDescriptor>,
+    [enclosing, around]: [Option<&LoopDescriptor>; 2],
     checked: bool,
     windowed: &dyn Fn(DataId, usize) -> bool,
 ) {
+    let counter = |l: Option<&LoopDescriptor>, eq| match l.map(|l| (l.kind, &l.bindings[..])) {
+        Some((LoopKind::Doall, &[(bound, iv)])) if bound == eq => Some(iv.index() as u16),
+        _ => None,
+    };
     for d in items {
         match d {
-            Descriptor::Loop(l) => plan_tapes(eqs, module, &l.body, Some(l), checked, windowed),
+            Descriptor::Loop(l) => {
+                let loops = [Some(l), enclosing.filter(|_| items.len() == 1)];
+                plan_tapes(eqs, module, &l.body, loops, checked, windowed)
+            }
             Descriptor::Drain(_) => {}
             Descriptor::Equation(eq) => {
                 let ceq = eqs[*eq].as_mut().expect("scheduled equations are lowered");
                 let n_counters = module.equations[*eq].ivs.len();
-                ceq.strip = match enclosing {
-                    Some(l) if l.kind == LoopKind::Doall => match l.bindings[..] {
-                        [(bound, iv)] if items.len() == 1 && bound == *eq => {
-                            let inner = iv.index() as u16;
-                            plan(ceq, n_counters, inner, checked, windowed)
-                        }
-                        _ => Err(ScalarReason::MultiEquationBody),
-                    },
+                ceq.strip = match (enclosing.map(|l| l.kind), counter(enclosing, *eq)) {
+                    (Some(LoopKind::Doall), Some(inner)) if items.len() == 1 => {
+                        let outer = counter(around, *eq);
+                        plan(ceq, n_counters, inner, outer, checked, windowed)
+                    }
+                    (Some(LoopKind::Doall), _) => Err(ScalarReason::MultiEquationBody),
                     _ => Err(ScalarReason::NoDoall),
                 };
             }
@@ -264,6 +306,7 @@ fn plan(
     ceq: &CompiledEq,
     n_counters: usize,
     inner: u16,
+    outer: Option<u16>,
     checked: bool,
     windowed: &dyn Fn(DataId, usize) -> bool,
 ) -> Result<StripPlan, ScalarReason> {
@@ -295,8 +338,8 @@ fn plan(
     for insn in &ceq.insns {
         let ops = insn.operands();
         match ops.flow {
-            // An integer branch's operands are fixed along a row or the
-            // counter itself: nothing on an eligible tape writes either.
+            // An integer branch's operands are fixed across the nest or its
+            // counters: nothing on an eligible tape writes either.
             Flow::Branch { .. } if !ops.uses.iter().flatten().all(|r| matches!(r, Reg::I(_))) => {
                 return Err(ScalarReason::DataDependentBranch)
             }
@@ -321,15 +364,28 @@ fn plan(
     let class = |a| addrs.iter().position(|b| alike(a, b)).expect("like itself");
     let mut plan = StripPlan {
         inner,
+        outer,
+        by_row: false,
         tree: Vec::new(),
         paths: Vec::new(),
         class: addrs.iter().map(|a| class(a) as u16).collect(),
     };
     plan.walk(ceq, 0, &mut (Vec::new(), vec![None; ceq.n_f as usize]))?;
+    plan.by_row = outer.is_some_and(|o| {
+        let both = |n: &Node| {
+            matches!(*n, Node::Branch { a, b, .. } if [a, b] == [inner, o] || [b, a] == [inner, o])
+        };
+        plan.tree.iter().any(both) || any_term(&|a, d, r| r == o && windowed(a.array, d))
+    });
     Ok(plan)
 }
 
 impl StripPlan {
+    /// Whether the plan walks a nest of two `DOALL`s as one.
+    pub(crate) fn is_nest(&self) -> bool {
+        self.outer.is_some()
+    }
+
     /// Add the subtree for the tape from `pc` on; the result is its root.
     /// `scratch.0` is the body: the instructions that ran before `pc`
     /// (restored on return). A tape only jumps forward, so this ends.
@@ -374,27 +430,33 @@ impl StripPlan {
         Ok(at as u16)
     }
 
-    /// The path of the iteration `first` that `frame` holds, and the last
-    /// iteration up to `hi` of its segment: a branch met on the way that
-    /// compares the inner counter with `v` holds until the counter is next
-    /// `v` or `v + 1`.
-    fn segment(&self, frame: &Frame, first: i64, hi: i64) -> (&Path, i64) {
-        let (mut at, mut last) = (0, hi);
+    /// The path of the iteration `frame` holds.
+    fn path(&self, frame: &Frame) -> &Path {
+        let mut at = 0;
         loop {
             match self.tree[at] {
-                Node::Leaf(path) => return (&self.paths[path as usize], last),
+                Node::Leaf(path) => return &self.paths[path as usize],
                 Node::Branch { a, b, jump, next } => {
                     let (x, y) = (frame.gi(a), frame.gi(b));
-                    if (a == self.inner) != (b == self.inner) {
-                        let v = if a == self.inner { y } else { x };
-                        let cuts = [v, v.saturating_add(1)].into_iter().filter(|&c| c > first);
-                        last = cuts.fold(last, |last, c| last.min(c - 1));
-                    }
                     let order = (x >= y) as u8 + (x > y) as u8;
                     at = next[(jump >> order & 1) as usize] as usize;
                 }
             }
         }
+    }
+
+    /// The last value, up to `last`, of counter `r` at which every branch
+    /// goes the way it goes at `first`: one comparing `r` with a value `v`
+    /// that `frame` holds can turn only where `r` is `v` or `v + 1`.
+    fn cut(&self, frame: &Frame, r: u16, first: i64, last: i64) -> i64 {
+        self.tree.iter().fold(last, |last, node| match *node {
+            Node::Branch { a, b, .. } if (a == r) != (b == r) => {
+                let v = frame.gi(if a == r { b } else { a });
+                let cuts = [v, v.saturating_add(1)].into_iter().filter(|&c| c > first);
+                cuts.fold(last, |last, c| last.min(c - 1))
+            }
+            _ => last,
+        })
     }
 }
 
@@ -442,24 +504,35 @@ fn lower_path(ceq: &CompiledEq, body: &[usize], loaded: &mut [Option<u16>]) -> P
     path
 }
 
-/// The per-layout half of a strip: each folded address's stride along the
-/// inner counter (0 when the access does not move with it) and its
-/// distance from the first address of its class.
-pub(crate) fn inner_strides(plan: &StripPlan, addrs: &[Addr]) -> Vec<(i64, i64)> {
-    let coeff = |terms: &[(u16, i64)]| {
-        let at = terms.iter().find(|&&(r, _)| r == plan.inner);
+/// How one folded address moves through a nest: `by[0]` and `by[1]` are
+/// its strides along the inner and the outer counter (0 when it does not
+/// move with one, and along the outer one of a nest walked row by row),
+/// `apart` its distance from the first address of its class.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct Stride {
+    by: [i64; 2],
+    apart: i64,
+}
+
+/// The per-layout half of a strip: each folded address's [`Stride`].
+pub(crate) fn strides(plan: &StripPlan, addrs: &[Addr]) -> Vec<Stride> {
+    let counters = [Some(plan.inner), plan.outer.filter(|_| !plan.by_row)];
+    let coeff = |terms: &[(u16, i64)], r: Option<u16>| {
+        let at = terms.iter().find(|&&(t, _)| Some(t) == r);
         at.map_or(0, |&(_, c)| c)
     };
     let strides = addrs.iter().zip(&plan.class).map(|(a, &class)| {
         // `fold_addr` makes a dimension special only when the memory
-        // plan windowed it, and `plan` kept the counter out of those.
+        // plan windowed it, and `plan` kept the counters out of those.
         assert!(
-            a.special.iter().all(|w| coeff(&w.value.terms) == 0),
-            "inner counter in a windowed dimension of a stripped equation"
+            (a.special.iter()).all(|w| counters.iter().all(|&r| coeff(&w.value.terms, r) == 0)),
+            "counter in a windowed dimension of a stripped equation"
         );
         let first = &addrs[class as usize];
         debug_assert_eq!(a.lin, first.lin, "a class folds alike");
-        (coeff(&a.lin), a.base.wrapping_sub(first.base))
+        let by = counters.map(|r| coeff(&a.lin, r));
+        let apart = a.base.wrapping_sub(first.base);
+        Stride { by, apart }
     });
     strides.collect()
 }
@@ -478,11 +551,16 @@ impl Tapes {
             _ => ("compute", p.ops.len()),
         };
         // Counters are the leading i-registers in `IvId` order.
+        let name = |eq: EqId, r: u16| {
+            module.equations[eq].ivs[IvId::new(r as usize)]
+                .name
+                .to_string()
+        };
         let verdict = |eq: EqId| match &self.eqs[eq].as_ref().expect("lowered").strip {
             Ok(plan) => StripVerdict::Stripped {
-                along: module.equations[eq].ivs[IvId::new(plan.inner as usize)]
-                    .name
-                    .to_string(),
+                along: name(eq, plan.inner),
+                within: plan.outer.map(|r| name(eq, r)),
+                by_row: plan.by_row,
                 paths: plan.paths.iter().map(shape).collect(),
             },
             Err(why) => StripVerdict::Scalar(*why),
@@ -590,72 +668,142 @@ impl Lanes<'_> {
     }
 }
 
-/// One segment of a row of a stripped equation, bound to a run.
-struct Segment<'a, 'r, 'm> {
-    inner: u16,
+/// One line of a rectangle — a row or a column — bound to a run.
+struct Line<'a, 'r, 'm> {
+    /// The counter the line runs along, and which of [`Stride::by`] steps
+    /// its accesses.
+    along: u16,
+    by: usize,
     path: &'a Path,
     prog: &'a ExecProg<'r, 'm>,
-    /// The run's [`inner_strides`], its lanes and its `i`-registers.
-    strides: &'a [(i64, i64)],
+    /// The run's [`strides`], its lanes and its `i`-registers.
+    strides: &'a [Stride],
     lanes: &'a [Cell<f64>],
     ints: &'a [i64],
 }
 
 impl StripPlan {
-    /// Run equation `eq` of `prog`, whose plan this is, over the counter
-    /// range `lo..=hi` of its `DOALL`.
-    pub(crate) fn run(&self, prog: &ExecProg, eq: EqId, frame: &mut Frame, lo: i64, hi: i64) {
+    /// Run equation `eq` of `prog`, whose plan this is, over `cols` of its
+    /// `DOALL`'s counter: on `rows` of the outer counter when the plan is a
+    /// nest's, else on the one row the frame's counters stand on.
+    pub(crate) fn run(
+        &self,
+        prog: &ExecProg,
+        eq: EqId,
+        frame: &mut Frame,
+        rows: Option<(i64, i64)>,
+        (lo, hi): (i64, i64),
+    ) {
+        debug_assert!(rows.is_none() || self.outer.is_some(), "rows of no nest");
         let (addrs, strides) = (&prog.spec.addrs[eq], &prog.spec.strides[eq][..]);
-        frame.anchors.fill(None);
-        let mut first = lo;
-        while first <= hi {
-            frame.si(self.inner, first);
-            let (path, last) = self.segment(frame, first, hi);
-            for (k, acc) in path.accs.iter().enumerate() {
-                // One evaluation per class and row: the anchor is where the
-                // class's first address would stand at `lo`, wherever on
-                // the row one of the class is first needed.
-                let (stride, apart) = strides[acc.addr as usize];
-                let here = apart.wrapping_add(stride.wrapping_mul(first.wrapping_sub(lo)));
-                let class = self.class[acc.addr as usize] as usize;
-                let anchor = frame.anchors[class].unwrap_or_else(|| {
-                    let off = ExecProg::eval_addr(&addrs[acc.addr as usize], frame);
-                    (off as i64).wrapping_sub(here)
-                });
-                frame.anchors[class] = Some(anchor);
-                frame.offs[k] = anchor.wrapping_add(here) as usize;
+        let at = self.outer.map_or(0, |r| frame.gi(r));
+        let (top, bottom) = rows.unwrap_or((at, at));
+        let mut i0 = top;
+        while i0 <= bottom && lo <= hi {
+            // A band of rows every branch on `I` takes one way, across
+            // which the anchors hold — one row when they step by no stride.
+            let i1 = match self.outer {
+                Some(r) if !self.by_row => self.cut(frame, r, i0, bottom),
+                _ => i0,
+            };
+            let origin = [lo, if self.by_row { i0 } else { top }];
+            if i0 == top || self.by_row {
+                frame.anchors.fill(None);
             }
-            let segment = Segment {
-                inner: self.inner,
+            let mut j0 = lo;
+            loop {
+                frame.si(self.inner, j0);
+                if let Some(r) = self.outer {
+                    frame.si(r, i0);
+                }
+                let j1 = self.cut(frame, self.inner, j0, hi);
+                let path = self.path(frame);
+                for (k, acc) in path.accs.iter().enumerate() {
+                    // One evaluation per class: the anchor is where the
+                    // class's first address would stand at `origin`,
+                    // wherever one of the class is first needed.
+                    let Stride { by, apart } = strides[acc.addr as usize];
+                    let down = by[1].wrapping_mul(i0.wrapping_sub(origin[1]));
+                    let across = by[0].wrapping_mul(j0.wrapping_sub(origin[0]));
+                    let here = apart.wrapping_add(across).wrapping_add(down);
+                    let class = self.class[acc.addr as usize] as usize;
+                    let anchor = frame.anchors[class].unwrap_or_else(|| {
+                        let off = ExecProg::eval_addr(&addrs[acc.addr as usize], frame);
+                        (off as i64).wrapping_sub(here)
+                    });
+                    frame.anchors[class] = Some(anchor);
+                    frame.offs[k] = anchor.wrapping_add(here) as usize;
+                }
+                self.rect(prog, path, strides, frame, [(j0, j1), (i0, i1)]);
+                match j1.checked_add(1) {
+                    Some(next) if next <= hi => j0 = next,
+                    _ => break,
+                }
+            }
+            match i1.checked_add(1) {
+                Some(next) => i0 = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Run `path` over the rectangle `span` — its `J` and its `I` range —
+    /// whose corner `frame.offs` places, one line at a time: rows along
+    /// `J`, where strides are usually 1 and loads read in place, unless it
+    /// is one column of several rows, which runs down `I` in strided
+    /// strips instead of one-cell ones.
+    fn rect(
+        &self,
+        prog: &ExecProg,
+        path: &Path,
+        strides: &[Stride],
+        frame: &mut Frame,
+        span: [(i64, i64); 2],
+    ) {
+        let one = |(first, last): (i64, i64)| first == last;
+        let by = usize::from(one(span[0]) && !one(span[1]));
+        let counters = [Some(self.inner), self.outer];
+        let ((start, end), (x0, x1)) = (span[by], span[1 - by]);
+        for x in x0..=x1 {
+            if let Some(r) = counters[1 - by] {
+                frame.si(r, x);
+            }
+            let line = Line {
+                along: counters[by].expect("only a nest has columns"),
+                by,
                 path,
                 prog,
                 strides,
                 lanes: Cell::from_mut(&mut frame.lanes[..]).as_slice_of_cells(),
                 ints: &frame.i,
             };
-            while first <= last {
-                let n = last.abs_diff(first).min(W as u64 - 1) as usize + 1;
-                segment.strip(&frame.offs, first, n);
-                for (off, acc) in frame.offs.iter_mut().zip(&path.accs) {
-                    *off = ParVec::<f64>::strided(*off, strides[acc.addr as usize].0, n);
-                }
+            let mut first = start;
+            loop {
+                let n = end.abs_diff(first).min(W as u64 - 1) as usize + 1;
+                line.strip(&frame.offs, first.abs_diff(start) as usize, first, n);
                 match first.checked_add(n as i64) {
-                    Some(next) => first = next,
-                    None => return,
+                    Some(next) if next <= end => first = next,
+                    _ => break,
                 }
+            }
+            for (off, acc) in frame.offs.iter_mut().zip(&path.accs) {
+                *off = ParVec::<f64>::strided(*off, strides[acc.addr as usize].by[1 - by], 1);
             }
         }
     }
 }
 
-impl Segment<'_, '_, '_> {
-    /// Run the path for the `n ≤ W` iterations from `first` on, access `k`
-    /// of the path starting at `offs[k]`.
-    fn strip(&self, offs: &[usize], first: i64, n: usize) {
+impl Line<'_, '_, '_> {
+    /// Run the path for the `n ≤ W` iterations from `first` on, `step`
+    /// iterations into the line: access `k` of the path starts the line at
+    /// `offs[k]`.
+    fn strip(&self, offs: &[usize], step: usize, first: i64, n: usize) {
         let lane = |r: u16| &self.lanes[r as usize * W..][..n];
         let place = |acc: u16| {
             let Access { buf, addr, reg } = self.path.accs[acc as usize];
-            (buf, offs[acc as usize], self.strides[addr as usize].0, reg)
+            let stride = self.strides[addr as usize].by[self.by];
+            let off = ParVec::<f64>::strided(offs[acc as usize], stride, step);
+            (buf, off, stride, reg)
         };
         let src = |s: Src| match s {
             Src::Lane(r) => lane(r),
@@ -674,9 +822,10 @@ impl Segment<'_, '_, '_> {
                     other => panic!("scalar slot {slot} holds {other:?}, tape expects a real"),
                 },
                 StripOp::Widen { a, dst } => {
-                    // `real(J)` of the inner counter differs per lane.
-                    let inner = (a == self.inner) as usize;
-                    let (at, step) = [(self.ints[a as usize], 0), (first, 1)][inner];
+                    // `real(J)` of the counter the line runs along differs
+                    // per lane.
+                    let along = (a == self.along) as usize;
+                    let (at, step) = [(self.ints[a as usize], 0), (first, 1)][along];
                     for (l, d) in lane(dst).iter().enumerate() {
                         d.set(fop::widen(at + step * l as i64));
                     }
@@ -734,7 +883,12 @@ mod tests {
     #[test]
     fn jacobi_strips_every_equation_along_j() {
         let paths = |label| match verdict(JACOBI, label, false) {
-            StripVerdict::Stripped { along, paths } if along == "J" => paths,
+            StripVerdict::Stripped {
+                along,
+                within: Some(outer),
+                by_row: false,
+                paths,
+            } if (&along[..], &outer[..]) == ("J", "I") => paths,
             other => panic!("{label}: {other}"),
         };
         assert_eq!(paths("eq.1"), [("copy", 1)]);
@@ -830,13 +984,55 @@ mod tests {
             &mut tapes.eqs,
             &m,
             &sched.flowchart.items,
-            None,
+            [None, None],
             false,
             &|a, _| a == xs,
         );
         assert_eq!(
             tapes.eqs[eq].as_ref().unwrap().strip.as_ref().unwrap_err(),
             &ScalarReason::WindowedInnerDimension
+        );
+    }
+
+    /// The same rule for a nest: the inner counter in a windowed dimension
+    /// keeps the scalar walker, the outer counter walks the nest row by
+    /// row.
+    #[test]
+    fn outer_counter_in_a_windowed_dimension_walks_row_by_row() {
+        let src = "T: module (xs: array[I,J] of real; n: int): [out: array[I,J] of real];
+            type I, J = 1 .. n;
+            define out[I,J] = xs[I,J] * 2.0;
+            end T;";
+        let (m, sched) = build(src);
+        let plan = StorePlan::new(&m, &sched.memory);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let eq = m.equation_by_label("eq.1").unwrap();
+        let xs = m.data_by_name("xs").unwrap();
+        let mut walk = |window: Option<usize>| {
+            let windowed = |a, d| a == xs && Some(d) == window;
+            let items = &sched.flowchart.items;
+            plan_tapes(&mut tapes.eqs, &m, items, [None, None], false, &windowed);
+            let strip = &tapes.eqs[eq].as_ref().unwrap().strip;
+            strip
+                .as_ref()
+                .map(|p| (p.is_nest(), p.by_row))
+                .map_err(|e| *e)
+        };
+        assert_eq!(walk(None), Ok((true, false)));
+        assert_eq!(walk(Some(0)), Ok((true, true)));
+        assert_eq!(walk(Some(1)), Err(ScalarReason::WindowedInnerDimension));
+    }
+
+    /// Inside one row, `I = J` compares `J` with a fixed value again.
+    #[test]
+    fn a_branch_on_both_counters_walks_the_nest_row_by_row() {
+        let src = "T: module (xs: array[I,J] of real; n: int): [out: array[I,J] of real];
+            type I, J = 1 .. n;
+            define out[I,J] = if I = J then 1.0 else xs[I,J];
+            end T;";
+        assert_eq!(
+            verdict(src, "eq.1", false).to_string(),
+            "stripped along J, row by row — 2 paths: compute(2), copy(1)"
         );
     }
 
@@ -856,17 +1052,21 @@ mod tests {
         };
         let plan = StripPlan {
             inner: 0,
+            outer: None,
+            by_row: false,
             tree: Vec::new(),
             paths: Vec::new(),
             class: vec![0, 1, 2],
         };
-        inner_strides(&plan, &[fold_addr(&dims, &layout, false)]);
+        strides(&plan, &[fold_addr(&dims, &layout, false)]);
     }
 
     #[test]
     fn strides_follow_the_physical_layout() {
-        // a[J, I] read in an I-loop over a 4×5 array: stride 5; a[I] in a
-        // J-loop: stride 0 along J.
+        // Over a 4×5 array in a nest with inner counter 0 and outer
+        // counter 1: `a[c0, c1]` steps 5 along c0 and 1 along c1,
+        // `a[c1, c0]` the other way round, and the diagonal `a[c1, c1]`
+        // not at all along c0.
         let dims = |terms: [(u16, i64); 2]| {
             terms.map(|t| ADim {
                 base: 0,
@@ -881,8 +1081,10 @@ mod tests {
         let layout = NdSpec {
             dims: vec![dim(1, 4), dim(1, 5)],
         };
-        let plan = StripPlan {
+        let mut plan = StripPlan {
             inner: 0,
+            outer: Some(1),
+            by_row: false,
             tree: Vec::new(),
             paths: Vec::new(),
             class: vec![0, 1, 2],
@@ -892,6 +1094,49 @@ mod tests {
             fold_addr(&dims([(1, 1), (0, 1)]), &layout, false),
             fold_addr(&dims([(1, 1), (1, 1)]), &layout, false),
         ];
-        assert_eq!(inner_strides(&plan, &addrs), vec![(5, 0), (1, 0), (0, 0)]);
+        let stride = |by, apart| Stride { by, apart };
+        let nest = [stride([5, 1], 0), stride([1, 5], 0), stride([0, 6], 0)];
+        assert_eq!(strides(&plan, &addrs), nest);
+        // Row by row, nothing steps along the outer counter.
+        plan.by_row = true;
+        let rows = [stride([5, 0], 0), stride([1, 0], 0), stride([0, 0], 0)];
+        assert_eq!(strides(&plan, &addrs), rows);
+    }
+
+    /// Figure 6's guard cuts both counters of a plane with a one-cell rim
+    /// the same way, into three: the plane is nine rectangles.
+    #[test]
+    fn cuts_split_a_nest_into_rectangles() {
+        let (m, sched) = build(JACOBI);
+        let plan = StorePlan::new(&m, &sched.memory);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        tapes.plan_strips(&m, &plan, &sched.flowchart);
+        let eq = m.equation_by_label("eq.3").unwrap();
+        let ceq = tapes.eqs[eq].as_ref().unwrap();
+        let plan = ceq.strip.as_ref().unwrap();
+        let (inner, outer) = (plan.inner, plan.outer.expect("a nest"));
+        let mut frame = Frame::default();
+        frame.i = vec![0; ceq.n_i as usize];
+        for &(r, v) in &ceq.consts_i {
+            frame.i[r as usize] = v;
+        }
+        // M = 8: the one derived register is `M+1`.
+        let [(m_plus_1, _)] = &ceq.derived_i[..] else {
+            panic!("{:?}", ceq.derived_i)
+        };
+        frame.i[*m_plus_1 as usize] = 9;
+        let intervals = |r| {
+            let (mut first, mut out) = (0, Vec::new());
+            while first <= 9 {
+                let last = plan.cut(&frame, r, first, 9);
+                out.push((first, last));
+                first = last + 1;
+            }
+            out
+        };
+        let three = [(0, 0), (1, 8), (9, 9)];
+        assert_eq!(intervals(inner), three);
+        assert_eq!(intervals(outer), three);
+        assert!(!plan.by_row);
     }
 }

@@ -8,7 +8,9 @@
 # named here, so the set can only shrink), release build, the full test
 # suite (unit + integration + doc), the differential suites against the
 # `run_naive` oracle (`engine_diff`, `strip_diff`: explicitly, so a tape,
-# strip, schedule or window regression names itself), the schedule suites
+# strip, schedule or window regression names itself, then again with
+# `--release`, the build benchmark/ measures, whose addresses carry no
+# logical bounds and whose walkers keep no debug assertions), the schedule suites
 # (`scc_props`, then `figures`, `scheduler_props`, `window_props`: likewise
 # for a component-order, flowchart or window regression), the allocation
 # budgets, the verifier suites and the `Affine` reference model
@@ -62,6 +64,11 @@ bounded 1800 cargo test -q --offline
 
 echo "==> cargo test -q --offline --test engine_diff --test strip_diff (bit-identical to the oracle)"
 bounded 600 cargo test -q --offline --test engine_diff --test strip_diff
+
+# Release folds addresses without their logical `chk` dimensions and
+# compiles out the walkers' debug assertions: what benchmark/ measures.
+echo "==> cargo test -q --offline --release --test engine_diff --test strip_diff (the same, optimized)"
+bounded 600 cargo test -q --offline --release --test engine_diff --test strip_diff
 
 echo "==> schedule suites: ps-graph scc_props, then figures, scheduler_props, window_props"
 bounded 600 bash -c 'cargo test -q --offline -p ps-graph --test scc_props \

@@ -120,14 +120,16 @@ fn wave_builtin_schedules_with_window_three() {
 /// a copy back to load-then-store) or splits one fails here, not in a
 /// noisy timing. Figure 6's stencil is one copy for all four guards and
 /// five ops of interior: three adds, the multiply `/ 4` became, the store.
+/// Its three equations walk their `DOALL I (DOALL J)` nests as one, in
+/// rectangles; `heat_1d`'s `DOALL` sits in a `DO` and `pipeline`'s are 1-D.
 #[test]
 fn strips_report_pins_paths_and_op_counts() {
     let pinned = [
         (
             "@relaxation_v1",
-            "eq.1: stripped along J — 1 path: copy(1)
-             eq.3: stripped along J — 2 paths: copy(1), compute(5)
-             eq.2: stripped along J — 1 path: copy(1)",
+            "eq.1: stripped along J within I — 1 path: copy(1)
+             eq.3: stripped along J within I — 2 paths: copy(1), compute(5)
+             eq.2: stripped along J within I — 1 path: copy(1)",
         ),
         (
             "@heat_1d",

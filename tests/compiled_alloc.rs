@@ -172,11 +172,12 @@ fn do_iterations_cost_constant_allocations() {
     );
 }
 
-/// Strip paths are chosen per row segment, not per run: a body whose rows
-/// split into five segments over three paths (one of them a gather with
-/// stride 0) allocates the same for 12-cell rows as for 200-cell ones, and
-/// for 4 rows as for 40 — selecting a path, placing its accesses and
-/// anchoring its address classes all happen in scratch the frames own.
+/// Strip paths are chosen per rectangle of the nest, not per run: a body
+/// whose plane splits into five column bands over three paths (one of them
+/// a gather with stride 0 along rows) allocates the same for 12-cell rows
+/// as for 200-cell ones, and for 4 rows as for 40 or 400 — cutting the
+/// nest, selecting a path, placing its accesses and anchoring its address
+/// classes all happen in scratch the frames own.
 #[test]
 fn strip_path_selection_is_allocation_free() {
     let src = "P: module (init: array[I,J] of real; col: array[I] of real;
@@ -210,7 +211,13 @@ fn strip_path_selection_is_allocation_free() {
                 OwnedArray::real(vec![(0, rows - 1)], vec![1.5; rows as usize]),
             )
     };
-    let shapes = [inputs(4, 12), inputs(4, 200), inputs(40, 200)];
+    // Short wide rectangles run along rows, tall narrow ones down columns.
+    let shapes = [
+        inputs(4, 12),
+        inputs(4, 200),
+        inputs(40, 200),
+        inputs(400, 12),
+    ];
     for shape in &shapes {
         prog.run(shape, &Sequential).unwrap(); // specialize, fill the pools
     }
@@ -220,6 +227,7 @@ fn strip_path_selection_is_allocation_free() {
         .collect();
     assert_eq!(counts[0], counts[1], "per row length: {counts:?}");
     assert_eq!(counts[1], counts[2], "per row count: {counts:?}");
+    assert_eq!(counts[2], counts[3], "per rectangle shape: {counts:?}");
 }
 
 /// One cold sweep as a `psc` user or a registry miss pays it: `compile`,

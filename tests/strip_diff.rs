@@ -9,11 +9,14 @@
 //! oracle.
 //!
 //! Sizes straddle the strip width — rows of 1, 2, 3 and one below, at and
-//! above W and 2W cells — so segments end on, before and after strip edges,
-//! with the index-set splitting exercised by guards at both edges, one
-//! edge, an interior column, inequality bands, and no guard at all, and the
-//! path lowering by nested and sequential `if`s whose arms differ in the
-//! arrays they load, in stride, and in what runs between the branches.
+//! above W and 2W cells, and 1, 2, 3 and W+1 of them — so rectangles end
+//! on, before and after strip edges in both directions, with the index-set
+//! splitting exercised by guards on either counter and on both: at both
+//! edges, one edge, an interior row or column, inequality bands, counters
+//! compared with each other (which walk the nest row by row), and no guard
+//! at all; and the path lowering by nested and sequential `if`s whose arms
+//! differ in the arrays they load, in stride, and in what runs between the
+//! branches.
 
 #[path = "generators.rs"]
 mod generators;
@@ -29,6 +32,10 @@ const W: i64 = 64;
 
 const WIDTHS: [i64; 9] = [1, 2, 3, W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1];
 
+/// Row counts of a grid: a column strip of one, two and three cells, and
+/// one past a whole strip.
+const ROWS: [i64; 4] = [1, 2, 3, W + 1];
+
 fn reals(n: usize, seed: usize) -> Vec<f64> {
     (0..n)
         .map(|i| ((i * 37 + seed * 11 + 5) % 53) as f64 * 0.375 - 4.0)
@@ -39,6 +46,12 @@ fn reals(n: usize, seed: usize) -> Vec<f64> {
 /// the labels that must be strip-mined, every other scheduled equation
 /// must be scalar.
 fn check(case: &str, src: &str, inputs: &Inputs, stripped: &[&str]) {
+    check_shapes(src, &[(case.to_string(), inputs.clone())], stripped);
+}
+
+/// [`check`] for one program on several inputs, compiled once.
+fn check_shapes(src: &str, shapes: &[(String, Inputs)], stripped: &[&str]) {
+    let case = shapes.first().map_or("no shape", |(case, _)| case.as_str());
     let comp = compile(src, CompileOptions::default()).unwrap_or_else(|e| panic!("{case}: {e}"));
     let prog = Program::compile(&comp, RuntimeOptions::default());
     for (label, verdict) in prog.strip_report() {
@@ -49,27 +62,44 @@ fn check(case: &str, src: &str, inputs: &Inputs, stripped: &[&str]) {
             "{case}: {label} is `{verdict}`"
         );
     }
-    let naive = run_naive(&comp.module, inputs).unwrap_or_else(|e| panic!("{case}: naive: {e}"));
-    let seq = prog
-        .run(inputs, &Sequential)
-        .unwrap_or_else(|e| panic!("{case}: strips: {e}"));
     let pool = ThreadPool::new(2);
-    let par = prog
-        .run(inputs, &pool)
-        .unwrap_or_else(|e| panic!("{case}: strips on a pool: {e}"));
-    // A second sequential run reuses the pooled frames and their lanes.
-    let again = prog.run(inputs, &Sequential).unwrap();
-    for (what, got) in [("sequential", &seq), ("pooled", &par), ("rerun", &again)] {
-        assert_bits_eq(&format!("{case}: {what} strips vs naive"), got, &naive)
-            .unwrap_or_else(|e| panic!("{e}"));
+    for (case, inputs) in shapes {
+        let naive =
+            run_naive(&comp.module, inputs).unwrap_or_else(|e| panic!("{case}: naive: {e}"));
+        let seq = prog
+            .run(inputs, &Sequential)
+            .unwrap_or_else(|e| panic!("{case}: strips: {e}"));
+        let par = prog
+            .run(inputs, &pool)
+            .unwrap_or_else(|e| panic!("{case}: strips on a pool: {e}"));
+        // A second sequential run reuses the pooled frames and their lanes.
+        let again = prog.run(inputs, &Sequential).unwrap();
+        for (what, got) in [("sequential", &seq), ("pooled", &par), ("rerun", &again)] {
+            assert_bits_eq(&format!("{case}: {what} strips vs naive"), got, &naive)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
     }
 }
 
+/// How `label` of `src` walks its nest: the strip report's annotation
+/// between the counter and the paths (` within I`, `, row by row`).
+fn nest_walk(src: &str, label: &str) -> String {
+    let comp = compile(src, CompileOptions::default()).unwrap();
+    let report = Program::compile(&comp, RuntimeOptions::default()).strip_report();
+    let verdict = report.into_iter().find(|(l, _)| l == label).unwrap().1;
+    let text = verdict.to_string();
+    let walk = text
+        .strip_prefix("stripped along J")
+        .expect("stripped along J");
+    walk.split(" — ").next().unwrap().to_string()
+}
+
 /// A `DO K (DOALL I (DOALL J))` relaxation over `rows × n` cells whose
-/// interior expression and guard are the case under test.
+/// interior expression and guard are the case under test; `c` and `r` are
+/// an interior column and row.
 fn guarded_grid(guard_and_body: &str) -> String {
     format!(
-        "G: module (init: array[I,J] of real; rows: int; n: int; c: int; maxK: int):
+        "G: module (init: array[I,J] of real; rows: int; n: int; c: int; r: int; maxK: int):
              [out: array[I,J] of real];
          type I = 0 .. rows-1; J = 0 .. n-1; K = 2 .. maxK;
          var g: array [1 .. maxK] of array[I,J] of real;
@@ -86,6 +116,7 @@ fn grid_inputs(rows: i64, n: i64) -> Inputs {
         .set_int("rows", rows)
         .set_int("n", n)
         .set_int("c", n / 2)
+        .set_int("r", rows / 2)
         .set_int("maxK", 4)
         .set_array(
             "init",
@@ -96,26 +127,68 @@ fn grid_inputs(rows: i64, n: i64) -> Inputs {
         )
 }
 
+/// Every row count of [`ROWS`] by every width of [`WIDTHS`], named. The
+/// tall grids compute one plane, not three: reusing a window across planes
+/// is the short grids' to check, and the oracle's time goes as the cells.
+fn grids(name: &str, inputs: impl Fn(i64, i64) -> Inputs) -> Vec<(String, Inputs)> {
+    let shapes = ROWS.iter().flat_map(|&rows| WIDTHS.map(|n| (rows, n)));
+    let named = |(rows, n)| {
+        let inputs = inputs(rows, n);
+        let inputs = if rows > 3 {
+            inputs.set_int("maxK", 2)
+        } else {
+            inputs
+        };
+        (format!("{name}, {rows} rows of width {n}"), inputs)
+    };
+    shapes.map(named).collect()
+}
+
 #[test]
 fn guarded_rows_of_every_width_match_the_oracles() {
     let bodies = [
         (
-            "both edges (and the outer counter)",
+            "both edges of J (and one of I)",
             "if (I = 0) or (J = 0) or (J = n-1) then g[K-1,I,J]
              else (g[K-1,I,J-1] + g[K-1,I-1,J] + g[K-1,I,J+1]) / 3",
+        ),
+        (
+            "both edges of both: nine rectangles",
+            "if (I = 0) or (J = 0) or (I = rows-1) or (J = n-1) then g[K-1,I,J]
+             else (g[K-1,I,J-1] + g[K-1,I-1,J] + g[K-1,I,J+1] + g[K-1,I+1,J]) / 4",
         ),
         (
             "one edge",
             "if J = 0 then g[K-1,I,J] else g[K-1,I,J-1] * 0.5 + g[K-1,I,J]",
         ),
         (
+            "one edge of each",
+            "if (I = 0) or (J = 0) then g[K-1,I,J] * 0.5
+             else g[K-1,I-1,J] * 0.5 + g[K-1,I,J-1]",
+        ),
+        (
             "an interior column",
             "if J = c then 0.0 - g[K-1,I,J] else g[K-1,I,J] * 1.25 + 0.5",
+        ),
+        (
+            "an interior row",
+            "if I = r then 0.0 - g[K-1,I,J] else g[K-1,I,J] * 1.25 + 0.5",
         ),
         (
             "inequality bands",
             "if (J < 2) or (J > n-3) then g[K-1,I,J] + 1.0
              else max(g[K-1,I,J-2], g[K-1,I,J+2]) - min(g[K-1,I,J-1], g[K-1,I,J+1])",
+        ),
+        (
+            "inequality bands of I",
+            "if (I < 2) or (I > rows-3) then g[K-1,I,J] + 1.0
+             else max(g[K-1,I-2,J], g[K-1,I+2,J]) - g[K-1,I-1,J]",
+        ),
+        (
+            "inequality bands of both",
+            "if (I < 2) or (J > n-3) then g[K-1,I,J] + 1.0
+             else if (J < 1) or (I >= rows-1) then g[K-1,I,J] * 2.0
+             else g[K-1,I-2,J] + g[K-1,I,J+2] - g[K-1,I+1,J-1]",
         ),
         (
             "not (J <> c): a jump-when-true branch",
@@ -125,15 +198,56 @@ fn guarded_rows_of_every_width_match_the_oracles() {
     ];
     for (name, body) in bodies {
         let src = guarded_grid(body);
-        for n in WIDTHS {
-            check(
-                &format!("{name}, row width {n}"),
-                &src,
-                &grid_inputs(3, n),
-                &["eq.1", "eq.2", "eq.3"],
-            );
-        }
+        assert_eq!(nest_walk(&src, "eq.3"), " within I", "{name}");
+        check_shapes(&src, &grids(name, grid_inputs), &["eq.1", "eq.2", "eq.3"]);
     }
+}
+
+/// A branch comparing the two counters changes outcome along a diagonal,
+/// which no rectangle follows: such a nest is walked row by row, and
+/// inside a row the compare is one of `J` with a fixed value again.
+#[test]
+fn counters_compared_with_each_other_walk_row_by_row() {
+    let bodies = [
+        (
+            "I = J",
+            "if I = J then g[K-1,I,J] * 2.0 else g[K-1,I,J] - 1.0",
+        ),
+        (
+            "J < I, and an edge",
+            "if J < I then g[K-1,I,J] + real(I) else if I = 0 then 0.5
+             else g[K-1,I-1,J] * 0.5",
+        ),
+    ];
+    for (name, body) in bodies {
+        let src = guarded_grid(body);
+        assert_eq!(nest_walk(&src, "eq.3"), ", row by row", "{name}");
+        assert_eq!(nest_walk(&src, "eq.1"), " within I", "{name}");
+        check_shapes(&src, &grids(name, grid_inputs), &["eq.1", "eq.2", "eq.3"]);
+    }
+}
+
+/// Rows 2..m of `b` are a nest over an empty outer range when m = 1; see
+/// [`an_empty_inner_range_runs_no_strip`] for an empty inner one.
+#[test]
+fn an_empty_outer_range_runs_no_rectangle() {
+    let src = "E: module (xs: array[I,J] of real; m: int; n: int): [b: array[I,J] of real];
+         type I = 1 .. m; J = 1 .. n; S = 2 .. m;
+         define
+            b[1,J] = xs[1,J];
+            b[S,J] = if J = 1 then xs[S,J] else xs[S,J] * 2.0 + xs[S-1,J-1];
+         end E;";
+    assert_eq!(nest_walk(src, "eq.2"), " within S");
+    let sizes = [1, 2, W + 2];
+    let shapes = sizes
+        .iter()
+        .flat_map(|&m| sizes.map(|n| (m, n)))
+        .map(|(m, n)| {
+            let xs = OwnedArray::real(vec![(1, m), (1, n)], reals((m * n) as usize, 3));
+            let inputs = Inputs::new().set_int("m", m).set_int("n", n);
+            (format!("{m} rows of width {n}"), inputs.set_array("xs", xs))
+        });
+    check_shapes(src, &shapes.collect::<Vec<_>>(), &["eq.1", "eq.2"]);
 }
 
 /// [`guarded_grid`] with more to load: `other[I,J]`, the transposed
@@ -143,7 +257,7 @@ fn multi_path_grid(body: &str) -> String {
     format!(
         "P: module (init: array[I,J] of real; other: array[I,J] of real;
                     tr: array[J,I] of real; col: array[I] of real;
-                    rows: int; n: int; c: int; maxK: int):
+                    rows: int; n: int; c: int; r: int; maxK: int):
              [out: array[I,J] of real];
          type I = 0 .. rows-1; J = 0 .. n-1; K = 2 .. maxK;
          var g: array [1 .. maxK] of array[I,J] of real;
@@ -217,21 +331,31 @@ fn multi_path_rows_of_every_width_match_the_oracles() {
             "(if J < 1 then 1.0 else init[I,J]) + (if J < 2 then 2.0 else other[I,J])
              + (if J > c then 4.0 else tr[J,I]) + (if I = 1 then col[I] else 8.0)",
         ),
+        (
+            "real(I), an iota, and real(J), a broadcast, down the edge columns",
+            "if (J = 0) or (J = n-1) then real(I) * 0.5 + real(J) else g[K-1,I,J]",
+        ),
+        (
+            "the transposed and the row-invariant load down an edge column",
+            "if J = 0 then tr[J,I] + col[I] else if J = n-1 then col[I] else g[K-1,I,J]",
+        ),
+        (
+            "a band two columns wide, copied down",
+            "if J < 2 then other[I,J] else g[K-1,I,J] - tr[J,I]",
+        ),
     ];
     for (name, body) in bodies {
         let src = multi_path_grid(body);
-        for n in WIDTHS {
-            // A square grid makes the transposed stride the row length.
-            let square = (body.contains("tr[J,I]") && n <= W + 1).then_some(n);
-            for rows in [Some(3), square].into_iter().flatten() {
-                check(
-                    &format!("{name}, {rows} rows of width {n}"),
-                    &src,
-                    &multi_path_inputs(rows, n),
-                    &["eq.1", "eq.2", "eq.3"],
-                );
-            }
+        let mut shapes = grids(name, multi_path_inputs);
+        // A square grid makes the transposed stride the row length.
+        for n in WIDTHS
+            .into_iter()
+            .filter(|&n| body.contains("tr[J,I]") && n <= W + 1)
+        {
+            let case = format!("{name}, square of width {n}");
+            shapes.push((case, multi_path_inputs(n, n)));
         }
+        check_shapes(&src, &shapes, &["eq.1", "eq.2", "eq.3"]);
     }
 }
 
