@@ -1,9 +1,14 @@
 //! The scheduled flowchart walker.
 //!
-//! `DO` loops run in order; `DOALL` loops are handed to the executor.
-//! Perfectly nested `DOALL` chains are flattened into a single
-//! `parallel_for` over the product index space so a `DOALL I (DOALL J)`
-//! nest saturates the pool even when the outer extent is small.
+//! `DO` loops run in order; `DOALL` loops are handed to the executor. A
+//! `DOALL` becomes one region over its own counter, each chunk walking its
+//! slice the way the sequential executor walks the whole loop. When the
+//! counter's range is narrower than the pool and the body is a single
+//! inner `DOALL`, the inner loop is published once per outer value
+//! instead, so a `DOALL I (DOALL J)` nest with few rows still fills the
+//! pool. Nothing inside a chunk publishes again: the only `for_chunks`
+//! call not made by `publish_doall` is the drain's, which runs from the
+//! hyperplane's time loop, outermost in every transformed flowchart.
 //!
 //! Equations execute as typed register tapes (`compiled.rs`) —
 //! lowered **once per [`crate::Program`]**, specialized per parameter
@@ -80,13 +85,6 @@ pub(crate) struct Interp<'a, 'm> {
     pub(crate) eq_labels: &'a [u64],
 }
 
-/// Pool workers switch from the flattened per-element walk to chunking the
-/// *outer* `DOALL` range once each outer iteration carries at least this
-/// many inner elements: above the threshold a chunk runs the inner nest
-/// with the sequential inline walk (`run_eq_range` innermost fast path, no
-/// per-element `div`/`mod` index decomposition).
-const INLINE_NEST_MIN_INNER: i64 = 8;
-
 /// Every equation reachable in `items` (loop bodies included), in order.
 fn collect_equations(items: &[Descriptor]) -> Vec<EqId> {
     let mut out = Vec::new();
@@ -103,43 +101,13 @@ fn collect_equations(items: &[Descriptor]) -> Vec<EqId> {
     out
 }
 
-/// Flatten a perfectly nested `DOALL` chain starting at `l`; returns the
-/// chain, per-level `(lo, hi)` ranges and widths, the flattened iteration
-/// count, and the innermost body.
-fn flatten_doall<'l>(
-    l: &'l LoopDescriptor,
-    bounds: impl Fn(ps_lang::SubrangeId) -> (i64, i64),
-) -> (
-    Vec<&'l LoopDescriptor>,
-    Vec<(i64, i64)>,
-    Vec<i64>,
-    i64,
-    &'l [Descriptor],
-) {
-    let mut chain: Vec<&LoopDescriptor> = vec![l];
-    let mut body: &[Descriptor] = &l.body;
-    while let [Descriptor::Loop(inner)] = body {
-        if inner.kind != LoopKind::Doall {
-            break;
-        }
-        chain.push(inner);
-        body = &inner.body;
-    }
-    let ranges: Vec<(i64, i64)> = chain.iter().map(|c| bounds(c.subrange)).collect();
-    let widths: Vec<i64> = ranges
-        .iter()
-        .map(|&(lo, hi)| (hi - lo + 1).max(0))
-        .collect();
-    let total: i64 = widths.iter().product();
-    (chain, ranges, widths, total, body)
-}
-
 impl<'a, 'm> Interp<'a, 'm> {
     /// Open a trace span for a parallel region about to be handed to the
     /// executor, labelled with the first of the equations it runs (so
-    /// profiles and flight dumps name the equation, not just an epoch).
-    /// `None` — and zero work — while tracing is disabled.
-    fn region_span(&self, body_eqs: &[EqId], total: i64) -> Option<ps_trace::SpanGuard> {
+    /// profiles and flight dumps name the equation, not just an epoch);
+    /// its count is `width`, the published range's. `None` — and zero
+    /// work — while tracing is disabled.
+    fn region_span(&self, body_eqs: &[EqId], width: i64) -> Option<ps_trace::SpanGuard> {
         if !ps_trace::enabled() {
             return None;
         }
@@ -147,7 +115,7 @@ impl<'a, 'm> Interp<'a, 'm> {
             .first()
             .and_then(|eq| self.eq_labels.get(eq.index()).copied())
             .unwrap_or(0);
-        Some(ps_trace::span(EvKind::Region, label, total as u64))
+        Some(ps_trace::span(EvKind::Region, label, width as u64))
     }
 
     fn bounds(&self, sr: ps_lang::SubrangeId) -> (i64, i64) {
@@ -162,7 +130,7 @@ impl<'a, 'm> Interp<'a, 'm> {
 
     /// Walk `items` in order. With `publish`, a `DOALL` met here becomes
     /// a region on the executor; without it — on the sequential executor,
-    /// and everywhere inside an outer-range chunk — it runs on the current
+    /// and everywhere inside a region's chunk — it runs on the current
     /// thread. `time` is the counter of the `DO` loop whose body `items`
     /// is, when it is one: what a drain needs.
     fn run_items(
@@ -209,11 +177,11 @@ impl<'a, 'm> Interp<'a, 'm> {
         }
     }
 
-    /// Run `DOALL l` over `lo..=hi` of its counter on this thread: no
-    /// flattening, no chunk teardown, no allocation — bind counters in the
-    /// caller's frames and walk the nest. Iterations are independent, so
-    /// any order gives the flattened walk's bits; this is what keeps small
-    /// solves cheap in compile-once / run-many serving.
+    /// Run `DOALL l` over `lo..=hi` of its counter on this thread, binding
+    /// counters in `frames` and allocating nothing: the whole loop on the
+    /// sequential executor, one chunk's slice of it in a published region.
+    /// Nothing in the slice publishes again. Iterations are independent, so
+    /// every split of the range gives the same bits.
     fn run_inline(
         &self,
         prog: &ExecProg<'_, 'm>,
@@ -246,53 +214,38 @@ impl<'a, 'm> Interp<'a, 'm> {
         }
     }
 
-    /// Hand the `DOALL` nest rooted at `l` to the executor as one region.
-    fn publish_doall(&self, prog: &ExecProg<'_, 'm>, l: &LoopDescriptor, frames: &Frames) {
-        let (chain, ranges, widths, total, innermost_body) = flatten_doall(l, |sr| self.bounds(sr));
-        if total <= 0 {
+    /// Hand `DOALL l` to the executor as one region over its own counter.
+    /// Each chunk clones its body's frames once (inheriting outer `DO`
+    /// counters and preloaded constants) and runs its slice with
+    /// [`Interp::run_inline`], so a pooled chunk takes the same nest walk,
+    /// strip path or generic walk as the sequential executor.
+    ///
+    /// One shape would leave workers idle: a range narrower than the pool
+    /// whose body is a single inner `DOALL`. There the counter is bound
+    /// here and the inner loop published once per value. Any other narrow
+    /// range is one region like the rest.
+    fn publish_doall(&self, prog: &ExecProg<'_, 'm>, l: &LoopDescriptor, frames: &mut Frames) {
+        let (lo, hi) = self.bounds(l.subrange);
+        if hi < lo {
             return;
         }
-        // Nested chains with enough work per outer iteration skip the
-        // flattened decomposition: workers claim chunks of the *outer*
-        // range and each chunk walks its slice of the nest inline (the
-        // strip nest walk, or the `run_eq_range` innermost fast path) — one
-        // frame clone per chunk, no per-element `div`/`mod`. The
-        // work-stealing pool does allow reentrant `for_chunks` from inside
-        // a running chunk (it publishes a nested region), but the outer
-        // region already saturates the pool, so nested publication would
-        // add latch and steal traffic without exposing new parallelism.
-        let inner_per_outer = total / widths[0].max(1);
-        if chain.len() > 1
-            && inner_per_outer >= INLINE_NEST_MIN_INNER
-            && widths[0] >= self.executor.threads() as i64
-        {
-            let body_eqs = collect_equations(&l.body);
-            let (lo0, hi0) = ranges[0];
-            let _rspan = self.region_span(&body_eqs, total);
-            self.executor.for_chunks(lo0, hi0, &|start, stop| {
-                let mut local = frames.clone_for(&body_eqs);
-                self.run_inline(prog, l, start, stop - 1, &mut local);
-            });
-            return;
-        }
-        // Each chunk clones the body equations' frames once (inheriting
-        // outer DO counters and preloaded constants); the element loop
-        // then runs allocation-free.
-        let body_eqs = collect_equations(innermost_body);
-        let _rspan = self.region_span(&body_eqs, total);
-        self.executor.for_chunks(0, total - 1, &|start, stop| {
-            let mut local = frames.clone_for(&body_eqs);
-            for flat in start..stop {
-                let mut rem = flat;
-                for k in (0..chain.len()).rev() {
-                    let idx = ranges[k].0 + rem % widths[k];
-                    rem /= widths[k];
-                    for &(eq, iv) in &chain[k].bindings {
-                        local.set_iv(eq, iv, idx);
+        if let [Descriptor::Loop(inner)] = &l.body[..] {
+            if inner.kind == LoopKind::Doall && hi - lo + 1 < self.executor.threads() as i64 {
+                for i in lo..=hi {
+                    for &(eq, iv) in &l.bindings {
+                        frames.set_iv(eq, iv, i);
                     }
+                    self.publish_doall(prog, inner, frames);
                 }
-                self.run_items(prog, innermost_body, &mut local, true, None);
+                return;
             }
+        }
+        let body_eqs = collect_equations(&l.body);
+        let _rspan = self.region_span(&body_eqs, hi - lo + 1);
+        let frames = &*frames;
+        self.executor.for_chunks(lo, hi, &|start, stop| {
+            let mut local = frames.clone_for(&body_eqs);
+            self.run_inline(prog, l, start, stop - 1, &mut local);
         });
     }
 
@@ -445,6 +398,67 @@ mod tests {
             diff, 0.0,
             "bitwise identical: same operations, same order per element"
         );
+    }
+
+    /// Run `src` once on `pool`; the outputs must equal the oracle's bit
+    /// for bit. Returns how many regions the run published.
+    fn pooled_regions(pool: &ThreadPool, src: &str, inputs: &Inputs, out: &str) -> u64 {
+        let m = frontend(src).unwrap();
+        let dg = build_depgraph(&m);
+        let sched = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
+        let before = pool.stats().regions;
+        let got = run_module(
+            &m,
+            &sched.flowchart,
+            &sched.memory,
+            inputs,
+            pool,
+            RuntimeOptions::default(),
+        )
+        .unwrap();
+        let regions = pool.stats().regions - before;
+        let want = crate::naive::run_naive(&m, inputs).unwrap();
+        let bits = |o: &Outputs| -> Vec<u64> {
+            let a = o.array(out).as_real_slice();
+            a.iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "{out} differs from the oracle");
+        regions
+    }
+
+    /// A `DOALL` publishes one region over its own counter; only a nest
+    /// whose outer range is narrower than the pool publishes its inner
+    /// loop once per outer value instead.
+    #[test]
+    fn a_doall_publishes_over_its_own_counter() {
+        const NEST: &str = "
+            T: module (X: array[I,J] of real; m: int; n: int): [Y: array[I,J] of real];
+            type I = 1 .. m; J = 1 .. n;
+            define Y[I,J] = X[I,J] * 0.5 + real(I) - real(J) / 3.0;
+            end T;";
+        const LINE: &str = "
+            T: module (xs: array[I] of real; n: int): [ys: array[I] of real];
+            type I = 1 .. n;
+            define ys[I] = xs[I] / 3.0 + 1.0;
+            end T;";
+        let pool = ThreadPool::new(4);
+        let n = 37;
+        for m in [1i64, 3, 6] {
+            let data = (0..m * n).map(|k| k as f64 * 0.25 - 7.0).collect();
+            let inputs = Inputs::new()
+                .set_int("m", m)
+                .set_int("n", n)
+                .set_array("X", OwnedArray::real(vec![(1, m), (1, n)], data));
+            let want = if m < 4 { m as u64 } else { 1 };
+            assert_eq!(pooled_regions(&pool, NEST, &inputs, "Y"), want, "m = {m}");
+        }
+        for n in [2i64, 300] {
+            let data = (0..n).map(|k| k as f64 * 0.75 - 9.0).collect();
+            let inputs = Inputs::new()
+                .set_int("n", n)
+                .set_array("xs", OwnedArray::real(vec![(1, n)], data));
+            assert_eq!(pooled_regions(&pool, LINE, &inputs, "ys"), 1, "n = {n}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! run-many** seam.
 //!
 //! The scheduled interpreter ([`interp`]) walks a flowchart produced by
-//! `ps-scheduler`, executing `DO` loops in order and mapping `DOALL` loops
-//! (flattening perfectly nested ones) onto a [`ps_executor::Executor`].
+//! `ps-scheduler`, executing `DO` loops in order and mapping each `DOALL`
+//! loop onto a [`ps_executor::Executor`] as a region over its own counter.
 //! Array storage honours the virtual-dimension [`MemoryPlan`]: windowed
 //! dimensions are allocated `window` planes and indexed modulo the window,
 //! exactly like the C the paper's compiler emits.

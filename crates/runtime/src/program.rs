@@ -256,25 +256,11 @@ impl<'m> Program<'m> {
         self.specs.read().expect("spec cache poisoned").len()
     }
 
-    /// Execute one run against `inputs`. Reentrant: any number of runs
-    /// may execute concurrently on one shared `&Program`.
+    /// Execute one run against `inputs`: a one-run [`RunSession`].
+    /// Reentrant: any number of runs may execute concurrently on one
+    /// shared `&Program`.
     pub fn run(&self, inputs: &Inputs, executor: &dyn Executor) -> Result<Outputs, RuntimeError> {
-        // Claim a pooled run slot (or start fresh); the lock is released
-        // before any real work so concurrent runs don't serialize. The
-        // slot goes back to the pool even when the run errors (a failing
-        // request must not degrade later runs' pooling).
-        let mut slot = self
-            .pool
-            .lock()
-            .expect("run pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let result = self.run_in_slot(inputs, executor, &mut slot);
-        let mut pool = self.pool.lock().expect("run pool poisoned");
-        if pool.len() < RUN_POOL_CAP {
-            pool.push(slot);
-        }
-        result
+        self.session().run(inputs, executor)
     }
 
     fn run_in_slot(

@@ -24,12 +24,15 @@
 # chaos suite (fault injection across service, executor, and TCP), the
 # one bench target (`micro`) in smoke mode and once in reduced full mode
 # (the ps-trace disabled-site contract; its row names must be exactly the
-# committed BENCH_micro.json's), a traced serve round-trip (--trace-out
-# export validated and summarized by the ps-trace CLI), the ps-analyze
-# static verification of every builtin program, the repo benchmark's smoke
-# pass (benchmark/ is not a workspace member, so nothing else builds it; it
-# also checks every op against the native kernels at the real problem
-# size) and its own tests, docs with warnings denied, and rustfmt.
+# committed BENCH_micro.json's), three ps-serve smokes through one
+# `serve_smoke` function (a TCP round trip, a seeded chaos load, and a
+# traced load on a 2-thread solve pool that must publish regions, its
+# --trace-out export validated and summarized by the ps-trace CLI), the
+# ps-analyze static verification of every builtin program, the repo
+# benchmark's smoke pass (benchmark/ is not a workspace member, so nothing
+# else builds it; it also checks every op against the native kernels at the
+# real problem size) and its own tests, docs with warnings denied, and
+# rustfmt.
 #
 # The differential/schedule/stress/TCP/chaos suites and both bench steps
 # (`micro` drives the pool) run under a hang watchdog: a wedged drain or a
@@ -107,79 +110,66 @@ row_names() { grep -o '"name": "[^"]*"' "$1" | sort; }
 [ "$(row_names "$json_out")" = "$(row_names BENCH_micro.json)" ] \
     || { echo "bench-json smoke: $json_out rows differ from the committed BENCH_micro.json" >&2; exit 1; }
 
+# One ps-serve smoke: `serve_smoke NAME LISTEN_FLAGS... -- LOAD_FLAGS...`
+# starts `ps-serve listen` on an ephemeral port with the listen flags, waits
+# for it to announce the port, runs one `ps-serve load` against it with the
+# load flags, prints the load's output and keeps it in $smoke_out, then
+# shuts the server down. `smoke_has REGEX MESSAGE` fails the gate unless that
+# output matches.
+smoke_out=""
+serve_smoke() {
+    local name="$1"
+    shift
+    local listen=()
+    while [ "$1" != "--" ]; do
+        listen+=("$1")
+        shift
+    done
+    shift
+    local log="$PWD/target/ps_serve_${name}_smoke.log"
+    rm -f "$log"
+    ./target/release/ps-serve listen --addr 127.0.0.1:0 "${listen[@]}" >"$log" 2>&1 &
+    local pid=$!
+    local addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's/^listening on //p' "$log" | head -n 1)
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "$name ps-serve did not announce a port" >&2; kill "$pid" 2>/dev/null; exit 1; }
+    smoke_out=$(bounded 300 ./target/release/ps-serve load --addr "$addr" "$@") \
+        || { echo "$name ps-serve load failed" >&2; kill "$pid" 2>/dev/null; exit 1; }
+    echo "$smoke_out"
+    ./target/release/ps-serve shutdown --addr "$addr" >/dev/null
+    wait "$pid" 2>/dev/null || true
+}
+smoke_has() {
+    grep -Eq "$1" <<<"$smoke_out" || { echo "$2" >&2; exit 1; }
+}
+
 echo "==> ps-serve TCP round-trip smoke (ephemeral port)"
-serve_log="$PWD/target/ps_serve_smoke.log"
-rm -f "$serve_log"
-./target/release/ps-serve listen --addr 127.0.0.1:0 --workers 2 >"$serve_log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^listening on //p' "$serve_log" | head -n 1)
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "ps-serve did not announce a port" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-load_out=$(bounded 300 ./target/release/ps-serve load --addr "$addr" --clients 2 --requests 16 \
-               --program recurrence_1d --vary n=8:24) \
-    || { echo "ps-serve load failed" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-echo "$load_out"
-echo "$load_out" | grep -q ' 0 err,' \
-    || { echo "ps-serve load saw error responses" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-echo "$load_out" | grep -Eq 'cache_hits=[1-9]' \
-    || { echo "warm registry did not report cache hits" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-./target/release/ps-serve shutdown --addr "$addr" >/dev/null
-wait "$serve_pid" 2>/dev/null || true
+serve_smoke round-trip --workers 2 \
+    -- --clients 2 --requests 16 --program recurrence_1d --vary n=8:24
+smoke_has ' 0 err,' "ps-serve load saw error responses"
+smoke_has 'cache_hits=[1-9]' "warm registry did not report cache hits"
 
 echo "==> ps-serve chaos smoke (seeded stalls + disconnects, retrying load)"
-serve_log="$PWD/target/ps_serve_chaos_smoke.log"
-rm -f "$serve_log"
-./target/release/ps-serve listen --addr 127.0.0.1:0 --workers 2 \
-    --chaos seed=7,slow=60,stall=60,disconnect=40 --io-timeout 10 >"$serve_log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^listening on //p' "$serve_log" | head -n 1)
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "chaos ps-serve did not announce a port" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-chaos_out=$(bounded 300 ./target/release/ps-serve load --addr "$addr" --clients 2 --requests 16 \
-               --program recurrence_1d --retries 8 --seed 7) \
-    || { echo "ps-serve chaos load failed" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-echo "$chaos_out"
-echo "$chaos_out" | grep -q ' 0 err,' \
-    || { echo "chaos load: retries did not recover every request" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-echo "$chaos_out" | grep -q ' chaos=' \
-    || { echo "chaos load: stats line missing the chaos summary" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-./target/release/ps-serve shutdown --addr "$addr" >/dev/null
-wait "$serve_pid" 2>/dev/null || true
+serve_smoke chaos --workers 2 --chaos seed=7,slow=60,stall=60,disconnect=40 --io-timeout 10 \
+    -- --clients 2 --requests 16 --program recurrence_1d --retries 8 --seed 7
+smoke_has ' 0 err,' "chaos load: retries did not recover every request"
+smoke_has ' chaos=' "chaos load: stats line missing the chaos summary"
 
 echo "==> ps-serve traced smoke (--trace-out + ps-trace summarize)"
-serve_log="$PWD/target/ps_serve_trace_smoke.log"
 trace_out="$PWD/target/ps_serve_trace_smoke.json"
-rm -f "$serve_log" "$trace_out"
-# --solve-threads 2 puts a shared executor pool behind the service so the
-# stats line carries the steals/max_live_regions/cancelled_chunks counters.
-./target/release/ps-serve listen --addr 127.0.0.1:0 --workers 2 --solve-threads 2 \
-    --trace-out "$trace_out" >"$serve_log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^listening on //p' "$serve_log" | head -n 1)
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "traced ps-serve did not announce a port" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-trace_load=$(bounded 300 ./target/release/ps-serve load --addr "$addr" --clients 2 --requests 16 \
-               --program recurrence_1d --vary n=8:24) \
-    || { echo "traced ps-serve load failed" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-echo "$trace_load"
-echo "$trace_load" | grep -q ' stages=' \
-    || { echo "traced load: stats line missing per-stage histograms" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-echo "$trace_load" | grep -q ' steals=' \
-    || { echo "traced load: stats line missing executor counters" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-./target/release/ps-serve shutdown --addr "$addr" >/dev/null
-wait "$serve_pid" 2>/dev/null || true
+rm -f "$trace_out"
+# --solve-threads 2 puts a shared executor pool behind the service, and
+# table_2d's two 1-D DOALLs publish regions on it, so the stats line's
+# steals/max_live_regions/cancelled_chunks counters describe real regions.
+serve_smoke traced --workers 2 --solve-threads 2 --trace-out "$trace_out" \
+    -- --clients 2 --requests 16 --program table_2d --vary n=8:24
+smoke_has ' stages=' "traced load: stats line missing per-stage histograms"
+smoke_has ' steals=' "traced load: stats line missing executor counters"
+smoke_has 'max_live_regions=[1-9]' "traced load: the pool published no region"
 [ -s "$trace_out" ] || { echo "--trace-out wrote no trace file" >&2; exit 1; }
 ./target/release/ps-trace validate "$trace_out" >/dev/null \
     || { echo "exported trace is not valid JSON" >&2; exit 1; }

@@ -261,7 +261,7 @@ fn mid_solve_deadline_cancels_at_pool_chunk_boundaries() {
     // attempt demonstrably expires mid-solve (cancelled chunks moved and
     // the handle resolved to DeadlineExceeded).
     let overall = Instant::now() + Duration::from_secs(120);
-    loop {
+    for attempt in 1.. {
         let before = service
             .pool_stats()
             .expect("solve_threads > 1 exposes the pool")
@@ -277,13 +277,17 @@ fn mid_solve_deadline_cancels_at_pool_chunk_boundaries() {
             .expect("pool stays exposed")
             .cancelled_chunks;
         match got {
-            Err(SolveError::DeadlineExceeded) if after > before => break,
+            Err(SolveError::DeadlineExceeded) if after > before => {
+                eprintln!("mid-solve cancellation on attempt {attempt}");
+                break;
+            }
             Err(SolveError::DeadlineExceeded) | Ok(_) => {
                 // Shed at dequeue before starting, or finished under the
                 // wire — keep trying for the mid-solve interleaving.
                 assert!(
                     Instant::now() < overall,
-                    "never observed a mid-solve cancellation (cancelled_chunks {after})"
+                    "never observed a mid-solve cancellation in {attempt} attempts \
+                     (cancelled_chunks {after})"
                 );
             }
             Err(other) => panic!("unexpected error {other}"),
