@@ -10,14 +10,14 @@
 //!
 //! Built strictly from the standard library — a lock-free work-stealing
 //! pool admits many concurrent in-flight regions: each submitter
-//! publishes regions on its own *lane* (an epoch-validated slot stack),
+//! publishes its region on its own *lane* (one epoch-validated slot),
 //! idle workers steal chunks off every live region's atomic cursor, and
 //! an item-counted mutex/condvar latch detects completion (see [`pool`]
 //! for the full protocol) — following the construction patterns of *Rust
-//! Atomics and Locks*. Concurrent submitters never serialize, and a
-//! `DOALL` spawned from inside a running chunk publishes a real nested
-//! region instead of inlining. The workspace carries zero external
-//! dependencies.
+//! Atomics and Locks*. Concurrent submitters never serialize, and workers
+//! publish nothing: a `DOALL` started from inside a running chunk runs
+//! inline on that chunk's thread, as the paper's one-parallel-loop-at-a-
+//! time machine would. The workspace carries zero external dependencies.
 
 pub mod cancel;
 pub mod latch;
@@ -145,18 +145,25 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_runs_parallel() {
-        // A DOALL inside a DOALL must not deadlock; the inner loop is
-        // published as a real region (workers steal its chunks) rather
-        // than inlined serially.
+        // A DOALL inside a DOALL must not deadlock: the outer loop is one
+        // published region, and each inner loop runs inline on the thread
+        // that runs its enclosing outer chunk.
         let pool = ThreadPool::new(4);
         let total = AtomicI64::new(0);
+        let moved = AtomicUsize::new(0);
         pool.for_range(0, 9, &|_| {
+            let outer = std::thread::current().id();
             pool.for_range(0, 9, &|j| {
                 total.fetch_add(j, Ordering::Relaxed);
+                if std::thread::current().id() != outer {
+                    moved.fetch_add(1, Ordering::Relaxed);
+                }
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 45 * 10);
-        assert!(pool.stats().nested_regions > 0, "inner loops published");
+        assert_eq!(moved.load(Ordering::Relaxed), 0, "inner ran off-thread");
+        let s = pool.stats();
+        assert_eq!((s.regions, s.inline_regions), (11, 10), "inner inline");
     }
 
     #[test]

@@ -2,40 +2,37 @@
 //!
 //! ## Work-stealing multi-region design
 //!
-//! The pool admits **many concurrent in-flight regions**. Every region is
-//! published on a *lane* — a small fixed stack of publication slots — and
-//! drained cooperatively by its submitter plus any idle workers:
+//! The pool admits **many concurrent in-flight regions**, one per
+//! submitting thread. Every region is published on a *lane* — a single
+//! publication slot — and drained cooperatively by its submitter plus any
+//! idle workers:
 //!
-//! * **Lanes.** Each pool worker owns one lane; a bounded set of extra
-//!   *submitter lanes* serves external threads (a thread claims one with a
-//!   single CAS for the duration of a top-level region and releases it on
-//!   retire). A lane is a stack of `LANE_DEPTH` (8) slots: the owner pushes
-//!   nested regions at the bottom (deepest slot) and pops them LIFO as
-//!   they retire; thieves scan from the top (slot 0, the outermost —
-//!   oldest — region first, where the most work lives).
+//! * **Lanes.** A bounded set of `(2n).max(8)` lanes serves submitting
+//!   threads: a thread claims one with a single CAS for the duration of a
+//!   region and releases it on retire. Submitters beyond the budget run
+//!   their region inline (correct, just serial).
 //! * **Publish** (lane owner): store the region pointer, then a globally
-//!   unique odd *epoch* into the slot, bump the pool version and wake
+//!   unique odd *epoch* into the lane, bump the pool version and wake
 //!   sleepers only if any worker actually parked. No mutex is taken on the
 //!   fast path, and concurrent submitters never serialize — each publishes
 //!   on its own lane.
-//! * **Steal** (idle workers): scan every lane's slots for a nonzero
-//!   epoch, *announce* that epoch in a padded per-worker cell, re-check
-//!   the slot still carries it (a seqcst store-load handshake), and only
-//!   then drain the region. Epochs are never reused, so the re-check can
-//!   never confuse two publications of the same slot (no ABA).
+//! * **Steal** (idle workers): scan every lane for a nonzero epoch,
+//!   *announce* that epoch in a padded per-worker cell, re-check the lane
+//!   still carries it (a seqcst store-load handshake), and only then drain
+//!   the region. Epochs are never reused, so the re-check can never
+//!   confuse two publications on the same lane (no ABA).
 //! * **Drain** (chunk-granularity stealing): all participants claim
 //!   `[next, next+chunk)` slices off the region's atomic cursor, so uneven
 //!   wavefront rows rebalance across workers at chunk granularity.
 //!   Completion stays *item-counted*: whoever retires the last iteration
 //!   signals the region's one-shot [`CountLatch`]. A worker that never
 //!   wakes for a short region cannot delay it.
-//! * **Reentrant spawn.** `for_range` from inside a running chunk — on a
-//!   worker or on a submitting thread — publishes a *nested* region on the
-//!   current thread's lane (one slot deeper) instead of inlining serially:
-//!   the spawning thread drains chunks of it while idle workers steal the
-//!   rest. Nesting beyond `LANE_DEPTH` levels, and submitters beyond the
-//!   lane budget, fall back to inline execution (correct, just serial).
-//! * **Retire** (lane owner, after the latch): clear the slot's epoch,
+//! * **Reentry runs inline.** A thread running a chunk of a published
+//!   region publishes nothing: a `for_range`/`for_chunks` it makes — on
+//!   this pool or any other — runs on that thread, inside the chunk. The
+//!   paper's machine runs one `DOALL` at a time as one parallel loop, and
+//!   the runtime never nests regions, so workers only ever steal.
+//! * **Retire** (lane owner, after the latch): clear the lane's epoch,
 //!   then wait until no worker still *announces* the retired epoch. The
 //!   announce/re-check handshake guarantees the scan cannot return while
 //!   any worker can still touch the stack-held `Region`, so the region —
@@ -44,8 +41,7 @@
 //!
 //! Progress does not depend on workers at all: every submitter drains its
 //! own region's cursor to exhaustion before waiting on the latch, so a
-//! fully busy (or 0-worker) pool still completes every region — nested
-//! submissions cannot deadlock, whatever their shape.
+//! fully busy (or 0-worker) pool still completes every region.
 //!
 //! `ThreadPool::new(1)` spawns no workers and short-circuits every region
 //! to inline execution — same behaviour as [`Sequential`], plus counters.
@@ -57,7 +53,7 @@ use crate::latch::CountLatch;
 use crate::stats::{PoolStats, PoolStatsSnapshot};
 use crate::Executor;
 use ps_trace::{EvKind, Phase};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -138,48 +134,35 @@ impl Region {
         // handshake (thieves) or ownership (submitter) keeps the borrow
         // alive for the whole drain.
         let f = unsafe { &*self.func };
-        // Participants (the submitter re-entering, and thieves) install the
-        // region's token so nested regions spawned from inside its chunks
-        // observe cancellation too.
+        // Participants (the submitter, and thieves) install the region's
+        // token so a reentrant call from inside its chunks observes
+        // cancellation too.
         let _scope = self.cancel.as_ref().map(|t| t.enter());
         let mut done = 0i64;
         loop {
-            // Chunk-boundary cancellation: stop claiming, fast-forward the
-            // cursor past the unclaimed remainder and retire it as skipped
-            // (same shape as the panic path below) so the latch settles.
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    self.cancelled.store(true, Ordering::Release);
-                    let unclaimed = self.next.swap(self.end, Ordering::Relaxed);
-                    let skipped = (self.end - unclaimed).max(0);
-                    if skipped > 0 {
-                        stats.record_cancelled(((skipped + self.chunk - 1) / self.chunk) as u64);
-                        ps_trace::emit(
-                            EvKind::Cancel,
-                            Phase::Instant,
-                            self.epoch,
-                            self.epoch,
-                            skipped as u64,
-                        );
-                    }
-                    self.retire(skipped);
-                    return done;
-                }
+            // Chunk-boundary cancellation: stop claiming.
+            if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+                self.skip_rest(stats, 0, true);
+                return done;
             }
             let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
             if start >= self.end {
                 return done;
             }
             let stop = (start + self.chunk).min(self.end);
-            stats.record_chunk((stop - start) as u64, stolen);
+            stats.record_chunk(stolen);
             let chunk_t0 = if ps_trace::enabled() {
                 ps_trace::now_ns()
             } else {
                 0
             };
+            // The flag is clear here (a chunk never drains), and
+            // `catch_unwind` lets it be cleared again on every exit.
+            IN_CHUNK.set(true);
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 f(start, stop);
             }));
+            IN_CHUNK.set(false);
             if chunk_t0 != 0 {
                 ps_trace::emit(
                     EvKind::Chunk,
@@ -190,37 +173,41 @@ impl Region {
                 );
             }
             if let Err(payload) = result {
-                // A `Cancelled` unwind (a nested region observed the
+                // A `Cancelled` unwind (a reentrant call observed the
                 // token) stops the range like a panic but is reported as
                 // cancellation, not poisoning.
-                let was_cancel = payload.is::<Cancelled>();
-                if was_cancel {
-                    self.cancelled.store(true, Ordering::Release);
-                } else {
-                    self.panicked.store(true, Ordering::Release);
-                }
-                // Cancel the rest of the range: claim whatever is still
-                // unclaimed and retire it as skipped, so the latch still
-                // completes. Concurrently claimed chunks are retired by
-                // their claimers; anything past `end` was never real work.
-                let unclaimed = self.next.swap(self.end, Ordering::Relaxed);
-                let skipped = (self.end - unclaimed).max(0);
-                if was_cancel && skipped > 0 {
-                    stats.record_cancelled(((skipped + self.chunk - 1) / self.chunk) as u64);
-                    ps_trace::emit(
-                        EvKind::Cancel,
-                        Phase::Instant,
-                        self.epoch,
-                        self.epoch,
-                        skipped as u64,
-                    );
-                }
-                self.retire((stop - start) + skipped);
+                self.skip_rest(stats, stop - start, payload.is::<Cancelled>());
                 return done + (stop - start);
             }
             self.retire(stop - start);
             done += stop - start;
         }
+    }
+
+    /// Stop the region after a cancellation or a panic: flag which, claim
+    /// whatever is still unclaimed and retire it as skipped — together
+    /// with the `held` iterations of the caller's own failed chunk — so the
+    /// latch still completes. Concurrently claimed chunks are retired by
+    /// their claimers; anything past `end` was never real work.
+    fn skip_rest(&self, stats: &PoolStats, held: i64, cancelled: bool) {
+        if cancelled {
+            self.cancelled.store(true, Ordering::Release);
+        } else {
+            self.panicked.store(true, Ordering::Release);
+        }
+        let unclaimed = self.next.swap(self.end, Ordering::Relaxed);
+        let skipped = (self.end - unclaimed).max(0);
+        if cancelled && skipped > 0 {
+            stats.record_cancelled(((skipped + self.chunk - 1) / self.chunk) as u64);
+            ps_trace::emit(
+                EvKind::Cancel,
+                Phase::Instant,
+                self.epoch,
+                self.epoch,
+                skipped as u64,
+            );
+        }
+        self.retire(held + skipped);
     }
 
     /// Account `n` finished iterations; the last one signals the latch.
@@ -246,12 +233,11 @@ struct AnnounceCell(AtomicU64);
 /// Announce value meaning "not draining any stolen region".
 const IDLE: u64 = 0;
 
-/// Live regions one lane can advertise at once — the maximum reentrant
-/// nesting depth before spawns fall back to inline execution.
-const LANE_DEPTH: usize = 8;
-
-/// One publication slot of a lane.
-struct LaneSlot {
+/// One publication lane: a single slot holding the live region of the
+/// one submitter that claimed it. Padded so thieves scanning one lane do
+/// not false-share with owners publishing on a neighbour.
+#[repr(align(128))]
+struct Lane {
     /// 0 = empty; otherwise the unique odd epoch of the published region.
     /// Epochs come from a pool-wide counter and are never reused, so a
     /// thief's announce/re-check can never confuse two publications.
@@ -260,35 +246,21 @@ struct LaneSlot {
     /// *before* the epoch on publish; a thief therefore validates the
     /// (epoch, pointer) pair by re-checking the epoch after reading both.
     region: AtomicPtr<Region>,
-}
-
-/// One publication lane: a bounded LIFO stack of live regions owned by a
-/// single thread at a time. Padded so thieves scanning one lane do not
-/// false-share with owners publishing on a neighbour.
-#[repr(align(128))]
-struct Lane {
-    slots: [LaneSlot; LANE_DEPTH],
-    /// Submitter lanes only: claimed by one external thread for the
-    /// duration of a top-level region (worker lanes stay claimed forever).
+    /// Held by one submitting thread for the duration of its region.
     claimed: AtomicBool,
 }
 
-impl Lane {
-    fn new(claimed: bool) -> Lane {
-        Lane {
-            slots: std::array::from_fn(|_| LaneSlot {
-                epoch: AtomicU64::new(0),
-                region: AtomicPtr::new(std::ptr::null_mut()),
-            }),
-            claimed: AtomicBool::new(claimed),
-        }
+/// A claimed lane, released on drop — after the retire scan, or on unwind.
+struct LaneClaim<'a>(&'a Lane);
+
+impl Drop for LaneClaim<'_> {
+    fn drop(&mut self) {
+        self.0.claimed.store(false, Ordering::Release);
     }
 }
 
 struct Shared {
-    /// `[0, n_workers)` are worker lanes; the rest are submitter lanes.
     lanes: Box<[Lane]>,
-    n_workers: usize,
     /// One announce cell per worker (thieves only; submitters never steal).
     announces: Box<[AnnounceCell]>,
     /// Epoch allocator: starts at 1, steps by 2 — every publish gets a
@@ -310,21 +282,10 @@ struct Shared {
     stats: PoolStats,
 }
 
-/// One entry of the thread-local lane stack: this thread currently owns
-/// `lane` on `pool`, with `depth` live regions published on it.
-struct ActiveLane {
-    pool: *const Shared,
-    lane: usize,
-    depth: usize,
-    /// Worker lanes are never released; claimed submitter lanes are.
-    permanent: bool,
-}
-
 thread_local! {
-    /// Lanes this thread currently owns, newest last. A nested `for_range`
-    /// on a pool already present publishes one slot deeper on the same
-    /// lane; a submission to a new pool claims a fresh submitter lane.
-    static ACTIVE: RefCell<Vec<ActiveLane>> = const { RefCell::new(Vec::new()) };
+    /// This thread is running a chunk of a published region (of any
+    /// pool), so a `for_chunks` it makes runs inline.
+    static IN_CHUNK: Cell<bool> = const { Cell::new(false) };
 }
 
 /// A fixed-size pool of persistent worker threads with per-lane region
@@ -344,57 +305,43 @@ const YIELDS: usize = 32;
 /// Scan every lane for a region with unclaimed chunks and drain the first
 /// one found. Returns `true` if any iterations were executed.
 ///
-/// Scan order: lanes rotated by the worker index (spreading thieves),
-/// slots from the top (slot 0 — the outermost, oldest region, where the
-/// most unclaimed work usually lives). Lane slots fill bottom-up and pop
-/// LIFO, so the first empty slot ends the lane.
+/// Scan order: lanes rotated by the worker index, spreading thieves over
+/// concurrent submitters.
 fn try_steal(shared: &Shared, me: usize) -> bool {
     let n = shared.lanes.len();
     let announce = &shared.announces[me].0;
     for k in 0..n {
-        let lane = &shared.lanes[(me + 1 + k) % n];
-        for slot in lane.slots.iter() {
-            let e = slot.epoch.load(Ordering::SeqCst);
-            if e == 0 {
-                break; // slots fill contiguously from 0
-            }
-            // Validate the (epoch, pointer) pair: read both, announce the
-            // epoch, then re-check the slot still carries it. The seqcst
-            // announce/re-check pair means the owner's retire scan either
-            // sees our announce and waits for us, or already cleared the
-            // epoch — in which case the re-check fails and we never touch
-            // the pointer. Unique epochs rule out ABA across republishes.
-            let ptr = slot.region.load(Ordering::SeqCst);
-            announce.store(e, Ordering::SeqCst);
-            let mut done = 0i64;
-            if slot.epoch.load(Ordering::SeqCst) == e && !ptr.is_null() {
-                // SAFETY: the announce/re-check handshake above plus the
-                // owner's retire scan keep the region alive while we
-                // drain it.
-                let region = unsafe { &*ptr };
-                done = region.drain(&shared.stats, true);
-            }
-            announce.store(IDLE, Ordering::SeqCst);
-            if done > 0 {
-                ps_trace::emit(EvKind::Steal, Phase::Instant, e, e, done as u64);
-                return true;
-            }
+        let lane = &shared.lanes[(me + k) % n];
+        let e = lane.epoch.load(Ordering::SeqCst);
+        if e == 0 {
+            continue;
+        }
+        // Validate the (epoch, pointer) pair: read both, announce the
+        // epoch, then re-check the lane still carries it. The seqcst
+        // announce/re-check pair means the owner's retire scan either
+        // sees our announce and waits for us, or already cleared the
+        // epoch — in which case the re-check fails and we never touch
+        // the pointer. Unique epochs rule out ABA across republishes.
+        let ptr = lane.region.load(Ordering::SeqCst);
+        announce.store(e, Ordering::SeqCst);
+        let mut done = 0i64;
+        if lane.epoch.load(Ordering::SeqCst) == e && !ptr.is_null() {
+            // SAFETY: the announce/re-check handshake above plus the
+            // owner's retire scan keep the region alive while we
+            // drain it.
+            let region = unsafe { &*ptr };
+            done = region.drain(&shared.stats, true);
+        }
+        announce.store(IDLE, Ordering::SeqCst);
+        if done > 0 {
+            ps_trace::emit(EvKind::Steal, Phase::Instant, e, e, done as u64);
+            return true;
         }
     }
     false
 }
 
-fn worker_loop(shared: &Arc<Shared>, me: usize) {
-    // The worker's lane is its permanent publication home for regions
-    // spawned reentrantly from inside chunks it executes.
-    ACTIVE.with(|a| {
-        a.borrow_mut().push(ActiveLane {
-            pool: Arc::as_ptr(shared),
-            lane: me,
-            depth: 0,
-            permanent: true,
-        })
-    });
+fn worker_loop(shared: &Shared, me: usize) {
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -437,36 +384,6 @@ fn worker_loop(shared: &Arc<Shared>, me: usize) {
     }
 }
 
-/// Restores the thread-local lane stack (and the lane claim) on scope
-/// exit, even on unwind.
-struct LaneScope {
-    pool: *const Shared,
-    lane: usize,
-}
-
-impl Drop for LaneScope {
-    fn drop(&mut self) {
-        ACTIVE.with(|a| {
-            let mut active = a.borrow_mut();
-            let i = active
-                .iter()
-                .rposition(|e| e.pool == self.pool && e.lane == self.lane)
-                .expect("lane scope entry present");
-            active[i].depth -= 1;
-            if active[i].depth == 0 && !active[i].permanent {
-                let entry = active.remove(i);
-                // SAFETY: the pool outlives every lane scope — external
-                // submitters hold `&ThreadPool` across `for_chunks`, and
-                // worker threads are joined before `Shared` drops.
-                let shared = unsafe { &*entry.pool };
-                shared.lanes[entry.lane]
-                    .claimed
-                    .store(false, Ordering::Release);
-            }
-        });
-    }
-}
-
 impl ThreadPool {
     /// Create a pool wrapped in an [`Arc`] — the shape long-lived services
     /// want: every service worker thread holds a clone of the handle next
@@ -488,14 +405,17 @@ impl ThreadPool {
         // The caller participates, so spawn n-1 workers for n-way
         // parallelism.
         let n_workers = n - 1;
-        // Submitter lanes bound how many external threads can have live
-        // regions at once; extra submitters fall back to inline execution.
-        let n_submit_lanes = (2 * n).max(8);
+        // Lanes bound how many threads can have live regions at once;
+        // extra submitters fall back to inline execution.
+        let n_lanes = (2 * n).max(8);
         let shared = Arc::new(Shared {
-            lanes: (0..n_workers + n_submit_lanes)
-                .map(|i| Lane::new(i < n_workers))
+            lanes: (0..n_lanes)
+                .map(|_| Lane {
+                    epoch: AtomicU64::new(0),
+                    region: AtomicPtr::new(std::ptr::null_mut()),
+                    claimed: AtomicBool::new(false),
+                })
                 .collect(),
-            n_workers,
             announces: (0..n_workers)
                 .map(|_| AnnounceCell(AtomicU64::new(IDLE)))
                 .collect(),
@@ -536,39 +456,6 @@ impl ThreadPool {
     pub fn stats(&self) -> PoolStatsSnapshot {
         self.shared.stats.snapshot()
     }
-
-    /// Find this thread's lane on the pool: the existing entry for a
-    /// nested spawn, or a freshly claimed submitter lane. Returns the lane
-    /// index and the slot depth to publish at, or `None` when the region
-    /// must run inline (nesting too deep, or all submitter lanes busy).
-    /// The matching [`LaneScope`] restores the stack on drop.
-    fn enter_lane(&self, shared: &Shared) -> Option<(usize, usize, bool, LaneScope)> {
-        let pool = shared as *const Shared;
-        ACTIVE.with(|a| {
-            let mut active = a.borrow_mut();
-            if let Some(e) = active.iter_mut().rfind(|e| e.pool == pool) {
-                if e.depth >= LANE_DEPTH {
-                    return None;
-                }
-                let (lane, depth) = (e.lane, e.depth);
-                e.depth += 1;
-                return Some((lane, depth, true, LaneScope { pool, lane }));
-            }
-            let lane = (shared.n_workers..shared.lanes.len()).find(|&i| {
-                shared.lanes[i]
-                    .claimed
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            })?;
-            active.push(ActiveLane {
-                pool,
-                lane,
-                depth: 1,
-                permanent: false,
-            });
-            Some((lane, 0, false, LaneScope { pool, lane }))
-        })
-    }
 }
 
 impl Executor for ThreadPool {
@@ -602,25 +489,26 @@ impl Executor for ThreadPool {
             std::panic::panic_any(Cancelled);
         }
 
-        // Run inline when parallelism cannot help. A 1-thread pool takes
-        // this path for every region: no latch, no lane traffic, no
-        // wakeups.
-        if self.handles.is_empty() || total < 2 {
-            shared.stats.record_inline();
-            f(lo, hi + 1);
-            return;
-        }
-        // Find (or claim) this thread's lane; when the nesting budget or
-        // the submitter-lane budget is exhausted, inline is the correct
-        // serial fallback.
-        let Some((lane_idx, depth, nested, _scope)) = self.enter_lane(shared) else {
+        // Run inline when parallelism cannot help, or when this thread is
+        // inside a chunk already (reentry publishes nothing), or when every
+        // lane is busy. A 1-thread pool takes this path for every region:
+        // no latch, no lane traffic, no wakeups.
+        let lane_idx = if self.handles.is_empty() || total < 2 || IN_CHUNK.get() {
+            None
+        } else {
+            shared.lanes.iter().position(|lane| {
+                lane.claimed
+                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            })
+        };
+        let Some(lane_idx) = lane_idx else {
             shared.stats.record_inline();
             f(lo, hi + 1);
             return;
         };
-        if nested {
-            shared.stats.record_nested();
-        }
+        let lane = &shared.lanes[lane_idx];
+        let claim = LaneClaim(lane);
 
         // Aim for several chunks per participant so imbalanced iterations
         // still spread out (and thieves have something to steal).
@@ -628,9 +516,6 @@ impl Executor for ThreadPool {
         let chunk = (total / (participants * 4)).max(1);
         let epoch = shared.epoch_gen.fetch_add(2, Ordering::Relaxed);
         debug_assert!(epoch % 2 == 1, "epochs are odd");
-        if nested {
-            ps_trace::emit(EvKind::Nested, Phase::Instant, epoch, epoch, total as u64);
-        }
 
         let region = Region {
             next: AtomicI64::new(lo),
@@ -655,7 +540,6 @@ impl Executor for ThreadPool {
 
         // Publish: pointer first, then the fresh odd epoch, then bump the
         // version and wake workers only if any are actually parked.
-        let slot = &shared.lanes[lane_idx].slots[depth];
         ps_trace::emit(
             EvKind::Publish,
             Phase::Begin,
@@ -663,9 +547,9 @@ impl Executor for ThreadPool {
             total as u64,
             lane_idx as u64,
         );
-        slot.region
+        lane.region
             .store(&region as *const Region as *mut Region, Ordering::SeqCst);
-        slot.epoch.store(epoch, Ordering::SeqCst);
+        lane.epoch.store(epoch, Ordering::SeqCst);
         shared
             .stats
             .record_live(shared.live.fetch_add(1, Ordering::Relaxed) + 1);
@@ -683,8 +567,8 @@ impl Executor for ThreadPool {
         // then make sure no worker still announces the retired epoch (it
         // would be inside `drain`, typically for nanoseconds — the cursor
         // is already exhausted).
-        slot.epoch.store(0, Ordering::SeqCst);
-        slot.region.store(std::ptr::null_mut(), Ordering::Relaxed);
+        lane.epoch.store(0, Ordering::SeqCst);
+        lane.region.store(std::ptr::null_mut(), Ordering::Relaxed);
         shared.live.fetch_sub(1, Ordering::Relaxed);
         for cell in shared.announces.iter() {
             let mut tries = 0usize;
@@ -698,7 +582,7 @@ impl Executor for ThreadPool {
             }
         }
         ps_trace::emit(EvKind::Publish, Phase::End, epoch, 0, 0);
-        drop(_scope);
+        drop(claim);
 
         if region.panicked.load(Ordering::Acquire) {
             panic!("a DOALL iteration panicked (see worker output above)");
@@ -812,25 +696,32 @@ mod tests {
     }
 
     #[test]
-    fn nested_spawn_publishes_instead_of_inlining() {
-        // A nested for_range on the same pool publishes a real region one
-        // lane slot deeper (no self-deadlock, no serial inlining).
+    fn nested_spawn_runs_inline_on_its_chunks_thread() {
+        // A for_range from inside a chunk publishes nothing: it runs on
+        // the thread that runs the enclosing chunk, exactly once.
         let pool = ThreadPool::new(2);
         let count = AtomicUsize::new(0);
+        let moved = AtomicUsize::new(0);
         pool.for_range(0, 3, &|_| {
+            let outer = std::thread::current().id();
             pool.for_range(0, 63, &|_| {
                 count.fetch_add(1, Ordering::Relaxed);
+                if std::thread::current().id() != outer {
+                    moved.fetch_add(1, Ordering::Relaxed);
+                }
             });
         });
         assert_eq!(count.load(Ordering::Relaxed), 4 * 64);
+        assert_eq!(moved.load(Ordering::Relaxed), 0, "inner ran off-thread");
         let s = pool.stats();
         assert_eq!(s.regions, 5, "outer + 4 inner");
-        assert_eq!(s.nested_regions, 4, "every inner region was nested");
-        assert_eq!(s.inline_regions, 0, "nothing fell back to inline");
+        assert_eq!(s.inline_regions, 4, "every inner region ran inline");
+        assert_eq!(s.chunks, 4, "only the outer region was chunked");
+        assert_eq!(s.max_live_regions, 1);
     }
 
     #[test]
-    fn nesting_beyond_lane_depth_falls_back_inline() {
+    fn deep_reentry_runs_inline_exactly_once() {
         let pool = ThreadPool::new(2);
         let count = AtomicUsize::new(0);
         fn recurse(pool: &ThreadPool, depth: usize, count: &AtomicUsize) {
@@ -840,17 +731,19 @@ mod tests {
             }
             pool.for_range(0, 1, &|_| recurse(pool, depth - 1, count));
         }
-        // Deeper than LANE_DEPTH: the overflow levels run inline, and
-        // every leaf still executes exactly once.
-        recurse(&pool, LANE_DEPTH + 3, &count);
-        assert_eq!(count.load(Ordering::Relaxed), 1 << (LANE_DEPTH + 3));
-        assert!(pool.stats().inline_regions > 0, "deep levels inlined");
+        // Eleven levels of two iterations: the top level publishes, the
+        // 2^11 - 2 calls below it run inline, and every leaf runs once.
+        recurse(&pool, 11, &count);
+        assert_eq!(count.load(Ordering::Relaxed), 1 << 11);
+        let s = pool.stats();
+        assert_eq!(s.regions, (1 << 11) - 1);
+        assert_eq!(s.inline_regions, (1 << 11) - 2);
     }
 
     #[test]
-    fn cross_pool_submission_broadcasts_on_both() {
-        // A nested submission to a *different* pool claims a lane there
-        // and broadcasts; the same-pool nested submission publishes too.
+    fn cross_pool_reentry_runs_inline() {
+        // Reentry is per thread, not per pool: a chunk of `outer` calling
+        // `inner` runs the inner range inline too.
         let outer = ThreadPool::new(2);
         let inner = ThreadPool::new(2);
         let count = AtomicUsize::new(0);
@@ -861,9 +754,9 @@ mod tests {
         });
         assert_eq!(count.load(Ordering::Relaxed), 4 * 25);
         assert_eq!(inner.stats().regions, 4);
-        assert_eq!(inner.stats().inline_regions, 0, "cross-pool broadcasts");
-        assert_eq!(inner.stats().nested_regions, 0, "fresh lane, not nested");
-        assert_eq!(outer.stats().nested_regions, 0);
+        assert_eq!(inner.stats().inline_regions, 4, "reentry inlines");
+        assert_eq!(inner.stats().chunks, 0);
+        assert_eq!(outer.stats().inline_regions, 0);
     }
 
     #[test]
@@ -871,15 +764,69 @@ mod tests {
         let pool = ThreadPool::new(2);
         pool.for_range(0, 9, &|_| {});
         for lane in pool.shared.lanes.iter() {
-            for slot in lane.slots.iter() {
-                assert_eq!(slot.epoch.load(Ordering::SeqCst), 0, "slot retired");
-                assert!(slot.region.load(Ordering::SeqCst).is_null());
-            }
-            // Worker lanes stay claimed; submitter lanes were released.
-        }
-        for lane in pool.shared.lanes[pool.shared.n_workers..].iter() {
+            assert_eq!(lane.epoch.load(Ordering::SeqCst), 0, "slot retired");
+            assert!(lane.region.load(Ordering::SeqCst).is_null());
             assert!(!lane.claimed.load(Ordering::SeqCst), "lane released");
         }
+    }
+
+    #[test]
+    fn reentrant_call_after_cancel_unwinds_as_cancelled() {
+        // A chunk fires the token, then calls back into the pool: the
+        // inner call sheds with `Cancelled`, the chunk unwinds with it, and
+        // the region reports cancellation — not a panic.
+        let pool = ThreadPool::new(2);
+        let token = CancelToken::new();
+        let inner_ran = AtomicUsize::new(0);
+        {
+            let _scope = token.enter();
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.for_range(0, 99_999, &|i| {
+                    if i == 0 {
+                        token.cancel();
+                        pool.for_range(0, 9, &|_| {
+                            inner_ran.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }))
+            .expect_err("cancellation must unwind to the submitter");
+            assert!(
+                payload.is::<Cancelled>(),
+                "payload is Cancelled, not a panic"
+            );
+        }
+        assert_eq!(inner_ran.load(Ordering::Relaxed), 0, "the inner call shed");
+        assert!(pool.stats().cancelled_chunks > 0, "skipped chunks counted");
+        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        pool.for_range(0, 63, &|i| {
+            hits[i as usize].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn panic_in_a_reentrant_call_reaches_the_submitter() {
+        let pool = ThreadPool::new(2);
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.for_range(0, 99, &|i| {
+                pool.for_range(0, 9, &|j| {
+                    if i == 37 && j == 5 {
+                        panic!("boom at {i}/{j}");
+                    }
+                });
+            });
+        }))
+        .expect_err("the panic must reach the submitter");
+        assert!(!payload.is::<Cancelled>(), "a panic, not a cancellation");
+        // Not poisoned: the next region, reentry included, runs once.
+        let count = AtomicUsize::new(0);
+        pool.for_range(0, 9, &|_| {
+            pool.for_range(0, 9, &|_| {
+                count.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 100);
     }
 
     #[test]

@@ -10,7 +10,6 @@ pub struct PoolStats {
     items: AtomicU64,
     inline_regions: AtomicU64,
     steals: AtomicU64,
-    nested_regions: AtomicU64,
     max_live_regions: AtomicU64,
     cancelled_chunks: AtomicU64,
 }
@@ -23,22 +22,18 @@ impl PoolStats {
 
     /// A chunk claimed off a region's cursor; `stolen` when the claimer
     /// is an idle worker rather than the region's submitter.
-    pub(crate) fn record_chunk(&self, _items: u64, stolen: bool) {
+    pub(crate) fn record_chunk(&self, stolen: bool) {
         self.chunks.fetch_add(1, Ordering::Relaxed);
         if stolen {
             self.steals.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// A region executed inline (too small, lane budget exhausted, or a
-    /// 1-thread pool) instead of being published.
+    /// A region executed inline (too small, called from inside a chunk,
+    /// lane budget exhausted, or a 1-thread pool) instead of being
+    /// published.
     pub(crate) fn record_inline(&self) {
         self.inline_regions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A region published reentrantly from inside a running chunk.
-    pub(crate) fn record_nested(&self) {
-        self.nested_regions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// High-water mark of simultaneously live regions, observed at
@@ -60,7 +55,6 @@ impl PoolStats {
             items: self.items.load(Ordering::Relaxed),
             inline_regions: self.inline_regions.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
-            nested_regions: self.nested_regions.load(Ordering::Relaxed),
             max_live_regions: self.max_live_regions.load(Ordering::Relaxed),
             cancelled_chunks: self.cancelled_chunks.load(Ordering::Relaxed),
         }
@@ -77,18 +71,16 @@ pub struct PoolStatsSnapshot {
     /// Total loop iterations requested.
     pub items: u64,
     /// Regions short-circuited to inline execution (a subset of
-    /// `regions`): single-iteration ranges, spawns past the lane-depth
-    /// or submitter-lane budget, and everything on a 1-thread pool.
+    /// `regions`): single-iteration ranges, reentrant calls from inside a
+    /// running chunk (on any pool), submitters past the lane budget, and
+    /// everything on a 1-thread pool.
     pub inline_regions: u64,
     /// Chunks drained by an idle worker rather than the region's own
     /// submitter (a subset of `chunks`). Inherently schedule-dependent.
     pub steals: u64,
-    /// Regions published reentrantly from inside a running chunk (a
-    /// subset of `regions`) instead of falling back to inline execution.
-    pub nested_regions: u64,
     /// High-water mark of regions live at once (counted at publish;
-    /// ≥ 2 proves concurrent submitters — or nesting — genuinely
-    /// overlapped). Inherently schedule-dependent.
+    /// ≥ 2 proves concurrent submitters genuinely overlapped). Inherently
+    /// schedule-dependent.
     pub max_live_regions: u64,
     /// Chunks skipped because a region's cancel token fired before they
     /// were claimed (whole pre-cancelled regions count once). Nonzero
@@ -101,10 +93,9 @@ impl std::fmt::Display for PoolStatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} regions ({} inline, {} nested), {} chunks ({} stolen), {} items, {} cancelled",
+            "{} regions ({} inline), {} chunks ({} stolen), {} items, {} cancelled",
             self.regions,
             self.inline_regions,
-            self.nested_regions,
             self.chunks,
             self.steals,
             self.items,
@@ -121,17 +112,18 @@ mod tests {
     fn snapshot_reads_counters() {
         let s = PoolStats::default();
         s.record_region(10);
-        s.record_chunk(5, false);
-        s.record_chunk(5, true);
+        s.record_chunk(false);
+        s.record_chunk(true);
         s.record_inline();
-        s.record_nested();
         let snap = s.snapshot();
         assert_eq!(snap.regions, 1);
         assert_eq!(snap.chunks, 2);
         assert_eq!(snap.items, 10);
         assert_eq!(snap.inline_regions, 1);
         assert_eq!(snap.steals, 1);
-        assert_eq!(snap.nested_regions, 1);
-        assert!(format!("{snap}").contains("1 regions (1 inline"));
+        assert_eq!(
+            format!("{snap}"),
+            "1 regions (1 inline), 2 chunks (1 stolen), 10 items, 0 cancelled"
+        );
     }
 }

@@ -6,9 +6,11 @@
 //! counter's range is narrower than the pool and the body is a single
 //! inner `DOALL`, the inner loop is published once per outer value
 //! instead, so a `DOALL I (DOALL J)` nest with few rows still fills the
-//! pool. Nothing inside a chunk publishes again: the only `for_chunks`
-//! call not made by `publish_doall` is the drain's, which runs from the
-//! hyperplane's time loop, outermost in every transformed flowchart.
+//! pool. Nothing inside a chunk publishes: the pool enforces it, running
+//! a `for_chunks` made from inside a chunk inline on that chunk's thread.
+//! The only `for_chunks` call not made by `publish_doall` is the drain's,
+//! which runs from the hyperplane's time loop, outermost in every
+//! transformed flowchart.
 //!
 //! Equations execute as typed register tapes (`compiled.rs`) —
 //! lowered **once per [`crate::Program`]**, specialized per parameter

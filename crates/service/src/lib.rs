@@ -74,7 +74,7 @@
 //! * each **solve** runs under a `Solve` span carrying the request's span
 //!   id and the program's interned module-name label; inside it the
 //!   executor emits per-region `Region`/`Publish` spans and per-chunk
-//!   `Chunk`/`Steal`/`Nested`/`Cancel` events;
+//!   `Chunk`/`Steal`/`Cancel` events;
 //! * injected **faults** emit `Fault` instants, and a panicking solve
 //!   emits `Panic` and triggers the [`ps_trace::flight`] recorder: the
 //!   last events of every thread become a structured postmortem dump.

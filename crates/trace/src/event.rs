@@ -27,7 +27,6 @@
 /// | `Publish`     | begin/end | total items           | lane index       |
 /// | `Chunk`       | complete  | duration ns           | chunk start idx  |
 /// | `Steal`       | instant   | region epoch          | items drained    |
-/// | `Nested`      | instant   | region epoch          | total items      |
 /// | `Cancel`      | instant   | region epoch          | items skipped    |
 /// | `Fault`       | instant   | fault-point label     | 0                |
 /// | `Panic`       | instant   | program label         | request span     |
@@ -51,7 +50,8 @@ pub enum EvKind {
     Publish = 15,
     Chunk = 16,
     Steal = 17,
-    Nested = 18,
+    // 18 stays unassigned (a retired kind), so no other kind changes its
+    // ring encoding.
     Cancel = 19,
     Fault = 20,
     Panic = 21,
@@ -78,7 +78,6 @@ impl EvKind {
             EvKind::Publish => "publish",
             EvKind::Chunk => "chunk",
             EvKind::Steal => "steal",
-            EvKind::Nested => "nested",
             EvKind::Cancel => "cancel",
             EvKind::Fault => "fault",
             EvKind::Panic => "panic",
@@ -104,7 +103,6 @@ impl EvKind {
             15 => EvKind::Publish,
             16 => EvKind::Chunk,
             17 => EvKind::Steal,
-            18 => EvKind::Nested,
             19 => EvKind::Cancel,
             20 => EvKind::Fault,
             21 => EvKind::Panic,
@@ -160,4 +158,43 @@ pub struct Event {
     pub span: u64,
     pub a: u64,
     pub b: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ALL: [EvKind; 20] = [
+        EvKind::FrameRead,
+        EvKind::Parse,
+        EvKind::Reply,
+        EvKind::Enqueue,
+        EvKind::Dequeue,
+        EvKind::QueueWait,
+        EvKind::Batch,
+        EvKind::RegistryHit,
+        EvKind::RegistryMiss,
+        EvKind::Compile,
+        EvKind::SpecHit,
+        EvKind::SpecBuild,
+        EvKind::Solve,
+        EvKind::Region,
+        EvKind::Publish,
+        EvKind::Chunk,
+        EvKind::Steal,
+        EvKind::Cancel,
+        EvKind::Fault,
+        EvKind::Panic,
+    ];
+
+    #[test]
+    fn every_kind_round_trips_its_ring_encoding() {
+        for k in ALL {
+            assert_eq!(EvKind::from_u8(k as u8), Some(k), "{}", k.name());
+        }
+        // Nothing else decodes: `ALL` is every kind, and 18 stays retired.
+        let decoded = (0..=u8::MAX).filter_map(EvKind::from_u8).count();
+        assert_eq!(decoded, ALL.len());
+        assert_eq!(EvKind::from_u8(18), None);
+    }
 }

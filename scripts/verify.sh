@@ -17,11 +17,11 @@
 # (`compiled_alloc`, `analyzer_prop`, then ps-analyze's own unit tests,
 # whose hand-built tapes are `Insn`s, the instruction set the runtime
 # executes, then ps-lang's `affine_props`: likewise for an allocation,
-# verifier, tape-IR or bound-algebra regression), the executor
-# schedule-stress suite (likewise for a pool regression), the service/TCP
-# concurrency suites (overlapping solves, bounded-queue shedding,
-# cross-connection shutdown drain), the seeded
-# chaos suite (fault injection across service, executor, and TCP), the
+# verifier, tape-IR or bound-algebra regression), the pool's own unit
+# tests and the executor schedule-stress suite, debug and then `--release`,
+# where the pool's races are tightest (likewise for a pool regression),
+# the service/TCP concurrency suites (overlapping solves, bounded-queue
+# shedding, cross-connection shutdown drain), the seeded chaos suite (fault injection across service, executor, and TCP), the
 # one bench target (`micro`) in smoke mode and once in reduced full mode
 # (the ps-trace disabled-site contract; its row names must be exactly the
 # committed BENCH_micro.json's), three ps-serve smokes through one
@@ -82,8 +82,10 @@ bounded 600 bash -c 'cargo test -q --offline --test compiled_alloc --test analyz
     && cargo test -q --offline -p ps-analyze \
     && cargo test -q --offline -p ps-lang --test affine_props'
 
-echo "==> cargo test -q --offline --test executor_stress (exactly-once accounting)"
-bounded 600 cargo test -q --offline --test executor_stress
+echo "==> executor: ps-executor unit tests, then executor_stress (exactly-once accounting), debug and --release"
+bounded 600 bash -c 'cargo test -q --offline -p ps-executor \
+    && cargo test -q --offline --test executor_stress \
+    && cargo test -q --offline --release --test executor_stress'
 
 echo "==> cargo test -q --offline --test service_stress (oracle-diffed concurrent solves)"
 bounded 600 cargo test -q --offline --test service_stress

@@ -1,13 +1,13 @@
 //! Deterministic schedule-stress suite for the work-stealing executor.
 //!
-//! The work-stealing pool (see `ps_executor::pool`) publishes regions
-//! into per-thread lanes of epoch-validated slots; idle workers steal
-//! chunks off any live region's cursor, several regions can be in flight
-//! at once, and a region spawned from inside a running chunk publishes
-//! reentrantly instead of serializing inline. The safety argument leans
+//! The work-stealing pool (see `ps_executor::pool`) publishes each
+//! submitter's region on its own lane, one epoch-validated slot; idle
+//! workers steal chunks off any live region's cursor, several regions can
+//! be in flight at once, and a `for_range` made from inside a running
+//! chunk runs inline on that chunk's thread. The safety argument leans
 //! on globally-unique epochs, a store-load announce handshake at retire,
 //! and an item-counted completion latch. This suite is the safety net:
-//! thousands of mixed-size regions — empty, singleton, nested, stolen,
+//! thousands of mixed-size regions — empty, singleton, reentrant, stolen,
 //! overlapping, and concurrently submitted from several threads and
 //! several pools — each asserting that every iteration runs **exactly
 //! once**.
@@ -106,15 +106,16 @@ fn degenerate_regions() {
     assert_eq!(stats.items, 500);
 }
 
-/// Nested `for_range` reentry: outer region bodies launch inner regions on
-/// the same pool, from the submitting thread and from workers alike. The
-/// inner regions publish into the spawning thread's lane (no
-/// self-deadlock: the spawner drains its own region before waiting) and
-/// still cover every (outer, inner) pair exactly once.
+/// Nested `for_range` reentry: outer region bodies call the same pool
+/// again, from the submitting thread and from workers alike. Every inner
+/// call runs inline on its chunk's thread, so the accounting is exact: one
+/// inline region per non-empty inner call, and never more than the one
+/// outer region live. Every (outer, inner) pair runs exactly once.
 #[test]
 fn nested_reentry_exactly_once() {
     let mut rng = Lcg::new(0x57e55_1);
     let pool = ThreadPool::new(4);
+    let mut inner_calls = 0u64;
     for r in 0..150 {
         let outer = rng.int(2, 12);
         let inner = rng.int(0, 8);
@@ -127,17 +128,22 @@ fn nested_reentry_exactly_once() {
             });
         });
         if inner > 0 {
+            inner_calls += outer as u64;
             for (k, h) in hits.iter().enumerate() {
                 let n = h.load(Ordering::Relaxed);
                 assert_eq!(n, 1, "region {r}: pair {k} ran {n} times");
             }
         }
     }
+    let s = pool.stats();
+    assert_eq!(s.inline_regions, inner_calls, "every inner call ran inline");
+    assert_eq!(s.regions, 150 + inner_calls);
+    assert_eq!(s.max_live_regions, 1, "reentry published nothing");
 }
 
-/// Three levels of nesting, mixing `for_range` and `for_chunks`: each
-/// level publishes reentrantly (lane depth permitting) and the count
-/// still comes out exact.
+/// Three levels of nesting, mixing `for_range` and `for_chunks`: only the
+/// outermost level publishes, the 6 + 36 calls below it run inline, and
+/// the count still comes out exact.
 #[test]
 fn deep_nesting_exactly_once() {
     let pool = ThreadPool::new(3);
@@ -152,6 +158,9 @@ fn deep_nesting_exactly_once() {
         });
     });
     assert_eq!(count.load(Ordering::Relaxed), 6 * 6 * 6);
+    let s = pool.stats();
+    assert_eq!((s.regions, s.inline_regions), (43, 42));
+    assert_eq!(s.max_live_regions, 1);
 }
 
 /// Several pools live at once on separate threads, each drained through
@@ -344,13 +353,12 @@ fn overlapping_submitters_exactly_once() {
     );
 }
 
-/// Seeded nested-spawn shapes: outer regions whose bodies spawn inner
-/// regions on the same pool. Every (outer, inner) pair runs exactly
-/// once, and every publishable inner region (size ≥ 2) is accounted as a
-/// *nested* publication — none may fall back to serial inlining while
-/// the lane stack has room.
+/// Seeded nested-spawn shapes: outer regions whose bodies call the same
+/// pool again. Every (outer, inner) pair runs exactly once, and every
+/// non-empty inner call is accounted as an *inline* region — reentry
+/// publishes nothing, so only one region is ever live.
 #[test]
-fn nested_spawn_publishes_under_check() {
+fn reentrant_spawn_runs_inline_under_check() {
     check(
         0x57e55_7,
         4,
@@ -378,19 +386,24 @@ fn nested_spawn_publishes_under_check() {
                     }
                 }
             }
-            // Inner spawns always find a lane (depth 2 ≤ LANE_DEPTH), so
-            // the nested count is schedule-independent: one per outer
-            // iteration whose inner region is big enough to publish.
+            // Schedule-independent: one inline region per outer iteration
+            // whose inner range is non-empty (empty ones are not counted).
             let want: u64 = shapes
                 .iter()
-                .filter(|&&(_, inner)| inner >= 2)
+                .filter(|&&(_, inner)| inner >= 1)
                 .map(|&(outer, _)| outer as u64)
                 .sum();
             let s = pool.stats();
-            if s.nested_regions != want {
+            if s.inline_regions != want {
                 return Err(format!(
-                    "nested_regions {} != publishable inner regions {want}",
-                    s.nested_regions
+                    "inline_regions {} != non-empty inner calls {want}",
+                    s.inline_regions
+                ));
+            }
+            if s.max_live_regions != 1 {
+                return Err(format!(
+                    "max_live_regions {} with one submitter",
+                    s.max_live_regions
                 ));
             }
             Ok(())
