@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! psc <file.ps | @builtin> [--emit c|flowchart|depgraph|components|hir|memory]
-//!     [--hyperplane windowed|full] [--fuse] [--prefer-parallel]
+//!     [--hyperplane windowed|full] [--prefer-parallel]
 //! psc <file.ps | @builtin> strips   which equations run strip-mined (paths, ops), and why not
 //! psc --list                 list built-in programs
 //! psc --equation '<tex>'     translate TeX-style recurrence to PS
@@ -17,16 +17,16 @@ const EMIT_TARGETS: [&str; 6] = ["c", "flowchart", "depgraph", "components", "hi
 
 fn usage() -> ! {
     eprintln!(
-        "usage: psc <file.ps | @builtin> [options]\n\
-         \n\
-         options:\n\
-           --emit c|flowchart|depgraph|components|hir|memory   (default: flowchart)\n\
-           --hyperplane windowed|full   apply the Section-4 transformation\n\
-           --fuse                       run the loop-fusion post-pass\n\
-           --prefer-parallel            pick dimensions that yield DOALL first\n\
-           strips                       per equation: strip-mined (paths, ops), or scalar and why\n\
-           --list                       list built-in programs (@name)\n\
-           --equation '<tex>'           translate e.g. 'A^{{k}}_{{i,j}} = ...' to PS"
+        "\
+usage: psc <file.ps | @builtin> [options]
+
+options:
+  --emit c|flowchart|depgraph|components|hir|memory   (default: flowchart)
+  --hyperplane windowed|full   apply the Section-4 transformation
+  --prefer-parallel            pick dimensions that yield DOALL first
+  strips                       per equation: strip-mined (paths, ops), or scalar and why
+  --list                       list built-in programs (@name)
+  --equation '<tex>'           translate e.g. 'A^{{k}}_{{i,j}} = ...' to PS"
     );
     std::process::exit(2)
 }
@@ -82,10 +82,12 @@ fn main() -> ExitCode {
                     _ => usage(),
                 };
             }
-            "--fuse" => options.schedule.fuse_loops = true,
             "--prefer-parallel" => options.schedule.pick = PickPolicy::PreferParallel,
             "strips" => emit = "strips".to_string(),
-            _ => usage(),
+            other => {
+                eprintln!("unknown option `{other}`\n");
+                usage()
+            }
         }
         i += 1;
     }

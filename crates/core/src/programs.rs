@@ -83,7 +83,7 @@ define
 end Compound;
 ";
 
-/// Independent pointwise pipelines: everything parallel, exercises fusion.
+/// A chain of three pointwise stages: three 1-D `DOALL`s, one per equation.
 pub const PIPELINE: &str = "
 Pipeline: module (xs: array[I] of real; n: int): [out: array[I] of real];
 type

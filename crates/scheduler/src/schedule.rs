@@ -25,9 +25,6 @@ pub enum PickPolicy {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScheduleOptions {
     pub pick: PickPolicy,
-    /// Run the loop-fusion post-pass (paper: "improvement of the scheduler
-    /// to better merge iterative loops").
-    pub fuse_loops: bool,
 }
 
 /// Scheduling failure: the algorithm of the paper signals an error when a
@@ -64,16 +61,13 @@ pub struct ScheduleResult {
     pub components: Sccs,
     /// How many top-level flowchart items components `0..=i` produced.
     component_item_ends: Vec<u32>,
-    /// The flowchart as Schedule-Graph built it, kept only when the fusion
-    /// post-pass rewrote `flowchart`: the rows index into it.
-    unfused: Option<Flowchart>,
 }
 
 impl ScheduleResult {
     /// Each top-level MSCC with the flowchart Schedule-Component returned
     /// for it (empty — "null" — for a data node).
     pub fn component_rows(&self) -> impl Iterator<Item = (&[NodeId], &[Descriptor])> + '_ {
-        let items = &self.unfused.as_ref().unwrap_or(&self.flowchart).items;
+        let items = &self.flowchart.items;
         let mut start = 0;
         let ends = self.component_item_ends.iter().map(|&end| end as usize);
         self.components.iter().zip(ends).map(move |(nodes, end)| {
@@ -215,18 +209,11 @@ pub fn schedule_module(
         component_item_ends.push(flowchart.items.len() as u32);
     }
 
-    let mut unfused = None;
-    if options.fuse_loops {
-        unfused = Some(flowchart.clone());
-        flowchart = crate::fusion::fuse(module, dg, flowchart);
-    }
-
     Ok(ScheduleResult {
         flowchart,
         memory: sched.memory,
         components,
         component_item_ends,
-        unfused,
     })
 }
 

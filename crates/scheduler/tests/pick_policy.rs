@@ -25,15 +25,7 @@ fn compact(
 ) -> (ps_lang::HirModule, String, ps_scheduler::ScheduleResult) {
     let m = frontend(src).unwrap();
     let dg = build_depgraph(&m);
-    let r = schedule_module(
-        &m,
-        &dg,
-        ScheduleOptions {
-            pick,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let r = schedule_module(&m, &dg, ScheduleOptions { pick }).unwrap();
     let s = r.flowchart.compact(&|e| m.equations[e].label.clone());
     (m, s, r)
 }

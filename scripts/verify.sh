@@ -11,8 +11,10 @@
 # strip, schedule or window regression names itself, then again with
 # `--release`, the build benchmark/ measures, whose addresses carry no
 # logical bounds and whose walkers keep no debug assertions), the schedule suites
-# (`scc_props`, then `figures`, `scheduler_props`, `window_props`: likewise
-# for a component-order, flowchart or window regression), the allocation
+# (`scc_props`, then ps-scheduler's own unit tests and `pick_policy`, then
+# `figures`, `scheduler_props`, `window_props` and `cli`, whose goldens pin
+# every builtin's schedule and strip report: likewise for a component-order,
+# flowchart, window or strip-eligibility regression), the allocation
 # budgets, the verifier suites and the `Affine` reference model
 # (`compiled_alloc`, `analyzer_prop`, then ps-analyze's own unit tests,
 # whose hand-built tapes are `Insn`s, the instruction set the runtime
@@ -73,9 +75,10 @@ bounded 600 cargo test -q --offline --test engine_diff --test strip_diff
 echo "==> cargo test -q --offline --release --test engine_diff --test strip_diff (the same, optimized)"
 bounded 600 cargo test -q --offline --release --test engine_diff --test strip_diff
 
-echo "==> schedule suites: ps-graph scc_props, then figures, scheduler_props, window_props"
+echo "==> schedule suites: ps-graph scc_props, ps-scheduler, then figures, scheduler_props, window_props, cli"
 bounded 600 bash -c 'cargo test -q --offline -p ps-graph --test scc_props \
-    && cargo test -q --offline --test figures --test scheduler_props --test window_props'
+    && cargo test -q --offline -p ps-scheduler \
+    && cargo test -q --offline --test figures --test scheduler_props --test window_props --test cli'
 
 echo "==> allocation budgets + verifier + Affine model: compiled_alloc, analyzer_prop, ps-analyze, then ps-lang affine_props"
 bounded 600 bash -c 'cargo test -q --offline --test compiled_alloc --test analyzer_prop \

@@ -161,24 +161,39 @@ fn heat_1d_agrees_with_oracle_across_sizes() {
     }
 }
 
+/// The scheduler never puts two equations in one `DOALL`, but a flowchart
+/// built by hand may: `pipeline`'s three `DOALL`s merged into one runs
+/// pooled and write-checked, bit-identical to the oracle, on the scalar
+/// walker the strip planner leaves a multi-equation body to.
 #[test]
-fn pipeline_with_fusion_matches_without() {
-    let plain = compile(programs::PIPELINE, CompileOptions::default()).unwrap();
-    let mut fused_opts = CompileOptions::default();
-    fused_opts.schedule.fuse_loops = true;
-    let fused = compile(programs::PIPELINE, fused_opts).unwrap();
-    // Fusion actually fires: fewer loops.
-    let (_, plain_doall) = plain.schedule.flowchart.loop_counts();
-    let (_, fused_doall) = fused.schedule.flowchart.loop_counts();
-    assert!(fused_doall < plain_doall, "{plain_doall} -> {fused_doall}");
+fn hand_merged_doall_runs_pooled_and_checked() {
+    use ps_scheduler::Descriptor;
+    let comp = compile(programs::PIPELINE, CompileOptions::default()).unwrap();
+    let mut loops = comp.schedule.flowchart.items.clone().into_iter();
+    let Some(Descriptor::Loop(mut merged)) = loops.next() else {
+        panic!("pipeline starts with a DOALL");
+    };
+    for item in loops {
+        let Descriptor::Loop(l) = item else {
+            panic!("pipeline is three DOALLs");
+        };
+        merged.bindings.extend(l.bindings);
+        merged.body.extend(l.body);
+    }
+    let flowchart = ps_scheduler::Flowchart {
+        items: vec![Descriptor::Loop(merged)],
+    };
+    assert_eq!(flowchart.loop_counts(), (0, 1));
 
-    let xs: Vec<f64> = (0..32).map(|i| (i as f64) - 7.5).collect();
+    let n = 97;
+    let xs: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25 - 7.5).collect();
     let inputs = Inputs::new()
-        .set_int("n", 32)
-        .set_array("xs", OwnedArray::real(vec![(1, 32)], xs));
-    let a = execute(&plain, &inputs, &Sequential, RuntimeOptions::default()).unwrap();
-    let b = execute(
-        &fused,
+        .set_int("n", n)
+        .set_array("xs", OwnedArray::real(vec![(1, n)], xs));
+    let merged = ps_core::run_module(
+        &comp.module,
+        &flowchart,
+        &comp.schedule.memory,
         &inputs,
         &ThreadPool::new(4),
         RuntimeOptions {
@@ -187,7 +202,28 @@ fn pipeline_with_fusion_matches_without() {
         },
     )
     .unwrap();
-    assert_eq!(a.array("out").max_abs_diff(b.array("out")), 0.0);
+    let oracle = run_naive(&comp.module, &inputs).unwrap();
+    assert_eq!(merged.array("out").max_abs_diff(oracle.array("out")), 0.0);
+
+    let prog = ps_runtime::Program::new(
+        &comp.module,
+        &flowchart,
+        &comp.schedule.memory,
+        RuntimeOptions::default(),
+    );
+    let report: Vec<String> = prog
+        .strip_report()
+        .iter()
+        .map(|(label, verdict)| format!("{label}: {verdict}"))
+        .collect();
+    assert_eq!(
+        report,
+        [
+            "eq.1: scalar: multi-equation body",
+            "eq.2: scalar: multi-equation body",
+            "eq.3: scalar: multi-equation body",
+        ]
+    );
 }
 
 #[test]

@@ -12,6 +12,7 @@ use ps_core::{
     compile, execute, run_naive, CompileError, CompileOptions, Inputs, RuntimeOptions, Sequential,
     ThreadPool,
 };
+use ps_scheduler::{Descriptor, LoopKind};
 use ps_support::rng::{check, shrink_vec};
 use ps_support::{FxHashMap, Lcg, Symbol};
 
@@ -112,9 +113,25 @@ fn shrink_stencil(p: &StencilProgram) -> Vec<StencilProgram> {
     out
 }
 
+/// Every `DOALL` in `items` has a one-item body. A `DOALL` deletes no
+/// edge, so its body decomposes back into the one MSCC it came from; a
+/// post-pass that merges loops would break this.
+fn doall_bodies_are_single(items: &[Descriptor]) -> Result<(), String> {
+    for d in items {
+        if let Descriptor::Loop(l) = d {
+            if l.kind == LoopKind::Doall && l.body.len() != 1 {
+                return Err(format!("DOALL {} has {} body items", l.name, l.body.len()));
+            }
+            doall_bodies_are_single(&l.body)?;
+        }
+    }
+    Ok(())
+}
+
 /// Whatever the offsets, the schedule validates and the scheduled
-/// interpreter agrees with the oracle (b[K] reading a[K] same-iteration
-/// is legal: a's equation runs first inside the fused component).
+/// interpreter agrees with the oracle (a[K] reading b[K] in the same
+/// iteration is legal: b's equation runs first, inside the same `DO K`
+/// when a and b form one MSCC).
 #[test]
 fn random_stencils_schedule_correctly() {
     check(0x5c11ed0, 48, arb_stencil, shrink_stencil, |prog| {
@@ -122,6 +139,9 @@ fn random_stencils_schedule_correctly() {
         let n = 8 + prog.max_offset();
         match compile(&src, CompileOptions::default()) {
             Ok(comp) => {
+                doall_bodies_are_single(&comp.schedule.flowchart.items)
+                    .map_err(|e| format!("{e}\n{src}"))?;
+
                 // 1. The replay validator accepts the flowchart.
                 let mut params = FxHashMap::default();
                 params.insert(Symbol::intern("n"), n);
@@ -220,6 +240,8 @@ fn random_grids_parallel_equals_oracle() {
     check(0x5c11ed1, 24, arb_grid, shrink, |prog| {
         let src = prog.source();
         let comp = compile(&src, CompileOptions::default()).map_err(|e| format!("{e}\n{src}"))?;
+        doall_bodies_are_single(&comp.schedule.flowchart.items)
+            .map_err(|e| format!("{e}\n{src}"))?;
         // Jacobi shape: outer DO, inner DOALLs.
         let (do_n, doall_n) = comp.schedule.flowchart.loop_counts();
         if do_n != 1 || doall_n < 4 {
