@@ -38,8 +38,10 @@
 //! # Serving many clients
 //!
 //! On top of that seam, [`Service`] (re-exported from `ps-service`) is the
-//! embeddable concurrent solve service: a compile-once, LRU-bounded
-//! [`Registry`] keyed by `(source, RuntimeOptions)`, worker threads that
+//! embeddable concurrent solve service: a compile-once [`Registry`] of
+//! owned [`Program`]s keyed by `(source, RuntimeOptions)` — the same
+//! bounded LRU table (`ps_support::cache`) each program keeps its
+//! parameter-layout specializations in — worker threads that
 //! micro-batch requests sharing a program onto one pooled run-slot
 //! session, panic isolation at the request boundary, and p50/p99 latency
 //! counters. The `ps-serve` binary puts a newline-delimited TCP protocol
@@ -84,8 +86,8 @@ pub use ps_scheduler::{
     ScheduleResult,
 };
 pub use ps_service::{
-    proto, CompiledProgram, ProgramKey, Registry, ResponseHandle, Service, ServiceError,
-    ServiceOptions, ServiceStats, SolveError, SolveRequest,
+    proto, ProgramKey, Registry, ResponseHandle, Service, ServiceError, ServiceOptions,
+    ServiceStats, SolveError, SolveRequest,
 };
 pub use ps_support::faults::{FaultInjector, FaultPoint, FaultSpec};
 pub use ps_support::rng::Lcg;

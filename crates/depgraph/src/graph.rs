@@ -180,11 +180,6 @@ impl DepGraph {
         self.graph.node(node).kind
     }
 
-    /// Is this node an equation node?
-    pub fn is_equation(&self, node: NodeId) -> bool {
-        matches!(self.node_kind(node), DepNodeKind::Equation(_))
-    }
-
     /// Is this node a data node (including record fields)?
     pub fn is_data(&self, node: NodeId) -> bool {
         matches!(

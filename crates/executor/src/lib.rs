@@ -38,8 +38,15 @@ pub trait Executor: Send + Sync {
     /// Number of worker threads (1 for sequential execution).
     fn threads(&self) -> usize;
 
-    /// Run `f(i)` for every `i` in `lo..=hi` (empty when `hi < lo`).
-    fn for_range(&self, lo: i64, hi: i64, f: &(dyn Fn(i64) + Sync));
+    /// Run `f(i)` for every `i` in `lo..=hi` (empty when `hi < lo`): one
+    /// [`Executor::for_chunks`] whose chunks walk their indices.
+    fn for_range(&self, lo: i64, hi: i64, f: &(dyn Fn(i64) + Sync)) {
+        self.for_chunks(lo, hi, &|start, stop| {
+            for i in start..stop {
+                f(i);
+            }
+        });
+    }
 
     /// Run `f(start, stop)` over disjoint half-open chunks covering
     /// `lo..=hi`. Lets callers hoist per-iteration setup (index
@@ -54,10 +61,6 @@ impl<E: Executor + ?Sized> Executor for &E {
         (**self).threads()
     }
 
-    fn for_range(&self, lo: i64, hi: i64, f: &(dyn Fn(i64) + Sync)) {
-        (**self).for_range(lo, hi, f)
-    }
-
     fn for_chunks(&self, lo: i64, hi: i64, f: &(dyn Fn(i64, i64) + Sync)) {
         (**self).for_chunks(lo, hi, f)
     }
@@ -69,10 +72,6 @@ impl<E: Executor + ?Sized> Executor for &E {
 impl<E: Executor + ?Sized> Executor for std::sync::Arc<E> {
     fn threads(&self) -> usize {
         (**self).threads()
-    }
-
-    fn for_range(&self, lo: i64, hi: i64, f: &(dyn Fn(i64) + Sync)) {
-        (**self).for_range(lo, hi, f)
     }
 
     fn for_chunks(&self, lo: i64, hi: i64, f: &(dyn Fn(i64, i64) + Sync)) {

@@ -67,13 +67,6 @@ impl Executor for Sequential {
         1
     }
 
-    fn for_range(&self, lo: i64, hi: i64, f: &(dyn Fn(i64) + Sync)) {
-        crate::cancel::check_current();
-        for i in lo..=hi {
-            f(i);
-        }
-    }
-
     fn for_chunks(&self, lo: i64, hi: i64, f: &(dyn Fn(i64, i64) + Sync)) {
         crate::cancel::check_current();
         if hi >= lo {
@@ -461,15 +454,6 @@ impl ThreadPool {
 impl Executor for ThreadPool {
     fn threads(&self) -> usize {
         self.n_threads
-    }
-
-    fn for_range(&self, lo: i64, hi: i64, f: &(dyn Fn(i64) + Sync)) {
-        let by_chunk = move |start: i64, stop: i64| {
-            for i in start..stop {
-                f(i);
-            }
-        };
-        self.for_chunks(lo, hi, &by_chunk);
     }
 
     fn for_chunks(&self, lo: i64, hi: i64, f: &(dyn Fn(i64, i64) + Sync)) {

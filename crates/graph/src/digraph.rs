@@ -95,16 +95,8 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[id.0 as usize].weight
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.0 as usize].weight
-    }
-
     pub fn edge(&self, id: EdgeId) -> &E {
         &self.edges[id.0 as usize].weight
-    }
-
-    pub fn edge_mut(&mut self, id: EdgeId) -> &mut E {
-        &mut self.edges[id.0 as usize].weight
     }
 
     pub fn edge_source(&self, id: EdgeId) -> NodeId {

@@ -19,8 +19,6 @@
 //!   twice) plus a heap operation per component — never to the size of the
 //!   graph around the slice; per-node state lives in a caller-owned scratch
 //!   that is sized once and reset only where a call touched it,
-//! * [`topo`] — Kahn topological sort and cycle detection,
-//! * [`traverse`] — DFS/BFS iterators and reachability,
 //! * [`dot`] — Graphviz export used to render Figure 3.
 
 #![forbid(unsafe_code)]
@@ -28,9 +26,6 @@
 pub mod digraph;
 pub mod dot;
 pub mod scc;
-pub mod topo;
-pub mod traverse;
 
 pub use digraph::{DiGraph, EdgeId, NodeId};
 pub use scc::{strongly_connected_components, SccScratch, Sccs};
-pub use topo::{topological_sort, TopoError};

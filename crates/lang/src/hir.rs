@@ -444,22 +444,6 @@ pub struct Equation {
     pub span: Span,
 }
 
-impl Equation {
-    /// The index variables in LHS dimension order (the scheduler's
-    /// "node dimensions" for this equation node).
-    pub fn dim_ivs(&self) -> impl Iterator<Item = (IvId, &IndexVar)> {
-        self.ivs.iter_enumerated()
-    }
-
-    /// The iv bound at LHS dimension `dim`, if that dimension is a var.
-    pub fn lhs_var_at(&self, dim: usize) -> Option<IvId> {
-        match self.lhs_subs.get(dim) {
-            Some(LhsSub::Var(iv)) => Some(*iv),
-            _ => None,
-        }
-    }
-}
-
 /// A fully checked module.
 #[derive(Clone, Debug)]
 pub struct HirModule {

@@ -488,12 +488,10 @@ impl Tapes {
 
 /// One specialization of a [`Tapes`]: every symbolic address folded
 /// against the concrete array layouts induced by one integer parameter
-/// vector (`key`). Building one is cheap — a few arithmetic folds per
-/// array access — and the result is cached per key, so the second run
-/// with the same parameters does no lowering, validation, or folding at
-/// all.
+/// vector. Building one is cheap — a few arithmetic folds per array
+/// access — and the result is cached per vector, so the second run with
+/// the same parameters does no lowering, validation, or folding at all.
 pub(crate) struct Spec {
-    pub(crate) key: Vec<i64>,
     pub(super) addrs: IndexVec<EqId, Vec<Addr>>,
     /// Per stripped equation, each address's strides along the inner and
     /// the outer counter of its nest and its offset in its class
@@ -564,7 +562,6 @@ pub(crate) fn specialize(
     plan: &StorePlan,
     module: &HirModule,
     params: &FxHashMap<Symbol, i64>,
-    key: Vec<i64>,
     verified: Option<&[bool]>,
 ) -> Result<Spec, RuntimeError> {
     let mut layouts: IndexVec<DataId, Option<NdSpec>> = module.data.iter().map(|_| None).collect();
@@ -595,11 +592,7 @@ pub(crate) fn specialize(
         }
         addrs[eq] = folded;
     }
-    Ok(Spec {
-        key,
-        addrs,
-        strides,
-    })
+    Ok(Spec { addrs, strides })
 }
 
 /// One run's execution view: tapes + specialized addresses + the live
@@ -2216,7 +2209,7 @@ pub(crate) mod tests {
         let store = plan
             .instantiate(m, inputs, false, &mut StoreArena::default())
             .unwrap();
-        let spec = specialize(&tapes, &plan, m, &store.params, Vec::new(), None).unwrap();
+        let spec = specialize(&tapes, &plan, m, &store.params, None).unwrap();
         (plan, tapes, store, spec)
     }
 
@@ -2490,7 +2483,7 @@ pub(crate) mod tests {
             let store = plan
                 .instantiate(&m, &inputs, false, &mut StoreArena::default())
                 .unwrap();
-            let spec = specialize(&tapes, &plan, &m, &store.params, vec![n], None).unwrap();
+            let spec = specialize(&tapes, &plan, &m, &store.params, None).unwrap();
             let mut frames = Frames::new(&tapes);
             frames.bind_params(&tapes, &store.param_values(tapes.params()));
             {

@@ -7,7 +7,8 @@
 //!
 //! * a **specialization cache**: per distinct integer parameter vector,
 //!   the symbolic addresses folded against that layout (built on first
-//!   sight of a vector, reused thereafter);
+//!   sight of a vector, reused thereafter) — a [`LruCache`], the same
+//!   bounded table the solve service's registry keeps its programs in;
 //! * a **run arena**: pooled per-run state (register frames, array
 //!   buffers, tag tables, scalar-slot tables) recycled between runs.
 //!
@@ -37,11 +38,10 @@ use crate::strip::StripVerdict;
 use ps_executor::Executor;
 use ps_lang::hir::HirModule;
 use ps_scheduler::{Flowchart, MemoryPlan, ScheduleResult};
-use ps_support::Symbol;
+use ps_support::{LruCache, Symbol};
 use ps_trace::{EvKind, Phase, Stage, StageSet};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Upper bound on pooled run slots (each holds one run's recyclable
@@ -62,14 +62,6 @@ struct RunSlot {
     frames: Option<Frames>,
 }
 
-/// One cached specialization plus its last-use tick (the LRU key). The
-/// tick is written under the cache's *read* lock — a relaxed atomic store,
-/// so cache hits stay lock-free with respect to each other.
-struct CachedSpec {
-    spec: Arc<Spec>,
-    touched: AtomicU64,
-}
-
 /// A reusable, shareable execution artifact for one scheduled module.
 ///
 /// Construction performs schedule analysis, store layout planning, and
@@ -88,11 +80,11 @@ pub struct Program<'m> {
     /// Symbols whose values determine array layouts (scalar int params);
     /// their value vector keys the specialization cache.
     key_syms: Vec<Symbol>,
-    specs: RwLock<Vec<CachedSpec>>,
-    spec_clock: AtomicU64,
+    specs: LruCache<Vec<i64>, Spec>,
     pool: Mutex<Vec<RunSlot>>,
-    spec_builds: AtomicUsize,
-    spec_evictions: AtomicUsize,
+    /// Trace label id of the module name, carried by a service's
+    /// `Batch`/`Solve`/`Panic` events for this program.
+    trace_label: u64,
     /// Trace label id per equation (the LHS data item's name), indexed by
     /// `EqId`; lets region events and flight dumps name the equation they
     /// were running.
@@ -176,8 +168,9 @@ impl<'m> Program<'m> {
             .into_iter()
             .map(|d| module.data[d].name)
             .collect();
-        // Intern the per-equation trace labels once, at compile time —
-        // event emission must never touch the intern table.
+        // Intern the trace labels once, at compile time — event emission
+        // must never touch the intern table.
+        let trace_label = ps_trace::label(module.name.as_str());
         let eq_labels = module
             .equations
             .iter()
@@ -191,11 +184,9 @@ impl<'m> Program<'m> {
             tapes,
             verified,
             key_syms,
-            specs: RwLock::new(Vec::new()),
-            spec_clock: AtomicU64::new(0),
+            specs: LruCache::new(SPEC_CACHE_CAP),
             pool: Mutex::new(Vec::with_capacity(RUN_POOL_CAP)),
-            spec_builds: AtomicUsize::new(0),
-            spec_evictions: AtomicUsize::new(0),
+            trace_label,
             eq_labels,
             stage_sink: Mutex::new(None),
         })
@@ -237,23 +228,28 @@ impl<'m> Program<'m> {
         self.options
     }
 
+    /// The interned [`ps_trace::label()`] id of the module name.
+    pub fn trace_label(&self) -> u64 {
+        self.trace_label
+    }
+
     /// Number of parameter layouts specialized *and cached* so far. A
     /// steady-state serving loop over one parameter shape sits at 1; a
     /// layout rebuilt after LRU eviction counts again (the cache itself
     /// never exceeds [`SPEC_CACHE_CAP`] entries).
     pub fn specialization_count(&self) -> usize {
-        self.spec_builds.load(Ordering::Relaxed)
+        self.specs.built() as usize
     }
 
     /// Number of specializations evicted from the cache so far (LRU
     /// replacement under adversarial parameter diversity).
     pub fn spec_evictions(&self) -> usize {
-        self.spec_evictions.load(Ordering::Relaxed)
+        self.specs.evictions() as usize
     }
 
     /// Number of specializations currently cached (≤ [`SPEC_CACHE_CAP`]).
     pub fn spec_cached(&self) -> usize {
-        self.specs.read().expect("spec cache poisoned").len()
+        self.specs.len()
     }
 
     /// Execute one run against `inputs`: a one-run [`RunSession`].
@@ -306,69 +302,39 @@ impl<'m> Program<'m> {
             .iter()
             .map(|s| store.params.get(s).copied().unwrap_or(i64::MIN))
             .collect();
-        let touch = |c: &CachedSpec| {
-            c.touched.store(
-                self.spec_clock.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            )
-        };
-        {
-            let specs = self.specs.read().expect("spec cache poisoned");
-            if let Some(c) = specs.iter().find(|c| c.spec.key == key) {
-                touch(c);
-                ps_trace::emit(EvKind::SpecHit, Phase::Instant, 0, specs.len() as u64, 0);
-                return Ok(Arc::clone(&c.spec));
+        if let Some(spec) = self.specs.get(&key) {
+            if ps_trace::enabled() {
+                let cached = self.specs.len() as u64;
+                ps_trace::emit(EvKind::SpecHit, Phase::Instant, 0, cached, 0);
             }
+            return Ok(spec);
         }
         let build_t0 = Instant::now();
-        let built = Arc::new(specialize(
+        let built = specialize(
             tapes,
             &self.plan,
             &self.module,
             &store.params,
-            key.clone(),
             self.verified.as_deref(),
-        )?);
-        let mut specs = self.specs.write().expect("spec cache poisoned");
-        if let Some(c) = specs.iter().find(|c| c.spec.key == key) {
-            // Lost the build race: another run specialized this layout
-            // concurrently — use (and count) theirs, drop ours.
-            touch(c);
-            return Ok(Arc::clone(&c.spec));
-        }
-        // Insert under the write lock: a concurrent duplicate build is
-        // never double-counted, and the cache never exceeds its cap.
-        if specs.len() >= SPEC_CACHE_CAP {
-            let lru = specs
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.touched.load(Ordering::Relaxed))
-                .map(|(i, _)| i)
-                .expect("a full cache is nonempty");
-            specs.swap_remove(lru);
-            self.spec_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.spec_builds.fetch_add(1, Ordering::Relaxed);
-        let build_dur = build_t0.elapsed();
-        if ps_trace::enabled() {
+        )?;
+        // A lost build race adopts the winner's spec: no `SpecBuild`.
+        let (spec, adopted) = self.specs.insert(key, built);
+        if !adopted && ps_trace::enabled() {
+            let build_dur = build_t0.elapsed();
+            // The size the build found: this spec not counted.
+            let cached = self.specs.len().saturating_sub(1) as u64;
             ps_trace::emit(
                 EvKind::SpecBuild,
                 Phase::Complete,
                 0,
                 build_dur.as_nanos() as u64,
-                specs.len() as u64,
+                cached,
             );
             if let Some(sink) = &*self.stage_sink.lock().expect("stage sink poisoned") {
                 sink.record(Stage::Specialize, build_dur);
             }
         }
-        let entry = CachedSpec {
-            spec: Arc::clone(&built),
-            touched: AtomicU64::new(0),
-        };
-        touch(&entry);
-        specs.push(entry);
-        Ok(built)
+        Ok(spec)
     }
 }
 

@@ -6,12 +6,13 @@
 //! this crate is the subsystem that multiplexes **many independent solve
 //! requests from many clients** over a cache of such artifacts:
 //!
-//! * [`Registry`] — the compile-once cache, keyed by
-//!   `(source hash, RuntimeOptions)`. An `RwLock`ed table: hits share the
-//!   read lock, a miss compiles with no lock held and takes the write
-//!   lock only to publish (see [`registry`]). The table is LRU-bounded,
-//!   and evicted programs stay alive for their in-flight requests
-//!   through `Arc`s.
+//! * [`Registry`] — the compile-once cache of owned
+//!   `ps_runtime::Program`s, keyed by `(source, RuntimeOptions)`. It is a
+//!   [`ps_support::cache::LruCache`], the same bounded table each program
+//!   keeps its parameter-layout specializations in: hits share the read
+//!   lock, a miss compiles with no lock held and takes the write lock
+//!   only to publish (see [`registry`]), and evicted programs stay alive
+//!   for their in-flight requests through `Arc`s.
 //! * [`Service`] — a request queue drained by worker threads.
 //!   [`Service::submit`] returns a [`ResponseHandle`] immediately;
 //!   requests sharing a program are **micro-batched** onto one pooled
@@ -135,13 +136,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod program;
 pub mod proto;
 pub mod registry;
 pub mod service;
 pub mod stats;
 
-pub use program::CompiledProgram;
 pub use registry::{ProgramKey, Registry};
 pub use service::{ResponseHandle, Service, ServiceOptions, SolveRequest};
 pub use stats::ServiceStats;

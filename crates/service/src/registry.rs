@@ -1,39 +1,30 @@
-//! The compile-once Program registry: a lock-guarded, LRU-bounded table.
+//! The compile-once Program registry.
 //!
-//! A solve service looks up "the artifact for this request's
+//! A solve service looks up "the program for this request's
 //! `(source, options)` key" once per micro-batch, from every worker. The
-//! table is a `RwLock<Vec<…>>` of `Arc`ed artifacts, in the same cache
-//! shape `ps_runtime::Program` uses for its specializations:
-//!
-//! * a **hit** takes the read lock, scans (capacity is small, a linear
-//!   probe beats hashing), clones the entry's `Arc` and releases — readers
-//!   share the lock, and the LRU tick is a relaxed atomic store;
-//! * a **miss** compiles with *no lock held* — compilation is the slow
-//!   part, and a failure or panic inside it can poison nothing — then takes
-//!   the write lock only to double-check, evict and push. Racing cold
-//!   misses of one key may each compile; exactly one result is published
-//!   and counted, the losers adopt it and drop their own.
-//!
-//! Entry `Arc`s make eviction safe for in-flight requests: an evicted
-//! program dies only when its last holder lets go.
-//!
-//! The table is bounded: at capacity the least-recently-used entry is
-//! evicted, so adversarial source diversity cannot grow memory without
-//! bound. Keys are `(source hash, RuntimeOptions)`; hash collisions are
-//! disambiguated by comparing the source text itself, so two programs can
-//! never alias.
+//! registry keeps owned programs ([`Program::try_owned`]: module and
+//! flowchart held by value) in a [`LruCache`], the table each program also
+//! keeps its parameter-layout specializations in. A hit shares the read
+//! lock; a miss compiles with no lock held, inside the registry's fault
+//! hooks, `Compile` span and stage timing, then publishes, and the loser of
+//! a compile race adopts the winner's program. At capacity the
+//! least-recently-used program is evicted; whoever holds its `Arc` can
+//! still run it, after eviction or registry teardown. Keys compare source
+//! hash, options and source text, so two programs never alias.
 
-use crate::program::CompiledProgram;
 use crate::ServiceError;
-use ps_runtime::RuntimeOptions;
+use ps_depgraph::build_depgraph;
+use ps_lang::frontend;
+use ps_runtime::{Program, RuntimeOptions};
+use ps_scheduler::{schedule_module, ScheduleOptions};
 use ps_support::faults::{FaultInjector, FaultPoint};
+use ps_support::LruCache;
 use ps_trace::{EvKind, Phase, Stage, StageSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// A precomputed registry key: the program source, the runtime options the
-/// artifact must be compiled with, and the source hash (computed once at
+/// program must be compiled with, and the source hash (computed once at
 /// key construction, not per lookup).
 #[derive(Clone, Debug)]
 pub struct ProgramKey {
@@ -74,19 +65,33 @@ impl Eq for ProgramKey {}
 /// The bounded compile-once cache. See the module docs for the locking
 /// shape.
 pub struct Registry {
-    /// `(source hash, artifact)`, at most `capacity` of them.
-    entries: RwLock<Vec<(u64, Arc<CompiledProgram>)>>,
-    capacity: usize,
-    /// LRU clock: lookups stamp entries with `clock++` (relaxed).
-    clock: AtomicU64,
-    compiles: AtomicU64,
-    hits: AtomicU64,
-    evictions: AtomicU64,
+    programs: LruCache<ProgramKey, Program<'static>>,
     /// Chaos hook: lets the seeded injector turn a compile into a failure.
     faults: FaultInjector,
     /// Shared per-stage histograms (compile time lands here); also wired
-    /// into each compiled artifact so specialization builds report too.
+    /// into each compiled program so specialization builds report too.
     stages: Option<Arc<StageSet>>,
+}
+
+/// Compile `key`'s source through the pipeline (front end → dependence
+/// graph → schedule → tape lowering) into an owned program whose
+/// specialization timings go to `stages`.
+fn compile(
+    key: &ProgramKey,
+    stages: Option<&Arc<StageSet>>,
+) -> Result<Program<'static>, ServiceError> {
+    let module = frontend(&key.source).map_err(ServiceError::Compile)?;
+    let depgraph = build_depgraph(&module);
+    let sched = schedule_module(&module, &depgraph, ScheduleOptions::default())
+        .map_err(|e| ServiceError::Compile(e.to_string()))?;
+    // A verifier rejection (`AnalysisLevel::Verify`) comes back as
+    // rendered E06xx diagnostics, like any other compile error.
+    let program = Program::try_owned(module, sched, key.options)
+        .map_err(|e| ServiceError::Compile(e.to_string()))?;
+    if let Some(stages) = stages {
+        program.set_stage_sink(Arc::clone(stages));
+    }
+    Ok(program)
 }
 
 impl Registry {
@@ -98,53 +103,27 @@ impl Registry {
     /// specialization durations.
     pub fn new(capacity: usize, faults: FaultInjector, stages: Option<Arc<StageSet>>) -> Registry {
         Registry {
-            entries: RwLock::new(Vec::new()),
-            capacity: capacity.max(1),
-            clock: AtomicU64::new(0),
-            compiles: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            programs: LruCache::new(capacity),
             faults,
             stages,
         }
     }
 
-    fn touch(&self, entry: &CompiledProgram) {
-        entry.touched.store(
-            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// `key`'s artifact among `entries`, counted as a cache hit and
-    /// stamped with a fresh LRU tick when found.
-    fn hit(
-        &self,
-        entries: &[(u64, Arc<CompiledProgram>)],
-        key: &ProgramKey,
-    ) -> Option<Arc<CompiledProgram>> {
-        let (_, e) = entries.iter().find(|(h, e)| {
-            *h == key.hash && e.options() == key.options && e.source() == &*key.source
-        })?;
-        self.touch(e);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        ps_trace::emit(EvKind::RegistryHit, Phase::Instant, 0, key.hash, 0);
-        Some(Arc::clone(e))
-    }
-
-    /// The fast path: find `key`'s artifact under the read lock. Counts a
+    /// The fast path: find `key`'s program under the read lock. Counts a
     /// cache hit and stamps the entry's LRU tick when found.
-    pub fn lookup(&self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
-        self.hit(&self.entries.read().expect("registry poisoned"), key)
+    pub fn lookup(&self, key: &ProgramKey) -> Option<Arc<Program<'static>>> {
+        let program = self.programs.get(key)?;
+        ps_trace::emit(EvKind::RegistryHit, Phase::Instant, 0, key.hash, 0);
+        Some(program)
     }
 
-    /// Return the cached artifact for `key`, compiling (and publishing) it
+    /// Return the cached program for `key`, compiling (and publishing) it
     /// on first sight. At capacity the least-recently-used entry is
-    /// evicted; in-flight users of the evicted artifact keep it alive
+    /// evicted; in-flight users of the evicted program keep it alive
     /// through their `Arc`s. Compile failures are returned, not cached.
-    pub fn get_or_compile(&self, key: &ProgramKey) -> Result<Arc<CompiledProgram>, ServiceError> {
-        if let Some(e) = self.lookup(key) {
-            return Ok(e);
+    pub fn get_or_compile(&self, key: &ProgramKey) -> Result<Arc<Program<'static>>, ServiceError> {
+        if let Some(program) = self.lookup(key) {
+            return Ok(program);
         }
         ps_trace::emit(EvKind::RegistryMiss, Phase::Instant, 0, key.hash, 0);
         if self.faults.should_fire(FaultPoint::CompileFail) {
@@ -167,66 +146,62 @@ impl Registry {
         }
         let compile_t0 = std::time::Instant::now();
         let compile_span = ps_trace::span(EvKind::Compile, key.hash, 0);
-        let entry =
-            CompiledProgram::compile(Arc::clone(&key.source), key.options, self.stages.clone())?;
+        let program = compile(key, self.stages.as_ref())?;
         drop(compile_span);
         if ps_trace::enabled() {
             if let Some(stages) = &self.stages {
                 stages.record(Stage::Compile, compile_t0.elapsed());
             }
         }
-        let mut entries = self.entries.write().expect("registry poisoned");
-        if let Some(theirs) = self.hit(&entries, key) {
+        let (program, adopted) = self.programs.insert(key.clone(), program);
+        if adopted {
             // Lost the compile race: another thread published this key
-            // while we compiled — use (and count) theirs, drop ours.
-            return Ok(theirs);
+            // while we compiled — theirs is served (a hit), ours dropped.
+            ps_trace::emit(EvKind::RegistryHit, Phase::Instant, 0, key.hash, 0);
         }
-        // Insert under the write lock: a concurrent duplicate compile is
-        // never double-counted, and the table never exceeds its capacity.
-        if entries.len() >= self.capacity {
-            let lru = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, e))| e.touched.load(Ordering::Relaxed))
-                .map(|(i, _)| i)
-                .expect("capacity >= 1 implies entries is nonempty here");
-            entries.swap_remove(lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.touch(&entry);
-        entries.push((key.hash, Arc::clone(&entry)));
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        Ok(entry)
+        Ok(program)
     }
 
     /// Programs compiled (and published) so far.
     pub fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
+        self.programs.built()
     }
 
     /// Lookups served from the table.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.programs.hits()
     }
 
     /// Entries evicted to stay within capacity.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.programs.evictions()
     }
 
     /// Number of programs currently cached (≤ capacity).
     pub fn len(&self) -> usize {
-        self.entries.read().expect("registry poisoned").len()
+        self.programs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.programs.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_executor::Sequential;
+    use ps_runtime::Inputs;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const RECURRENCE: &str = "Compound: module (rate: real; n: int): [final: real];
+        type K = 2 .. n;
+        var balance: array [1 .. n] of real;
+        define
+            balance[1] = 1.0;
+            balance[K] = balance[K-1] * (1.0 + rate);
+            final = balance[n];
+        end Compound;";
 
     fn src(tag: i64) -> String {
         format!(
@@ -298,9 +273,9 @@ mod tests {
                     for i in 0..60 {
                         // Six keys over a 3-entry cache: constant churn of
                         // concurrent compiles, evictions, and lookups.
-                        let key = &keys[(t * 7 + i) % keys.len()];
-                        let entry = reg.get_or_compile(key).unwrap();
-                        assert_eq!(entry.source(), &**key.source());
+                        let k = (t * 7 + i) % keys.len();
+                        let entry = reg.get_or_compile(&keys[k]).unwrap();
+                        assert_eq!(entry.module().name.as_str(), format!("P{k}"));
                     }
                 });
             }
@@ -374,5 +349,75 @@ mod tests {
         let last = ProgramKey::new(src(999), RuntimeOptions::default());
         reg.get_or_compile(&last).unwrap();
         assert!(reg.lookup(&last).is_some(), "entries survive the churn");
+    }
+
+    #[test]
+    fn owned_artifact_runs_after_moves() {
+        let reg = Registry::new(1, FaultInjector::disabled(), None);
+        let prog = reg
+            .get_or_compile(&ProgramKey::new(RECURRENCE, RuntimeOptions::default()))
+            .unwrap();
+        drop(reg);
+        // Move the Arc around (into an array, out again) past its registry.
+        let held = [prog];
+        let prog = &held[0];
+        for (rate, n) in [(0.5f64, 10i64), (0.25, 20)] {
+            let out = prog
+                .run(
+                    &Inputs::new().set_real("rate", rate).set_int("n", n),
+                    &Sequential,
+                )
+                .unwrap();
+            let expected = (1.0 + rate).powi(n as i32 - 1);
+            assert!((out.scalar("final").as_real() - expected).abs() < 1e-9);
+        }
+        assert_eq!(prog.specialization_count(), 2, "n ∈ {{10, 20}}");
+    }
+
+    #[test]
+    fn compile_errors_are_reported_not_cached() {
+        let reg = Registry::new(4, FaultInjector::disabled(), None);
+        let key = ProgramKey::new("not a module", RuntimeOptions::default());
+        for _ in 0..2 {
+            // Each call is a miss that compiles again: a cached failure
+            // would be a hit.
+            let Err(ServiceError::Compile(msg)) = reg.get_or_compile(&key) else {
+                panic!("garbage must not compile");
+            };
+            assert!(!msg.is_empty());
+        }
+        assert_eq!((reg.compiles(), reg.hits(), reg.len()), (0, 0, 0));
+        assert!(reg.lookup(&key).is_none());
+    }
+
+    #[test]
+    fn sessions_share_the_artifact_across_threads() {
+        let reg = Registry::new(4, FaultInjector::disabled(), None);
+        let key = ProgramKey::new(RECURRENCE, RuntimeOptions::default());
+        let first = reg.get_or_compile(&key).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (reg, key, first) = (&reg, &key, &first);
+                scope.spawn(move || {
+                    let prog = reg.get_or_compile(key).unwrap();
+                    assert!(Arc::ptr_eq(&prog, first), "one shared artifact");
+                    let mut session = prog.session();
+                    for i in 0..4 {
+                        let n = 4 + ((t + i) % 3) as i64;
+                        let out = session
+                            .run(
+                                &Inputs::new().set_real("rate", 1.0).set_int("n", n),
+                                &Sequential,
+                            )
+                            .unwrap();
+                        assert!(
+                            (out.scalar("final").as_real() - 2.0f64.powi(n as i32 - 1)).abs()
+                                < 1e-9
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!((reg.compiles(), reg.hits()), (1, 4));
     }
 }

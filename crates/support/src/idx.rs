@@ -120,10 +120,6 @@ impl<I: Idx, T> IndexVec<I, T> {
     pub fn raw(&self) -> &[T] {
         &self.raw
     }
-
-    pub fn into_raw(self) -> Vec<T> {
-        self.raw
-    }
 }
 
 impl<I: Idx, T> Default for IndexVec<I, T> {

@@ -16,12 +16,15 @@
 //! * [`small`] — [`SmallVec`], up to three items without a heap allocation
 //!   (affine terms, subscript terms),
 //! * [`faults`] — the seeded fault-injection switchboard the chaos suites
-//!   drive (worker panics, slow solves, socket stalls, ...).
+//!   drive (worker panics, slow solves, socket stalls, ...),
+//! * [`cache`] — [`LruCache`], the bounded compile-once table both the
+//!   solve service's registry and each program's specialization cache use.
 //!
 //! Nothing in here is specific to the PS language; it is the kind of support
 //! layer the paper's 24,000-line Pascal implementation would have carried
 //! implicitly.
 
+pub mod cache;
 pub mod diag;
 pub mod faults;
 pub mod fxhash;
@@ -33,6 +36,7 @@ pub mod small;
 pub mod source;
 pub mod span;
 
+pub use cache::LruCache;
 pub use diag::{Diagnostic, DiagnosticSink, Severity};
 pub use faults::{FaultInjector, FaultPoint, FaultSpec};
 pub use fxhash::{FxHashMap, FxHashSet};

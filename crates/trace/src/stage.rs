@@ -14,9 +14,11 @@ use std::time::Duration;
 pub enum Stage {
     /// Submit → dequeue by a worker.
     QueueWait = 0,
-    /// Source → `CompiledProgram` on a registry miss.
+    /// Source → owned `Program`, built on a registry miss (the registry's
+    /// compile-once cache; a lost compile race still records its build).
     Compile = 1,
-    /// Parameter-layout specialization build (spec-cache miss).
+    /// Parameter-layout specialization build (spec-cache miss; a lost
+    /// build race records nothing).
     Specialize = 2,
     /// Worker solve (session run, including executor time).
     Solve = 3,

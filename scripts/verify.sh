@@ -22,8 +22,13 @@
 # verifier, tape-IR or bound-algebra regression), the pool's own unit
 # tests and the executor schedule-stress suite, debug and then `--release`,
 # where the pool's races are tightest (likewise for a pool regression),
-# the service/TCP concurrency suites (overlapping solves, bounded-queue
-# shedding, cross-connection shutdown drain), the seeded chaos suite (fault injection across service, executor, and TCP), the
+# the service suites (ps-support's unit tests, whose `cache` tests race
+# two builds of one key and pin the LRU order of the one compile-once
+# table, ps-service's unit tests, whose registry is that table, then
+# `service_stress`: overlapping solves, bounded-queue shedding; then the
+# cache tests again with `--release`), the TCP concurrency suite
+# (cross-connection shutdown drain), the seeded chaos suite (fault
+# injection across service, executor, and TCP), the
 # one bench target (`micro`) in smoke mode and once in reduced full mode
 # (the ps-trace disabled-site contract; its row names must be exactly the
 # committed BENCH_micro.json's), three ps-serve smokes through one
@@ -90,8 +95,11 @@ bounded 600 bash -c 'cargo test -q --offline -p ps-executor \
     && cargo test -q --offline --test executor_stress \
     && cargo test -q --offline --release --test executor_stress'
 
-echo "==> cargo test -q --offline --test service_stress (oracle-diffed concurrent solves)"
-bounded 600 cargo test -q --offline --test service_stress
+echo "==> service: ps-support and ps-service unit tests, then service_stress (oracle-diffed concurrent solves), then the cache tests --release"
+bounded 600 bash -c 'cargo test -q --offline -p ps-support \
+    && cargo test -q --offline -p ps-service \
+    && cargo test -q --offline --test service_stress \
+    && cargo test -q --offline --release -p ps-support cache::'
 
 echo "==> cargo test -q --offline --test serve_tcp (TCP shutdown drain)"
 bounded 600 cargo test -q --offline --test serve_tcp
