@@ -1,5 +1,5 @@
-//! `ps-serve` — the TCP front-end over [`ps_core::Service`], plus a load
-//! generator, speaking the newline protocol of `ps_service::proto`.
+//! `ps-serve` — the TCP front-end over [`ps_core::Service`], speaking the
+//! newline protocol of `ps_service::proto`.
 //!
 //! ```text
 //! ps-serve listen [--addr 127.0.0.1:0] [--workers N] [--solve-threads N]
@@ -7,10 +7,6 @@
 //!                 [--deadline-ms MS] [--drain-timeout SECS]
 //!                 [--io-timeout SECS] [--max-frame BYTES] [--inflight N]
 //!                 [--chaos SPEC] [--trace-out FILE]
-//! ps-serve load --addr HOST:PORT [--clients C] [--requests R]
-//!               [--program NAME] [--param k=v]... [--vary name=lo:hi]
-//!               [--seed S] [--retries N]
-//! ps-serve shutdown --addr HOST:PORT
 //! ```
 //!
 //! `listen` prints `listening on <addr>` (with the kernel-chosen port when
@@ -35,13 +31,9 @@
 //! counters (`steals`, `max_live_regions`, `cancelled_chunks`) and the
 //! per-stage latency histograms (`stages=...`).
 //!
-//! `load` opens `--clients` concurrent connections, fires `--requests`
-//! solve lines each, verifies every response, and reports throughput plus
-//! the server's own stats line — the measurable end of the ROADMAP's
-//! "serve heavy traffic" goal. Shed (`Busy`/`DeadlineExceeded`) responses
-//! and dropped connections are retried with seeded jittered exponential
-//! backoff (up to `--retries` attempts); retry and reconnect counts land
-//! in the report.
+//! The binary is only a server. The client that measures it is the repo
+//! benchmark's `serve_tcp` workload (`benchmark/src/wire.rs`); the client
+//! the tests drive it with is `tests/serve_harness.rs`.
 //!
 //! `shutdown` drains **every** live connection, not just the issuing one:
 //! the server stops accepting, half-closes the read side of all other
@@ -51,12 +43,12 @@
 //! answers `ok bye` and exits.
 
 use ps_core::{
-    programs, proto, FaultInjector, FaultPoint, FaultSpec, Lcg, ProgramKey, ResponseHandle,
+    programs, proto, FaultInjector, FaultPoint, FaultSpec, ProgramKey, ResponseHandle,
     RuntimeOptions, Service, ServiceOptions, SolveRequest,
 };
 use ps_trace::{EvKind, Phase};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -161,11 +153,7 @@ fn usage() -> ! {
          \x20                [--deadline-ms MS] [--drain-timeout SECS]\n\
          \x20                [--io-timeout SECS] [--max-frame BYTES] [--inflight N]\n\
          \x20                [--chaos seed=S,panic=P,slow=P,compile=P,compile_panic=P,stall=P,disconnect=P]\n\
-         \x20                [--trace-out FILE]\n\
-         ps-serve load --addr HOST:PORT [--clients C] [--requests R]\n\
-         \x20             [--program NAME] [--param k=v]... [--vary name=lo:hi]\n\
-         \x20             [--seed S] [--retries N]\n\
-         ps-serve shutdown --addr HOST:PORT"
+         \x20                [--trace-out FILE]"
     );
     std::process::exit(2)
 }
@@ -191,13 +179,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("listen") => listen(&args[1..]),
-        Some("load") => load(&args[1..]),
-        Some("shutdown") => shutdown(&args[1..]),
         _ => usage(),
     }
 }
-
-// ---- server ----
 
 /// Per-connection defence knobs shared by every connection thread.
 struct ConnLimits {
@@ -699,334 +683,4 @@ fn stats_line(service: &Service, chaos: &FaultInjector) -> String {
         line.push_str(&format!(" chaos={}", chaos.summary()));
     }
     line
-}
-
-// ---- load generator ----
-
-fn load(args: &[String]) -> ExitCode {
-    let mut addr = String::new();
-    let mut clients = 2usize;
-    let mut requests = 32usize;
-    let mut program = "recurrence_1d".to_string();
-    let mut params: Vec<String> = Vec::new();
-    let mut vary: Option<(String, i64, i64)> = None;
-    let mut seed = 0x5EED_u64;
-    let mut retries = 4u32;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => addr = take_value(args, &mut i, "--addr"),
-            "--clients" => clients = parse_num(&take_value(args, &mut i, "--clients"), "--clients"),
-            "--requests" => {
-                requests = parse_num(&take_value(args, &mut i, "--requests"), "--requests")
-            }
-            "--program" => program = take_value(args, &mut i, "--program"),
-            "--param" => params.push(take_value(args, &mut i, "--param")),
-            "--seed" => seed = parse_num(&take_value(args, &mut i, "--seed"), "--seed") as u64,
-            "--retries" => {
-                retries = parse_num(&take_value(args, &mut i, "--retries"), "--retries") as u32
-            }
-            "--vary" => {
-                let spec = take_value(args, &mut i, "--vary");
-                let parsed = spec.split_once('=').and_then(|(name, range)| {
-                    let (lo, hi) = range.split_once(':')?;
-                    Some((name.to_string(), lo.parse().ok()?, hi.parse().ok()?))
-                });
-                match parsed {
-                    Some(v) if v.1 <= v.2 => vary = Some(v),
-                    _ => {
-                        eprintln!("error: --vary wants name=lo:hi, got `{spec}`");
-                        usage()
-                    }
-                }
-            }
-            other => {
-                eprintln!("error: unknown flag `{other}`");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    if addr.is_empty() {
-        eprintln!("error: load needs --addr");
-        usage()
-    }
-    if params.is_empty() {
-        params = default_params(&program);
-    }
-
-    let started = Instant::now();
-    let mut total = ClientReport::default();
-    let results: Vec<Result<ClientReport, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients.max(1))
-            .map(|c| {
-                let addr = addr.clone();
-                let program = program.clone();
-                let params = params.clone();
-                let vary = vary.clone();
-                scope.spawn(move || {
-                    client_loop(&addr, &program, &params, &vary, requests, c, seed, retries)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    for r in &results {
-        match r {
-            Ok(report) => {
-                total.ok += report.ok;
-                total.err += report.err;
-                total.retries += report.retries;
-                total.reconnects += report.reconnects;
-            }
-            Err(e) => {
-                eprintln!("client error: {e}");
-                total.err += 1;
-            }
-        }
-    }
-    let elapsed = started.elapsed();
-    let rate = total.ok as f64 / elapsed.as_secs_f64().max(1e-9);
-    println!(
-        "load: {clients} clients x {requests} requests -> {} ok, {} err, {} retries, \
-         {} reconnects in {:.1} ms ({rate:.0} req/s)",
-        total.ok,
-        total.err,
-        total.retries,
-        total.reconnects,
-        elapsed.as_secs_f64() * 1e3
-    );
-    // One stats probe so operators (and the verify script) see the
-    // registry behave: warm traffic must hit, not recompile.
-    match probe_stats(&addr) {
-        Ok(line) => {
-            println!("server {line}");
-            // Pull the degradation/overlap counters into one summary line
-            // so a load run's outcome is readable without parsing the
-            // whole stats reply.
-            let picks = [
-                "rejected",
-                "deadline_expired",
-                "panics",
-                "steals",
-                "max_live_regions",
-                "cancelled_chunks",
-            ];
-            let shed: Vec<String> = picks
-                .iter()
-                .filter_map(|k| stat_field(&line, k).map(|v| format!("{k}={v}")))
-                .collect();
-            println!("shed/overlap: {}", shed.join(" "));
-        }
-        Err(e) => eprintln!("stats probe failed: {e}"),
-    }
-    if total.err == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Default parameter lists making every scalar-input built-in loadable
-/// out of the box.
-fn default_params(program: &str) -> Vec<String> {
-    match program {
-        "recurrence_1d" => vec!["rate=0.05".into(), "n=64".into()],
-        "table_2d" => vec!["n=24".into()],
-        _ => Vec::new(),
-    }
-}
-
-#[derive(Default)]
-struct ClientReport {
-    ok: u64,
-    err: u64,
-    /// Send attempts beyond the first (shed responses and reconnects).
-    retries: u64,
-    /// Fresh connections dialled after the server dropped one mid-frame.
-    reconnects: u64,
-}
-
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-fn connect(addr: &str) -> Result<Conn, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    Ok(Conn {
-        reader,
-        writer: BufWriter::new(stream),
-    })
-}
-
-/// Send one request line and read its response. `Err` means the
-/// connection is unusable (EOF, socket error, or a mid-frame disconnect
-/// leaving a partial line) and the caller must redial to retry.
-fn send_recv(conn: &mut Conn, line: &str) -> Result<String, String> {
-    writeln!(conn.writer, "{line}").map_err(|e| e.to_string())?;
-    conn.writer.flush().map_err(|e| e.to_string())?;
-    let mut response = String::new();
-    let n = conn
-        .reader
-        .read_line(&mut response)
-        .map_err(|e| e.to_string())?;
-    if n == 0 {
-        return Err("server closed the connection".into());
-    }
-    if !response.ends_with('\n') {
-        return Err("connection dropped mid-response".into());
-    }
-    Ok(response)
-}
-
-/// Responses worth re-sending: transient shedding, not real failures.
-fn retryable(response: &str) -> bool {
-    response.starts_with("err service queue is full")
-        || response.starts_with("err deadline exceeded")
-}
-
-/// Seeded jittered exponential backoff: ~2^attempt ms (capped at 64 ms),
-/// ±50% jitter from the client's LCG, so retry storms decorrelate
-/// deterministically under a fixed seed.
-fn backoff(rng: &mut Lcg, attempt: u32) {
-    let base_us = 1000u64 << attempt.min(6);
-    let jitter = rng.int(-(base_us as i64) / 2, base_us as i64 / 2);
-    std::thread::sleep(Duration::from_micros(
-        (base_us as i64 + jitter).max(100) as u64
-    ));
-}
-
-#[allow(clippy::too_many_arguments)]
-fn client_loop(
-    addr: &str,
-    program: &str,
-    params: &[String],
-    vary: &Option<(String, i64, i64)>,
-    requests: usize,
-    client: usize,
-    seed: u64,
-    max_retries: u32,
-) -> Result<ClientReport, String> {
-    let mut rng = Lcg::new(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut conn = connect(addr)?;
-    let mut report = ClientReport::default();
-    for r in 0..requests {
-        let mut line = format!("solve {program}");
-        for p in params {
-            line.push(' ');
-            line.push_str(p);
-        }
-        if let Some((name, lo, hi)) = vary {
-            // Deterministic per-client cycle through the varied range.
-            let span = (hi - lo + 1).max(1);
-            let v = lo + ((client * 31 + r) as i64 % span);
-            line.push_str(&format!(" {name}={v}"));
-        }
-        let mut attempt = 0u32;
-        loop {
-            match send_recv(&mut conn, &line) {
-                Ok(response) if response.starts_with("ok") => {
-                    report.ok += 1;
-                    break;
-                }
-                Ok(response) if retryable(&response) && attempt < max_retries => {
-                    attempt += 1;
-                    report.retries += 1;
-                    backoff(&mut rng, attempt);
-                }
-                Ok(response) => {
-                    report.err += 1;
-                    if report.err <= 3 {
-                        eprintln!("client {client}: {}", response.trim_end());
-                    }
-                    break;
-                }
-                Err(_) if attempt < max_retries => {
-                    // The connection died (server chaos, or a mid-frame
-                    // drop): dial a fresh one and re-send after backoff.
-                    attempt += 1;
-                    report.retries += 1;
-                    report.reconnects += 1;
-                    backoff(&mut rng, attempt);
-                    conn = connect(addr)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    writeln!(conn.writer, "quit").ok();
-    conn.writer.flush().ok();
-    Ok(report)
-}
-
-/// Extract `key=value` from a stats reply line (`None` when the server
-/// didn't report the key, e.g. no shared pool → no `steals=`).
-fn stat_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.split_whitespace()
-        .filter_map(|tok| tok.split_once('='))
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v)
-}
-
-fn probe_stats(addr: &str) -> Result<String, String> {
-    // The stats reply flows through the same (possibly chaotic) writer as
-    // solve responses; a few redials keep the probe reliable under
-    // injected disconnects.
-    let mut last_err = String::new();
-    for _ in 0..5 {
-        let attempt = (|| {
-            let mut conn = connect(addr)?;
-            let line = send_recv(&mut conn, "stats")?;
-            writeln!(conn.writer, "quit").ok();
-            conn.writer.flush().ok();
-            Ok(line.trim_end().to_string())
-        })();
-        match attempt {
-            Ok(line) => return Ok(line),
-            Err(e) => last_err = e,
-        }
-    }
-    Err(last_err)
-}
-
-// ---- remote shutdown ----
-
-fn shutdown(args: &[String]) -> ExitCode {
-    let mut addr = String::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => addr = take_value(args, &mut i, "--addr"),
-            other => {
-                eprintln!("error: unknown flag `{other}`");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    if addr.is_empty() {
-        eprintln!("error: shutdown needs --addr");
-        usage()
-    }
-    let Ok(stream) = TcpStream::connect(&addr) else {
-        eprintln!("error: cannot connect {addr}");
-        return ExitCode::FAILURE;
-    };
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = BufWriter::new(stream);
-    if writeln!(writer, "shutdown")
-        .and_then(|_| writer.flush())
-        .is_err()
-    {
-        return ExitCode::FAILURE;
-    }
-    let mut line = String::new();
-    reader.read_line(&mut line).ok();
-    println!("{}", line.trim_end());
-    ExitCode::SUCCESS
 }

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Exits nonzero when the file is missing, not valid JSON, or not a trace
-//! array — the verify script leans on that to prove exported traces stay
-//! machine-readable.
+//! array — the `serve_tcp` suite leans on that to prove exported traces
+//! stay machine-readable.
 
 use std::process::ExitCode;
 

@@ -44,8 +44,8 @@
 //! parameter-layout specializations in — worker threads that
 //! micro-batch requests sharing a program onto one pooled run-slot
 //! session, panic isolation at the request boundary, and p50/p99 latency
-//! counters. The `ps-serve` binary puts a newline-delimited TCP protocol
-//! plus a load generator in front of it.
+//! counters. The `ps-serve` binary puts a newline-delimited TCP server in
+//! front of it.
 //!
 //! See `examples/` for runnable end-to-end programs (`quickstart.rs`
 //! demonstrates the compile-once / run-many API, `solve_service.rs` the

@@ -18,13 +18,11 @@
 //!   plus their out-edges (the predicate is asked about each at most
 //!   twice) plus a heap operation per component — never to the size of the
 //!   graph around the slice; per-node state lives in a caller-owned scratch
-//!   that is sized once and reset only where a call touched it,
-//! * [`dot`] — Graphviz export used to render Figure 3.
+//!   that is sized once and reset only where a call touched it.
 
 #![forbid(unsafe_code)]
 
 pub mod digraph;
-pub mod dot;
 pub mod scc;
 
 pub use digraph::{DiGraph, EdgeId, NodeId};

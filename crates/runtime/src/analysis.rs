@@ -146,7 +146,7 @@ pub fn analyze_compiled(
     memory: &MemoryPlan,
 ) -> pa::Report {
     let plan = StorePlan::new(module, memory);
-    let tapes = compile_tapes(module, &plan, flowchart, false, true);
+    let tapes = compile_tapes(module, &plan, flowchart, false);
     analyze_tapes(module, flowchart, &plan, &tapes).report
 }
 

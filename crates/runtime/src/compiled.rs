@@ -839,17 +839,13 @@ impl ParamTable {
 
 /// Lower every equation the flowchart executes. Parameter-independent:
 /// the result can be reused for any number of runs with any inputs.
-/// `fold_static` enables hoisting pure-integer parameter expressions into
-/// derived registers (always on in production; tests disable it to prove
-/// the tapes get shorter).
 pub(crate) fn compile_tapes(
     module: &HirModule,
     plan: &StorePlan,
     flowchart: &Flowchart,
     checked: bool,
-    fold_static: bool,
 ) -> Tapes {
-    let mut lowerer = Lowerer::new(module, plan, fold_static);
+    let mut lowerer = Lowerer::new(module, plan);
     let mut eqs: IndexVec<EqId, Option<CompiledEq>> =
         module.equations.iter().map(|_| None).collect();
     for eq_id in flowchart.equations() {
@@ -919,7 +915,6 @@ struct Lowerer<'a, 'm> {
     plan: &'a StorePlan,
     params: ParamTable,
     bufs: BufTable,
-    fold_static: bool,
     /// The equation being lowered.
     eq_id: EqId,
     insns: Vec<Insn>,
@@ -951,7 +946,7 @@ fn take_exact<T>(v: &mut Vec<T>) -> Vec<T> {
 }
 
 impl<'a, 'm> Lowerer<'a, 'm> {
-    fn new(module: &'m HirModule, plan: &'a StorePlan, fold_static: bool) -> Lowerer<'a, 'm> {
+    fn new(module: &'m HirModule, plan: &'a StorePlan) -> Lowerer<'a, 'm> {
         let params = ParamTable::new(module);
         Lowerer {
             module,
@@ -959,7 +954,6 @@ impl<'a, 'm> Lowerer<'a, 'm> {
             param_regs: vec![None; params.ids.len()],
             params,
             bufs: BufTable::new(module.data.len()),
-            fold_static,
             eq_id: EqId(0),
             insns: Vec::new(),
             sym_addrs: Vec::new(),
@@ -1449,10 +1443,8 @@ impl<'a, 'm> Lowerer<'a, 'm> {
     fn lower_to(&mut self, e: &HExpr, to: Option<Reg>) -> Reg {
         // Pure-integer parameter expressions vanish from the tape: they
         // evaluate once per run into a derived register.
-        if self.fold_static {
-            if let Some(p) = self.static_int(e) {
-                return Reg::I(self.static_reg(p));
-            }
+        if let Some(p) = self.static_int(e) {
+            return Reg::I(self.static_reg(p));
         }
         match e {
             HExpr::Int(v) => Reg::I(self.const_i(*v)),
@@ -2202,10 +2194,9 @@ pub(crate) mod tests {
         m: &'m HirModule,
         sched: &ScheduleResult,
         inputs: &Inputs,
-        fold_static: bool,
     ) -> (StorePlan, Tapes, Store<'m>, Spec) {
         let plan = StorePlan::new(m, &sched.memory);
-        let tapes = compile_tapes(m, &plan, &sched.flowchart, false, fold_static);
+        let tapes = compile_tapes(m, &plan, &sched.flowchart, false);
         let store = plan
             .instantiate(m, inputs, false, &mut StoreArena::default())
             .unwrap();
@@ -2226,7 +2217,7 @@ pub(crate) mod tests {
              end T;";
         let inputs = Inputs::new().set_int("n", 4);
         let (m, sched) = build(src);
-        let (_plan, tapes, _store, spec) = compile_all(&m, &sched, &inputs, true);
+        let (_plan, tapes, _store, spec) = compile_all(&m, &sched, &inputs);
         let eq2 = m.equation_by_label("eq.2").unwrap();
         let (_, addrs) = tapes.stats(eq2);
         assert_eq!(addrs, 2, "one load + one store address");
@@ -2253,7 +2244,7 @@ pub(crate) mod tests {
         let (m, sched) = build(src);
         let a = m.data_by_name("a").unwrap();
         assert_eq!(sched.memory.window(a, 0), Some(3), "planner windows a");
-        let (_plan, tapes, _store, spec) = compile_all(&m, &sched, &inputs, true);
+        let (_plan, tapes, _store, spec) = compile_all(&m, &sched, &inputs);
         let eq3 = m.equation_by_label("eq.3").unwrap();
         let (_, addrs) = tapes.stats(eq3);
         assert_eq!(addrs, 3, "two loads + one store");
@@ -2275,7 +2266,7 @@ pub(crate) mod tests {
              end T;";
         let inputs = Inputs::new().set_int("n", 8);
         let (m, sched) = build(src);
-        let (_plan, tapes, _store, _spec) = compile_all(&m, &sched, &inputs, true);
+        let (_plan, tapes, _store, _spec) = compile_all(&m, &sched, &inputs);
         let eq1 = m.equation_by_label("eq.1").unwrap();
         let ceq = tapes.eqs[eq1].as_ref().unwrap();
         assert!(
@@ -2303,7 +2294,7 @@ pub(crate) mod tests {
              end T;";
         let inputs = Inputs::new().set_int("x", 3);
         let (m, sched) = build(src);
-        let (_plan, tapes, store, spec) = compile_all(&m, &sched, &inputs, true);
+        let (_plan, tapes, store, spec) = compile_all(&m, &sched, &inputs);
         let mut frames = Frames::new(&tapes);
         frames.bind_params(&tapes, &store.param_values(tapes.params()));
         {
@@ -2335,10 +2326,10 @@ pub(crate) mod tests {
         assert_eq!(e.eval(&[Value::Int(8)]), 17);
     }
 
-    /// The satellite claim: static integer folding over the
-    /// parameter-register representation yields strictly shorter tapes
-    /// for the jacobi and wavefront-style bodies (the `M+1` / `n-1`
-    /// parameter expressions vanish into derived registers).
+    /// Static integer folding over the parameter-register representation:
+    /// the `M+1` / `n-1` parameter expressions of the jacobi and
+    /// wavefront-style bodies vanish into derived registers, leaving tapes
+    /// of exactly these lengths.
     #[test]
     fn static_folding_shortens_jacobi_and_wavefront_tapes() {
         let wavefront = "W: module (n: int; xs: array[1..n] of real):
@@ -2350,21 +2341,17 @@ pub(crate) mod tests {
                 a[K] = a[K-1] + xs[n+1-K] * real(n - 1);
                 out = a;
             end W;";
-        for (name, src, label) in [("jacobi", JACOBI, "eq.3"), ("wavefront", wavefront, "eq.2")] {
+        for (name, src, label, len) in [
+            ("jacobi", JACOBI, "eq.3", 17),
+            ("wavefront", wavefront, "eq.2", 5),
+        ] {
             let (m, sched) = build(src);
             let plan = StorePlan::new(&m, &sched.memory);
-            let folded = compile_tapes(&m, &plan, &sched.flowchart, false, true);
-            let unfolded = compile_tapes(&m, &plan, &sched.flowchart, false, false);
+            let tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
             let eq = m.equation_by_label(label).unwrap();
-            let (f_len, _) = folded.stats(eq);
-            let (u_len, _) = unfolded.stats(eq);
+            assert_eq!(tapes.stats(eq).0, len, "{name}: folded tape length");
             assert!(
-                f_len < u_len,
-                "{name}: folded tape ({f_len} insns) must be shorter than \
-                 unfolded ({u_len} insns)"
-            );
-            assert!(
-                !folded.eqs[eq].as_ref().unwrap().derived_i.is_empty(),
+                !tapes.eqs[eq].as_ref().unwrap().derived_i.is_empty(),
                 "{name}: the parameter expression becomes a derived register"
             );
         }
@@ -2378,7 +2365,7 @@ pub(crate) mod tests {
     fn jacobi_tape_has_no_avoidable_instructions() {
         let (m, sched) = build(JACOBI);
         let plan = StorePlan::new(&m, &sched.memory);
-        let tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         let eq3 = m.equation_by_label("eq.3").unwrap();
         assert_eq!(tapes.stats(eq3).0, 17);
         let insns = &tapes.eqs[eq3].as_ref().unwrap().insns;
@@ -2447,7 +2434,7 @@ pub(crate) mod tests {
             );
             let (m, sched) = build(&src);
             let plan = StorePlan::new(&m, &sched.memory);
-            let tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+            let tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
             let eq = m.equation_by_label("eq.1").unwrap();
             let insns = &tapes.eqs[eq].as_ref().unwrap().insns;
             let count = |f: fn(&Insn) -> bool| insns.iter().filter(|i| f(i)).count();
@@ -2477,7 +2464,7 @@ pub(crate) mod tests {
              end T;";
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
-        let tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         for n in [3i64, 7] {
             let inputs = Inputs::new().set_int("n", n);
             let store = plan
@@ -2512,7 +2499,7 @@ pub(crate) mod tests {
     fn tape_faults_name_their_instruction_or_table() {
         let (m, sched) = build(JACOBI);
         let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         let eq3 = m.equation_by_label("eq.3").unwrap();
         let ceq = tapes.eqs[eq3].as_mut().unwrap();
         let (n_f, n_i, len) = (ceq.n_f, ceq.n_i, ceq.insns.len() as u32);
@@ -2699,7 +2686,7 @@ pub(crate) mod tests {
         ];
         let (m, sched) = build(JACOBI);
         let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         let eq3 = m.equation_by_label("eq.3").unwrap();
         let n_addrs = tapes.eqs[eq3].as_ref().unwrap().sym_addrs.len();
         for &(insn, reads, faults) in table {

@@ -151,7 +151,7 @@ impl<'m> Program<'m> {
         options: RuntimeOptions,
     ) -> Result<Program<'m>, RuntimeError> {
         let plan = StorePlan::new(&module, memory);
-        let mut tapes = compile_tapes(&module, &plan, &flowchart, options.check_writes, true);
+        let mut tapes = compile_tapes(&module, &plan, &flowchart, options.check_writes);
         tapes.plan_strips(&module, &plan, &flowchart);
         let verified = match options.analysis {
             AnalysisLevel::Verify => {

@@ -858,7 +858,7 @@ mod tests {
     fn verdict(src: &str, label: &str, checked: bool) -> StripVerdict {
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, checked, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, checked);
         tapes.plan_strips(&m, &plan, &sched.flowchart);
         let report = tapes.strip_report(&m, &sched.flowchart);
         let found = report.into_iter().find(|(l, _)| l == label);
@@ -908,7 +908,7 @@ mod tests {
             end T;";
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         tapes.plan_strips(&m, &plan, &sched.flowchart);
         let eq = m.equation_by_label("eq.1").unwrap();
         let plan = tapes.eqs[eq].as_ref().unwrap().strip.as_ref().unwrap();
@@ -975,7 +975,7 @@ mod tests {
             end T;";
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         tapes.plan_strips(&m, &plan, &sched.flowchart);
         let eq = m.equation_by_label("eq.1").unwrap();
         assert!(tapes.eqs[eq].as_ref().unwrap().strip.is_ok());
@@ -1005,7 +1005,7 @@ mod tests {
             end T;";
         let (m, sched) = build(src);
         let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         let eq = m.equation_by_label("eq.1").unwrap();
         let xs = m.data_by_name("xs").unwrap();
         let mut walk = |window: Option<usize>| {
@@ -1109,7 +1109,7 @@ mod tests {
     fn cuts_split_a_nest_into_rectangles() {
         let (m, sched) = build(JACOBI);
         let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false, true);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
         tapes.plan_strips(&m, &plan, &sched.flowchart);
         let eq = m.equation_by_label("eq.3").unwrap();
         let ceq = tapes.eqs[eq].as_ref().unwrap();

@@ -4,17 +4,12 @@
 //! graph, scheduler, code generator), so they are interned once into
 //! copyable [`Symbol`]s. Deduplication still goes through a `RwLock`-guarded
 //! map (interning a *new* string is rare after startup), but resolution is
-//! lock-free: [`Symbol::as_str`] is an index load from an append-only
+//! lock-free: [`Symbol::as_str`] is two once-cell loads from an append-only
 //! segmented arena, so rendering, `Display` and `Ord` comparisons never
 //! touch a lock.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use crate::fxhash::FxHashMap;
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 /// An interned string. Cheap to copy, hash and compare; ordering compares the
@@ -27,29 +22,12 @@ const SEG0_BITS: u32 = 6;
 /// 26 doubling segments cover the whole `u32` id space.
 const N_SEGMENTS: usize = 26;
 
-type Slot = UnsafeCell<MaybeUninit<&'static str>>;
-
 /// Append-only symbol arena: segment `k` is a lazily allocated, never-freed
-/// block of `64 << k` slots. A slot is written exactly once — under the
-/// interner write lock, *before* its id is published — and never moves, so
-/// readers can dereference it without synchronizing with writers beyond the
-/// `Acquire` load of the segment pointer.
-struct Arena {
-    segments: [AtomicPtr<Slot>; N_SEGMENTS],
-    /// Ids below this are initialized (`Release`-published after the slot
-    /// write; the happens-before edge for readers is carried both by this
-    /// counter and by whatever channel handed them the `Symbol`).
-    published: AtomicU32,
-}
-
-// SAFETY: slots are written once before publication and never mutated after;
-// all cross-thread access to a slot is ordered by the publication edge.
-unsafe impl Sync for Arena {}
-
-static ARENA: Arena = Arena {
-    segments: [const { AtomicPtr::new(std::ptr::null_mut()) }; N_SEGMENTS],
-    published: AtomicU32::new(0),
-};
+/// block of `64 << k` once-cells. A slot is set exactly once — under the
+/// interner write lock, before its id leaves [`Symbol::intern`] — and never
+/// moves, so readers resolve it with two `get`s and no lock.
+static ARENA: [OnceLock<Box<[OnceLock<&'static str>]>>; N_SEGMENTS] =
+    [const { OnceLock::new() }; N_SEGMENTS];
 
 /// Map an id to its (segment, offset) pair.
 #[inline]
@@ -96,24 +74,14 @@ impl Symbol {
         // Leaking is bounded by the set of distinct identifiers in the
         // session; this is the standard rustc-style interner trade-off.
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = ARENA.published.load(Ordering::Relaxed);
+        // Ids are dense: the map holds exactly the ids handed out so far.
+        let id = guard.map.len() as u32;
         let (seg, off) = locate(id);
-        let mut seg_ptr = ARENA.segments[seg].load(Ordering::Acquire);
-        if seg_ptr.is_null() {
-            // First id of this segment: allocate it (we hold the write
-            // lock, so no other thread races this store).
-            let block: Box<[Slot]> = (0..seg_len(seg))
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect();
-            seg_ptr = Box::leak(block).as_mut_ptr();
-            ARENA.segments[seg].store(seg_ptr, Ordering::Release);
-        }
-        // SAFETY: `off < seg_len(seg)` by construction of `locate`, and no
-        // reader can hold id yet (it is published below).
-        unsafe {
-            (*seg_ptr.add(off)).get().write(MaybeUninit::new(leaked));
-        }
-        ARENA.published.store(id + 1, Ordering::Release);
+        let segment =
+            ARENA[seg].get_or_init(|| (0..seg_len(seg)).map(|_| OnceLock::new()).collect());
+        segment[off]
+            .set(leaked)
+            .expect("a fresh id's arena slot is empty");
         guard.map.insert(leaked, id);
         Symbol(id)
     }
@@ -121,18 +89,12 @@ impl Symbol {
     /// Resolve back to the interned string — a lock-free arena load.
     pub fn as_str(&self) -> &'static str {
         let (seg, off) = locate(self.0);
-        debug_assert!(
-            self.0 < ARENA.published.load(Ordering::Acquire),
-            "symbol id {} outside the published arena",
-            self.0
-        );
-        let seg_ptr = ARENA.segments[seg].load(Ordering::Acquire);
-        debug_assert!(!seg_ptr.is_null());
-        // SAFETY: a `Symbol` can only be obtained from `intern`, which
-        // initializes the slot and publishes the id before returning; the
-        // channel that delivered the symbol to this thread carries the
-        // happens-before edge to that write.
-        unsafe { (*seg_ptr.add(off)).get().read().assume_init() }
+        // A `Symbol` only comes from `intern`, which sets its slot before
+        // returning it.
+        ARENA[seg]
+            .get()
+            .and_then(|segment| segment[off].get())
+            .expect("symbol id outside the arena")
     }
 
     /// The raw interner index (stable within a process run only).

@@ -24,6 +24,8 @@
 //! layer the paper's 24,000-line Pascal implementation would have carried
 //! implicitly.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod diag;
 pub mod faults;

@@ -26,15 +26,16 @@
 # two builds of one key and pin the LRU order of the one compile-once
 # table, ps-service's unit tests, whose registry is that table, then
 # `service_stress`: overlapping solves, bounded-queue shedding; then the
-# cache tests again with `--release`), the TCP concurrency suite
-# (cross-connection shutdown drain), the seeded chaos suite (fault
-# injection across service, executor, and TCP), the
+# cache tests again with `--release`), the TCP suite (`serve_tcp`:
+# concurrent round trips checked against in-process runs, a traced server
+# on a 2-thread solve pool that must publish regions and whose --trace-out
+# export the ps-trace CLI validates and summarizes, the cross-connection
+# shutdown drain), the seeded chaos suite (fault injection across service,
+# executor, and TCP, with retrying clients), then both TCP suites again
+# with `--release`, the ps-serve build benchmark/ drives, the
 # one bench target (`micro`) in smoke mode and once in reduced full mode
 # (the ps-trace disabled-site contract; its row names must be exactly the
-# committed BENCH_micro.json's), three ps-serve smokes through one
-# `serve_smoke` function (a TCP round trip, a seeded chaos load, and a
-# traced load on a 2-thread solve pool that must publish regions, its
-# --trace-out export validated and summarized by the ps-trace CLI), the
+# committed BENCH_micro.json's), the
 # ps-analyze static verification of every builtin program, the repo
 # benchmark's smoke pass (benchmark/ is not a workspace member, so nothing
 # else builds it; it also checks every op against the native kernels at the
@@ -59,8 +60,7 @@ bounded() {
 echo "==> unsafe allowlist (code lines only: comments and attributes do not count)"
 unsafe_allowed="crates/executor/src/pool.rs
 crates/runtime/src/compiled.rs
-crates/runtime/src/ndarray.rs
-crates/support/src/intern.rs"
+crates/runtime/src/ndarray.rs"
 unsafe_found=$(grep -rnw unsafe crates/*/src --include=*.rs \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|#!?\[)' | cut -d: -f1 | sort -u)
 [ "$unsafe_found" = "$unsafe_allowed" ] \
@@ -101,11 +101,15 @@ bounded 600 bash -c 'cargo test -q --offline -p ps-support \
     && cargo test -q --offline --test service_stress \
     && cargo test -q --offline --release -p ps-support cache::'
 
-echo "==> cargo test -q --offline --test serve_tcp (TCP shutdown drain)"
+echo "==> cargo test -q --offline --test serve_tcp (TCP round trips, traced export, shutdown drain)"
 bounded 600 cargo test -q --offline --test serve_tcp
 
 echo "==> cargo test -q --offline --test chaos (seeded fault injection)"
 bounded 600 cargo test -q --offline --test chaos
+
+# The release ps-serve is the binary benchmark/ drives.
+echo "==> cargo test -q --offline --release --test serve_tcp --test chaos (the same, optimized)"
+bounded 600 cargo test -q --offline --release --test serve_tcp --test chaos
 
 echo "==> cargo test -q --offline --test proto_fuzz (wire-parser properties)"
 bounded 300 cargo test -q --offline --test proto_fuzz
@@ -122,77 +126,6 @@ PS_BENCH_WARMUP=1 PS_BENCH_SAMPLES=2 \
 row_names() { grep -o '"name": "[^"]*"' "$1" | sort; }
 [ "$(row_names "$json_out")" = "$(row_names BENCH_micro.json)" ] \
     || { echo "bench-json smoke: $json_out rows differ from the committed BENCH_micro.json" >&2; exit 1; }
-
-# One ps-serve smoke: `serve_smoke NAME LISTEN_FLAGS... -- LOAD_FLAGS...`
-# starts `ps-serve listen` on an ephemeral port with the listen flags, waits
-# for it to announce the port, runs one `ps-serve load` against it with the
-# load flags, prints the load's output and keeps it in $smoke_out, then
-# shuts the server down. `smoke_has REGEX MESSAGE` fails the gate unless that
-# output matches.
-smoke_out=""
-serve_smoke() {
-    local name="$1"
-    shift
-    local listen=()
-    while [ "$1" != "--" ]; do
-        listen+=("$1")
-        shift
-    done
-    shift
-    local log="$PWD/target/ps_serve_${name}_smoke.log"
-    rm -f "$log"
-    ./target/release/ps-serve listen --addr 127.0.0.1:0 "${listen[@]}" >"$log" 2>&1 &
-    local pid=$!
-    local addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^listening on //p' "$log" | head -n 1)
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "$name ps-serve did not announce a port" >&2; kill "$pid" 2>/dev/null; exit 1; }
-    smoke_out=$(bounded 300 ./target/release/ps-serve load --addr "$addr" "$@") \
-        || { echo "$name ps-serve load failed" >&2; kill "$pid" 2>/dev/null; exit 1; }
-    echo "$smoke_out"
-    ./target/release/ps-serve shutdown --addr "$addr" >/dev/null
-    wait "$pid" 2>/dev/null || true
-}
-smoke_has() {
-    grep -Eq "$1" <<<"$smoke_out" || { echo "$2" >&2; exit 1; }
-}
-
-echo "==> ps-serve TCP round-trip smoke (ephemeral port)"
-serve_smoke round-trip --workers 2 \
-    -- --clients 2 --requests 16 --program recurrence_1d --vary n=8:24
-smoke_has ' 0 err,' "ps-serve load saw error responses"
-smoke_has 'cache_hits=[1-9]' "warm registry did not report cache hits"
-
-echo "==> ps-serve chaos smoke (seeded stalls + disconnects, retrying load)"
-serve_smoke chaos --workers 2 --chaos seed=7,slow=60,stall=60,disconnect=40 --io-timeout 10 \
-    -- --clients 2 --requests 16 --program recurrence_1d --retries 8 --seed 7
-smoke_has ' 0 err,' "chaos load: retries did not recover every request"
-smoke_has ' chaos=' "chaos load: stats line missing the chaos summary"
-
-echo "==> ps-serve traced smoke (--trace-out + ps-trace summarize)"
-trace_out="$PWD/target/ps_serve_trace_smoke.json"
-rm -f "$trace_out"
-# --solve-threads 2 puts a shared executor pool behind the service, and
-# table_2d's two 1-D DOALLs publish regions on it, so the stats line's
-# steals/max_live_regions/cancelled_chunks counters describe real regions.
-serve_smoke traced --workers 2 --solve-threads 2 --trace-out "$trace_out" \
-    -- --clients 2 --requests 16 --program table_2d --vary n=8:24
-smoke_has ' stages=' "traced load: stats line missing per-stage histograms"
-smoke_has ' steals=' "traced load: stats line missing executor counters"
-smoke_has 'max_live_regions=[1-9]' "traced load: the pool published no region"
-[ -s "$trace_out" ] || { echo "--trace-out wrote no trace file" >&2; exit 1; }
-./target/release/ps-trace validate "$trace_out" >/dev/null \
-    || { echo "exported trace is not valid JSON" >&2; exit 1; }
-trace_summary=$(./target/release/ps-trace summarize "$trace_out") \
-    || { echo "ps-trace summarize rejected the exported trace" >&2; exit 1; }
-echo "$trace_summary" | head -n 1
-echo "$trace_summary" | grep -q 'ts_regressions=0' \
-    || { echo "exported trace has timestamp regressions" >&2; exit 1; }
-echo "$trace_summary" | grep -q 'solve' \
-    || { echo "trace summary is missing the solve stage" >&2; exit 1; }
 
 echo "==> ps-analyze static verification of every builtin (zero diagnostics)"
 analyze_out=$(./target/release/ps-analyze) \

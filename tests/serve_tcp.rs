@@ -1,115 +1,56 @@
-//! End-to-end TCP tests for the `ps-serve` front-end, focused on the
-//! graceful cross-connection shutdown drain: `shutdown` must stop
-//! accepting, let every live connection finish its in-flight frame, and
-//! only then acknowledge and exit.
+//! End-to-end TCP tests for the `ps-serve` front-end: concurrent round
+//! trips checked byte for byte against in-process runs, a traced server on
+//! a solve pool whose export the `ps-trace` CLI accepts, and the graceful
+//! cross-connection shutdown drain — `shutdown` must stop accepting, let
+//! every live connection finish its in-flight frame, and only then
+//! acknowledge and exit.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+#[path = "serve_harness.rs"]
+mod serve_harness;
+
+use ps_core::{compile, programs, proto, CompileOptions, Program, RuntimeOptions, Sequential};
+use serve_harness::{stat_count, Server};
+use std::io::BufRead;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
-/// A listening `ps-serve` child whose port was parsed from the startup
-/// handshake line. Killed on drop so a failing test cannot leak servers.
-struct Server {
-    child: Child,
-    addr: String,
+/// Two client threads, each on its own connection, send 16 solve lines
+/// for `program` with `n` cycling over 8..=24 after `params`. Returns
+/// every (request, reply) pair.
+fn two_clients_solve(server: &Server, program: &str, params: &str) -> Vec<(String, String)> {
+    let per_client = server.on_clients(2, |client, c| {
+        (0..16)
+            .map(|r| {
+                let n = 8 + (client * 31 + r) % 17;
+                let line = format!("solve {program} {params}n={n}");
+                c.send(&line);
+                let reply = c.read_line();
+                (line, reply)
+            })
+            .collect::<Vec<_>>()
+    });
+    per_client.into_iter().flatten().collect()
 }
 
-impl Server {
-    fn spawn(extra_args: &[&str]) -> Server {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_ps-serve"))
-            .arg("listen")
-            .args(["--addr", "127.0.0.1:0"])
-            .args(extra_args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn ps-serve");
-        let stdout = child.stdout.take().expect("child stdout piped");
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines
-            .next()
-            .expect("ps-serve prints a startup line")
-            .expect("readable startup line");
-        let addr = banner
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
-            .to_string();
-        Server { child, addr }
-    }
-
-    fn connect(&self) -> Client {
-        let stream = TcpStream::connect(&self.addr).expect("connect to ps-serve");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .expect("read timeout");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: BufWriter::new(stream),
-        }
-    }
-
-    /// Wait (bounded) for the server process to exit and return its
-    /// success flag.
-    fn wait_exit(&mut self) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            if let Some(status) = self.child.try_wait().expect("try_wait") {
-                return status.success();
-            }
-            assert!(
-                Instant::now() < deadline,
-                "ps-serve did not exit after shutdown"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+/// Assert every reply equals, byte for byte, what `ps-serve` formats for
+/// an in-process `Program::run` of the same request line.
+fn assert_replies_exact(source: &str, exchanges: &[(String, String)]) {
+    let comp = compile(source, CompileOptions::default()).expect("builtin compiles");
+    let program = Program::compile(&comp, RuntimeOptions::default());
+    for (line, reply) in exchanges {
+        let Ok(proto::WireCommand::Solve { inputs, .. }) = proto::parse_request(line) else {
+            panic!("`{line}` is a solve line");
+        };
+        let outputs = program.run(&inputs, &Sequential).expect("in-process run");
+        assert_eq!(*reply, proto::format_outputs(&outputs), "reply to `{line}`");
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Client {
-    fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send request");
-        self.writer.flush().expect("flush request");
-    }
-
-    fn read_line(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed the connection mid-conversation");
-        line.trim_end().to_string()
-    }
-
-    /// The next read must observe a clean EOF (the server closed us).
-    fn expect_eof(&mut self) {
-        let mut buf = [0u8; 64];
-        let n = self.reader.read(&mut buf).expect("read at EOF");
-        assert_eq!(n, 0, "expected EOF, got {:?}", &buf[..n]);
-    }
-}
-
-/// The accepted-requests counter from a fresh `stats` probe connection.
-fn probe_requests(server: &Server) -> u64 {
+/// The `stats` reply, from a fresh probe connection.
+fn stats_line(server: &Server) -> String {
     let mut c = server.connect();
     c.send("stats");
-    let line = c.read_line();
-    c.send("quit");
-    let field = line
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("requests="))
-        .unwrap_or_else(|| panic!("no requests= in {line:?}"));
-    field.parse().expect("requests= is a number")
+    c.read_line()
 }
 
 #[test]
@@ -145,7 +86,7 @@ fn shutdown_drains_the_other_connections_in_flight_request() {
     // connection thread submits synchronously, so once the counter moves
     // the frame is in flight server-side.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while probe_requests(&server) < 1 {
+    while stat_count(&stats_line(&server), "requests") < 1 {
         assert!(
             Instant::now() < deadline,
             "server never accepted the slow request"
@@ -204,4 +145,75 @@ fn concurrent_shutdowns_do_not_wedge_the_drain() {
     }
     assert!(byes >= 1, "the drain winner is acknowledged");
     assert!(server.wait_exit(), "clean exit with racing shutdowns");
+}
+
+/// Two concurrent clients, 32 `recurrence_1d` solves over 17 distinct
+/// sizes: every reply is exactly the in-process answer, nothing errors,
+/// and the registry compiles each program once and then hits.
+#[test]
+fn concurrent_round_trips_match_in_process_runs_and_hit_the_registry() {
+    let mut server = Server::spawn(&["--workers", "2"]);
+    let exchanges = two_clients_solve(&server, "recurrence_1d", "rate=0.05 ");
+    assert_eq!(exchanges.len(), 32);
+    assert_replies_exact(programs::RECURRENCE_1D, &exchanges);
+
+    let stats = stats_line(&server);
+    assert_eq!(stat_count(&stats, "errors"), 0, "{stats}");
+    assert!(
+        stat_count(&stats, "cache_hits") >= 1,
+        "warm registry: {stats}"
+    );
+
+    let mut d = server.connect();
+    d.send("shutdown");
+    assert_eq!(d.read_line(), "ok bye");
+    assert!(server.wait_exit(), "clean exit after the round trips");
+}
+
+/// A traced server on a 2-thread solve pool: `table_2d`'s two 1-D
+/// `DOALL`s publish regions, the stats line carries the stage histograms
+/// and executor counters, and the `--trace-out` export written at
+/// shutdown validates and summarizes with no timestamp regressions.
+#[test]
+fn traced_pool_server_reports_regions_and_exports_a_valid_trace() {
+    let trace = format!("{}/serve_tcp_traced.json", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_file(&trace);
+    let mut server = Server::spawn(&[
+        "--workers",
+        "2",
+        "--solve-threads",
+        "2",
+        "--trace-out",
+        &trace,
+    ]);
+    let exchanges = two_clients_solve(&server, "table_2d", "");
+    assert_replies_exact(programs::TABLE_2D, &exchanges);
+
+    let stats = stats_line(&server);
+    assert!(stats.contains(" stages="), "per-stage histograms: {stats}");
+    assert!(stats.contains(" steals="), "executor counters: {stats}");
+    assert!(
+        stat_count(&stats, "max_live_regions") >= 1,
+        "the pool published a region: {stats}"
+    );
+
+    let mut d = server.connect();
+    d.send("shutdown");
+    assert_eq!(d.read_line(), "ok bye");
+    assert!(server.wait_exit(), "clean exit after the traced load");
+    let bytes = std::fs::metadata(&trace).expect("trace written").len();
+    assert!(bytes > 0, "--trace-out wrote an empty file");
+
+    let ps_trace = |cmd: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_ps-trace"))
+            .args([cmd, &trace])
+            .output()
+            .expect("run ps-trace");
+        assert!(out.status.success(), "ps-trace {cmd}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    ps_trace("validate");
+    let summary = ps_trace("summarize");
+    assert!(summary.contains("ts_regressions=0"), "{summary}");
+    assert!(summary.contains("solve"), "{summary}");
 }
