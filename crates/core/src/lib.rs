@@ -79,7 +79,7 @@ pub use ps_lang::{frontend, HirModule};
 pub use ps_runtime::{
     analyze_compiled, run_module, run_naive, AnalysisLevel, AnalysisReport, AnalysisVerdict,
     Inputs, Outputs, OwnedArray, RuntimeOptions, ScalarReason, StoreArena, StorePlan, StripVerdict,
-    Value, SPEC_CACHE_CAP,
+    Value, SPEC_CACHE_CAP, STRIP_LANES,
 };
 pub use ps_scheduler::{
     schedule_module, validate_flowchart, Flowchart, MemoryPlan, PickPolicy, ScheduleOptions,

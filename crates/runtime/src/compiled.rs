@@ -48,11 +48,11 @@
 //! * **Branch-lowered guards**: `if` conditions emit conditional jumps
 //!   directly (short-circuit `and`/`or` become control flow), so boundary
 //!   guards never materialize intermediate booleans.
-//! * **Zero per-iteration allocations**: registers — and, for equations
-//!   that strip, their lanes — live in per-worker reusable [`Frames`]; the
-//!   tape only indexes into them — with *unchecked* indexing, justified by
-//!   a full validation pass over every lowered tape (`validate`) at compile
-//!   time.
+//! * **Zero per-iteration allocations**: registers — and one lane file
+//!   for the equations that strip — live in per-worker reusable
+//!   [`Frames`]; the tape only indexes into them — with *unchecked*
+//!   indexing, justified by a full validation pass over every lowered tape
+//!   (`validate`) at compile time.
 //! * **Innermost `DOALL`s run in strips** ([`crate::strip`], a second
 //!   walker for the same tapes): a single-equation `DOALL` body whose
 //!   tape is unchecked, stores into a real array, writes only
@@ -61,11 +61,13 @@
 //!   is lowered once more, into the straight-line paths its branches select
 //!   between; a nest of two `DOALL`s picks a path per rectangle its
 //!   branches cut it into (a lone `DOALL`, per row segment) and dispatches
-//!   its fused ops once per 64 iterations, each applied to 64 lanes. Legal
-//!   because a `DOALL`'s iterations neither read nor write each other's
-//!   cells (the contract `ParVec::set` rests on), so op-major order
-//!   reorders only independent accesses; bit-identical because each lane
-//!   runs the scalar tape's operations in its order. Eligibility is decided
+//!   its passes — one op, or two arithmetic ops fused, the last writing the
+//!   store's cells when they are contiguous — once per 128 iterations,
+//!   each applied to 128 lanes. Legal because a `DOALL`'s iterations
+//!   neither read nor write each other's cells (the contract `ParVec::set`
+//!   rests on), so pass-major order reorders only independent accesses;
+//!   bit-identical because each lane runs the scalar tape's operations in
+//!   its order. Eligibility is decided
 //!   once at lowering, never per call; everything else runs the scalar
 //!   walker below.
 //! * **Optional checked mode**: when built with `check_writes`, every load
@@ -613,21 +615,21 @@ pub(crate) struct ExecProg<'r, 'm> {
 /// Per-equation register file. The first `i`-registers are the equation's
 /// loop counters; the rest (and all `f`/`b` registers) are tape
 /// temporaries and preloaded constants. Reused across every iteration the
-/// owning worker executes — the hot path never allocates.
+/// owning worker executes — the hot path never allocates. An equation that
+/// strips keeps its lanes not here but in the worker's one lane file
+/// ([`Frames`]).
 #[derive(Clone, Default)]
 pub(super) struct Frame {
     pub(super) f: Vec<f64>,
     pub(super) i: Vec<i64>,
     b: Vec<bool>,
-    /// [`strip::W`] lanes per `f`-register when the equation strips (its
-    /// constants and parameters broadcast once, like `f`), else empty.
-    pub(super) lanes: Vec<f64>,
     /// Where each access of the strip path in progress stands at the start
     /// of the rectangle line in progress and, per address class, its anchor
     /// — where it stands at the nest's first cell (the row's, when the nest
-    /// is walked row by row); both as long as the address table, empty when
-    /// the equation does not strip. A nest's rectangles are cut on the fly,
-    /// so these are all the scratch a walk needs.
+    /// is walked row by row); both as long as the address table. They are
+    /// empty exactly when the equation does not strip: one that does has
+    /// an address, its store's. A nest's rectangles are cut on the fly, so
+    /// these are all the per-equation scratch a walk needs.
     pub(super) offs: Vec<usize>,
     pub(super) anchors: Vec<Option<i64>>,
 }
@@ -676,34 +678,47 @@ impl Frame {
     }
 }
 
-/// All equations' frames for one worker. Cloned per `DOALL` chunk (so
-/// concurrent workers own disjoint counters) with constants preserved.
-#[derive(Clone)]
+/// All equations' frames for one worker, and its lane file. Cloned per
+/// `DOALL` chunk (so concurrent workers own disjoint counters) with
+/// constants preserved.
 pub(crate) struct Frames {
     frames: IndexVec<EqId, Frame>,
+    /// [`strip::W`] lanes per `f`-register of the widest equation that
+    /// strips. Only one strip runs at a time on a worker, so its equations
+    /// share the file as scratch: a run broadcasts the constants and
+    /// parameters it reads as lanes before its first strip, and every
+    /// other lane a strip reads it has written first. Lane memory is the
+    /// widest equation's, not the sum over equations.
+    lanes: Vec<f64>,
+}
+
+/// The lanes a stripped equation's frame needs: none when it does not strip.
+fn lane_len(frame: &Frame) -> usize {
+    if frame.offs.is_empty() {
+        0
+    } else {
+        frame.f.len() * strip::W
+    }
 }
 
 impl Frames {
     pub(crate) fn new(tapes: &Tapes) -> Frames {
-        let frames = tapes
+        let frames: IndexVec<EqId, Frame> = tapes
             .eqs
             .iter()
             .map(|opt| match opt {
                 None => Frame::default(),
                 Some(ceq) => {
-                    let strips = usize::from(ceq.strip.is_ok());
-                    let lanes = strips * ceq.n_f as usize * strip::W;
-                    let offs = strips * ceq.sym_addrs.len();
+                    let offs = usize::from(ceq.strip.is_ok()) * ceq.sym_addrs.len();
                     let mut fr = Frame {
                         f: vec![0.0; ceq.n_f as usize],
                         i: vec![0; ceq.n_i as usize],
                         b: vec![false; ceq.n_b as usize],
-                        lanes: vec![0.0; lanes],
                         offs: vec![0; offs],
                         anchors: vec![None; offs],
                     };
                     for &(r, v) in &ceq.consts_f {
-                        fr.preset_f(r, v);
+                        fr.f[r as usize] = v;
                     }
                     for &(r, v) in &ceq.consts_i {
                         fr.i[r as usize] = v;
@@ -715,7 +730,8 @@ impl Frames {
                 }
             })
             .collect();
-        Frames { frames }
+        let lanes = vec![0.0; frames.iter().map(lane_len).max().unwrap_or(0)];
+        Frames { frames, lanes }
     }
 
     /// Bind this run's parameter values: fill every equation's parameter
@@ -727,7 +743,7 @@ impl Frames {
             let Some(ceq) = opt else { continue };
             let fr = &mut self.frames[eq];
             for &(r, p) in &ceq.preload_f {
-                fr.preset_f(r, values[p as usize].widen_real());
+                fr.f[r as usize] = values[p as usize].widen_real();
             }
             for &(r, p) in &ceq.preload_i {
                 fr.i[r as usize] = values[p as usize].as_int();
@@ -749,15 +765,19 @@ impl Frames {
     }
 
     /// Clone only the frames of `eqs` (the equations a `DOALL` chunk will
-    /// execute); every other equation gets an empty frame. Keeps the
-    /// per-chunk cost proportional to the loop body, not the module.
+    /// execute); every other equation gets an empty frame, and the lane
+    /// file is a fresh one as wide as the widest of `eqs` needs — lanes are
+    /// scratch, so none are copied. Keeps the per-chunk cost proportional
+    /// to the loop body, not the module.
     pub(crate) fn clone_for(&self, eqs: &[EqId]) -> Frames {
         let mut frames: IndexVec<EqId, Frame> =
             self.frames.iter().map(|_| Frame::default()).collect();
         for &eq in eqs {
             frames[eq] = self.frames[eq].clone();
         }
-        Frames { frames }
+        let widest = eqs.iter().map(|&eq| lane_len(&frames[eq])).max();
+        let lanes = vec![0.0; widest.unwrap_or(0)];
+        Frames { frames, lanes }
     }
 }
 
@@ -1933,7 +1953,7 @@ impl<'r, 'm> ExecProg<'r, 'm> {
         let frame = &mut frames.frames[eq_id];
         debug_assert!(bindings.iter().all(|&(eq, _)| eq == eq_id));
         if let Ok(plan) = &ceq.strip {
-            return plan.run(self, eq_id, frame, None, (lo, hi));
+            return plan.run(self, eq_id, frame, &mut frames.lanes, None, (lo, hi));
         }
         for i in lo..=hi {
             for &(_, iv) in bindings {
@@ -1966,7 +1986,8 @@ impl<'r, 'm> ExecProg<'r, 'm> {
             .strip
             .as_ref()
             .expect("only a stripped nest runs as one");
-        plan.run(self, eq, &mut frames.frames[eq], Some(rows), cols);
+        let Frames { frames, lanes } = frames;
+        plan.run(self, eq, &mut frames[eq], lanes, Some(rows), cols);
     }
 
     /// A strip's store: `vals[l]` goes to `off + l·stride` of f-buffer
@@ -1984,6 +2005,17 @@ impl<'r, 'm> ExecProg<'r, 'm> {
         // SAFETY: the strip walker only reads through the view, and what a
         // `DOALL` iteration reads no iteration of the loop writes — the
         // contract of the scalar load in `exec_tape`.
+        unsafe { self.bufs_f[buf as usize].cells(off, n) }
+    }
+
+    /// Where a strip's last pass writes the store's values itself when its
+    /// stride is 1: the `n` cells of f-buffer `buf` from `off` on.
+    pub(super) fn sink_strip(&self, buf: u16, off: usize, n: usize) -> &'r [Cell<f64>] {
+        // SAFETY: the cells are the stores of `n` distinct iterations of
+        // one `DOALL` (or nest of them): each is written by its iteration
+        // alone and read by none of the loop — the contract of
+        // `store_strip`. That a lane's store lands before a later lane's
+        // loads is therefore invisible to them.
         unsafe { self.bufs_f[buf as usize].cells(off, n) }
     }
 
@@ -2187,6 +2219,48 @@ pub(crate) mod tests {
         let dg = build_depgraph(&m);
         let sched = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
         (m, sched)
+    }
+
+    /// A worker's lanes are one file, the widest stripped equation's: a
+    /// chain of 16 pointwise groups (one wider than the rest) holds
+    /// `max n_f × W` lanes per `Frames`, not the sum over its equations,
+    /// and a chunk's clone holds its own equation's width.
+    #[test]
+    fn lane_memory_is_the_widest_equation_not_the_sum() {
+        let mut src = String::from("Chain: module (xs: array[I] of real; n: int): [y: real];\n");
+        src.push_str("type I = 1 .. n; K = 2 .. n;\nvar\n");
+        for g in 0..16 {
+            src.push_str(&format!("a{g}: array [1 .. n] of real;\n"));
+        }
+        src.push_str("r: array [1 .. n] of real;\ndefine\na0[I] = xs[I] * 2.0 + 1.0;\n");
+        for g in 1..16 {
+            let wide = if g == 9 {
+                " * a0[I] - sqrt(abs(xs[I])) / 3.0"
+            } else {
+                ""
+            };
+            src.push_str(&format!("a{g}[I] = a{}[I] * 0.5 + 1.0{wide};\n", g - 1));
+        }
+        src.push_str("r[1] = a15[1];\nr[K] = r[K-1] + a15[K];\ny = r[n];\nend Chain;");
+        let (m, sched) = build(&src);
+        let plan = StorePlan::new(&m, &sched.memory);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
+        tapes.plan_strips(&m, &plan, &sched.flowchart);
+        let stripped: Vec<(EqId, usize)> = (tapes.eqs.iter_enumerated())
+            .filter_map(|(eq, c)| c.as_ref().filter(|c| c.strip.is_ok()).map(|c| (eq, c)))
+            .map(|(eq, c)| (eq, c.n_f as usize * strip::W))
+            .collect();
+        assert_eq!(stripped.len(), 16, "every group strips");
+        let widest = stripped.iter().map(|&(_, n)| n).max().unwrap();
+        let sum: usize = stripped.iter().map(|&(_, n)| n).sum();
+        assert!(sum > 16 * strip::W * 3 && widest > stripped[0].1);
+        let frames = Frames::new(&tapes);
+        assert_eq!(frames.lanes.len(), widest);
+        let eq9 = m.equation_by_label("eq.10").unwrap();
+        let one = frames.clone_for(&[stripped[0].0]);
+        assert_eq!(one.lanes.len(), stripped[0].1);
+        assert_eq!(frames.clone_for(&[eq9]).lanes.len(), widest);
+        assert!(frames.clone_for(&[]).lanes.is_empty());
     }
 
     /// Compile tapes and one specialization against `inputs`.

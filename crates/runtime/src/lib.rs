@@ -70,9 +70,10 @@
 //! cost the paper's loop-level speedups would otherwise drown in.
 //! Single-equation innermost `DOALL` bodies go one step further and run
 //! **strip-mined**: a rectangle of a `DOALL I (DOALL J)` nest (a row
-//! segment, for a lone `DOALL`) resolves its branches once, and each fused
-//! op of the straight-line path they select is dispatched once per 64
-//! iterations and applied to 64 lanes ([`Program::strip_report`] says
+//! segment, for a lone `DOALL`) resolves its branches once, and each pass
+//! of the straight-line path they select — one op, or two fused — is
+//! dispatched once per [`STRIP_LANES`] iterations and applied to that many
+//! lanes ([`Program::strip_report`] says
 //! which equations do, along which paths, and why the others do not).
 //!
 //! **The oracle.** [`naive`] is a demand-driven memoizing evaluator
@@ -129,5 +130,5 @@ pub use naive::run_naive;
 pub use program::{Program, RunSession, SPEC_CACHE_CAP};
 pub use ps_analyze::{Report as AnalysisReport, Verdict as AnalysisVerdict};
 pub use store::{Inputs, Outputs, StoreArena, StorePlan};
-pub use strip::{ScalarReason, StripVerdict};
+pub use strip::{ScalarReason, StripVerdict, W as STRIP_LANES};
 pub use value::{OwnedArray, Value};

@@ -209,9 +209,9 @@ impl<'m> Program<'m> {
 
     /// How each scheduled equation runs inside its innermost loop, in
     /// execution order: `(label, verdict)`, the verdict reading
-    /// `stripped along J within I — 2 paths: copy(1), compute(5)` (the
+    /// `stripped along J within I — 2 paths: copy(1), compute(2)` (the
     /// nest walked as one, the straight-line bodies its branches select
-    /// between and the ops a strip dispatches for each) or
+    /// between and the passes a strip dispatches for each) or
     /// `scalar: <reason>` — the strip walker's eligibility decision, taken
     /// once when the tapes were lowered.
     pub fn strip_report(&self) -> Vec<(String, StripVerdict)> {

@@ -5,10 +5,37 @@
 //! re-derives every address (window `mod` included) once per cell. For a
 //! single-equation innermost `DOALL` body this walker instead runs **strips**
 //! of up to [`W`] consecutive iterations: `f`-registers become lanes (`W`
-//! values each), an op is dispatched once and applied to all lanes in a
-//! counted loop, and an address is found once per rectangle of the nest
-//! (see *Control flow*) and advanced by its counter strides — a unit stride
-//! is read in place or copied as one range.
+//! values each), a **pass** — one op of the tape, or two fused — is
+//! dispatched once and applied to all lanes in a counted loop, and an
+//! address is found once per rectangle of the nest (see *Control flow*)
+//! and advanced by its counter strides — a unit stride is read in place or
+//! copied as one range.
+//!
+//! # Passes
+//!
+//! A path's ops are fused into passes when its tapes are lowered
+//! ([`lower_path`]). An arithmetic op (`+`, `-`, `*`, `/`) whose result
+//! only the next op reads, once, and which is arithmetic too, becomes one
+//! pass with it, `g(f(a, b), c)` or `g(c, f(a, b))`: one of 4 × 4 × 2
+//! kernels, and the temporary never reaches a lane. Every other op is a
+//! pass of its own. Each lane still rounds after `f` and after `g`, in the
+//! tape's order — no reassociation, no fused multiply-add. When the store
+//! alone reads the last pass's result, that pass **sinks**: it writes the
+//! store's cells itself whenever their stride along the line is 1 at run
+//! time, and the store is no pass; otherwise it writes its lanes and the
+//! store copies them out. Figure 6's interior is two passes, `(a + b) + c`
+//! into lanes and then `(t + d) · 0.25` into `A[K]`.
+//!
+//! # Strip width
+//!
+//! [`W`] is 128, so that a row of Figure 6's 128-wide plane, and its 126
+//! interior cells, is one strip and not two: the costs paid once per strip
+//! (resolving operands, matching the pass, the alias checks ahead of each
+//! lane loop) are paid once per row. A lane is 1 KB, and a worker holds
+//! one lane file for all its equations, as wide as the widest stripped one
+//! (`max n_f × W` doubles; see `compiled::Frames`): only one strip runs at
+//! a time on a worker, so lanes are scratch, and a run broadcasts the
+//! constants and parameters it reads as lanes before its first strip.
 //!
 //! # Legality
 //!
@@ -18,13 +45,16 @@
 //! `ParVec::set` already rests on. In a nest of two `DOALL`s that holds for
 //! any two iterations `(i, j)` of the pair (Nuriyev's "independent steps"),
 //! so the order rectangles, rows and columns run in is free. Running
-//! op-major over a strip (every load of the strip before its one store)
-//! therefore reorders only accesses that are independent, and each lane
-//! performs the scalar tape's operations in the scalar tape's order, so
-//! results are bit-identical (no reassociation, no fused multiply-add).
-//! Memory safety does not depend on any of this: every access is
-//! range-checked against its buffer, once per strip for a unit stride and
-//! per lane otherwise.
+//! pass-major over a strip — every lane's loads for a pass before any of
+//! the next pass's — therefore reorders only accesses that are independent.
+//! So does a sink, whose lane `l` stores its cell before lanes `l + 1 …`
+//! of the same pass load theirs: the cell belongs to iteration `l` alone,
+//! which no other iteration of the loop reads, and which iteration `l`
+//! itself reads only if its value depended on itself, which single
+//! assignment rules out. Each lane performs the scalar tape's operations in
+//! the scalar tape's order, so results are bit-identical. Memory safety
+//! does not depend on any of this: every access is range-checked against
+//! its buffer, once per strip for a unit stride and per lane otherwise.
 //!
 //! # Eligibility
 //!
@@ -64,9 +94,9 @@
 //! straight-line body. A tape only jumps forward, so it has finitely many
 //! bodies, and [`plan`] enumerates them when the tapes are lowered: the
 //! branches become a decision tree ([`Node`]) and each distinct body a
-//! **path** ([`Path`]) of fused ops ([`StripOp`]) — a load is no op but the
+//! **path** ([`Path`]) of passes ([`Pass`]) — a load is no op but the
 //! memory operand of its consumer, so `load → store` is one range copy,
-//! and constants stay preset lanes.
+//! and constants are lanes broadcast once per run.
 //!
 //! [`StripPlan::run`] walks the tree once per rectangle, at its corner, to
 //! pick the path; evaluates each address class's anchor once per nest (per
@@ -75,7 +105,7 @@
 //! its `I`-stride from row to row, except that a one-column rectangle runs
 //! down `I` as strided strips. A Jacobi plane is nine rectangles:
 //! four one-cell corners, two edge rows, two edge columns of one strided
-//! copy per 64 rows, and the interior of two five-op strips per row. A
+//! copy per 128 rows, and the interior of one two-pass strip per row. A
 //! `DOALL` that is not a nest — a 1-D loop, or one inside a `DO` — is the
 //! height-1 case: one row, cut along `J` alone.
 
@@ -86,12 +116,15 @@ use ps_analyze::{ADim, Flow, Insn, Reg};
 use ps_lang::{DataId, EqId, HirModule, IvId};
 use ps_scheduler::{Descriptor, Flowchart, LoopDescriptor, LoopKind};
 use ps_support::idx::{Idx, IndexVec};
+use ps_support::SmallVec;
 use std::cell::Cell;
 use std::fmt;
 
-/// Lanes per strip. 64 doubles are 512 bytes per register: the lane file
-/// of Figure 6's `eq.3` (nine `f`-registers) is 4.5 KB and stays in L1.
-pub(crate) const W: usize = 64;
+/// Lanes per strip: a 128-cell row of Figure 6's plane is one strip, its
+/// 126 interior cells too. 128 doubles are 1 KB per register, so the lane
+/// file of Figure 6's `eq.3` (nine `f`-registers) is 9 KB and stays in L1;
+/// a worker holds one lane file, the widest stripped equation's.
+pub const W: usize = 128;
 
 /// The most ways through its branches a stripped tape may have (the leaves
 /// of its decision tree): five independent `if`s in a row exceed it.
@@ -138,8 +171,8 @@ impl fmt::Display for ScalarReason {
 }
 
 /// How one scheduled equation executes inside its innermost loop: in
-/// strips (each op dispatched once per 64 iterations of a `DOALL` and
-/// applied to 64 lanes) or one tape walk per cell. Decided once, when the
+/// strips (each pass dispatched once per [`W`] iterations of a `DOALL` and
+/// applied to `W` lanes) or one tape walk per cell. Decided once, when the
 /// tapes are lowered; see [`crate::Program::strip_report`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StripVerdict {
@@ -147,7 +180,8 @@ pub enum StripVerdict {
     /// counter of a `DOALL` nest walked as one — `by_row` when its
     /// rectangles are one row high. `paths` are the distinct bodies its
     /// branches select between: `copy` for one range copy, else `compute`,
-    /// each with the number of ops a strip dispatches.
+    /// each with the number of passes a strip dispatches (a store its last
+    /// pass sinks into counts as none).
     Stripped {
         along: String,
         within: Option<String>,
@@ -202,10 +236,31 @@ struct Access {
     reg: u16,
 }
 
-/// What a strip dispatches once for all its lanes. A `LoadF` is not among
-/// them: its consumers read the access.
+/// The four arithmetic `f`-ops, which a pass can fuse in pairs.
 #[derive(Clone, Copy, PartialEq, Debug)]
-enum StripOp {
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl Arith {
+    fn of(insn: Insn) -> Option<Arith> {
+        match insn {
+            Insn::AddF { .. } => Some(Arith::Add),
+            Insn::SubF { .. } => Some(Arith::Sub),
+            Insn::MulF { .. } => Some(Arith::Mul),
+            Insn::DivF { .. } => Some(Arith::Div),
+            _ => None,
+        }
+    }
+}
+
+/// What a strip dispatches once for all its lanes: one op of the tape, or
+/// two fused. A `LoadF` is neither: its consumers read the access.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Pass {
     /// `ReadScalar`: a live scalar slot, broadcast.
     Scalar { slot: u32, dst: u16 },
     /// `CastIF`: an iota of the counter a strip runs along, a broadcast of
@@ -218,15 +273,62 @@ enum StripOp {
         b: Option<Src>,
         dst: u16,
     },
-    /// The equation's store, last on every path.
-    Store { src: Src, acc: u16 },
+    /// `g(f(a, b), c)`, or `g(c, f(a, b))` when `swap`: an arithmetic op
+    /// and the next, the only reader of its result, which no lane holds.
+    Pair {
+        f: Arith,
+        g: Arith,
+        a: Src,
+        b: Src,
+        c: Src,
+        swap: bool,
+        dst: u16,
+    },
 }
 
-/// One straight-line body of a stripped tape.
+impl Pass {
+    /// The register whose lanes the pass writes.
+    fn dst(&self) -> u16 {
+        match *self {
+            Pass::Scalar { dst, .. }
+            | Pass::Widen { dst, .. }
+            | Pass::F { dst, .. }
+            | Pass::Pair { dst, .. } => dst,
+        }
+    }
+
+    /// The `f` operands the pass reads.
+    fn reads(&self) -> [Option<Src>; 3] {
+        match *self {
+            Pass::Scalar { .. } | Pass::Widen { .. } => [None; 3],
+            Pass::F { a, b, .. } => [Some(a), b, None],
+            Pass::Pair { a, b, c, .. } => [Some(a), Some(b), Some(c)],
+        }
+    }
+}
+
+/// One straight-line body of a stripped tape: its accesses, the store's
+/// last, and the passes that compute what the store writes.
 #[derive(PartialEq, Debug)]
 struct Path {
     accs: Vec<Access>,
-    ops: Vec<StripOp>,
+    passes: Vec<Pass>,
+    /// The values the store writes into the last access.
+    store: Src,
+}
+
+impl Path {
+    /// Whether the store alone reads the last pass's result: the pass then
+    /// writes the store's cells itself wherever they are contiguous.
+    fn sinks(&self) -> bool {
+        let last = self.passes.last().map(|p| Src::Lane(p.dst()));
+        last.is_some_and(|last| last == self.store)
+    }
+
+    /// The access the store writes.
+    fn sink(&self) -> u16 {
+        self.accs.len() as u16 - 1
+    }
 }
 
 /// The branches of a stripped tape as a decision tree; node 0 is its root.
@@ -261,6 +363,9 @@ pub(crate) struct StripPlan {
     /// and in a windowed dimension (whose `mod` is not linear) not at all.
     /// Through a nest they move together, a constant apart.
     class: Vec<u16>,
+    /// The `f`-registers no instruction writes (constants and parameters)
+    /// that some path reads as lanes: each run broadcasts them first.
+    presets: SmallVec<u16>,
 }
 
 /// Record on every equation lowered under `items` whether it strips (see
@@ -369,8 +474,17 @@ fn plan(
         tree: Vec::new(),
         paths: Vec::new(),
         class: addrs.iter().map(|a| class(a) as u16).collect(),
+        presets: SmallVec::new(),
     };
     plan.walk(ceq, 0, &mut (Vec::new(), vec![None; ceq.n_f as usize]))?;
+    let read = |r: u16| {
+        let lane = Some(Src::Lane(r));
+        let mut paths = plan.paths.iter();
+        paths.any(|p| p.store == Src::Lane(r) || p.passes.iter().any(|o| o.reads().contains(&lane)))
+    };
+    let fixed_f = ceq.consts_f.iter().map(|&(r, _)| r);
+    let fixed_f = fixed_f.chain(ceq.preload_f.iter().map(|&(r, _)| r));
+    plan.presets = fixed_f.filter(|&r| read(r)).collect();
     plan.by_row = outer.is_some_and(|o| {
         let both = |n: &Node| {
             matches!(*n, Node::Branch { a, b, .. } if [a, b] == [inner, o] || [b, a] == [inner, o])
@@ -460,48 +574,101 @@ impl StripPlan {
     }
 }
 
-/// Lower one body of an eligible tape to strip ops. `loaded` is scratch:
-/// the access whose `LoadF` wrote each register last, if a load did —
-/// reading the register is then reading the access.
+/// Lower one body of an eligible tape to passes. `loaded` is scratch: the
+/// access whose `LoadF` wrote each register last, if a load did — reading
+/// the register is then reading the access.
 fn lower_path(ceq: &CompiledEq, body: &[usize], loaded: &mut [Option<u16>]) -> Path {
-    let mut path = Path {
-        accs: Vec::with_capacity(body.len() + 1),
-        ops: Vec::with_capacity(body.len() + 1),
-    };
+    let mut accs = Vec::with_capacity(body.len() + 1);
+    let mut ops = Vec::with_capacity(body.len() + 1);
     loaded.fill(None);
     let src = |r: u16, loaded: &[Option<u16>]| loaded[r as usize].map_or(Src::Lane(r), Src::Mem);
     for &pc in body {
-        let (op, dst) = match ceq.insns[pc] {
+        let op = match ceq.insns[pc] {
             Insn::LoadF { buf, addr, dst } => {
-                loaded[dst as usize] = Some(path.accs.len() as u16);
+                loaded[dst as usize] = Some(accs.len() as u16);
                 let reg = dst;
-                path.accs.push(Access { buf, addr, reg });
+                accs.push(Access { buf, addr, reg });
                 continue;
             }
             Insn::ReadScalar {
                 slot,
                 dst: Reg::F(dst),
-            } => (StripOp::Scalar { slot, dst }, dst),
-            Insn::CastIF { a, dst } => (StripOp::Widen { a, dst }, dst),
+            } => Pass::Scalar { slot, dst },
+            Insn::CastIF { a, dst } => Pass::Widen { a, dst },
             insn => {
                 let ops = insn.operands();
                 let (Some(Reg::F(dst)), [Some(a), b]) = (ops.def, ops.uses) else {
                     unreachable!("strip plans hold f-ops, not {insn:?}")
                 };
                 let (a, b) = (src(a.index(), loaded), b.map(|b| src(b.index(), loaded)));
-                (StripOp::F { insn, a, b, dst }, dst)
+                Pass::F { insn, a, b, dst }
             }
         };
-        loaded[dst as usize] = None;
-        path.ops.push(op);
+        loaded[op.dst() as usize] = None;
+        ops.push(op);
     }
     let (OutSpec::ArrayF { buf, addr }, Reg::F(reg)) = (ceq.out, ceq.src) else {
         unreachable!("strip plans store into a real array")
     };
-    let (src, acc) = (src(reg, loaded), path.accs.len() as u16);
-    path.accs.push(Access { buf, addr, reg });
-    path.ops.push(StripOp::Store { src, acc });
-    path
+    let store = src(reg, loaded);
+    accs.push(Access { buf, addr, reg });
+    // Fuse in place: pass `w` is written only once ops `w..` are read.
+    let (mut read, mut w) = (0, 0);
+    while read < ops.len() {
+        let pair = pair(&ops[read..], store);
+        ops[w] = pair.unwrap_or(ops[read]);
+        (read, w) = (read + 1 + usize::from(pair.is_some()), w + 1);
+    }
+    ops.truncate(w);
+    Path {
+        accs,
+        passes: ops,
+        store,
+    }
+}
+
+/// `ops[0]` and `ops[1]` as one pass, when both are arithmetic and the
+/// second is the only read of the first's result (the store being the
+/// last). Each lane still computes `f` and then `g`, rounding after each,
+/// as the tape does. A path writes each register once, so the accesses
+/// the pair gathers land in distinct lanes.
+fn pair(ops: &[Pass], store: Src) -> Option<Pass> {
+    let (
+        Pass::F {
+            insn: f,
+            a,
+            b: Some(b),
+            dst: t,
+        },
+        Some(&Pass::F {
+            insn: g,
+            a: x,
+            b: Some(y),
+            dst,
+        }),
+    ) = (ops[0], ops.get(1))
+    else {
+        return None;
+    };
+    let (f, g, tmp) = (Arith::of(f)?, Arith::of(g)?, Src::Lane(t));
+    let (swap, c) = match (x == tmp, y == tmp) {
+        (true, false) => (false, y),
+        (false, true) => (true, x),
+        _ => return None,
+    };
+    let mut later = ops[2..].iter().flat_map(Pass::reads);
+    if store == tmp || later.any(|s| s == Some(tmp)) {
+        return None;
+    }
+    Some(Pass::Pair {
+        f,
+        g,
+        a,
+        b,
+        c,
+        swap,
+        dst,
+    })
 }
 
 /// How one folded address moves through a nest: `by[0]` and `by[1]` are
@@ -544,11 +711,10 @@ impl Tapes {
         module: &HirModule,
         flowchart: &Flowchart,
     ) -> Vec<(String, StripVerdict)> {
-        let shape = |p: &Path| match p.ops[..] {
-            [StripOp::Store {
-                src: Src::Mem(_), ..
-            }] => ("copy", 1),
-            _ => ("compute", p.ops.len()),
+        // A store its last pass sinks into is no pass of its own.
+        let shape = |p: &Path| match (&p.passes[..], p.store) {
+            ([], Src::Mem(_)) => ("copy", 1),
+            (passes, _) => ("compute", passes.len() + usize::from(!p.sinks())),
         };
         // Counters are the leading i-registers in `IvId` order.
         let name = |eq: EqId, r: u16| {
@@ -631,41 +797,72 @@ fn apply_f(insn: Insn, lanes: &Lanes) -> bool {
     true
 }
 
-impl Frame {
-    /// Set an `f`-register no instruction writes (a constant or a preloaded
-    /// parameter): the scalar value and, when this equation strips, its
-    /// broadcast across the register's lanes — once, not per strip.
-    pub(crate) fn preset_f(&mut self, r: u16, v: f64) {
-        self.f[r as usize] = v;
-        if !self.lanes.is_empty() {
-            self.lanes[r as usize * W..][..W].fill(v);
-        }
-    }
-}
-
-/// The operands one [`StripOp::F`] resolved: lanes or cells of an array,
-/// one per iteration of the strip. An op may write the register it reads
-/// and an array is shared with other workers, so all are shared cells.
+/// The operands one pass resolved and where it writes: lanes or cells of
+/// an array, one per iteration of the strip. A pass may write the register
+/// it reads and an array is shared with other workers, so all are shared
+/// cells.
 struct Lanes<'a> {
     a: &'a [Cell<f64>],
     b: &'a [Cell<f64>],
-    dst: &'a [Cell<f64>],
+    c: &'a [Cell<f64>],
+    out: &'a [Cell<f64>],
 }
 
 impl Lanes<'_> {
     #[inline(always)]
     fn un(&self, f: impl Fn(f64) -> f64) {
-        for (d, x) in self.dst.iter().zip(self.a) {
+        for (d, x) in self.out.iter().zip(self.a) {
             d.set(f(x.get()));
         }
     }
 
     #[inline(always)]
     fn bin(&self, f: impl Fn(f64, f64) -> f64) {
-        for (d, (x, y)) in self.dst.iter().zip(self.a.iter().zip(self.b)) {
+        for (d, (x, y)) in self.out.iter().zip(self.a.iter().zip(self.b)) {
             d.set(f(x.get(), y.get()));
         }
     }
+
+    /// `g(f(a, b), c)` lane by lane — `g(c, f(a, b))` when `swap`.
+    #[inline(always)]
+    fn pair(&self, f: impl Fn(f64, f64) -> f64, g: impl Fn(f64, f64) -> f64, swap: bool) {
+        let lanes = self.out.iter().zip(self.a.iter().zip(self.b).zip(self.c));
+        if swap {
+            for (d, ((x, y), z)) in lanes {
+                d.set(g(z.get(), f(x.get(), y.get())));
+            }
+        } else {
+            for (d, ((x, y), z)) in lanes {
+                d.set(g(f(x.get(), y.get()), z.get()));
+            }
+        }
+    }
+}
+
+/// Bind `$f` to the [`fop`] of the arithmetic op `$op` in `$body`: one
+/// copy of `$body` per op, so a pair's two nested in each other make one
+/// kernel for each of the 4 × 4 pairs.
+macro_rules! with_arith {
+    ($op:expr, |$f:ident| $body:expr) => {
+        match $op {
+            Arith::Add => {
+                let $f = fop::add;
+                $body
+            }
+            Arith::Sub => {
+                let $f = fop::sub;
+                $body
+            }
+            Arith::Mul => {
+                let $f = fop::mul;
+                $body
+            }
+            Arith::Div => {
+                let $f = fop::div;
+                $body
+            }
+        }
+    };
 }
 
 /// One line of a rectangle — a row or a column — bound to a run.
@@ -676,7 +873,7 @@ struct Line<'a, 'r, 'm> {
     by: usize,
     path: &'a Path,
     prog: &'a ExecProg<'r, 'm>,
-    /// The run's [`strides`], its lanes and its `i`-registers.
+    /// The run's [`strides`], the worker's lanes and the `i`-registers.
     strides: &'a [Stride],
     lanes: &'a [Cell<f64>],
     ints: &'a [i64],
@@ -685,16 +882,24 @@ struct Line<'a, 'r, 'm> {
 impl StripPlan {
     /// Run equation `eq` of `prog`, whose plan this is, over `cols` of its
     /// `DOALL`'s counter: on `rows` of the outer counter when the plan is a
-    /// nest's, else on the one row the frame's counters stand on.
+    /// nest's, else on the one row the frame's counters stand on. `lanes`
+    /// is the worker's lane file, at least [`W`] per `f`-register of `eq`.
     pub(crate) fn run(
         &self,
         prog: &ExecProg,
         eq: EqId,
         frame: &mut Frame,
+        lanes: &mut [f64],
         rows: Option<(i64, i64)>,
         (lo, hi): (i64, i64),
     ) {
         debug_assert!(rows.is_none() || self.outer.is_some(), "rows of no nest");
+        // The lane file is any equation's scratch between runs: the
+        // registers no instruction writes are broadcast again.
+        for &r in &self.presets {
+            lanes[r as usize * W..][..W].fill(frame.f[r as usize]);
+        }
+        let lanes = Cell::from_mut(lanes).as_slice_of_cells();
         let (addrs, strides) = (&prog.spec.addrs[eq], &prog.spec.strides[eq][..]);
         let at = self.outer.map_or(0, |r| frame.gi(r));
         let (top, bottom) = rows.unwrap_or((at, at));
@@ -734,7 +939,7 @@ impl StripPlan {
                     frame.anchors[class] = Some(anchor);
                     frame.offs[k] = anchor.wrapping_add(here) as usize;
                 }
-                self.rect(prog, path, strides, frame, [(j0, j1), (i0, i1)]);
+                self.rect(prog, path, strides, frame, lanes, [(j0, j1), (i0, i1)]);
                 match j1.checked_add(1) {
                     Some(next) if next <= hi => j0 = next,
                     _ => break,
@@ -758,6 +963,7 @@ impl StripPlan {
         path: &Path,
         strides: &[Stride],
         frame: &mut Frame,
+        lanes: &[Cell<f64>],
         span: [(i64, i64); 2],
     ) {
         let one = |(first, last): (i64, i64)| first == last;
@@ -774,7 +980,7 @@ impl StripPlan {
                 path,
                 prog,
                 strides,
-                lanes: Cell::from_mut(&mut frame.lanes[..]).as_slice_of_cells(),
+                lanes,
                 ints: &frame.i,
             };
             let mut first = start;
@@ -815,32 +1021,55 @@ impl Line<'_, '_, '_> {
                 }
             },
         };
-        for &op in &self.path.ops {
-            match op {
-                StripOp::Scalar { slot, dst } => match self.prog.store.read_slot(slot as usize) {
-                    Some(Value::Real(x)) => lane(dst).iter().for_each(|d| d.set(x)),
+        // The last pass writes the store's cells in place when the store
+        // alone reads it and they are contiguous; else its lanes, which the
+        // store then copies out.
+        let (buf, off, stride, _) = place(self.path.sink());
+        let sunk = (self.path.sinks() && stride == 1).then(|| self.prog.sink_strip(buf, off, n));
+        let last = self.path.passes.len().wrapping_sub(1);
+        for (k, &pass) in self.path.passes.iter().enumerate() {
+            let out = match sunk {
+                Some(cells) if k == last => cells,
+                _ => lane(pass.dst()),
+            };
+            match pass {
+                Pass::Scalar { slot, .. } => match self.prog.store.read_slot(slot as usize) {
+                    Some(Value::Real(x)) => out.iter().for_each(|d| d.set(x)),
                     other => panic!("scalar slot {slot} holds {other:?}, tape expects a real"),
                 },
-                StripOp::Widen { a, dst } => {
+                Pass::Widen { a, .. } => {
                     // `real(J)` of the counter the line runs along differs
                     // per lane.
                     let along = (a == self.along) as usize;
                     let (at, step) = [(self.ints[a as usize], 0), (first, 1)][along];
-                    for (l, d) in lane(dst).iter().enumerate() {
+                    for (l, d) in out.iter().enumerate() {
                         d.set(fop::widen(at + step * l as i64));
                     }
                 }
-                StripOp::F { insn, a, b, dst } => {
-                    let (a, dst) = (src(a), lane(dst));
+                Pass::F { insn, a, b, .. } => {
+                    let a = src(a);
                     let b = b.map_or(a, src);
-                    let known = apply_f(insn, &Lanes { a, b, dst });
+                    let known = apply_f(insn, &Lanes { a, b, c: a, out });
                     assert!(known, "strip path holds {insn:?}");
                 }
-                StripOp::Store { src: vals, acc } => {
-                    let (buf, off, stride, _) = place(acc);
-                    self.prog.store_strip(buf, off, stride, src(vals));
+                Pass::Pair {
+                    f,
+                    g,
+                    a,
+                    b,
+                    c,
+                    swap,
+                    ..
+                } => {
+                    let (a, b, c) = (src(a), src(b), src(c));
+                    let lanes = Lanes { a, b, c, out };
+                    with_arith!(f, |f| with_arith!(g, |g| lanes.pair(f, g, swap)))
                 }
             }
+        }
+        if sunk.is_none() {
+            self.prog
+                .store_strip(buf, off, stride, src(self.path.store));
         }
     }
 }
@@ -877,9 +1106,10 @@ mod tests {
         end T;";
 
     /// Figure 6 is two whole-plane copies around the guarded stencil: one
-    /// copy for the four boundary guards together, and an interior of three
-    /// adds, the multiply `/ 4` lowers to and the store — its four loads
-    /// are operands, not ops.
+    /// copy for the four boundary guards together, and an interior of two
+    /// passes — three adds and the multiply `/ 4` lowers to, fused in
+    /// pairs, the second writing the store's cells; its four loads are
+    /// operands, not ops.
     #[test]
     fn jacobi_strips_every_equation_along_j() {
         let paths = |label| match verdict(JACOBI, label, false) {
@@ -893,7 +1123,55 @@ mod tests {
         };
         assert_eq!(paths("eq.1"), [("copy", 1)]);
         assert_eq!(paths("eq.2"), [("copy", 1)]);
-        assert_eq!(paths("eq.3"), [("copy", 1), ("compute", 5)]);
+        assert_eq!(paths("eq.3"), [("copy", 1), ("compute", 2)]);
+    }
+
+    /// The paths of `label` in `src`, lowered as the runtime would.
+    fn paths_of(src: &str, label: &str) -> Vec<Path> {
+        let (m, sched) = build(src);
+        let plan = StorePlan::new(&m, &sched.memory);
+        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
+        tapes.plan_strips(&m, &plan, &sched.flowchart);
+        let eq = m.equation_by_label(label).unwrap();
+        let ceq = tapes.eqs[eq].take().unwrap();
+        ceq.strip.unwrap().paths
+    }
+
+    /// Figure 6's interior is two passes: `(a + b) + c` into the lanes of
+    /// the second add, then `(t + d) · 0.25` straight into `A[K]`, the
+    /// store's cells — four loads read in place, the constant broadcast.
+    /// Its boundary is one range copy.
+    #[test]
+    fn jacobi_interior_is_two_passes_and_its_boundary_one_copy() {
+        let [copy, interior] = &paths_of(JACOBI, "eq.3")[..] else {
+            panic!("two paths")
+        };
+        assert_eq!((&copy.passes[..], copy.store), (&[][..], Src::Mem(0)));
+        let [Pass::Pair {
+            f: Arith::Add,
+            g: Arith::Add,
+            a: Src::Mem(0),
+            b: Src::Mem(1),
+            c: Src::Mem(2),
+            swap: false,
+            dst: t,
+        }, Pass::Pair {
+            f: Arith::Add,
+            g: Arith::Mul,
+            a: Src::Lane(t2),
+            b: Src::Mem(3),
+            c: Src::Lane(quarter),
+            swap: false,
+            dst,
+        }] = interior.passes[..]
+        else {
+            panic!("{:?}", interior.passes)
+        };
+        assert_eq!(t, t2);
+        assert_ne!(quarter, t);
+        assert_eq!(interior.store, Src::Lane(dst));
+        assert!(interior.sinks() && !copy.sinks());
+        assert_eq!(interior.sink(), 4);
     }
 
     /// Lowering gives every array read its own load, so each has one
@@ -906,32 +1184,90 @@ mod tests {
             type I = 1 .. n;
             define out[I] = if I < 3 then ys[I] else xs[I] * xs[I] + ys[I];
             end T;";
-        let (m, sched) = build(src);
-        let plan = StorePlan::new(&m, &sched.memory);
-        let mut tapes = compile_tapes(&m, &plan, &sched.flowchart, false);
-        tapes.plan_strips(&m, &plan, &sched.flowchart);
-        let eq = m.equation_by_label("eq.1").unwrap();
-        let plan = tapes.eqs[eq].as_ref().unwrap().strip.as_ref().unwrap();
-        let [copy, compute] = &plan.paths[..] else {
-            panic!("two paths: {:?}", plan.paths)
+        let [copy, compute] = &paths_of(src, "eq.1")[..] else {
+            panic!("two paths")
         };
+        assert_eq!((&copy.passes[..], copy.store), (&[][..], Src::Mem(0)));
+        assert_eq!(copy.sink(), 1);
+        // `xs[I] * xs[I]` lowers to two loads with one consumer each, and
+        // the multiply and the add are one pass the store sinks.
         assert!(matches!(
-            copy.ops[..],
-            [StripOp::Store {
-                src: Src::Mem(0),
-                acc: 1
+            compute.passes[..],
+            [Pass::Pair {
+                f: Arith::Mul,
+                g: Arith::Add,
+                a: Src::Mem(0),
+                b: Src::Mem(1),
+                c: Src::Mem(2),
+                swap: false,
+                ..
             }]
         ));
-        // `xs[I] * xs[I]` lowers to two loads with one consumer each.
-        let in_place = |op: &StripOp| match *op {
-            StripOp::F { a, b, .. } => [Some(a), b]
-                .iter()
-                .filter(|s| matches!(s, Some(Src::Mem(_))))
-                .count(),
-            _ => 0,
+        assert!(compute.sinks());
+    }
+
+    /// A pair fuses an op only into the next one, the single reader of its
+    /// result, on either side of that reader; a result read twice, or read
+    /// by an op further on, stays in its lanes.
+    #[test]
+    fn a_pair_fuses_a_result_read_once_and_next() {
+        let grid = |body: &str| {
+            format!(
+                "T: module (a: array[I] of real; b: array[I] of real; c: array[I] of real;
+                        n: int): [out: array[I] of real];
+                    type I = 1 .. n;
+                    define out[I] = {body};
+                    end T;"
+            )
         };
-        assert_eq!(compute.ops.iter().map(in_place).sum::<usize>(), 3);
-        assert_eq!(compute.ops.len(), 3, "multiply, add, store");
+        let shape = |body: &str| {
+            let [path] = &paths_of(&grid(body), "eq.1")[..] else {
+                panic!("one path")
+            };
+            let kinds = path.passes.iter().map(|p| match *p {
+                Pass::Pair { swap: false, .. } => "g(f, c)",
+                Pass::Pair { swap: true, .. } => "g(c, f)",
+                _ => "op",
+            });
+            (kinds.collect::<Vec<_>>(), path.sinks())
+        };
+        assert_eq!(shape("c[I] - a[I] * b[I]"), (vec!["g(c, f)"], true));
+        assert_eq!(shape("c[I] / (a[I] - b[I])"), (vec!["g(c, f)"], true));
+        // The next op does not read the first product: it stays in lanes.
+        assert_eq!(
+            shape("(a[I] * b[I]) + (b[I] * c[I])"),
+            (vec!["op", "g(c, f)"], true)
+        );
+        // A unary op neither fuses nor is fused, and still sinks.
+        assert_eq!(shape("abs(a[I] + b[I])"), (vec!["op", "op"], true));
+        assert_eq!(shape("a[I] + b[I] + c[I]"), (vec!["g(f, c)"], true));
+        // A lone op sinks; a store of a constant has no pass to sink.
+        assert_eq!(shape("a[I] * 2.0"), (vec!["op"], true));
+        assert_eq!(shape("1.5"), (vec![], false));
+    }
+
+    /// Lowered tapes are trees, so no temporary has two readers; the rule
+    /// for one that has is pinned on hand-built ops.
+    #[test]
+    fn a_result_read_again_later_is_no_pairs_f() {
+        let f = |insn, a, b, dst| Pass::F {
+            insn,
+            a,
+            b: Some(b),
+            dst,
+        };
+        let (x, y, z) = (Src::Mem(0), Src::Mem(1), Src::Mem(2));
+        let add = Insn::AddF { a: 0, b: 0, dst: 0 };
+        let mul = Insn::MulF { a: 0, b: 0, dst: 0 };
+        let (t, u, v) = (Src::Lane(10), Src::Lane(11), Src::Lane(12));
+        // t = x + y; u = t * z; v = u + t: `t` is read again after `u`.
+        let ops = [f(add, x, y, 10), f(mul, t, z, 11), f(add, u, t, 12)];
+        assert_eq!(pair(&ops, v), None);
+        // ... and so it is when the store reads it.
+        assert_eq!(pair(&ops[..2], t), None);
+        assert!(pair(&ops[..2], u).is_some());
+        // `t * t` reads it twice in one op.
+        assert_eq!(pair(&[ops[0], f(mul, t, t, 11)], u), None);
     }
 
     #[test]
@@ -1032,7 +1368,7 @@ mod tests {
             end T;";
         assert_eq!(
             verdict(src, "eq.1", false).to_string(),
-            "stripped along J, row by row — 2 paths: compute(2), copy(1)"
+            "stripped along J, row by row — 2 paths: compute(1), copy(1)"
         );
     }
 
@@ -1057,6 +1393,7 @@ mod tests {
             tree: Vec::new(),
             paths: Vec::new(),
             class: vec![0, 1, 2],
+            presets: SmallVec::new(),
         };
         strides(&plan, &[fold_addr(&dims, &layout, false)]);
     }
@@ -1088,6 +1425,7 @@ mod tests {
             tree: Vec::new(),
             paths: Vec::new(),
             class: vec![0, 1, 2],
+            presets: SmallVec::new(),
         };
         let addrs = [
             fold_addr(&dims([(0, 1), (1, 1)]), &layout, false),

@@ -117,9 +117,11 @@ fn wave_builtin_schedules_with_window_three() {
 
 /// The strip report is exact and repeats, so it is pinned whole: a
 /// lowering change that un-fuses a path (a load back to an op of its own,
-/// a copy back to load-then-store) or splits one fails here, not in a
-/// noisy timing. Figure 6's stencil is one copy for all four guards and
-/// five ops of interior: three adds, the multiply `/ 4` became, the store.
+/// a copy back to load-then-store, a pair back to two passes, a sunk store
+/// back to a pass of its own) or splits one fails here, not in a noisy
+/// timing. Figure 6's stencil is one copy for all four guards and two
+/// passes of interior: three adds and the multiply `/ 4` became, fused in
+/// pairs, the second writing the store's cells.
 /// Its three equations walk their `DOALL I (DOALL J)` nests as one, in
 /// rectangles; `heat_1d`'s `DOALL` sits in a `DO` and `pipeline`'s are 1-D.
 /// Every builtin is here, and two hyperplane variants: the scheduler emits
@@ -130,7 +132,7 @@ fn strips_report_pins_paths_and_op_counts() {
         (
             "@relaxation_v1",
             "eq.1: stripped along J within I — 1 path: copy(1)
-             eq.3: stripped along J within I — 2 paths: copy(1), compute(5)
+             eq.3: stripped along J within I — 2 paths: copy(1), compute(2)
              eq.2: stripped along J within I — 1 path: copy(1)",
         ),
         (
@@ -142,7 +144,7 @@ fn strips_report_pins_paths_and_op_counts() {
         (
             "@heat_1d",
             "eq.1: stripped along X — 1 path: copy(1)
-             eq.3: stripped along X — 2 paths: copy(1), compute(6)
+             eq.3: stripped along X — 2 paths: copy(1), compute(3)
              eq.2: stripped along X — 1 path: copy(1)",
         ),
         (
@@ -153,9 +155,9 @@ fn strips_report_pins_paths_and_op_counts() {
         ),
         (
             "@pipeline",
-            "eq.1: stripped along I — 1 path: compute(2)
-             eq.2: stripped along L — 1 path: compute(2)
-             eq.3: stripped along T — 1 path: compute(3)",
+            "eq.1: stripped along I — 1 path: compute(1)
+             eq.2: stripped along L — 1 path: compute(1)
+             eq.3: stripped along T — 1 path: compute(2)",
         ),
         ("@gather", "eq.1: scalar: dynamic subscript"),
         (
@@ -169,7 +171,7 @@ fn strips_report_pins_paths_and_op_counts() {
             "@wave_1d",
             "eq.1: stripped along X — 1 path: copy(1)
              eq.2: stripped along X — 1 path: copy(1)
-             eq.4: stripped along X — 2 paths: copy(1), compute(8)
+             eq.4: stripped along X — 2 paths: copy(1), compute(4)
              eq.3: stripped along X — 1 path: copy(1)",
         ),
         (

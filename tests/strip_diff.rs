@@ -14,9 +14,11 @@
 //! splitting exercised by guards on either counter and on both: at both
 //! edges, one edge, an interior row or column, inequality bands, counters
 //! compared with each other (which walk the nest row by row), and no guard
-//! at all; and the path lowering by nested and sequential `if`s whose arms
+//! at all; the path lowering by nested and sequential `if`s whose arms
 //! differ in the arrays they load, in stride, and in what runs between the
-//! branches.
+//! branches; and the passes by fused pairs on either side of an op that
+//! does not commute, temporaries that fuse with nothing, and last passes
+//! that write the store's cells or, for a column, lanes.
 
 #[path = "generators.rs"]
 mod generators;
@@ -24,11 +26,11 @@ mod generators;
 use generators::assert_bits_eq;
 use ps_core::{
     compile, programs, run_naive, CompileOptions, Inputs, OwnedArray, Program, RuntimeOptions,
-    ScalarReason, Sequential, StripVerdict, ThreadPool,
+    ScalarReason, Sequential, StripVerdict, ThreadPool, STRIP_LANES,
 };
 
-/// The strip walker's lane count (`ps_runtime`'s private `strip::W`).
-const W: i64 = 64;
+/// The strip walker's lane count.
+const W: i64 = STRIP_LANES as i64;
 
 const WIDTHS: [i64; 9] = [1, 2, 3, W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1];
 
@@ -356,6 +358,75 @@ fn multi_path_rows_of_every_width_match_the_oracles() {
             shapes.push((case, multi_path_inputs(n, n)));
         }
         check_shapes(&src, &shapes, &["eq.1", "eq.2", "eq.3"]);
+    }
+}
+
+/// Passes: an arithmetic op fused with the next, the temporary on either
+/// side of a second op that does not commute; a temporary that the next op
+/// does not read, so it fuses with nothing; and a last pass that writes
+/// the store's cells — a plane of `g`, whose time dimension is windowed —
+/// unless they are a column, a one-column rectangle down `I`, where it
+/// writes lanes the store then scatters.
+#[test]
+fn passes_match_the_oracles() {
+    let bodies = [
+        (
+            "the temporary right of a subtract: c - a*b",
+            "if (I = 0) or (J = 0) then g[K-1,I,J]
+             else other[I,J] - g[K-1,I,J-1] * g[K-1,I-1,J]",
+        ),
+        (
+            "the temporary right of a divide: c / (a - b)",
+            "if J = 0 then g[K-1,I,J] else other[I,J] / (g[K-1,I,J] - g[K-1,I,J-1])",
+        ),
+        (
+            "the temporary left of a divide, right of a subtract",
+            "(g[K-1,I,J] - other[I,J]) / col[I] - (other[I,J] + tr[J,I]) * g[K-1,I,J]",
+        ),
+        (
+            "a temporary the next op does not read",
+            "(g[K-1,I,J] + other[I,J]) * (col[I] - g[K-1,I,J]) / (other[I,J] - col[I])",
+        ),
+        (
+            "a pair sunk down the edge columns, strided",
+            "if (J = 0) or (J = n-1) then col[I] - other[I,J] * g[K-1,I,J]
+             else g[K-1,I,J] * 0.5",
+        ),
+    ];
+    for (name, body) in bodies {
+        let src = multi_path_grid(body);
+        let comp = compile(&src, CompileOptions::default()).unwrap();
+        let g = comp.module.data_by_name("g").unwrap();
+        assert_eq!(comp.schedule.memory.window(g, 0), Some(2), "{name}");
+        check_shapes(
+            &src,
+            &grids(name, multi_path_inputs),
+            &["eq.1", "eq.2", "eq.3"],
+        );
+    }
+}
+
+/// A store into a column of a row-major array steps a whole row per
+/// iteration: the last pass writes lanes, the store scatters them.
+#[test]
+fn a_column_store_keeps_its_lanes() {
+    let src = "S: module (xs: array[I,J] of real; m: int): [b: array[I,J] of real];
+         type I = 1 .. m; J = 1 .. 2;
+         define
+            b[I,1] = 0.5 - xs[I,1] * xs[I,2];
+            b[I,2] = xs[I,2] / (xs[I,1] - 1.5);
+         end S;";
+    for m in [1, 2, W - 1, W, W + 1, 2 * W + 1] {
+        let inputs = Inputs::new().set_int("m", m).set_array(
+            "xs",
+            OwnedArray::real(vec![(1, m), (1, 2)], reals((2 * m) as usize, 4)),
+        );
+        check(
+            &format!("column store, m = {m}"),
+            src,
+            &inputs,
+            &["eq.1", "eq.2"],
+        );
     }
 }
 
