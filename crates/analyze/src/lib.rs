@@ -4,8 +4,8 @@
 //! parallelism is safe because the compiler proves loop iterations
 //! independent before scheduling them. This crate re-proves that argument
 //! on the compiled artifact itself — a branch-aware abstract interpretation
-//! of the register tapes the runtime actually executes — so the unchecked
-//! engine's assumptions become theorems rather than trust. Three analyses
+//! of the register tapes the runtime actually executes — so the engine's
+//! assumptions become theorems rather than trust. Three analyses
 //! run over an [`AProgram`]:
 //!
 //! 1. **Def-before-use** — a forward definite-assignment pass over every

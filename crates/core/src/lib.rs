@@ -78,8 +78,8 @@ pub use ps_hyperplane::{
 pub use ps_lang::{frontend, HirModule};
 pub use ps_runtime::{
     analyze_compiled, run_module, run_naive, AnalysisLevel, AnalysisReport, AnalysisVerdict,
-    Inputs, Outputs, OwnedArray, RuntimeOptions, ScalarReason, StoreArena, StorePlan, StripVerdict,
-    Value, SPEC_CACHE_CAP, STRIP_LANES,
+    Inputs, Outputs, OwnedArray, RuntimeOptions, ScalarReason, StripVerdict, Value, SPEC_CACHE_CAP,
+    STRIP_LANES,
 };
 pub use ps_scheduler::{
     schedule_module, validate_flowchart, Flowchart, MemoryPlan, PickPolicy, ScheduleOptions,

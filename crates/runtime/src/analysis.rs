@@ -25,8 +25,8 @@
 //!   injective over all enclosing counters, and pairwise disjoint across
 //!   equations, and every load is proven in-bounds.
 
-use crate::compiled::{compile_tapes, CompiledEq, PInt, SymAddr, Tapes};
 use crate::store::StorePlan;
+use crate::tape::{compile_tapes, CompiledEq, PInt, SymAddr, Tapes};
 use ps_analyze::{self as pa, ADim};
 use ps_lang::hir::DataKind;
 use ps_lang::{Affine, DataId, EqId, HirModule};

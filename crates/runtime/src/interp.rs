@@ -12,12 +12,12 @@
 //! which runs from the hyperplane's time loop, outermost in every
 //! transformed flowchart.
 //!
-//! Equations execute as typed register tapes (`compiled.rs`) —
+//! Equations execute as typed register tapes (`tape/`) —
 //! lowered **once per [`crate::Program`]**, specialized per parameter
 //! layout, and reused across runs — with strength-reduced addressing and
 //! zero per-iteration allocations. The one thing here that is not a tape
 //! is the windowed-hyperplane drain, which copies element by element
-//! through [`crate::ndarray::ArrayInstance`]'s checked accessors.
+//! through `ArrayInstance`'s checked accessors.
 //!
 //! `check_writes` is the tapes' checked mode: every load and store
 //! re-derives its logical index and maintains the store's per-slot tags
@@ -26,9 +26,9 @@
 //! [`run_module`] is a thin compile-and-run-once wrapper over
 //! [`crate::Program`]; callers serving many runs should hold a `Program`.
 
-use crate::compiled::{ExecProg, Frames};
 use crate::program::Program;
 use crate::store::{Inputs, Outputs, RuntimeError, Store};
+use crate::tape::{ExecProg, Frames};
 use ps_executor::Executor;
 use ps_lang::hir::HirModule;
 use ps_lang::EqId;

@@ -13,7 +13,7 @@
 //! Serving many small solves pays for compilation once, not per request:
 //!
 //! * [`Program`] (see [`program`]) — the immutable, shareable artifact:
-//!   the [`StorePlan`] (scalar-slot layout + window decisions), the
+//!   the `StorePlan` (scalar-slot layout + window decisions), the
 //!   parameter-independent instruction tapes, a per-parameter-layout
 //!   specialization cache, and a pooled run arena. `&Program` is
 //!   `Send + Sync`; independent runs execute concurrently.
@@ -82,7 +82,7 @@
 //! order of evaluating the equations, so the oracle needs none: it shares
 //! with the engine nothing but `ps-lang` (the checked HIR), the
 //! [`Inputs`]/[`Outputs`]/[`Value`] types a caller hands over and gets
-//! back, and [`store::Store::bounds_of`] (declared array bounds) — no
+//! back, and `Store::bounds_of` (declared array bounds) — no
 //! flowchart, no [`MemoryPlan`], no store, no tape. The differential suites
 //! (`engine_diff`, `strip_diff`) assert **bit-identical** outputs against
 //! it on random programs, on `Sequential` and on a pool, with and without
@@ -96,6 +96,23 @@
 //! tags every physical slot with the logical index it holds, catching both
 //! double writes and window-eviction races in tests: the tapes run in a
 //! checked mode that maintains the tags inline.
+//!
+//! Those cells are not exported. Their soundness rests on the schedule,
+//! which only this crate's engine follows, so the array storage and the
+//! stores built on it are crate-private, and safe code outside the crate
+//! cannot write one cell from two threads:
+//!
+//! ```compile_fail,E0603
+//! use ps_runtime::ndarray::{ArrayInstance, DimSpec, NdSpec};
+//! use ps_runtime::Value;
+//!
+//! let dims = vec![DimSpec { lo: 0, hi: 0, window: None }];
+//! let a = ArrayInstance::new(NdSpec { dims }, ps_lang::ScalarTy::Real, false);
+//! std::thread::scope(|s| {
+//!     s.spawn(|| a.write(&[0], Value::Real(1.0)));
+//!     s.spawn(|| a.write(&[0], Value::Real(2.0)));
+//! });
+//! ```
 //!
 //! # Static verification ([`analysis`])
 //!
@@ -115,13 +132,13 @@
 //! [`MemoryPlan`]: ps_scheduler::MemoryPlan
 
 pub mod analysis;
-mod compiled;
 pub mod interp;
 pub mod naive;
 pub mod ndarray;
 pub mod program;
 pub mod store;
 mod strip;
+mod tape;
 pub mod value;
 
 pub use analysis::analyze_compiled;
@@ -129,6 +146,6 @@ pub use interp::{run_module, AnalysisLevel, RuntimeOptions};
 pub use naive::run_naive;
 pub use program::{Program, RunSession, SPEC_CACHE_CAP};
 pub use ps_analyze::{Report as AnalysisReport, Verdict as AnalysisVerdict};
-pub use store::{Inputs, Outputs, StoreArena, StorePlan};
+pub use store::{Inputs, Outputs};
 pub use strip::{ScalarReason, StripVerdict, W as STRIP_LANES};
 pub use value::{OwnedArray, Value};

@@ -1,5 +1,36 @@
 //! Strided N-d array storage with per-dimension windows and interior
 //! mutability for disjoint parallel writes.
+//!
+//! # Why the shared buffer is an `UnsafeCell`
+//!
+//! A `DOALL`'s iterations write disjoint cells of one shared array and
+//! read no cell another iteration of the loop writes: the paper's
+//! condition for a `DOALL`, Nuriyev's "independent steps". `ParVec`
+//! rests on that condition and on nothing else. Its `Sync` impl (SAFETY
+//! argument below) and its `unsafe fn`s are the whole claim, and every
+//! `unsafe` call into it from outside this file is in `tape/exec.rs`.
+//!
+//! The safe form is a slice of relaxed atomics (`AtomicU64` holding the
+//! `f64` bits, `AtomicI64`, `AtomicBool`). The strip walker's lanes must
+//! then be atomics too, because a pass reads lanes and array cells
+//! through one slice type. Relaxed loads and stores are plain moves on
+//! x86-64, but the compiler does not combine them into packed-double ops,
+//! so every lane loop of a strip runs one lane at a time. Against this
+//! file, with every bounds check kept on both sides,
+//! `stencil_seq.quiet_ops_per_s` reads (median [q1 q3] of 20 alternating
+//! pairs per seed of `benchmark/run.sh --workload stencil_seq --trace 0`,
+//! each side built in its own checkout, 2-vCPU x86-64 Xeon, rustc 1.95):
+//!
+//! | seed | `UnsafeCell` | relaxed atomics | per-pair ratio | pairs atomics won |
+//! |---|---|---|---|---|
+//! | 7 | 960.7 [720.8 1007] | 654.6 [586.1 687.8] | 0.673 [0.660 0.742] | 1 of 20 |
+//! | 1987 | 599.2 [583.0 605.4] | 471.1 [454.1 477.5] | 0.777 [0.772 0.792] | 0 of 20 |
+//!
+//! The box ran in a ≈ 600 and a ≈ 1 000 ops/s phase over these runs,
+//! which widens the medians' quartiles; the per-pair ratio (atomics over
+//! `UnsafeCell`, both runs of a pair in one phase) does not see it. Both
+//! atomic medians sit below the `UnsafeCell` side's lower quartile, so
+//! the cells stay.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -10,20 +41,20 @@ use std::sync::atomic::{AtomicI64, Ordering};
 
 /// One dimension: inclusive logical bounds plus optional window.
 #[derive(Clone, Copy, Debug)]
-pub struct DimSpec {
-    pub lo: i64,
-    pub hi: i64,
+pub(crate) struct DimSpec {
+    pub(crate) lo: i64,
+    pub(crate) hi: i64,
     /// `Some(w)`: only `w` planes are allocated; logical index `i` maps to
     /// physical `(i - lo) mod w` — the paper's virtual dimension.
-    pub window: Option<i64>,
+    pub(crate) window: Option<i64>,
 }
 
 impl DimSpec {
-    pub fn logical_width(&self) -> i64 {
+    pub(crate) fn logical_width(&self) -> i64 {
         (self.hi - self.lo + 1).max(0)
     }
 
-    pub fn physical_width(&self) -> i64 {
+    pub(crate) fn physical_width(&self) -> i64 {
         match self.window {
             Some(w) => w.min(self.logical_width()),
             None => self.logical_width(),
@@ -33,28 +64,21 @@ impl DimSpec {
 
 /// Layout of an array instance.
 #[derive(Clone, Debug)]
-pub struct NdSpec {
-    pub dims: Vec<DimSpec>,
+pub(crate) struct NdSpec {
+    pub(crate) dims: Vec<DimSpec>,
 }
 
 impl NdSpec {
-    pub fn physical_len(&self) -> usize {
+    pub(crate) fn physical_len(&self) -> usize {
         self.dims
             .iter()
             .map(|d| d.physical_width() as usize)
             .product()
     }
 
-    pub fn logical_len(&self) -> usize {
-        self.dims
-            .iter()
-            .map(|d| d.logical_width() as usize)
-            .product()
-    }
-
     /// Physical offset of a logical index (window-mapped). Panics when out
     /// of logical bounds — schedule guards must prevent that.
-    pub fn offset(&self, index: &[i64]) -> usize {
+    pub(crate) fn offset(&self, index: &[i64]) -> usize {
         debug_assert_eq!(index.len(), self.dims.len());
         let mut off = 0usize;
         for (d, &i) in self.dims.iter().zip(index) {
@@ -76,7 +100,7 @@ impl NdSpec {
 
     /// Flat index in the *logical* (unwindowed) space; used by the write
     /// checker's tags.
-    pub fn logical_flat(&self, index: &[i64]) -> i64 {
+    pub(crate) fn logical_flat(&self, index: &[i64]) -> i64 {
         let mut off = 0i64;
         for (d, &i) in self.dims.iter().zip(index) {
             off = off * d.logical_width() + (i - d.lo);
@@ -84,7 +108,7 @@ impl NdSpec {
         off
     }
 
-    pub fn is_windowed(&self) -> bool {
+    pub(crate) fn is_windowed(&self) -> bool {
         self.dims
             .iter()
             .any(|d| matches!(d.window, Some(w) if w < d.logical_width()))
@@ -96,11 +120,13 @@ pub(crate) struct ParVec<T> {
     data: Box<[UnsafeCell<T>]>,
 }
 
-// SAFETY: all mutation goes through `set`, whose callers (the flowchart
-// interpreter) guarantee distinct indices across threads — the
-// single-assignment property checked by the front end and validated by the
-// scheduler. Reads of a slot racing with its own write cannot occur for the
-// same reason (a value is never read before the schedule has written it).
+// SAFETY: all mutation goes through `set`, `set_range` and `cells`, whose
+// callers (the tape walkers, and `ArrayInstance::write` for the drain)
+// guarantee distinct indices across threads — the single-assignment
+// property checked by the front end and validated by the scheduler. Reads
+// of a slot racing with its own write cannot occur for the same reason (a
+// value is never read before the schedule has written it). What a safe
+// atomic buffer would cost instead is measured in the module docs.
 unsafe impl<T: Send> Sync for ParVec<T> {}
 
 impl<T: Copy> ParVec<T> {
@@ -328,8 +354,8 @@ impl BufferPool {
 }
 
 /// A live array instance: layout + shared buffer + optional write checker.
-pub struct ArrayInstance {
-    pub spec: NdSpec,
+pub(crate) struct ArrayInstance {
+    pub(crate) spec: NdSpec,
     buf: SharedBuffer,
     /// Write-check tags: for every *physical* slot, the logical flat index
     /// currently stored there (−1 = empty). Catches double writes and
@@ -338,12 +364,9 @@ pub struct ArrayInstance {
 }
 
 impl ArrayInstance {
-    pub fn new(spec: NdSpec, elem: ScalarTy, check_writes: bool) -> ArrayInstance {
-        ArrayInstance::new_pooled(spec, elem, check_writes, &mut BufferPool::default())
-    }
-
-    /// Like [`ArrayInstance::new`], but drawing storage from `pool` when a
-    /// buffer of the right length is available (reset to zero either way).
+    /// Allocate an instance laid out as `spec`, drawing storage from `pool`
+    /// when a buffer of the right length is available (reset to zero
+    /// either way).
     pub(crate) fn new_pooled(
         spec: NdSpec,
         elem: ScalarTy,
@@ -356,13 +379,8 @@ impl ArrayInstance {
         ArrayInstance { spec, buf, tags }
     }
 
-    /// Build from caller-provided input data (always physical).
-    pub fn from_owned(owned: &OwnedArray) -> ArrayInstance {
-        ArrayInstance::from_owned_pooled(owned, &mut BufferPool::default())
-    }
-
-    /// Like [`ArrayInstance::from_owned`], copying the input into pooled
-    /// storage instead of allocating a fresh clone per run.
+    /// Build from caller-provided input data (always physical), copying it
+    /// into pooled storage instead of allocating a fresh clone per run.
     pub(crate) fn from_owned_pooled(owned: &OwnedArray, pool: &mut BufferPool) -> ArrayInstance {
         let mut dims = pool.take_dims();
         dims.extend(owned.dims.iter().map(|&(lo, hi)| DimSpec {
@@ -422,7 +440,7 @@ impl ArrayInstance {
         &self.buf
     }
 
-    pub fn read(&self, index: &[i64]) -> Value {
+    pub(crate) fn read(&self, index: &[i64]) -> Value {
         let off = self.spec.offset(index);
         if let Some(tags) = &self.tags {
             let expected = self.spec.logical_flat(index);
@@ -440,11 +458,14 @@ impl ArrayInstance {
         }
     }
 
-    /// Write one element.
+    /// Write one element (the hyperplane drain's copy).
     ///
-    /// Safety of the underlying unsafe cell rests on the schedule: distinct
-    /// `DOALL` iterations write distinct logical (hence physical) slots.
-    pub fn write(&self, index: &[i64], value: Value) {
+    /// A safe fn whose soundness rests on the schedule, as
+    /// [`ParVec::get`]'s does: distinct `DOALL` iterations write distinct
+    /// logical (hence physical) slots, and nothing reads a slot while its
+    /// writing phase runs. It is crate-private for that reason: code
+    /// outside the crate has no schedule to rest on.
+    pub(crate) fn write(&self, index: &[i64], value: Value) {
         let off = self.spec.offset(index);
         if let Some(tags) = &self.tags {
             let logical = self.spec.logical_flat(index);
@@ -467,7 +488,7 @@ impl ArrayInstance {
     }
 
     /// Extract the full logical content (only for non-windowed arrays).
-    pub fn to_owned_array(self) -> OwnedArray {
+    pub(crate) fn into_owned_array(self) -> OwnedArray {
         assert!(
             !self.spec.is_windowed(),
             "cannot export a windowed array in full"
@@ -509,7 +530,7 @@ mod tests {
         assert_eq!(full.physical_len(), 50);
         let win = spec2(1, 10, Some(2), 0, 4);
         assert_eq!(win.physical_len(), 10);
-        assert_eq!(win.logical_len(), 50);
+        assert_eq!(win.dims[0].logical_width(), 10);
         assert!(win.is_windowed());
         assert!(!full.is_windowed());
     }
@@ -524,7 +545,12 @@ mod tests {
 
     #[test]
     fn read_back_written_values() {
-        let a = ArrayInstance::new(spec2(0, 3, None, 0, 3), ScalarTy::Real, false);
+        let a = ArrayInstance::new_pooled(
+            spec2(0, 3, None, 0, 3),
+            ScalarTy::Real,
+            false,
+            &mut BufferPool::default(),
+        );
         a.write(&[2, 1], Value::Real(6.5));
         assert_eq!(a.read(&[2, 1]), Value::Real(6.5));
         // Int widening into a real buffer.
@@ -534,7 +560,12 @@ mod tests {
 
     #[test]
     fn windowed_rotation_works() {
-        let a = ArrayInstance::new(spec2(1, 100, Some(2), 0, 0), ScalarTy::Real, false);
+        let a = ArrayInstance::new_pooled(
+            spec2(1, 100, Some(2), 0, 0),
+            ScalarTy::Real,
+            false,
+            &mut BufferPool::default(),
+        );
         // Simulate the K loop: write plane k, read plane k-1.
         a.write(&[1, 0], Value::Real(1.0));
         for k in 2..=100 {
@@ -546,7 +577,12 @@ mod tests {
 
     #[test]
     fn checker_catches_double_write() {
-        let a = ArrayInstance::new(spec2(0, 3, None, 0, 0), ScalarTy::Real, true);
+        let a = ArrayInstance::new_pooled(
+            spec2(0, 3, None, 0, 0),
+            ScalarTy::Real,
+            true,
+            &mut BufferPool::default(),
+        );
         a.write(&[1, 0], Value::Real(1.0));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             a.write(&[1, 0], Value::Real(2.0));
@@ -556,7 +592,12 @@ mod tests {
 
     #[test]
     fn checker_catches_window_eviction() {
-        let a = ArrayInstance::new(spec2(1, 10, Some(2), 0, 0), ScalarTy::Real, true);
+        let a = ArrayInstance::new_pooled(
+            spec2(1, 10, Some(2), 0, 0),
+            ScalarTy::Real,
+            true,
+            &mut BufferPool::default(),
+        );
         a.write(&[1, 0], Value::Real(1.0));
         a.write(&[2, 0], Value::Real(2.0));
         a.write(&[3, 0], Value::Real(3.0)); // evicts plane 1
@@ -569,19 +610,24 @@ mod tests {
 
     #[test]
     fn export_round_trip() {
-        let a = ArrayInstance::new(spec2(0, 1, None, 0, 1), ScalarTy::Real, false);
+        let a = ArrayInstance::new_pooled(
+            spec2(0, 1, None, 0, 1),
+            ScalarTy::Real,
+            false,
+            &mut BufferPool::default(),
+        );
         a.write(&[0, 0], Value::Real(1.0));
         a.write(&[0, 1], Value::Real(2.0));
         a.write(&[1, 0], Value::Real(3.0));
         a.write(&[1, 1], Value::Real(4.0));
-        let owned = a.to_owned_array();
+        let owned = a.into_owned_array();
         assert_eq!(owned.as_real_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn from_owned_reads_input() {
         let input = OwnedArray::real(vec![(0, 1)], vec![5.0, 6.0]);
-        let inst = ArrayInstance::from_owned(&input);
+        let inst = ArrayInstance::from_owned_pooled(&input, &mut BufferPool::default());
         assert_eq!(inst.read(&[1]), Value::Real(6.0));
     }
 

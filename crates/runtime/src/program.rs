@@ -2,7 +2,7 @@
 //!
 //! [`Program`] packages everything derivable from a scheduled module
 //! *without* knowing parameter values: the immutable store layout
-//! ([`StorePlan`]), the parameter-independent instruction tapes, and two
+//! (`StorePlan`), the parameter-independent instruction tapes, and two
 //! interior-mutability side tables —
 //!
 //! * a **specialization cache**: per distinct integer parameter vector,
@@ -28,13 +28,13 @@
 //! ([`Program::try_owned`]) and gets a `Program<'static>` that owns
 //! everything it reads. Everything else in the artifact — the store plan,
 //! the tapes, the side tables — is owned data either way; only a running
-//! [`Store`] borrows the module, for the length of one run.
+//! `Store` borrows the module, for the length of one run.
 
 use crate::analysis::analyze_tapes;
-use crate::compiled::{compile_tapes, specialize, ExecProg, Frames, Spec, Tapes};
 use crate::interp::{AnalysisLevel, Interp, RuntimeOptions};
 use crate::store::{Inputs, Outputs, RuntimeError, Store, StoreArena, StorePlan};
 use crate::strip::StripVerdict;
+use crate::tape::{compile_tapes, specialize, ExecProg, Frames, Spec, Tapes};
 use ps_executor::Executor;
 use ps_lang::hir::HirModule;
 use ps_scheduler::{Flowchart, MemoryPlan, ScheduleResult};

@@ -3,18 +3,18 @@
 //!
 //! The store is split along the compile-once / run-many seam:
 //!
-//! * [`StorePlan`] — computed once per `(module, memory plan)` pair: the
+//! * `StorePlan` — computed once per `(module, memory plan)` pair: the
 //!   flat scalar-slot layout plus each array's window decisions. It holds
 //!   no parameter values and no reference to the module it was laid out
 //!   for — plain owned data, so the artifact that keeps it can own or
 //!   borrow its module as it likes; the methods that need the module take
 //!   it as an argument.
-//! * [`Store`] — one run's live data, instantiated from the plan against a
+//! * `Store` — one run's live data, instantiated from the plan against a
 //!   concrete [`Inputs`]: evaluated array bounds, allocated (or pooled)
 //!   buffers, and bound parameter slots. It borrows the module for the
 //!   length of that one run.
 //!
-//! [`StoreArena`] recycles the per-run storage (buffers, tag tables, the
+//! `StoreArena` recycles the per-run storage (buffers, tag tables, the
 //! scalar-slot table) between runs of the same plan, so steady-state
 //! instantiation is layout evaluation plus `memset`, not allocation.
 
@@ -182,10 +182,11 @@ fn empty_dim_error(module: &HirModule, id: DataId, lo: i64, hi: i64) -> RuntimeE
 }
 
 /// Recycled per-run storage: array buffers, checker tag tables, and
-/// scalar-slot tables. One arena serves repeated [`StorePlan::instantiate`]
-/// calls; everything it holds is reset before reuse.
+/// scalar-slot tables. One arena serves repeated
+/// [`StorePlan::instantiate_masked`] calls; everything it holds is reset
+/// before reuse.
 #[derive(Default)]
-pub struct StoreArena {
+pub(crate) struct StoreArena {
     pub(crate) bufs: BufferPool,
     slots: Vec<Box<[ScalarSlot]>>,
 }
@@ -202,7 +203,7 @@ const SLOT_POOL_CAP: usize = 16;
 /// [`Store`]; the bounds themselves (`0..M+1`) are evaluated per run.
 /// Every method that takes a module must be given the one the plan was
 /// built from.
-pub struct StorePlan {
+pub(crate) struct StorePlan {
     /// Slot `i` of item `d` lives at `scalar_base[d] + i` (field 0 is the
     /// scalar itself; record fields follow). Shared with every [`Store`]
     /// instantiated from this plan.
@@ -287,22 +288,10 @@ impl StorePlan {
     }
 
     /// Bind `inputs` and allocate every array, drawing reusable storage
-    /// from `arena`. This is the cheap per-run half of the old
-    /// `Store::build`.
-    pub fn instantiate<'r>(
-        &self,
-        module: &'r HirModule,
-        inputs: &Inputs,
-        check_writes: bool,
-        arena: &mut StoreArena,
-    ) -> Result<Store<'r>, RuntimeError> {
-        self.instantiate_masked(module, inputs, check_writes, None, arena)
-    }
-
-    /// [`StorePlan::instantiate`] with a per-array tag-elision mask
-    /// (indexed by `DataId`): under `check_writes`, arrays the static
-    /// analysis fully verified skip tag allocation (and the O(n) per-run
-    /// tag reset) entirely.
+    /// from `arena`. `verified` is a per-array tag-elision mask (indexed
+    /// by `DataId`): under `check_writes`, arrays the static analysis fully
+    /// verified skip tag allocation (and the O(n) per-run tag reset)
+    /// entirely.
     pub(crate) fn instantiate_masked<'r>(
         &self,
         module: &'r HirModule,
@@ -444,9 +433,9 @@ impl StorePlan {
 }
 
 /// The live data store for one module execution.
-pub struct Store<'m> {
+pub(crate) struct Store<'m> {
     pub module: &'m HirModule,
-    /// The result maps [`Store::into_outputs`] fills, sized up front.
+    /// The result maps [`Store::into_outputs_into`] fills, sized up front.
     outputs: Outputs,
     pub params: FxHashMap<Symbol, i64>,
     /// Every subrange's `(lo, hi)` under this run's parameters, evaluated
@@ -466,23 +455,6 @@ pub struct Store<'m> {
 }
 
 impl<'m> Store<'m> {
-    /// Allocate every array of `module` per the memory plan, binding
-    /// parameters from `inputs`. One-shot convenience over
-    /// [`StorePlan::instantiate`] (no storage reuse).
-    pub fn build(
-        module: &'m HirModule,
-        plan: &MemoryPlan,
-        inputs: &Inputs,
-        check_writes: bool,
-    ) -> Result<Store<'m>, RuntimeError> {
-        StorePlan::new(module, plan).instantiate(
-            module,
-            inputs,
-            check_writes,
-            &mut StoreArena::default(),
-        )
-    }
-
     /// Evaluate the declared inclusive bounds of an array.
     pub fn bounds_of(
         module: &HirModule,
@@ -552,18 +524,9 @@ impl<'m> Store<'m> {
         table.iter().map(|&d| self.read_scalar(d, 0)).collect()
     }
 
-    /// Extract results into [`Outputs`].
-    pub fn into_outputs(self) -> Outputs {
-        self.finish(None)
-    }
-
-    /// Extract results and recycle the remaining storage into `arena` for
-    /// the next run.
-    pub(crate) fn into_outputs_into(self, arena: &mut StoreArena) -> Outputs {
-        self.finish(Some(arena))
-    }
-
-    fn finish(mut self, arena: Option<&mut StoreArena>) -> Outputs {
+    /// Extract results into [`Outputs`] and recycle the remaining storage
+    /// into `arena` for the next run.
+    pub(crate) fn into_outputs_into(mut self, arena: &mut StoreArena) -> Outputs {
         let module = self.module;
         let mut out = std::mem::take(&mut self.outputs);
         for &id in &module.results {
@@ -571,23 +534,21 @@ impl<'m> Store<'m> {
             if item.is_array() {
                 let inst = self.arrays[id].take().expect("result array was allocated");
                 out.arrays
-                    .insert(item.name.to_string(), inst.to_owned_array());
+                    .insert(item.name.to_string(), inst.into_owned_array());
             } else {
                 let v = self.read_scalar(id, 0);
                 out.scalars.insert(item.name.to_string(), v);
             }
         }
-        if let Some(arena) = arena {
-            // Result arrays left with the caller; everything else (local
-            // and input buffers, the slot table) feeds the next run.
-            for opt in self.arrays.iter_mut() {
-                if let Some(inst) = opt.take() {
-                    inst.recycle(&mut arena.bufs);
-                }
+        // Result arrays left with the caller; everything else (local and
+        // input buffers, the slot table) feeds the next run.
+        for opt in self.arrays.iter_mut() {
+            if let Some(inst) = opt.take() {
+                inst.recycle(&mut arena.bufs);
             }
-            if arena.slots.len() < SLOT_POOL_CAP {
-                arena.slots.push(self.scalar_slots);
-            }
+        }
+        if arena.slots.len() < SLOT_POOL_CAP {
+            arena.slots.push(self.scalar_slots);
         }
         out
     }
@@ -645,7 +606,16 @@ mod tests {
         let inputs = Inputs::new()
             .set_int("n", 4)
             .set_array("init", OwnedArray::real(vec![(1, 4)], vec![1.0; 4]));
-        let store = Store::build(&m, &plan, &inputs, false).unwrap();
+        let build = |inputs: &Inputs| {
+            StorePlan::new(&m, &plan).instantiate_masked(
+                &m,
+                inputs,
+                false,
+                None,
+                &mut StoreArena::default(),
+            )
+        };
+        let store = build(&inputs).unwrap();
         let a = m.data_by_name("a").unwrap();
         assert_eq!(store.array(a).spec.physical_len(), 4);
 
@@ -653,10 +623,10 @@ mod tests {
         let bad = Inputs::new()
             .set_int("n", 4)
             .set_array("init", OwnedArray::real(vec![(1, 3)], vec![1.0; 3]));
-        assert!(Store::build(&m, &plan, &bad, false).is_err());
+        assert!(build(&bad).is_err());
 
         // Missing scalar rejected.
         let missing = Inputs::new().set_array("init", OwnedArray::real(vec![(1, 4)], vec![1.0; 4]));
-        assert!(Store::build(&m, &plan, &missing, false).is_err());
+        assert!(build(&missing).is_err());
     }
 }

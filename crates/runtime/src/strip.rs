@@ -1,5 +1,5 @@
 //! Strip-mined tape execution for innermost `DOALL`s: a second *walker*
-//! for the same validated tapes as `compiled::ExecProg::exec_tape`.
+//! for the same validated tapes as `tape::ExecProg::exec_tape`.
 //!
 //! The scalar walker dispatches every tape instruction once per cell and
 //! re-derives every address (window `mod` included) once per cell. For a
@@ -33,7 +33,7 @@
 //! (resolving operands, matching the pass, the alias checks ahead of each
 //! lane loop) are paid once per row. A lane is 1 KB, and a worker holds
 //! one lane file for all its equations, as wide as the widest stripped one
-//! (`max n_f × W` doubles; see `compiled::Frames`): only one strip runs at
+//! (`max n_f × W` doubles; see `tape::Frames`): only one strip runs at
 //! a time on a worker, so lanes are scratch, and a run broadcasts the
 //! constants and parameters it reads as lanes before its first strip.
 //!
@@ -109,8 +109,8 @@
 //! `DOALL` that is not a nest — a 1-D loop, or one inside a `DO` — is the
 //! height-1 case: one row, cut along `J` alone.
 
-use crate::compiled::{Addr, CompiledEq, ExecProg, Frame, OutSpec, SymAddr, Tapes};
 use crate::ndarray::ParVec;
+use crate::tape::{Addr, CompiledEq, ExecProg, Frame, OutSpec, SymAddr, Tapes};
 use crate::value::Value;
 use ps_analyze::{ADim, Flow, Insn, Reg};
 use ps_lang::{DataId, EqId, HirModule, IvId};
@@ -1077,10 +1077,10 @@ impl Line<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::tests::{build, JACOBI};
-    use crate::compiled::{compile_tapes, fold_addr};
     use crate::ndarray::{DimSpec, NdSpec};
     use crate::store::StorePlan;
+    use crate::tape::tests::{build, JACOBI};
+    use crate::tape::{compile_tapes, fold_addr};
     use ps_analyze::ADim;
 
     /// The strip verdict of `label` in `src`, lowered as the runtime would.
