@@ -16,6 +16,9 @@ use ps_hyperplane::solve_time_vector;
 use ps_support::rng::{check, shrink_vec};
 use ps_support::Lcg;
 
+#[path = "generators.rs"]
+mod generators;
+
 /// Dependence vectors guaranteed feasible: each has a strictly positive
 /// first component (a "time-like" axis exists). 1–5 vectors, first
 /// component 1..=2, remaining components -2..=2 (the proptest strategy).
@@ -184,20 +187,21 @@ fn shrink_gs(p: &GsProgram) -> Vec<GsProgram> {
 }
 
 /// The windowed wavefront transform preserves semantics on random
-/// Gauss–Seidel stencils, sequentially and in parallel, with the write
-/// checker enabled.
+/// Gauss–Seidel stencils bit for bit: sequentially with the write checker
+/// enabled, in parallel, and against full storage, which differs from
+/// windowed storage only in where the gather runs and in `g'`'s window.
 #[test]
 fn random_gs_transform_preserves_semantics() {
     check(0x44f2, 16, arb_gs, shrink_gs, |prog| {
         let src = prog.source();
-        let comp = compile(
-            &src,
-            CompileOptions {
-                hyperplane: Some(StorageMode::Windowed),
+        let transformed = |mode| {
+            let options = CompileOptions {
+                hyperplane: Some(mode),
                 ..Default::default()
-            },
-        )
-        .map_err(|e| format!("transformable: {e}\n{src}"))?;
+            };
+            compile(&src, options).map_err(|e| format!("transformable ({mode:?}): {e}\n{src}"))
+        };
+        let comp = transformed(StorageMode::Windowed)?;
         let art = comp.transformed.as_ref().unwrap();
         // Legality: all transformed deps step forward in time.
         for d in &art.result.transformed_deps {
@@ -239,18 +243,19 @@ fn random_gs_transform_preserves_semantics() {
             },
         )
         .map_err(|e| format!("wavefront runs: {e}\n{src}"))?;
-        let diff = base.array("out").max_abs_diff(wave.array("out"));
-        if diff >= 1e-9 {
-            return Err(format!("diff {diff}\n{src}"));
-        }
+        generators::assert_bits_eq("windowed vs untransformed", &base, &wave)
+            .map_err(|e| format!("{e}\n{src}"))?;
 
         let pool = ThreadPool::new(3);
         let wave_par = execute_transformed(&comp, &inputs, &pool, RuntimeOptions::default())
             .map_err(|e| format!("parallel wavefront runs: {e}\n{src}"))?;
-        let pdiff = wave.array("out").max_abs_diff(wave_par.array("out"));
-        if pdiff != 0.0 {
-            return Err(format!("parallel diff {pdiff}\n{src}"));
-        }
-        Ok(())
+        generators::assert_bits_eq("pooled vs sequential windowed", &wave, &wave_par)
+            .map_err(|e| format!("{e}\n{src}"))?;
+
+        let full = transformed(StorageMode::Full)?;
+        let full_out = execute_transformed(&full, &inputs, &Sequential, RuntimeOptions::default())
+            .map_err(|e| format!("full-storage wavefront runs: {e}\n{src}"))?;
+        generators::assert_bits_eq("full vs windowed", &full_out, &wave)
+            .map_err(|e| format!("{e}\n{src}"))
     });
 }
