@@ -542,7 +542,7 @@ pub struct ArrayInfo<'a> {
     /// this analysis does not model.
     pub windowed: bool,
     /// Producer policy: eligible for checked-writes elision when fully
-    /// proven (typically: not windowed, not touched by a drain).
+    /// proven (typically: not windowed).
     pub elidable: bool,
     /// Module input — never written by equations; fully defined at entry.
     pub input: bool,

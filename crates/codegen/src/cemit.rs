@@ -6,7 +6,7 @@ use ps_lang::ast::{BinOp, UnOp};
 use ps_lang::bounds::Affine;
 use ps_lang::hir::{Builtin, DataKind, Equation, HExpr, HirModule, LhsSub, SubscriptExpr};
 use ps_lang::{DataId, EqId, IvId, ScalarTy, Ty};
-use ps_scheduler::{Descriptor, DrainSpec, Flowchart, LoopDescriptor, LoopKind, MemoryPlan};
+use ps_scheduler::{BoundForm, Descriptor, Flowchart, LoopDescriptor, LoopKind, MemoryPlan};
 use ps_support::pretty::PrettyWriter;
 use ps_support::FxHashMap;
 
@@ -45,6 +45,8 @@ struct Emitter<'m> {
     mangler: Mangler,
     field_names: FxHashMap<(DataId, usize), String>,
     env: FxHashMap<(EqId, IvId), String>,
+    /// The counters of the loops being emitted, outermost first.
+    counters: Vec<String>,
     w: PrettyWriter,
 }
 
@@ -68,6 +70,7 @@ impl<'m> Emitter<'m> {
             mangler,
             field_names,
             env: FxHashMap::default(),
+            counters: Vec::new(),
             w: PrettyWriter::new(),
         }
     }
@@ -264,7 +267,7 @@ impl<'m> Emitter<'m> {
         self.w.blank();
 
         let items = flowchart.items.clone();
-        self.items(&items, None);
+        self.items(&items);
 
         // Free local arrays.
         self.w.blank();
@@ -284,23 +287,18 @@ impl<'m> Emitter<'m> {
         self.w.line("}");
     }
 
-    fn items(&mut self, items: &[Descriptor], time_var: Option<&str>) {
+    fn items(&mut self, items: &[Descriptor]) {
         for d in items {
             match d {
                 Descriptor::Equation(eq) => self.equation(*eq),
                 Descriptor::Loop(l) => self.loop_(l),
-                Descriptor::Drain(spec) => {
-                    let t = time_var.expect("drain inside a time loop");
-                    self.drain(spec, t);
-                }
             }
         }
     }
 
     fn loop_(&mut self, l: &LoopDescriptor) {
-        let sr = &self.module.subranges[l.subrange];
-        let lo = self.affine_c(&sr.lo);
-        let hi = self.affine_c(&sr.hi);
+        let lo = self.bound_c(l, false);
+        let hi = self.bound_c(l, true);
         let var = sanitize(&l.name);
         match l.kind {
             LoopKind::Do => {
@@ -320,13 +318,45 @@ impl<'m> Emitter<'m> {
         for &(eq, iv) in &l.bindings {
             self.env.insert((eq, iv), var.clone());
         }
+        self.counters.push(var);
         let body = l.body.clone();
-        self.items(&body, Some(&var));
+        self.items(&body);
+        self.counters.pop();
         for &(eq, iv) in &l.bindings {
             self.env.remove(&(eq, iv));
         }
         self.w.dedent();
         self.w.line("}");
+    }
+
+    /// One end of `l`'s range: its box's, under `ps_lmax` (`ps_lmin` for
+    /// the `upper` end) of every form narrowing that end.
+    fn bound_c(&self, l: &LoopDescriptor, upper: bool) -> String {
+        let (mut c, clamp) = match upper {
+            false => (self.affine_c(&l.bounds.lo), "ps_lmax"),
+            true => (self.affine_c(&l.bounds.hi), "ps_lmin"),
+        };
+        for f in l.bounds.narrow.iter().filter(|f| f.upper == upper) {
+            c = format!("{clamp}({c}, {})", self.form_c(f));
+        }
+        c
+    }
+
+    /// A narrowing form over the enclosing counters and the parameters.
+    fn form_c(&self, f: &BoundForm) -> String {
+        let counter = |&(d, c): &(u16, i64)| {
+            let v = &self.counters[d as usize];
+            match c {
+                1 => v.clone(),
+                -1 => format!("-{v}"),
+                c => format!("{c}*{v}"),
+            }
+        };
+        let mut terms: Vec<String> = f.counters.iter().map(counter).collect();
+        if f.rest.as_constant() != Some(0) || terms.is_empty() {
+            terms.push(self.affine_c(&f.rest));
+        }
+        terms.join(" + ").replace("+ -", "- ")
     }
 
     fn equation(&mut self, eq_id: EqId) {
@@ -360,81 +390,6 @@ impl<'m> Emitter<'m> {
                 self.w
                     .line(&format!("PS_AT_{name}({}) = {rhs};", subs.join(", ")));
             }
-        }
-    }
-
-    fn drain(&mut self, spec: &DrainSpec, time_var: &str) {
-        self.w.line(&format!(
-            "/* drain: copy finished plane of {} into {} */",
-            self.module.data[spec.src].name, self.module.data[spec.dst].name
-        ));
-        let n = spec.original.len();
-        let mut vars = Vec::new();
-        for (k, &sr) in spec.inner.iter().enumerate() {
-            let s = &self.module.subranges[sr];
-            let lo = self.affine_c(&s.lo);
-            let hi = self.affine_c(&s.hi);
-            let v = format!("d{k}");
-            self.w
-                .line(&format!("for (long {v} = {lo}; {v} <= {hi}; ++{v}) {{"));
-            self.w.indent();
-            vars.push(v);
-        }
-        // Original coordinates.
-        let loop_vals: Vec<String> = std::iter::once(time_var.to_string())
-            .chain(vars.iter().cloned())
-            .collect();
-        for (d, (coeffs, rest)) in spec.original.iter().enumerate() {
-            let mut terms: Vec<String> = coeffs
-                .iter()
-                .zip(&loop_vals)
-                .filter(|(&c, _)| c != 0)
-                .map(|(&c, v)| {
-                    if c == 1 {
-                        v.clone()
-                    } else {
-                        format!("{c}*{v}")
-                    }
-                })
-                .collect();
-            if rest.as_constant() != Some(0) || terms.is_empty() {
-                terms.push(self.affine_c(rest));
-            }
-            self.w.line(&format!(
-                "long x{d} = {};",
-                terms.join(" + ").replace("+ -", "- ")
-            ));
-        }
-        // In-domain + final-plane guard.
-        let mut conds = Vec::new();
-        for (d, (lo, hi)) in spec.original_bounds.iter().enumerate() {
-            conds.push(format!("x{d} >= {}", self.affine_c(lo)));
-            conds.push(format!("x{d} <= {}", self.affine_c(hi)));
-        }
-        conds.push(format!(
-            "x{} == {}",
-            spec.drain_dim,
-            self.affine_c(&spec.original_bounds[spec.drain_dim].1)
-        ));
-        self.w.line(&format!("if ({}) {{", conds.join(" && ")));
-        self.w.indent();
-        let src_name = self.mangler.data(spec.src).to_string();
-        let dst_name = self.mangler.data(spec.dst).to_string();
-        let src_subs: Vec<String> = loop_vals.clone();
-        let dst_subs: Vec<String> = (0..n)
-            .filter(|&d| d != spec.drain_dim)
-            .map(|d| format!("x{d}"))
-            .collect();
-        self.w.line(&format!(
-            "PS_AT_{dst_name}({}) = PS_AT_{src_name}({});",
-            dst_subs.join(", "),
-            src_subs.join(", ")
-        ));
-        self.w.dedent();
-        self.w.line("}");
-        for _ in 0..vars.len() {
-            self.w.dedent();
-            self.w.line("}");
         }
     }
 

@@ -16,8 +16,8 @@
 //!   an OpenMP `#pragma omp parallel for` so a procedural multiprocessor
 //!   compiler can pick them up;
 //! * `if` expressions as C conditional expressions;
-//! * the windowed-hyperplane *drain* as a guarded copy nest inside the
-//!   wavefront loop.
+//! * a loop a transform narrowed (the windowed-hyperplane *drain*, inside
+//!   the wavefront loop) with its bounds under `ps_lmax`/`ps_lmin`.
 //!
 //! [`emit_main`] additionally generates a `main` that fills inputs with a
 //! deterministic pattern and prints a checksum — used by the end-to-end

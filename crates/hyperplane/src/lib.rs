@@ -15,9 +15,10 @@
 //!    coordinates — every reference `A[s]` becomes `A'[T·s]`, turning all
 //!    recursive offsets into *backward offsets in the time dimension only*,
 //!    so the scheduler emits `DO K' (DOALL I' (DOALL J'))`,
-//! 5. computes the **window** (`1 + max π·d`, 3 for the example) and, in
-//!    [`StorageMode::Windowed`], replaces the result-gather equation with a
-//!    *drain* step inside the wavefront loop (the paper's preferred
+//! 5. computes the **window** (`1 + max π·d`, 3 for the example) and
+//!    rewrites the result-gather equation through `T`; in
+//!    [`StorageMode::Windowed`] the gather becomes the *drain*, run inside
+//!    the wavefront loop on each plane's diagonal (the paper's preferred
 //!    "rotate / unrotate" implementation choice).
 
 #![forbid(unsafe_code)]

@@ -30,17 +30,20 @@ use ps_lang::hir::{
 use ps_lang::types::{ScalarTy, Subrange, Ty};
 use ps_lang::{DataId, EqId, IvId, SubrangeId};
 use ps_scheduler::{
-    schedule_module, Descriptor, DrainSpec, ScheduleError, ScheduleOptions, ScheduleResult,
+    schedule_module, BoundForm, Descriptor, LoopDescriptor, ScheduleError, ScheduleOptions,
+    ScheduleResult,
 };
 use ps_support::idx::IndexVec;
-use ps_support::{Span, Symbol};
+use ps_support::{SmallVec, Span, Symbol};
 
 /// How the transformed array is stored.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StorageMode {
     /// Keep only `window` time planes; the result is *drained* inside the
-    /// wavefront loop (the paper's preferred alternative). Requires every
-    /// outside reader of the array to be a pure upper-bound-plane gather.
+    /// wavefront loop (the paper's preferred alternative): the gather runs
+    /// on each plane's diagonal, while the plane is in the window. Requires
+    /// the one outside reader of the array to be a pure upper-bound-plane
+    /// gather.
     Windowed,
     /// Allocate every time plane; outside readers are rewritten through the
     /// transform. Simple but allocates `O(tmax · plane)` storage.
@@ -73,8 +76,10 @@ pub struct HyperplaneResult {
     pub time_subrange: SubrangeId,
     /// Subranges of the inner transformed dimensions.
     pub inner_subranges: Vec<SubrangeId>,
-    /// Drain step (windowed mode only).
-    pub drain: Option<DrainSpec>,
+    /// Windowed mode, when the final cells lie on many planes: the gather
+    /// equation that [`schedule_transformed`] moves into the time loop as
+    /// the drain, and the original dimension it reads at its upper bound.
+    pub drain: Option<(EqId, usize)>,
     pub mode: StorageMode,
     /// Label of the merged recurrence equation.
     pub merged_label: String,
@@ -233,65 +238,62 @@ pub fn hyperplane_transform(
     let merged_label = merged.label.clone();
 
     // Rebuild the equation list: drop definitions of `target`, splice the
-    // merged equation at the first definition site, and handle readers.
-    let mut drain: Option<DrainSpec> = None;
+    // merged equation at the first definition site, and rewrite readers
+    // through T (each keeps its own index variables).
+    let mut merged = Some(merged);
+    let mut gather: Option<(EqId, usize)> = None;
     let mut new_equations: IndexVec<EqId, Equation> = IndexVec::new();
-    let mut merged_inserted = false;
     for (_, eq) in module.equations.iter_enumerated() {
         if eq.lhs == target {
-            if !merged_inserted {
-                new_equations.push(merged.clone());
-                merged_inserted = true;
+            if let Some(merged) = merged.take() {
+                new_equations.push(merged);
             }
             continue;
         }
-        let reads_target = eq.rhs.array_reads().iter().any(|(a, _)| *a == target);
-        if !reads_target {
+        if !eq.rhs.array_reads().iter().any(|(a, _)| *a == target) {
             new_equations.push(eq.clone());
             continue;
         }
-        match mode {
-            StorageMode::Windowed => {
-                let spec = pure_gather_drain(
-                    module,
-                    eq,
-                    target,
-                    new_array,
-                    time_subrange,
-                    &inner_subranges,
-                    &t_inv,
-                    &orig_bounds,
-                    &iv_names,
-                )?;
-                if drain.is_some() {
-                    return Err(HyperplaneError::Unsupported(
-                        "windowed mode supports a single gather equation".into(),
-                    ));
-                }
-                drain = Some(spec);
-                // The gather is replaced by the drain; drop the equation.
+        if mode == StorageMode::Windowed {
+            if gather.is_some() {
+                return Err(HyperplaneError::Unsupported(
+                    "windowed mode supports a single gather equation".into(),
+                ));
             }
-            StorageMode::Full => {
-                // Rewrite reads of `target` through T; the reader keeps its
-                // own index variables.
-                let rewritten = rewrite_expr(
-                    &eq.rhs,
-                    &|iv| AffineIx::from_iv(iv),
-                    target,
-                    new_array,
-                    &t_mat,
-                )?;
-                let mut new_eq = eq.clone();
-                new_eq.rhs = rewritten;
-                new_equations.push(new_eq);
-            }
+            let drain_dim = gather_drain_dim(eq, target, &orig_bounds)?;
+            gather = Some((new_equations.next_index(), drain_dim));
         }
+        let subst = |iv| AffineIx::from_iv(iv);
+        new_equations.push(Equation {
+            label: eq.label.clone(),
+            lhs: eq.lhs,
+            lhs_field: eq.lhs_field,
+            lhs_subs: eq.lhs_subs.clone(),
+            ivs: eq.ivs.clone(),
+            rhs: rewrite_expr(&eq.rhs, &subst, target, new_array, &t_mat)?,
+            span: eq.span,
+        });
     }
-    if mode == StorageMode::Windowed && drain.is_none() {
-        return Err(HyperplaneError::Unsupported(
-            "windowed mode requires a gather equation reading the final plane".into(),
-        ));
-    }
+    let gathered_pi = |d: usize| (0..n).filter(move |&k| k != d).map(|k| pi[k]);
+    let drain = match (mode, gather) {
+        (StorageMode::Full, _) => None,
+        (StorageMode::Windowed, None) => {
+            return Err(HyperplaneError::Unsupported(
+                "windowed mode requires a gather equation reading the final plane".into(),
+            ))
+        }
+        // Every cell the gather reads lies on one plane, the last: the
+        // window still holds it after the time loop, where full storage
+        // runs the gather too.
+        (_, Some((_, d))) if gathered_pi(d).all(|c| c == 0) => None,
+        (_, Some((_, d))) if gathered_pi(d).all(|c| c.abs() != 1) => {
+            return Err(HyperplaneError::Unsupported(format!(
+                "windowed mode pins the drain to a plane by a gathered dimension with \
+                 a unit time coefficient, and pi = {pi:?} has none"
+            )))
+        }
+        (_, drain) => drain,
+    };
     new_module.equations = new_equations;
 
     Ok(HyperplaneResult {
@@ -312,8 +314,10 @@ pub fn hyperplane_transform(
     })
 }
 
-/// Schedule the transformed module, inserting the drain step into the time
-/// loop in windowed mode. Returns the schedule.
+/// Schedule the transformed module. In windowed mode the gather the
+/// scheduler placed after the time loop moves into it as the drain, and
+/// `A'` keeps `window` planes: every reader of its time dimension then runs
+/// inside the time loop, the gather on the current plane.
 pub fn schedule_transformed(
     result: &HyperplaneResult,
     options: ScheduleOptions,
@@ -321,29 +325,139 @@ pub fn schedule_transformed(
     let dg = build_depgraph(&result.module);
     let mut sched =
         schedule_module(&result.module, &dg, options).map_err(HyperplaneError::Schedule)?;
-    if let Some(drain) = &result.drain {
-        if !insert_drain(&mut sched.flowchart.items, result.time_subrange, drain) {
-            return Err(HyperplaneError::Unsupported(
-                "no time loop found to host the drain step".into(),
-            ));
-        }
-    }
+    let Some((gather, drain_dim)) = result.drain else {
+        return Ok(sched);
+    };
+    let binds = |d: &Descriptor, eq: EqId| matches!(d, Descriptor::Loop(l) if l.bindings.iter().any(|&(e, _)| e == eq));
+    let merged = result.module.defs_of(result.new_array)[0];
+    let items = &sched.flowchart.items;
+    let (Some(time), Some(at)) = (
+        items.iter().position(|d| binds(d, merged)),
+        items.iter().position(|d| binds(d, gather)),
+    ) else {
+        return Err(HyperplaneError::Unsupported(
+            "windowed mode needs the time loop and the gather at the top level".into(),
+        ));
+    };
+    let Descriptor::Loop(nest) = sched.remove_item(at) else {
+        unreachable!("the gather's item binds it")
+    };
+    let time = time - usize::from(at < time);
+    let Descriptor::Loop(time_loop) = &mut sched.flowchart.items[time] else {
+        unreachable!("the time loop's item binds the merged equation")
+    };
+    let plane = result.module.equations[merged].ivs[IvId(0)].name;
+    let drain = pin_to_plane(result, nest, gather, drain_dim, plane)?;
+    time_loop.body.push(Descriptor::Loop(drain));
+    sched.memory.set_window(result.new_array, 0, result.window);
     Ok(sched)
 }
 
-fn insert_drain(items: &mut [Descriptor], time_subrange: SubrangeId, drain: &DrainSpec) -> bool {
-    for d in items {
-        if let Descriptor::Loop(l) = d {
-            if l.subrange == time_subrange {
-                l.body.push(Descriptor::Drain(Box::new(drain.clone())));
-                return true;
-            }
-            if insert_drain(&mut l.body, time_subrange, drain) {
-                return true;
-            }
+/// Bound the gather nest `nest` of `gather` (a perfect nest, one loop per
+/// gathered dimension) to the cells whose final value is on the current
+/// plane of the top-level time loop `plane`: those with `π·x = K'` and
+/// `x[drain_dim]` at its upper bound. With `g` the gathered coordinates in
+/// nest order and `R = K' − π[drain_dim]·hi`, that is `Σ π_g·g = R`. One
+/// coordinate with a unit coefficient, moved innermost, is solved from it:
+/// its loop runs once, at `lo = hi = ±(R − Σ outer π_g·g)`, or not at all.
+/// Every other coordinate with a unit coefficient gets the exact range
+/// that leaves the inner ones a solution in their boxes; the rest keep
+/// their boxes.
+fn pin_to_plane(
+    result: &HyperplaneResult,
+    nest: LoopDescriptor,
+    gather: EqId,
+    drain_dim: usize,
+    plane: Symbol,
+) -> Result<LoopDescriptor, HyperplaneError> {
+    let module = &result.module;
+    // The nest's loops, outermost first, each with its coordinate's π.
+    let eq = &module.equations[gather];
+    let gathered: Vec<usize> = (0..result.pi.len()).filter(|&d| d != drain_dim).collect();
+    let mut loops: Vec<(LoopDescriptor, i64)> = Vec::with_capacity(gathered.len());
+    let mut next = Some(nest);
+    while let Some(mut l) = next.take() {
+        let &[(_, iv)] = &l.bindings[..] else {
+            return Err(HyperplaneError::Unsupported(
+                "the gather's loops must bind it alone".into(),
+            ));
+        };
+        let p = eq
+            .lhs_subs
+            .iter()
+            .position(|s| matches!(s, LhsSub::Var(v) if *v == iv));
+        let pi = result.pi[gathered[p.expect("a gather binds its left-hand variables")]];
+        match std::mem::take(&mut l.body).pop() {
+            Some(Descriptor::Loop(inner)) => next = Some(inner),
+            Some(Descriptor::Equation(_)) | None => {}
         }
+        loops.push((l, pi));
     }
-    false
+    let pinned = (loops.iter().rposition(|&(_, pi)| pi.abs() == 1))
+        .expect("the transform checked for a unit coefficient");
+    let last = loops.remove(pinned);
+    loops.push(last);
+
+    // R = K' − π[drain_dim]·hi, then each loop's range from the inner boxes.
+    let hi = &module
+        .subrange(module.data[result.target].dims()[drain_dim])
+        .hi;
+    let r = BoundForm {
+        upper: false,
+        rest: hi.scale(-result.pi[drain_dim]),
+        counters: [(0, 1)].into(),
+    };
+    let mut inner_min = Affine::constant(0);
+    let mut inner_max = Affine::constant(0);
+    let mut forms: Vec<Option<(BoundForm, BoundForm)>> = vec![None; loops.len()];
+    for (j, (l, pi)) in loops.iter().enumerate().rev() {
+        if pi.abs() == 1 {
+            // π·g ∈ [R − S − max(inner), R − S − min(inner)], S the outer sum.
+            let mut at = r.clone();
+            let outer = loops[..j].iter().enumerate().filter(|(_, (_, p))| *p != 0);
+            at.counters
+                .extend(outer.map(|(i, (_, p))| (i as u16 + 1, -p)));
+            let (mut lo, mut up) = (at.clone(), at);
+            lo.rest.add_scaled(&inner_max, -1);
+            up.rest.add_scaled(&inner_min, -1);
+            if *pi == -1 {
+                (lo, up) = (negate(up), negate(lo));
+            }
+            up.upper = true;
+            forms[j] = Some((lo, up));
+        }
+        let (lo, hi) = (l.bounds.lo.scale(*pi), l.bounds.hi.scale(*pi));
+        let (small, large) = if *pi >= 0 { (lo, hi) } else { (hi, lo) };
+        inner_min.add_scaled(&small, 1);
+        inner_max.add_scaled(&large, 1);
+    }
+
+    // Rebuild the nest, outermost first, marked for display as the drain.
+    let mut body = vec![Descriptor::Equation(gather)];
+    for ((mut l, _), form) in loops.into_iter().zip(forms).rev() {
+        if let Some((lo, up)) = form {
+            l.bounds.narrow = vec![lo, up];
+        }
+        l.body = body;
+        body = vec![Descriptor::Loop(l)];
+    }
+    let Some(Descriptor::Loop(mut drain)) = body.pop() else {
+        unreachable!("a gather has a dimension")
+    };
+    drain.drain_of = Some(plane);
+    Ok(drain)
+}
+
+fn negate(f: BoundForm) -> BoundForm {
+    BoundForm {
+        upper: f.upper,
+        rest: f.rest.scale(-1),
+        counters: f
+            .counters
+            .iter()
+            .map(|&(d, c)| (d, -c))
+            .collect::<SmallVec<_>>(),
+    }
 }
 
 /// Pick display names for the transformed index variables: the recursive
@@ -667,20 +781,13 @@ fn substitute_affine(a: &AffineIx, subst: &dyn Fn(IvId) -> AffineIx) -> AffineIx
     acc
 }
 
-/// Validate that `eq` is a pure gather `dst[...] = target[hi, vars...]` and
-/// build the corresponding drain step.
-#[allow(clippy::too_many_arguments)]
-fn pure_gather_drain(
-    module: &HirModule,
+/// Validate that `eq` is a pure gather `dst[vars...] = target[hi, vars...]`
+/// and return the dimension read at its upper bound `hi`.
+fn gather_drain_dim(
     eq: &Equation,
     target: DataId,
-    new_array: DataId,
-    time_subrange: SubrangeId,
-    inner_subranges: &[SubrangeId],
-    t_inv: &IMat,
     orig_bounds: &[(Affine, Affine)],
-    iv_names: &[Symbol],
-) -> Result<DrainSpec, HyperplaneError> {
+) -> Result<usize, HyperplaneError> {
     let unsupported = |msg: &str| -> HyperplaneError {
         HyperplaneError::Unsupported(format!(
             "{}: windowed mode requires a pure gather of the final plane ({msg})",
@@ -689,7 +796,7 @@ fn pure_gather_drain(
     };
 
     // RHS must be exactly a read of the target (modulo nothing at all —
-    // even a cast would change values written by the drain).
+    // even a cast would change the values the drain copies).
     let HExpr::ReadArray { array, subs, .. } = &eq.rhs else {
         return Err(unsupported("right-hand side is not a plain reference"));
     };
@@ -731,30 +838,7 @@ fn pure_gather_drain(
             "gather must copy dimensions in order (dst[i,j] = A[hi,i,j])",
         ));
     }
-
-    let _ = (module, new_array);
-    let n = orig_bounds.len();
-    Ok(DrainSpec {
-        dst: eq.lhs,
-        src: new_array,
-        inner: inner_subranges.to_vec(),
-        original: (0..n)
-            .map(|d| {
-                let coeffs: Vec<i64> = (0..n).map(|k| t_inv[(d, k)]).collect();
-                (coeffs, Affine::constant(0))
-            })
-            .collect(),
-        drain_dim,
-        original_bounds: orig_bounds.to_vec(),
-        time_name: iv_names[0].to_string(),
-    })
-    .map(|mut spec| {
-        // `inner` excludes the time dimension by construction; keep the
-        // time subrange implicit via the enclosing loop.
-        let _ = time_subrange;
-        spec.inner = inner_subranges.to_vec();
-        spec
-    })
+    Ok(drain_dim)
 }
 
 // ---- HExpr builders -------------------------------------------------------

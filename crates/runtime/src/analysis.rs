@@ -18,9 +18,6 @@
 //!   tags in the first place;
 //! * windowed arrays never elide (their tags also catch window
 //!   evictions, which the interval domain does not model);
-//! * arrays touched by a hyperplane drain never elide (the drain copies
-//!   through `ArrayInstance`'s checked accessors, outside the tapes the
-//!   analyzer saw);
 //! * everything else elides only when every store is proven in-bounds,
 //!   injective over all enclosing counters, and pairwise disjoint across
 //!   equations, and every load is proven in-bounds.
@@ -76,17 +73,6 @@ pub(crate) fn analyze_tapes(
             input: item.kind == DataKind::Param,
         });
     }
-    // Drained arrays copy through `ArrayInstance`'s checked accessors,
-    // outside anything the analyzer inspects: never elide either side.
-    let mut drained: Vec<DataId> = Vec::new();
-    collect_drains(&flowchart.items, &mut drained);
-    for id in drained {
-        let ix = array_ix[id.index()];
-        if ix != usize::MAX {
-            arrays[ix].elidable = false;
-        }
-    }
-
     // Equation tapes, indexed densely in flowchart order, each borrowing
     // its slice of one program-wide address table.
     let order = flowchart.equations();
@@ -228,19 +214,6 @@ fn pint_affine(p: &PInt, params: &[DataId], module: &HirModule) -> Option<Affine
     })
 }
 
-fn collect_drains(items: &[Descriptor], out: &mut Vec<DataId>) {
-    for d in items {
-        match d {
-            Descriptor::Equation(_) => {}
-            Descriptor::Loop(l) => collect_drains(&l.body, out),
-            Descriptor::Drain(spec) => {
-                out.push(spec.dst);
-                out.push(spec.src);
-            }
-        }
-    }
-}
-
 fn convert_items<'m>(
     module: &'m HirModule,
     items: &'m [Descriptor],
@@ -255,13 +228,14 @@ fn convert_items<'m>(
                     out.push(pa::Node::Eq(ix));
                 }
             }
+            // A narrowed loop's box holds its range: what the analyzer
+            // proves over the box holds over the range.
             Descriptor::Loop(l) => {
-                let s = module.subrange(l.subrange);
                 out.push(pa::Node::Loop {
                     parallel: l.kind == LoopKind::Doall,
                     name: &l.name,
-                    lo: &s.lo,
-                    hi: &s.hi,
+                    lo: &l.bounds.lo,
+                    hi: &l.bounds.hi,
                     bindings: l
                         .bindings
                         .iter()
@@ -271,9 +245,6 @@ fn convert_items<'m>(
                     body: convert_items(module, &l.body, eq_ix),
                 });
             }
-            // The drain is not an equation tape; its safety is delegated
-            // to the runtime accessors (see module docs).
-            Descriptor::Drain(_) => {}
         }
     }
     out

@@ -8,31 +8,32 @@
 //! instead, so a `DOALL I (DOALL J)` nest with few rows still fills the
 //! pool. Nothing inside a chunk publishes: the pool enforces it, running
 //! a `for_chunks` made from inside a chunk inline on that chunk's thread.
-//! The only `for_chunks` call not made by `publish_doall` is the drain's,
-//! which runs from the hyperplane's time loop, outermost in every
-//! transformed flowchart.
+//! Every `for_chunks` call is made by `publish_doall`.
 //!
 //! Equations execute as typed register tapes (`tape/`) —
 //! lowered **once per [`crate::Program`]**, specialized per parameter
 //! layout, and reused across runs — with strength-reduced addressing and
-//! zero per-iteration allocations. The one thing here that is not a tape
-//! is the windowed-hyperplane drain, which copies element by element
-//! through `ArrayInstance`'s checked accessors.
+//! zero per-iteration allocations. There is nothing else to execute: the
+//! windowed hyperplane's drain is an equation under loops whose bounds pin
+//! it to the current plane. A loop's range is one read of the
+//! specialization's preorder loop table, narrowed, for a loop a transform
+//! built, by its `max`/`min` forms over the enclosing counters that
+//! `Frames` carries.
 //!
 //! `check_writes` is the tapes' checked mode: every load and store
 //! re-derives its logical index and maintains the store's per-slot tags
-//! inline, the transitions the checked accessors perform for a drain.
+//! inline (double-write and window-eviction detection).
 //!
 //! [`run_module`] is a thin compile-and-run-once wrapper over
 //! [`crate::Program`]; callers serving many runs should hold a `Program`.
 
 use crate::program::Program;
-use crate::store::{Inputs, Outputs, RuntimeError, Store};
+use crate::store::{Inputs, Outputs, RuntimeError};
 use crate::tape::{ExecProg, Frames};
 use ps_executor::Executor;
 use ps_lang::hir::HirModule;
 use ps_lang::EqId;
-use ps_scheduler::{Descriptor, DrainSpec, Flowchart, LoopDescriptor, LoopKind, MemoryPlan};
+use ps_scheduler::{Descriptor, Flowchart, LoopDescriptor, LoopKind, MemoryPlan};
 use ps_support::idx::Idx;
 use ps_trace::EvKind;
 
@@ -79,31 +80,14 @@ pub fn run_module(
     Program::new(module, flowchart, plan, options).run(inputs, executor)
 }
 
-pub(crate) struct Interp<'a, 'm> {
-    pub(crate) store: &'a Store<'m>,
+pub(crate) struct Interp<'a> {
     pub(crate) executor: &'a dyn Executor,
     /// Trace label per equation (see [`crate::Program`]); empty slices are
     /// fine — region events then carry label 0 ("unnamed").
     pub(crate) eq_labels: &'a [u64],
 }
 
-/// Every equation reachable in `items` (loop bodies included), in order.
-fn collect_equations(items: &[Descriptor]) -> Vec<EqId> {
-    let mut out = Vec::new();
-    fn go(items: &[Descriptor], out: &mut Vec<EqId>) {
-        for d in items {
-            match d {
-                Descriptor::Equation(eq) => out.push(*eq),
-                Descriptor::Loop(l) => go(&l.body, out),
-                Descriptor::Drain(_) => {}
-            }
-        }
-    }
-    go(items, &mut out);
-    out
-}
-
-impl<'a, 'm> Interp<'a, 'm> {
+impl<'a> Interp<'a> {
     /// Open a trace span for a parallel region about to be handed to the
     /// executor, labelled with the first of the equations it runs (so
     /// profiles and flight dumps name the equation, not just an epoch);
@@ -120,76 +104,73 @@ impl<'a, 'm> Interp<'a, 'm> {
         Some(ps_trace::span(EvKind::Region, label, width as u64))
     }
 
-    fn bounds(&self, sr: ps_lang::SubrangeId) -> (i64, i64) {
-        self.store.subrange_bounds(sr)
-    }
-
     /// Run a whole flowchart. A `DOALL` may publish a region only when the
     /// executor has someone to hand it to.
-    pub(crate) fn run(&self, prog: &ExecProg<'_, 'm>, items: &[Descriptor], frames: &mut Frames) {
-        self.run_items(prog, items, frames, self.executor.threads() > 1, None);
+    pub(crate) fn run(&self, prog: &ExecProg<'_, '_>, items: &[Descriptor], frames: &mut Frames) {
+        self.run_items(prog, items, 0, frames, self.executor.threads() > 1);
     }
 
-    /// Walk `items` in order. With `publish`, a `DOALL` met here becomes
-    /// a region on the executor; without it — on the sequential executor,
+    /// Walk `items` in order, `first` being the preorder index of the
+    /// first loop among them. With `publish`, a `DOALL` met here becomes a
+    /// region on the executor; without it — on the sequential executor,
     /// and everywhere inside a region's chunk — it runs on the current
-    /// thread. `time` is the counter of the `DO` loop whose body `items`
-    /// is, when it is one: what a drain needs.
+    /// thread.
     fn run_items(
         &self,
-        prog: &ExecProg<'_, 'm>,
+        prog: &ExecProg<'_, '_>,
         items: &[Descriptor],
+        first: u32,
         frames: &mut Frames,
         publish: bool,
-        time: Option<i64>,
     ) {
+        let mut id = first;
         for d in items {
-            match (d, time) {
-                (Descriptor::Equation(eq), _) => prog.run_eq(*eq, frames),
-                (Descriptor::Loop(l), _) => self.run_loop(prog, l, frames, publish),
-                (Descriptor::Drain(spec), Some(t)) => self.run_drain(spec, t),
-                (Descriptor::Drain(spec), None) => {
-                    panic!("drain over {} reached outside a time loop", spec.time_name)
+            match d {
+                Descriptor::Equation(eq) => prog.run_eq(*eq, frames),
+                Descriptor::Loop(l) => {
+                    self.run_loop(prog, l, id, frames, publish);
+                    id = prog.spec.loop_spec(id).end;
                 }
             }
         }
     }
 
+    /// Run loop `l`, number `id` in preorder.
     fn run_loop(
         &self,
-        prog: &ExecProg<'_, 'm>,
+        prog: &ExecProg<'_, '_>,
         l: &LoopDescriptor,
+        id: u32,
         frames: &mut Frames,
         publish: bool,
     ) {
-        let (lo, hi) = self.bounds(l.subrange);
+        let s = prog.spec.loop_spec(id);
+        let (lo, hi) = prog.spec.loop_range(l, s, &frames.counters);
         match l.kind {
             LoopKind::Do => {
                 for i in lo..=hi {
                     // Counters live in flat per-equation slots: binding is
                     // an indexed store, no environment structure at all.
-                    for &(eq, iv) in &l.bindings {
-                        frames.set_iv(eq, iv, i);
-                    }
-                    self.run_items(prog, &l.body, frames, publish, Some(i));
+                    bind(frames, l, s.depth, i);
+                    self.run_items(prog, &l.body, id + 1, frames, publish);
                 }
             }
-            LoopKind::Doall if publish => self.publish_doall(prog, l, frames),
-            LoopKind::Doall => self.run_inline(prog, l, lo, hi, frames),
+            LoopKind::Doall if publish => self.publish_doall(prog, l, id, frames),
+            LoopKind::Doall => self.run_inline(prog, l, id, (lo, hi), frames),
         }
     }
 
-    /// Run `DOALL l` over `lo..=hi` of its counter on this thread, binding
-    /// counters in `frames` and allocating nothing: the whole loop on the
-    /// sequential executor, one chunk's slice of it in a published region.
-    /// Nothing in the slice publishes again. Iterations are independent, so
-    /// every split of the range gives the same bits.
+    /// Run `DOALL l`, number `id`, over `lo..=hi` of its counter on this
+    /// thread, binding counters in `frames` and allocating nothing: the
+    /// whole loop on the sequential executor, one chunk's slice of it in a
+    /// published region. Nothing in the slice publishes again. Iterations
+    /// are independent, so every split of the range gives the same bits.
     fn run_inline(
         &self,
-        prog: &ExecProg<'_, 'm>,
+        prog: &ExecProg<'_, '_>,
         l: &LoopDescriptor,
-        lo: i64,
-        hi: i64,
+        id: u32,
+        (lo, hi): (i64, i64),
         frames: &mut Frames,
     ) {
         match &l.body[..] {
@@ -199,26 +180,29 @@ impl<'a, 'm> Interp<'a, 'm> {
                 return prog.run_eq_range(*eq, &l.bindings, lo, hi, frames)
             }
             // So does a single stripped equation two `DOALL`s deep, whose
-            // nest is one walk over the rectangles its branches cut.
+            // nest is one walk over the rectangles its branches cut (the
+            // strip planner nests no narrowed loop, whose range would
+            // follow the row).
             [Descriptor::Loop(inner)] => match inner.body[..] {
                 [Descriptor::Equation(eq)] if prog.strips_nest(eq) => {
-                    return prog.run_nest(eq, (lo, hi), self.bounds(inner.subrange), frames)
+                    let s = prog.spec.loop_spec(id + 1);
+                    let cols = prog.spec.loop_range(inner, s, &frames.counters);
+                    return prog.run_nest(eq, (lo, hi), cols, frames);
                 }
                 _ => {}
             },
             _ => {}
         }
+        let depth = prog.spec.loop_spec(id).depth;
         for i in lo..=hi {
-            for &(eq, iv) in &l.bindings {
-                frames.set_iv(eq, iv, i);
-            }
-            self.run_items(prog, &l.body, frames, false, None);
+            bind(frames, l, depth, i);
+            self.run_items(prog, &l.body, id + 1, frames, false);
         }
     }
 
-    /// Hand `DOALL l` to the executor as one region over its own counter.
-    /// Each chunk clones its body's frames once (inheriting outer `DO`
-    /// counters and preloaded constants) and runs its slice with
+    /// Hand `DOALL l`, number `id`, to the executor as one region over its
+    /// own counter. Each chunk clones its body's frames once (inheriting
+    /// outer `DO` counters and preloaded constants) and runs its slice with
     /// [`Interp::run_inline`], so a pooled chunk takes the same nest walk,
     /// strip path or generic walk as the sequential executor.
     ///
@@ -226,92 +210,47 @@ impl<'a, 'm> Interp<'a, 'm> {
     /// whose body is a single inner `DOALL`. There the counter is bound
     /// here and the inner loop published once per value. Any other narrow
     /// range is one region like the rest.
-    fn publish_doall(&self, prog: &ExecProg<'_, 'm>, l: &LoopDescriptor, frames: &mut Frames) {
-        let (lo, hi) = self.bounds(l.subrange);
+    fn publish_doall(
+        &self,
+        prog: &ExecProg<'_, '_>,
+        l: &LoopDescriptor,
+        id: u32,
+        frames: &mut Frames,
+    ) {
+        let s = prog.spec.loop_spec(id);
+        let (lo, hi) = prog.spec.loop_range(l, s, &frames.counters);
         if hi < lo {
             return;
         }
         if let [Descriptor::Loop(inner)] = &l.body[..] {
             if inner.kind == LoopKind::Doall && hi - lo + 1 < self.executor.threads() as i64 {
                 for i in lo..=hi {
-                    for &(eq, iv) in &l.bindings {
-                        frames.set_iv(eq, iv, i);
-                    }
-                    self.publish_doall(prog, inner, frames);
+                    bind(frames, l, s.depth, i);
+                    self.publish_doall(prog, inner, id + 1, frames);
                 }
                 return;
             }
         }
-        let body_eqs = collect_equations(&l.body);
+        let body_eqs = Flowchart::equations_of(&l.body);
         let _rspan = self.region_span(&body_eqs, hi - lo + 1);
         let frames = &*frames;
         self.executor.for_chunks(lo, hi, &|start, stop| {
             let mut local = frames.clone_for(&body_eqs);
-            self.run_inline(prog, l, start, stop - 1, &mut local);
+            self.run_inline(prog, l, id, (start, stop - 1), &mut local);
         });
     }
+}
 
-    /// The windowed-hyperplane drain: copy finished elements of the
-    /// transformed array into the destination while plane `t` is current.
-    fn run_drain(&self, spec: &DrainSpec, t: i64) {
-        let ranges: Vec<(i64, i64)> = spec.inner.iter().map(|&sr| self.bounds(sr)).collect();
-        let widths: Vec<i64> = ranges
-            .iter()
-            .map(|&(lo, hi)| (hi - lo + 1).max(0))
-            .collect();
-        let total: i64 = widths.iter().product();
-        if total <= 0 {
-            return;
-        }
-        let eval = |a: &ps_lang::Affine| {
-            a.eval(&self.store.params)
-                .unwrap_or_else(|| panic!("cannot evaluate {a}"))
-        };
-        let bounds: Vec<(i64, i64)> = spec
-            .original_bounds
-            .iter()
-            .map(|(lo, hi)| (eval(lo), eval(hi)))
-            .collect();
-        let rests: Vec<i64> = spec.original.iter().map(|(_, rest)| eval(rest)).collect();
-
-        self.executor.for_chunks(0, total - 1, &|start, stop| {
-            let n_inner = widths.len();
-            // Transformed point [t, inner...]: the loop values and the
-            // source index are the same vector.
-            let mut src_index = vec![0i64; 1 + n_inner];
-            src_index[0] = t;
-            let mut original = vec![0i64; spec.original.len()];
-            let mut dst_index = Vec::with_capacity(spec.original.len());
-            'elem: for flat in start..stop {
-                let mut rem = flat;
-                for k in (0..n_inner).rev() {
-                    src_index[1 + k] = ranges[k].0 + rem % widths[k];
-                    rem /= widths[k];
-                }
-                // Through the inverse transform: original coordinates.
-                for ((o, (coeffs, _)), rest) in original.iter_mut().zip(&spec.original).zip(&rests)
-                {
-                    let dot: i64 = coeffs.iter().zip(&src_index).map(|(c, v)| c * v).sum();
-                    *o = rest + dot;
-                }
-                for (k, &(lo, hi)) in bounds.iter().enumerate() {
-                    if original[k] < lo || original[k] > hi {
-                        continue 'elem;
-                    }
-                }
-                if original[spec.drain_dim] != bounds[spec.drain_dim].1 {
-                    continue 'elem;
-                }
-                let v = self.store.array(spec.src).read(&src_index);
-                dst_index.clear();
-                dst_index.extend(
-                    (original.iter().enumerate())
-                        .filter(|(k, _)| *k != spec.drain_dim)
-                        .map(|(_, &x)| x),
-                );
-                self.store.array(spec.dst).write(&dst_index, v);
-            }
-        });
+/// Bind loop `l`'s counter, `depth` loops deep, to `i`: in the frame of
+/// every equation it binds, and among the enclosing counters loop bounds
+/// read when bounds read one that deep.
+#[inline]
+fn bind(frames: &mut Frames, l: &LoopDescriptor, depth: u16, i: i64) {
+    for &(eq, iv) in &l.bindings {
+        frames.set_iv(eq, iv, i);
+    }
+    if let Some(c) = frames.counters.get_mut(depth as usize) {
+        *c = i;
     }
 }
 

@@ -99,18 +99,19 @@
 //!
 //! Those cells are not exported. Their soundness rests on the schedule,
 //! which only this crate's engine follows, so the array storage and the
-//! stores built on it are crate-private, and safe code outside the crate
-//! cannot write one cell from two threads:
+//! stores built on it are crate-private, and code outside the crate cannot
+//! reach a cell to write it from two threads:
 //!
 //! ```compile_fail,E0603
-//! use ps_runtime::ndarray::{ArrayInstance, DimSpec, NdSpec};
-//! use ps_runtime::Value;
+//! use ps_runtime::ndarray::{ArrayInstance, BufferPool, SharedBuffer};
+//! use ps_runtime::OwnedArray;
 //!
-//! let dims = vec![DimSpec { lo: 0, hi: 0, window: None }];
-//! let a = ArrayInstance::new(NdSpec { dims }, ps_lang::ScalarTy::Real, false);
+//! let input = OwnedArray::real(vec![(0, 0)], vec![0.0]);
+//! let a = ArrayInstance::from_owned_pooled(&input, &mut BufferPool::default());
+//! let SharedBuffer::Real(cells) = a.buffer() else { unreachable!() };
 //! std::thread::scope(|s| {
-//!     s.spawn(|| a.write(&[0], Value::Real(1.0)));
-//!     s.spawn(|| a.write(&[0], Value::Real(2.0)));
+//!     s.spawn(|| unsafe { cells.set(0, 1.0) });
+//!     s.spawn(|| unsafe { cells.set(0, 2.0) });
 //! });
 //! ```
 //!

@@ -34,10 +34,10 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::value::{OwnedArray, OwnedBuffer, Value};
+use crate::value::{OwnedArray, OwnedBuffer};
 use ps_lang::ScalarTy;
 use std::cell::{Cell, UnsafeCell};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::AtomicI64;
 
 /// One dimension: inclusive logical bounds plus optional window.
 #[derive(Clone, Copy, Debug)]
@@ -76,38 +76,6 @@ impl NdSpec {
             .product()
     }
 
-    /// Physical offset of a logical index (window-mapped). Panics when out
-    /// of logical bounds — schedule guards must prevent that.
-    pub(crate) fn offset(&self, index: &[i64]) -> usize {
-        debug_assert_eq!(index.len(), self.dims.len());
-        let mut off = 0usize;
-        for (d, &i) in self.dims.iter().zip(index) {
-            assert!(
-                i >= d.lo && i <= d.hi,
-                "index {i} outside {}..{} (windowed array)",
-                d.lo,
-                d.hi
-            );
-            let rel = i - d.lo;
-            let phys = match d.window {
-                Some(w) if w < d.logical_width() => rel % w,
-                _ => rel,
-            };
-            off = off * d.physical_width() as usize + phys as usize;
-        }
-        off
-    }
-
-    /// Flat index in the *logical* (unwindowed) space; used by the write
-    /// checker's tags.
-    pub(crate) fn logical_flat(&self, index: &[i64]) -> i64 {
-        let mut off = 0i64;
-        for (d, &i) in self.dims.iter().zip(index) {
-            off = off * d.logical_width() + (i - d.lo);
-        }
-        off
-    }
-
     pub(crate) fn is_windowed(&self) -> bool {
         self.dims
             .iter()
@@ -121,8 +89,7 @@ pub(crate) struct ParVec<T> {
 }
 
 // SAFETY: all mutation goes through `set`, `set_range` and `cells`, whose
-// callers (the tape walkers, and `ArrayInstance::write` for the drain)
-// guarantee distinct indices across threads — the single-assignment
+// callers (the tape walkers) guarantee distinct indices across threads — the single-assignment
 // property checked by the front end and validated by the scheduler. Reads
 // of a slot racing with its own write cannot occur for the same reason (a
 // value is never read before the schedule has written it). What a safe
@@ -425,9 +392,10 @@ impl ArrayInstance {
         }
     }
 
-    /// The write-checker tag table, when this instance checks writes. The
-    /// compiled engine's checked mode performs the same tag transitions as
-    /// [`ArrayInstance::read`]/[`ArrayInstance::write`] against it.
+    /// The write-checker tag table, when this instance checks writes: per
+    /// physical slot, the logical index it holds (−1 for none). The
+    /// compiled engine's checked mode reads and swaps it at every load and
+    /// store.
     pub(crate) fn tags(&self) -> Option<&[AtomicI64]> {
         self.tags.as_deref()
     }
@@ -438,53 +406,6 @@ impl ArrayInstance {
     /// carry over unchanged.
     pub(crate) fn buffer(&self) -> &SharedBuffer {
         &self.buf
-    }
-
-    pub(crate) fn read(&self, index: &[i64]) -> Value {
-        let off = self.spec.offset(index);
-        if let Some(tags) = &self.tags {
-            let expected = self.spec.logical_flat(index);
-            let tag = tags[off].load(Ordering::Acquire);
-            assert!(
-                tag == expected,
-                "read of {index:?}: slot holds logical {tag} (expected {expected}) — \
-                 element missing or evicted from its window"
-            );
-        }
-        match &self.buf {
-            SharedBuffer::Real(v) => Value::Real(v.get(off)),
-            SharedBuffer::Int(v) => Value::Int(v.get(off)),
-            SharedBuffer::Bool(v) => Value::Bool(v.get(off)),
-        }
-    }
-
-    /// Write one element (the hyperplane drain's copy).
-    ///
-    /// A safe fn whose soundness rests on the schedule, as
-    /// [`ParVec::get`]'s does: distinct `DOALL` iterations write distinct
-    /// logical (hence physical) slots, and nothing reads a slot while its
-    /// writing phase runs. It is crate-private for that reason: code
-    /// outside the crate has no schedule to rest on.
-    pub(crate) fn write(&self, index: &[i64], value: Value) {
-        let off = self.spec.offset(index);
-        if let Some(tags) = &self.tags {
-            let logical = self.spec.logical_flat(index);
-            let prev = tags[off].swap(logical, Ordering::AcqRel);
-            assert!(
-                prev != logical,
-                "double write of logical index {index:?} (single assignment violated)"
-            );
-        }
-        // SAFETY: distinct `DOALL` iterations write distinct offsets (the
-        // scheduler's independence condition, re-proven by `ps-analyze`),
-        // and no reader observes `off` until the writing phase completes.
-        match (&self.buf, value) {
-            (SharedBuffer::Real(v), Value::Real(x)) => unsafe { v.set(off, x) },
-            (SharedBuffer::Real(v), Value::Int(x)) => unsafe { v.set(off, x as f64) },
-            (SharedBuffer::Int(v), Value::Int(x)) => unsafe { v.set(off, x) },
-            (SharedBuffer::Bool(v), Value::Bool(x)) => unsafe { v.set(off, x) },
-            (_, v) => panic!("type mismatch writing {v:?}"),
-        }
     }
 
     /// Extract the full logical content (only for non-windowed arrays).
@@ -506,6 +427,16 @@ impl ArrayInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::{run_module, RuntimeOptions};
+    use crate::store::Inputs;
+    use crate::tape::{fold_addr, ExecProg, Frame};
+    use crate::value::Value;
+    use ps_analyze::ADim;
+    use ps_depgraph::build_depgraph;
+    use ps_executor::Sequential;
+    use ps_lang::{frontend, HirModule};
+    use ps_scheduler::{schedule_module, MemoryPlan, ScheduleOptions, ScheduleResult};
+    use std::sync::atomic::Ordering;
 
     fn spec2(lo0: i64, hi0: i64, w0: Option<i64>, lo1: i64, hi1: i64) -> NdSpec {
         NdSpec {
@@ -524,6 +455,62 @@ mod tests {
         }
     }
 
+    /// The physical slot the tapes address for a constant logical index.
+    fn offset(spec: &NdSpec, index: &[i64]) -> usize {
+        let constant = |&base: &i64| ADim {
+            base,
+            terms: Default::default(),
+        };
+        let dims: Vec<ADim> = index.iter().map(constant).collect();
+        ExecProg::eval_addr(&fold_addr(&dims, spec, false), &Frame::default())
+    }
+
+    /// The value in physical slot `off`.
+    fn get(a: &ArrayInstance, off: usize) -> Value {
+        match a.buffer() {
+            SharedBuffer::Real(v) => Value::Real(v.get(off)),
+            SharedBuffer::Int(v) => Value::Int(v.get(off)),
+            SharedBuffer::Bool(v) => Value::Bool(v.get(off)),
+        }
+    }
+
+    /// Run `src` with checked writes on `inputs` after `edit` changed its
+    /// schedule, and return its output `y`.
+    fn run_checked(
+        src: &str,
+        inputs: &Inputs,
+        edit: impl FnOnce(&HirModule, &mut ScheduleResult),
+    ) -> Value {
+        let m = frontend(src).unwrap();
+        let dg = build_depgraph(&m);
+        let mut sched = schedule_module(&m, &dg, ScheduleOptions::default()).unwrap();
+        edit(&m, &mut sched);
+        let options = RuntimeOptions {
+            check_writes: true,
+            ..Default::default()
+        };
+        let out = run_module(
+            &m,
+            &sched.flowchart,
+            &sched.memory,
+            inputs,
+            &Sequential,
+            options,
+        );
+        out.unwrap().scalar("y")
+    }
+
+    /// Fibonacci: `a[K]` reads the two planes before it.
+    const FIB: &str = "T: module (n: int): [y: int];
+         type K = 3 .. n;
+         var a: array [1 .. n] of int;
+         define
+            a[1] = 1;
+            a[2] = 1;
+            a[K] = a[K-1] + a[K-2];
+            y = a[n];
+         end T;";
+
     #[test]
     fn physical_allocation_respects_window() {
         let full = spec2(1, 10, None, 0, 4);
@@ -539,88 +526,87 @@ mod tests {
     fn window_mapping_wraps() {
         let win = spec2(1, 10, Some(2), 0, 4);
         // Plane 1 and plane 3 share physical slots; 1 and 2 do not.
-        assert_eq!(win.offset(&[1, 0]), win.offset(&[3, 0]));
-        assert_ne!(win.offset(&[1, 0]), win.offset(&[2, 0]));
+        assert_eq!(offset(&win, &[1, 0]), offset(&win, &[3, 0]));
+        assert_ne!(offset(&win, &[1, 0]), offset(&win, &[2, 0]));
     }
 
     #[test]
     fn read_back_written_values() {
-        let a = ArrayInstance::new_pooled(
-            spec2(0, 3, None, 0, 3),
-            ScalarTy::Real,
-            false,
-            &mut BufferPool::default(),
+        // A checked store, then a checked load of the element it wrote.
+        let src = "T: module (): [y: real];
+             type I = 0 .. 3;
+             var a: array [I] of real;
+             define
+                a[I] = real(I) * 6.5;
+                y = a[2];
+             end T;";
+        assert_eq!(
+            run_checked(src, &Inputs::new(), |_, _| {}),
+            Value::Real(13.0)
         );
-        a.write(&[2, 1], Value::Real(6.5));
-        assert_eq!(a.read(&[2, 1]), Value::Real(6.5));
-        // Int widening into a real buffer.
-        a.write(&[0, 0], Value::Int(3));
-        assert_eq!(a.read(&[0, 0]), Value::Real(3.0));
     }
 
     #[test]
     fn windowed_rotation_works() {
-        let a = ArrayInstance::new_pooled(
-            spec2(1, 100, Some(2), 0, 0),
-            ScalarTy::Real,
-            false,
-            &mut BufferPool::default(),
-        );
-        // Simulate the K loop: write plane k, read plane k-1.
-        a.write(&[1, 0], Value::Real(1.0));
-        for k in 2..=100 {
-            let prev = a.read(&[k - 1, 0]).as_real();
-            a.write(&[k, 0], Value::Real(prev + 1.0));
+        // A hundred planes of `a` rotate through the two the schedule
+        // allocates, each read checked against the plane its slot holds.
+        let src = "T: module (n: int): [y: real];
+             type K = 2 .. n;
+             var a: array [1 .. n] of real;
+             define
+                a[1] = 1.0;
+                a[K] = a[K-1] + 1.0;
+                y = a[n];
+             end T;";
+        let y = run_checked(src, &Inputs::new().set_int("n", 100), |m, s| {
+            let a = m.data_by_name("a").unwrap();
+            assert_eq!(s.memory.window(a, 0), Some(2));
+        });
+        assert_eq!(y, Value::Real(100.0));
+    }
+
+    /// The message `run` panics with; fails the test if it returns.
+    fn panic_text(run: impl FnOnce() -> Value) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the checker must stop the run");
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload.downcast::<&str>().unwrap().to_string(),
         }
-        assert_eq!(a.read(&[100, 0]), Value::Real(100.0));
     }
 
     #[test]
     fn checker_catches_double_write() {
-        let a = ArrayInstance::new_pooled(
-            spec2(0, 3, None, 0, 0),
-            ScalarTy::Real,
-            true,
-            &mut BufferPool::default(),
-        );
-        a.write(&[1, 0], Value::Real(1.0));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            a.write(&[1, 0], Value::Real(2.0));
-        }));
-        assert!(err.is_err(), "double write must be caught");
+        // `a[1] = 1` scheduled twice.
+        let text = panic_text(|| {
+            run_checked(FIB, &Inputs::new().set_int("n", 6), |_, s| {
+                let first = s.flowchart.items[0].clone();
+                s.flowchart.items.insert(0, first);
+            })
+        });
+        assert!(text.contains("double write of logical index 0"), "{text}");
     }
 
     #[test]
     fn checker_catches_window_eviction() {
-        let a = ArrayInstance::new_pooled(
-            spec2(1, 10, Some(2), 0, 0),
-            ScalarTy::Real,
-            true,
-            &mut BufferPool::default(),
-        );
-        a.write(&[1, 0], Value::Real(1.0));
-        a.write(&[2, 0], Value::Real(2.0));
-        a.write(&[3, 0], Value::Real(3.0)); // evicts plane 1
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            a.read(&[1, 0]);
-        }));
-        assert!(err.is_err(), "reading an evicted plane must be caught");
-        assert_eq!(a.read(&[3, 0]), Value::Real(3.0));
+        // One plane of `a` where `a[K]` reads two back: `a[2]` evicts
+        // `a[1]` before `a[3]` reads it.
+        let text = panic_text(|| {
+            run_checked(FIB, &Inputs::new().set_int("n", 6), |m, s| {
+                let mut memory = MemoryPlan::new();
+                memory.set_window(m.data_by_name("a").unwrap(), 0, 1);
+                s.memory = memory;
+            })
+        });
+        assert!(text.contains("evicted from its window"), "{text}");
     }
 
     #[test]
     fn export_round_trip() {
-        let a = ArrayInstance::new_pooled(
-            spec2(0, 1, None, 0, 1),
-            ScalarTy::Real,
-            false,
-            &mut BufferPool::default(),
-        );
-        a.write(&[0, 0], Value::Real(1.0));
-        a.write(&[0, 1], Value::Real(2.0));
-        a.write(&[1, 0], Value::Real(3.0));
-        a.write(&[1, 1], Value::Real(4.0));
+        let input = OwnedArray::real(vec![(0, 1), (0, 1)], vec![1.0, 2.0, 3.0, 4.0]);
+        let a = ArrayInstance::from_owned_pooled(&input, &mut BufferPool::default());
         let owned = a.into_owned_array();
+        assert_eq!(owned.dims, vec![(0, 1), (0, 1)]);
         assert_eq!(owned.as_real_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -628,7 +614,7 @@ mod tests {
     fn from_owned_reads_input() {
         let input = OwnedArray::real(vec![(0, 1)], vec![5.0, 6.0]);
         let inst = ArrayInstance::from_owned_pooled(&input, &mut BufferPool::default());
-        assert_eq!(inst.read(&[1]), Value::Real(6.0));
+        assert_eq!(get(&inst, 1), Value::Real(6.0));
     }
 
     #[test]
@@ -636,13 +622,16 @@ mod tests {
         let mut pool = BufferPool::default();
         let spec = || spec2(0, 3, None, 0, 0);
         let a = ArrayInstance::new_pooled(spec(), ScalarTy::Real, true, &mut pool);
-        a.write(&[2, 0], Value::Real(9.0));
+        a.tags().unwrap()[2].store(2, Ordering::Relaxed);
         a.recycle(&mut pool);
         // Same length: the buffer comes back zeroed with fresh tags.
         let b = ArrayInstance::new_pooled(spec(), ScalarTy::Real, true, &mut pool);
         assert!(pool.f.is_empty(), "the pooled buffer was reissued");
-        b.write(&[2, 0], Value::Real(1.0));
-        assert_eq!(b.read(&[2, 0]), Value::Real(1.0), "no stale tag trips");
+        let tags = b.tags().unwrap();
+        assert!(
+            tags.iter().all(|t| t.load(Ordering::Relaxed) == -1),
+            "no stale tag"
+        );
         // A different length misses the pool and allocates fresh.
         b.recycle(&mut pool);
         let c = ArrayInstance::new_pooled(
@@ -666,12 +655,12 @@ mod tests {
         let mut pool = BufferPool::default();
         let input = OwnedArray::int(vec![(1, 3)], vec![7, 8, 9]);
         let inst = ArrayInstance::from_owned_pooled(&input, &mut pool);
-        assert_eq!(inst.read(&[3]), Value::Int(9));
+        assert_eq!(get(&inst, 2), Value::Int(9));
         inst.recycle(&mut pool);
         // Reissue: the copy fully overwrites the recycled contents.
         let other = OwnedArray::int(vec![(1, 3)], vec![1, 2, 3]);
         let inst2 = ArrayInstance::from_owned_pooled(&other, &mut pool);
-        assert_eq!(inst2.read(&[1]), Value::Int(1));
-        assert_eq!(inst2.read(&[3]), Value::Int(3));
+        assert_eq!(get(&inst2, 0), Value::Int(1));
+        assert_eq!(get(&inst2, 2), Value::Int(3));
     }
 }

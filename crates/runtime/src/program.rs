@@ -282,7 +282,6 @@ impl<'m> Program<'m> {
         {
             let view = ExecProg::new(tapes, &spec, &store);
             let cx = Interp {
-                store: &store,
                 executor,
                 eq_labels: &self.eq_labels,
             };
@@ -314,6 +313,7 @@ impl<'m> Program<'m> {
             tapes,
             &self.plan,
             &self.module,
+            &self.flowchart,
             &store.params,
             self.verified.as_deref(),
         )?;

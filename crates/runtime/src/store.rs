@@ -154,10 +154,9 @@ impl ScalarSlot {
     }
 }
 
-/// Evaluate one subrange's bounds, naming the bound that failed. The
-/// single source of truth for "cannot evaluate bound" errors — the
-/// instantiate fast path, [`Store::bounds_of`], and
-/// [`Store::subrange_bounds`] all route their failures through here.
+/// Evaluate one subrange's bounds, naming the bound that failed: the
+/// single source of truth for an array's "cannot evaluate bound" errors,
+/// at instantiation and in [`Store::bounds_of`].
 fn eval_subrange(
     module: &HirModule,
     params: &FxHashMap<Symbol, i64>,
@@ -301,19 +300,8 @@ impl StorePlan {
         arena: &mut StoreArena,
     ) -> Result<Store<'r>, RuntimeError> {
         let params = inputs.param_env();
-        // Evaluate every subrange once: loop headers and array bounds then
-        // read a table instead of re-evaluating affine forms per use.
-        let subrange_bounds: IndexVec<SubrangeId, Option<(i64, i64)>> = module
-            .subranges
-            .iter()
-            .map(|s| Some((s.lo.eval(&params)?, s.hi.eval(&params)?)))
-            .collect();
-        // Per-dimension bounds lookup: table fast path, shared error path.
         let dim_bounds = |id: DataId, sr: SubrangeId| -> Result<(i64, i64), RuntimeError> {
-            let (lo, hi) = match subrange_bounds[sr] {
-                Some(b) => b,
-                None => eval_subrange(module, &params, sr)?,
-            };
+            let (lo, hi) = eval_subrange(module, &params, sr)?;
             if hi < lo {
                 return Err(empty_dim_error(module, id, lo, hi));
             }
@@ -424,7 +412,6 @@ impl StorePlan {
             module,
             outputs,
             params,
-            subrange_bounds,
             arrays,
             scalar_base: Arc::clone(&self.scalar_base),
             scalar_slots,
@@ -438,11 +425,6 @@ pub(crate) struct Store<'m> {
     /// The result maps [`Store::into_outputs_into`] fills, sized up front.
     outputs: Outputs,
     pub params: FxHashMap<Symbol, i64>,
-    /// Every subrange's `(lo, hi)` under this run's parameters, evaluated
-    /// once at instantiation; loop headers read the table instead of
-    /// re-evaluating affine forms (`None`: a bound named a missing
-    /// parameter).
-    subrange_bounds: IndexVec<SubrangeId, Option<(i64, i64)>>,
     /// Dense per-item array table (`None` for scalars): lookups on the hot
     /// path are a single indexed load, no hashing.
     arrays: IndexVec<DataId, Option<ArrayInstance>>,
@@ -472,17 +454,6 @@ impl<'m> Store<'m> {
                 Ok((lo, hi))
             })
             .collect()
-    }
-
-    /// The evaluated `(lo, hi)` of a subrange — a table load, no affine
-    /// evaluation on the loop-header path.
-    pub fn subrange_bounds(&self, sr: SubrangeId) -> (i64, i64) {
-        self.subrange_bounds[sr].unwrap_or_else(|| {
-            match eval_subrange(self.module, &self.params, sr) {
-                Ok(b) => b,
-                Err(e) => panic!("{e}"),
-            }
-        })
     }
 
     pub fn array(&self, id: DataId) -> &ArrayInstance {

@@ -387,10 +387,12 @@ pub(crate) fn plan_tapes(
     for d in items {
         match d {
             Descriptor::Loop(l) => {
-                let loops = [Some(l), enclosing.filter(|_| items.len() == 1)];
+                // A narrowed loop's range follows the enclosing counters, so
+                // it is never walked as one nest with its enclosing loop.
+                let whole_body = items.len() == 1 && l.bounds.narrow.is_empty();
+                let loops = [Some(l), enclosing.filter(|_| whole_body)];
                 plan_tapes(eqs, module, &l.body, loops, checked, windowed)
             }
-            Descriptor::Drain(_) => {}
             Descriptor::Equation(eq) => {
                 let ceq = eqs[*eq].as_mut().expect("scheduled equations are lowered");
                 let n_counters = module.equations[*eq].ivs.len();

@@ -96,6 +96,9 @@ pub(crate) struct Frames {
     /// other lane a strip reads it has written first. Lane memory is the
     /// widest equation's, not the sum over equations.
     lanes: Vec<f64>,
+    /// The counters of the enclosing loops that loop bounds name, by
+    /// depth (empty unless some loop is narrowed).
+    pub(crate) counters: Vec<i64>,
 }
 
 /// The lanes a stripped equation's frame needs: none when it does not strip.
@@ -137,7 +140,12 @@ impl Frames {
             })
             .collect();
         let lanes = vec![0.0; frames.iter().map(lane_len).max().unwrap_or(0)];
-        Frames { frames, lanes }
+        let counters = vec![0; tapes.counters];
+        Frames {
+            frames,
+            lanes,
+            counters,
+        }
     }
 
     /// Bind this run's parameter values: fill every equation's parameter
@@ -174,7 +182,7 @@ impl Frames {
     /// execute); every other equation gets an empty frame, and the lane
     /// file is a fresh one as wide as the widest of `eqs` needs — lanes are
     /// scratch, so none are copied. Keeps the per-chunk cost proportional
-    /// to the loop body, not the module.
+    /// to the loop body, not the module. The enclosing counters come along.
     pub(crate) fn clone_for(&self, eqs: &[EqId]) -> Frames {
         let mut frames: IndexVec<EqId, Frame> =
             self.frames.iter().map(|_| Frame::default()).collect();
@@ -183,7 +191,12 @@ impl Frames {
         }
         let widest = eqs.iter().map(|&eq| lane_len(&frames[eq])).max();
         let lanes = vec![0.0; widest.unwrap_or(0)];
-        Frames { frames, lanes }
+        let counters = self.counters.clone();
+        Frames {
+            frames,
+            lanes,
+            counters,
+        }
     }
 }
 
@@ -284,7 +297,8 @@ impl<'r, 'm> ExecProg<'r, 'm> {
     }
 
     /// Checked-mode load: the slot must currently hold exactly the logical
-    /// element being read (same transition as `ArrayInstance::read`).
+    /// element being read: it is missing or evicted from its window
+    /// otherwise.
     fn check_read(tags: Option<&[AtomicI64]>, addr: &Addr, frame: &Frame, off: usize) {
         // Tag-less arrays (analysis-verified, or parameter inputs) skip the
         // logical re-derivation entirely — that skip *is* the elision win.
@@ -300,7 +314,7 @@ impl<'r, 'm> ExecProg<'r, 'm> {
     }
 
     /// Checked-mode store: tag the slot with the logical element, panic on
-    /// a double write (same transition as `ArrayInstance::write`).
+    /// a double write.
     fn check_write(tags: Option<&[AtomicI64]>, addr: &Addr, frame: &Frame, off: usize) {
         if let Some(tags) = tags {
             let logical = Self::logical_of(addr, frame);
@@ -373,7 +387,7 @@ impl<'r, 'm> ExecProg<'r, 'm> {
             .strip
             .as_ref()
             .expect("only a stripped nest runs as one");
-        let Frames { frames, lanes } = frames;
+        let Frames { frames, lanes, .. } = frames;
         plan.run(self, eq, &mut frames[eq], lanes, Some(rows), cols);
     }
 
@@ -548,8 +562,8 @@ impl<'r, 'm> ExecProg<'r, 'm> {
                 }
                 let Reg::F(r) = ceq.src else { unreachable!() };
                 // SAFETY: the single-assignment schedule guarantees
-                // concurrent DOALL iterations write disjoint offsets (same
-                // contract as `ArrayInstance::write`).
+                // concurrent DOALL iterations write disjoint offsets (the
+                // contract of `ParVec::set`).
                 unsafe { self.bufs_f[buf as usize].set(off, frame.gf(r)) };
             }
             OutSpec::ArrayI { buf, addr } => {

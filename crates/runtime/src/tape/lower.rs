@@ -8,7 +8,7 @@ use ps_analyze::{ADim, CmpOp, Insn, Kind, Reg};
 use ps_lang::ast::{BinOp, UnOp};
 use ps_lang::hir::{Builtin, DataKind, Equation, HExpr, LhsSub, SubscriptExpr};
 use ps_lang::{DataId, EqId, HirModule, ScalarTy, Ty};
-use ps_scheduler::Flowchart;
+use ps_scheduler::{Descriptor, Flowchart};
 use ps_support::idx::{Idx, IndexVec};
 use ps_support::{FxHashMap, SmallVec, Symbol};
 
@@ -110,9 +110,24 @@ pub(crate) fn compile_tapes(
         buf_b: bufs.b,
         params: params.ids,
         checked,
+        counters: named_depth(&flowchart.items),
     };
     tapes.assert_valid(module, plan.slot_count());
     tapes
+}
+
+/// How many enclosing counters the bounds of the loops in `items` name:
+/// one past the deepest a narrowing form reads.
+fn named_depth(items: &[Descriptor]) -> usize {
+    let named = |d: &Descriptor| match d {
+        Descriptor::Loop(l) => {
+            let forms = l.bounds.narrow.iter().flat_map(|f| &f.counters);
+            let deepest = forms.map(|&(d, _)| d as usize + 1).max();
+            deepest.unwrap_or(0).max(named_depth(&l.body))
+        }
+        Descriptor::Equation(_) => 0,
+    };
+    items.iter().map(named).max().unwrap_or(0)
 }
 
 /// Lowers a program one equation at a time. The tables that grow with a
@@ -273,8 +288,7 @@ impl<'a, 'm> Lowerer<'a, 'm> {
                 }
                 let (kind, buf) = self.bufs.resolve(self.module, eq.lhs);
                 let addr = self.push_addr(eq.lhs, mark);
-                // Int results widen into real arrays, mirroring
-                // `ArrayInstance::write`.
+                // Int results widen into real arrays.
                 if kind == Kind::F {
                     if let Reg::I(r) = src {
                         src = Reg::F(self.cast_if(r, None));

@@ -76,9 +76,9 @@
 //!   walker below.
 //! * **Optional checked mode**: when built with `check_writes`, every load
 //!   and store re-derives its *logical* index from the same affine forms
-//!   and performs the tag transitions of `ArrayInstance`'s checked
-//!   accessors (double-write and window-eviction detection) against the
-//!   store's tag tables.
+//!   and checks it against the store's tag tables: a load must find its
+//!   element in the slot, a store must not find it there already
+//!   (window-eviction and double-write detection).
 //!
 //! Operation order is the post-order of the equation's `HExpr`, with
 //! `and`/`or` and `if` evaluating only the side taken — the order
@@ -102,7 +102,7 @@ use crate::value::Value;
 use ps_analyze::{ADim, Insn, Kind, Mem, Reg};
 use ps_lang::ast::BinOp;
 use ps_lang::{DataId, EqId, HirModule, ScalarTy};
-use ps_scheduler::Flowchart;
+use ps_scheduler::{Flowchart, LoopDescriptor};
 use ps_support::idx::IndexVec;
 
 /// The register kind of a scalar type: `char` and enumeration values are
@@ -344,9 +344,12 @@ pub(crate) struct Tapes {
     /// The parameter-register table: scalar parameters in declaration
     /// order ([`HirModule::scalar_params`]).
     params: Vec<DataId>,
-    /// Tape-level checked-writes mode: loads and stores perform the
-    /// logical-tag transitions of `ArrayInstance`'s checked accessors.
+    /// Tape-level checked-writes mode: loads and stores maintain the
+    /// store's logical tags (`ArrayInstance::tags`).
     pub(crate) checked: bool,
+    /// How many enclosing counters loop bounds name: one past the deepest
+    /// depth a narrowing form reads, 0 when no loop is narrowed.
+    pub(crate) counters: usize,
 }
 
 impl Tapes {
@@ -390,9 +393,54 @@ pub(crate) struct Spec {
     /// the outer counter of its nest and its offset in its class
     /// ([`strip::strides`]); empty for scalar equations.
     pub(super) strides: IndexVec<EqId, Vec<strip::Stride>>,
+    /// Every loop of the flowchart, in preorder.
+    loops: Vec<LoopSpec>,
+    /// The evaluated `rest` of every narrowing form, loop by loop.
+    rests: Vec<i64>,
+}
+
+/// One flowchart loop's bounds under one parameter vector.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LoopSpec {
+    /// The box, evaluated.
+    lo: i64,
+    hi: i64,
+    /// The preorder index one past the loop's last descendant: the next
+    /// loop of the body the loop sits in.
+    pub(crate) end: u32,
+    /// How many loops enclose it: the slot of [`Frames`]' counters its
+    /// counter fills.
+    pub(crate) depth: u16,
+    /// Where its narrowing forms' rests start in [`Spec`]'s table.
+    rests: u32,
 }
 
 impl Spec {
+    /// Loop `id`'s entry in the preorder table.
+    #[inline]
+    pub(crate) fn loop_spec(&self, id: u32) -> LoopSpec {
+        self.loops[id as usize]
+    }
+
+    /// The range loop `l`, entry `s` of the table, runs over: its box, one
+    /// table read, narrowed by its forms at the enclosing `counters`.
+    #[inline]
+    pub(crate) fn loop_range(
+        &self,
+        l: &LoopDescriptor,
+        s: LoopSpec,
+        counters: &[i64],
+    ) -> (i64, i64) {
+        let mut range = (s.lo, s.hi);
+        if !l.bounds.narrow.is_empty() {
+            let rests = &self.rests[s.rests as usize..];
+            for (f, &rest) in l.bounds.narrow.iter().zip(rests) {
+                range = f.clamp(rest, counters, range);
+            }
+        }
+        range
+    }
+
     /// How many addresses of `eq` kept a windowed special dimension.
     #[cfg(test)]
     fn special_count(&self, eq: EqId) -> usize {
@@ -441,7 +489,7 @@ pub(crate) mod tests {
         let store = plan
             .instantiate_masked(m, inputs, false, None, &mut StoreArena::default())
             .unwrap();
-        let spec = specialize(&tapes, &plan, m, &store.params, None).unwrap();
+        let spec = specialize(&tapes, &plan, m, &sched.flowchart, &store.params, None).unwrap();
         (plan, tapes, store, spec)
     }
 

@@ -2,12 +2,13 @@
 //! address of a [`Tapes`] into a strength-reduced physical [`Addr`]
 //! ([`specialize`]), cached per vector by [`crate::Program`].
 
-use super::{Addr, ChkDim, Spec, Tapes, WinDim};
+use super::{Addr, ChkDim, LoopSpec, Spec, Tapes, WinDim};
 use crate::ndarray::NdSpec;
 use crate::store::{RuntimeError, StorePlan};
 use crate::strip;
 use ps_analyze::ADim;
-use ps_lang::{DataId, EqId, HirModule};
+use ps_lang::{Affine, DataId, EqId, HirModule};
+use ps_scheduler::{Descriptor, Flowchart};
 use ps_support::idx::{Idx, IndexVec};
 use ps_support::{FxHashMap, Symbol};
 
@@ -60,11 +61,13 @@ pub(crate) fn fold_addr(dims: &[ADim], spec: &NdSpec, with_chk: bool) -> Addr {
 }
 
 /// Build the [`Spec`] for one parameter environment: evaluate each
-/// referenced array's layout once, then fold every symbolic address.
+/// referenced array's layout once, then fold every symbolic address, then
+/// evaluate every loop bound of `flowchart`.
 pub(crate) fn specialize(
     tapes: &Tapes,
     plan: &StorePlan,
     module: &HirModule,
+    flowchart: &Flowchart,
     params: &FxHashMap<Symbol, i64>,
     verified: Option<&[bool]>,
 ) -> Result<Spec, RuntimeError> {
@@ -96,7 +99,45 @@ pub(crate) fn specialize(
         }
         addrs[eq] = folded;
     }
-    Ok(Spec { addrs, strides })
+    let (mut loops, mut rests) = (Vec::new(), Vec::new());
+    spec_loops(&flowchart.items, 0, params, &mut loops, &mut rests)?;
+    Ok(Spec {
+        addrs,
+        strides,
+        loops,
+        rests,
+    })
+}
+
+/// Append the loops of `items`, `depth` deep, to the preorder table
+/// `loops`, each with its box and its narrowing forms' rests evaluated.
+fn spec_loops(
+    items: &[Descriptor],
+    depth: u16,
+    params: &FxHashMap<Symbol, i64>,
+    loops: &mut Vec<LoopSpec>,
+    rests: &mut Vec<i64>,
+) -> Result<(), RuntimeError> {
+    let eval = |a: &Affine| {
+        (a.eval(params)).ok_or_else(|| RuntimeError(format!("cannot evaluate bound {a}")))
+    };
+    for d in items {
+        let Descriptor::Loop(l) = d else { continue };
+        let at = loops.len();
+        loops.push(LoopSpec {
+            lo: eval(&l.bounds.lo)?,
+            hi: eval(&l.bounds.hi)?,
+            end: 0,
+            depth,
+            rests: rests.len() as u32,
+        });
+        for f in &l.bounds.narrow {
+            rests.push(eval(&f.rest)?);
+        }
+        spec_loops(&l.body, depth + 1, params, loops, rests)?;
+        loops[at].end = loops.len() as u32;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -179,7 +220,8 @@ mod tests {
             let store = plan
                 .instantiate_masked(&m, &inputs, false, None, &mut StoreArena::default())
                 .unwrap();
-            let spec = specialize(&tapes, &plan, &m, &store.params, None).unwrap();
+            let spec =
+                specialize(&tapes, &plan, &m, &sched.flowchart, &store.params, None).unwrap();
             let mut frames = Frames::new(&tapes);
             frames.bind_params(&tapes, &store.param_values(tapes.params()));
             {

@@ -8,12 +8,18 @@
 //!
 //! In practice only *equation* nodes survive into flowcharts (a component
 //! consisting of one data node schedules to null), so [`Descriptor`] carries
-//! equations, loops, and — for the windowed hyperplane mode — the *drain*
-//! step that "unrotates" the transformed array back into the module result
-//! while the wavefront passes (Section 4's preferred implementation choice).
+//! equations and loops. A loop runs over [`LoopBounds`]: the subrange it was
+//! scheduled over, narrowed where a transform needs more than a box by
+//! `max`/`min` forms over parameters and the counters of enclosing loops.
+//! The windowed hyperplane mode's *drain*, which copies each finished
+//! diagonal of the transformed array back into the module result while the
+//! wavefront passes (Section 4's preferred implementation choice), is such a
+//! nest: an ordinary equation under loops whose bounds pin it to the plane.
 
 use ps_lang::bounds::Affine;
-use ps_lang::{DataId, EqId, IvId, SubrangeId};
+use ps_lang::types::Subrange;
+use ps_lang::{EqId, IvId};
+use ps_support::{FxHashMap, SmallVec, Symbol};
 
 /// Whether a loop is iterative (`DO`) or concurrent (`DOALL`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,14 +40,89 @@ impl LoopKind {
     }
 }
 
-/// A loop over a subrange, containing a nested flowchart.
+/// The range a loop counter runs over: `lo = max(lo, every lower form of
+/// narrow)` and `hi = min(hi, every upper form of narrow)`.
+///
+/// `lo..hi` is the box: the subrange the loop was scheduled over, over
+/// parameters only, and all a scheduled loop has. Verifiers take it as the
+/// counter's range, which holds whatever narrows it.
+#[derive(Clone, Debug)]
+pub struct LoopBounds {
+    pub lo: Affine,
+    pub hi: Affine,
+    /// Forms that narrow the box (empty unless a transform built the loop).
+    pub narrow: Vec<BoundForm>,
+}
+
+/// One narrowing form `rest + Σ c·counter(depth)`: `counters` holds
+/// `(depth, c)` pairs naming enclosing loops by their nesting depth in the
+/// flowchart, 0 for a top-level loop.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BoundForm {
+    /// Whether the form bounds the counter from above.
+    pub upper: bool,
+    /// The parameter and constant part.
+    pub rest: Affine,
+    pub counters: SmallVec<(u16, i64)>,
+}
+
+impl BoundForm {
+    /// `(lo, hi)` narrowed by this form, its `rest` having evaluated to
+    /// `rest` and `counters[d]` being the counter of the enclosing loop at
+    /// depth `d`.
+    pub fn clamp(&self, rest: i64, counters: &[i64], (lo, hi): (i64, i64)) -> (i64, i64) {
+        let at = |&(d, c): &(u16, i64)| c * counters[d as usize];
+        let v = rest + self.counters.iter().map(at).sum::<i64>();
+        if self.upper {
+            (lo, hi.min(v))
+        } else {
+            (lo.max(v), hi)
+        }
+    }
+}
+
+impl LoopBounds {
+    /// The bounds of a loop over `s`: its box, nothing narrowing it.
+    pub fn of(s: &Subrange) -> LoopBounds {
+        LoopBounds {
+            lo: s.lo.clone(),
+            hi: s.hi.clone(),
+            narrow: Vec::new(),
+        }
+    }
+
+    /// `(lo, hi)` under `params`, `counters[d]` being the counter of the
+    /// enclosing loop at depth `d`. `Err` is a form naming a parameter
+    /// `params` does not bind.
+    pub fn eval(
+        &self,
+        params: &FxHashMap<Symbol, i64>,
+        counters: &[i64],
+    ) -> Result<(i64, i64), &Affine> {
+        let mut range = (eval(&self.lo, params)?, eval(&self.hi, params)?);
+        for f in &self.narrow {
+            range = f.clamp(eval(&f.rest, params)?, counters, range);
+        }
+        Ok(range)
+    }
+}
+
+fn eval<'a>(a: &'a Affine, params: &FxHashMap<Symbol, i64>) -> Result<i64, &'a Affine> {
+    a.eval(params).ok_or(a)
+}
+
+/// A loop, containing a nested flowchart.
 #[derive(Clone, Debug)]
 pub struct LoopDescriptor {
     pub kind: LoopKind,
-    /// The subrange iterated over (bounds live in the `HirModule`).
-    pub subrange: SubrangeId,
+    pub bounds: LoopBounds,
     /// Display name for rendering (`K`, `I`, `J`).
     pub name: String,
+    /// Display only: on the outermost loop of a windowed hyperplane drain,
+    /// the name of the time loop whose plane it copies, so that the nest
+    /// renders as Figure 7's `DRAIN K'`. Nothing that lowers, verifies,
+    /// strips, runs or emits code reads it.
+    pub drain_of: Option<Symbol>,
     /// For each equation scheduled inside this loop, the index variable of
     /// that equation bound to the loop counter. The runtime uses this to
     /// build the index environment; the paper's compiler does the same
@@ -51,40 +132,13 @@ pub struct LoopDescriptor {
     pub body: Vec<Descriptor>,
 }
 
-/// The drain ("unrotate") step for the windowed hyperplane transform: while
-/// the outer wavefront loop runs, copy finished elements of the transformed
-/// array back into the result array.
-#[derive(Clone, Debug)]
-pub struct DrainSpec {
-    /// Destination (the original result array), rank `n - 1`.
-    pub dst: DataId,
-    /// Source: the transformed (windowed) array, rank `n`, time-major.
-    pub src: DataId,
-    /// Inner loop subranges over the `n - 1` non-time transformed dims.
-    pub inner: Vec<SubrangeId>,
-    /// Inverse coordinate transform: for each *original* dimension, the
-    /// affine row `(coeffs over [t, inner...], params-const)` giving the
-    /// original index from transformed loop indices.
-    pub original: Vec<(Vec<i64>, Affine)>,
-    /// Original dimension that must sit at its upper bound for the element
-    /// to be final (the `K = maxK` plane of Relaxation).
-    pub drain_dim: usize,
-    /// Declared bounds of each original dimension, for the in-domain guard.
-    pub original_bounds: Vec<(Affine, Affine)>,
-    /// The iv of the enclosing time loop in `src`'s defining equation —
-    /// used only for rendering.
-    pub time_name: String,
-}
-
 /// One flowchart entry.
 #[derive(Clone, Debug)]
 pub enum Descriptor {
     /// Emit code for this equation at the current loop nesting.
     Equation(EqId),
-    /// Generate a `for` loop over a subrange.
+    /// Generate a `for` loop.
     Loop(LoopDescriptor),
-    /// Windowed-hyperplane drain step (see [`DrainSpec`]).
-    Drain(Box<DrainSpec>),
 }
 
 /// A scheduled flowchart: an ordered list of descriptors.
@@ -114,17 +168,22 @@ impl Flowchart {
 
     /// All equations in execution order.
     pub fn equations(&self) -> Vec<EqId> {
+        Flowchart::equations_of(&self.items)
+    }
+
+    /// [`Flowchart::equations`] for a run of items: every equation in
+    /// them, loop bodies included, in execution order.
+    pub fn equations_of(items: &[Descriptor]) -> Vec<EqId> {
         let mut out = Vec::new();
         fn go(items: &[Descriptor], out: &mut Vec<EqId>) {
             for d in items {
                 match d {
                     Descriptor::Equation(e) => out.push(*e),
                     Descriptor::Loop(l) => go(&l.body, out),
-                    Descriptor::Drain(_) => {}
                 }
             }
         }
-        go(&self.items, &mut out);
+        go(items, &mut out);
         out
     }
 
@@ -148,7 +207,7 @@ impl Flowchart {
     }
 
     /// Compact one-line rendering: `DO K (DOALL I (DOALL J (eq.3)))`.
-    /// Top-level items are `;`-separated.
+    /// Top-level items are `;`-separated, and a drain nest reads `DRAIN K'`.
     pub fn compact(&self, eq_label: &impl Fn(EqId) -> String) -> String {
         Flowchart::compact_items(&self.items, eq_label)
     }
@@ -159,13 +218,15 @@ impl Flowchart {
             .iter()
             .map(|d| match d {
                 Descriptor::Equation(e) => eq_label(*e),
-                Descriptor::Loop(l) => format!(
-                    "{} {} ({})",
-                    l.kind.keyword(),
-                    l.name,
-                    Flowchart::compact_items(&l.body, eq_label)
-                ),
-                Descriptor::Drain(s) => format!("DRAIN {}", s.time_name),
+                Descriptor::Loop(l) => match l.drain_of {
+                    Some(time) => format!("DRAIN {time}"),
+                    None => format!(
+                        "{} {} ({})",
+                        l.kind.keyword(),
+                        l.name,
+                        Flowchart::compact_items(&l.body, eq_label)
+                    ),
+                },
             })
             .collect::<Vec<_>>()
             .join("; ")
@@ -191,29 +252,26 @@ impl Flowchart {
 mod tests {
     use super::*;
 
+    fn lp(kind: LoopKind, name: &str, body: Vec<Descriptor>) -> LoopDescriptor {
+        LoopDescriptor {
+            kind,
+            bounds: LoopBounds {
+                lo: Affine::constant(0),
+                hi: Affine::param(Symbol::intern("n")),
+                narrow: Vec::new(),
+            },
+            name: name.into(),
+            drain_of: None,
+            bindings: vec![],
+            body,
+        }
+    }
+
     fn sample() -> Flowchart {
         // DOALL I ( DOALL J ( eq.1 ) ); DO K ( eq.3 )
-        let inner = LoopDescriptor {
-            kind: LoopKind::Doall,
-            subrange: SubrangeId(1),
-            name: "J".into(),
-            bindings: vec![],
-            body: vec![Descriptor::Equation(EqId(0))],
-        };
-        let outer = LoopDescriptor {
-            kind: LoopKind::Doall,
-            subrange: SubrangeId(0),
-            name: "I".into(),
-            bindings: vec![],
-            body: vec![Descriptor::Loop(inner)],
-        };
-        let k = LoopDescriptor {
-            kind: LoopKind::Do,
-            subrange: SubrangeId(2),
-            name: "K".into(),
-            bindings: vec![],
-            body: vec![Descriptor::Equation(EqId(2))],
-        };
+        let inner = lp(LoopKind::Doall, "J", vec![Descriptor::Equation(EqId(0))]);
+        let outer = lp(LoopKind::Doall, "I", vec![Descriptor::Loop(inner)]);
+        let k = lp(LoopKind::Do, "K", vec![Descriptor::Equation(EqId(2))]);
         Flowchart {
             items: vec![Descriptor::Loop(outer), Descriptor::Loop(k)],
         }
@@ -224,6 +282,45 @@ mod tests {
         let fc = sample();
         let label = |e: EqId| format!("eq.{}", e.0 + 1);
         assert_eq!(fc.compact(&label), "DOALL I (DOALL J (eq.1)); DO K (eq.3)");
+    }
+
+    #[test]
+    fn a_drain_nest_renders_as_its_plane() {
+        let mut fc = sample();
+        let Descriptor::Loop(k) = &mut fc.items[1] else {
+            unreachable!()
+        };
+        let mut drain = lp(LoopKind::Doall, "I", vec![Descriptor::Equation(EqId(1))]);
+        drain.drain_of = Some(Symbol::intern("K"));
+        k.body.push(Descriptor::Loop(drain));
+        let label = |e: EqId| format!("eq.{}", e.0 + 1);
+        assert_eq!(
+            fc.compact(&label),
+            "DOALL I (DOALL J (eq.1)); DO K (eq.3; DRAIN K)"
+        );
+        assert_eq!(fc.equations(), vec![EqId(0), EqId(2), EqId(1)]);
+    }
+
+    #[test]
+    fn narrowing_forms_clamp_the_box() {
+        // lo = max(0, K - 4), hi = min(n, K - 2*I) at K = 9, I = 3, n = 5.
+        let mut b = lp(LoopKind::Doall, "J", vec![]).bounds;
+        b.narrow.push(BoundForm {
+            upper: false,
+            rest: Affine::constant(-4),
+            counters: [(0, 1)].into(),
+        });
+        b.narrow.push(BoundForm {
+            upper: true,
+            rest: Affine::constant(0),
+            counters: [(0, 1), (1, -2)].into(),
+        });
+        let mut params = FxHashMap::default();
+        params.insert(Symbol::intern("n"), 5);
+        assert_eq!(b.eval(&params, &[9, 3]), Ok((5, 3)));
+        assert_eq!(b.eval(&params, &[6, 0]), Ok((2, 5)));
+        let unbound = FxHashMap::default();
+        assert_eq!(b.eval(&unbound, &[9, 3]), Err(&b.hi));
     }
 
     #[test]

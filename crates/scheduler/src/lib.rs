@@ -48,7 +48,7 @@ pub mod schedule;
 pub mod validate;
 pub mod virtualdim;
 
-pub use flowchart::{Descriptor, DrainSpec, Flowchart, LoopDescriptor, LoopKind};
+pub use flowchart::{BoundForm, Descriptor, Flowchart, LoopBounds, LoopDescriptor, LoopKind};
 pub use memory::{DimAlloc, MemoryPlan};
 pub use render::ComponentInfo;
 pub use schedule::{schedule_module, PickPolicy, ScheduleError, ScheduleOptions, ScheduleResult};

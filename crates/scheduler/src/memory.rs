@@ -27,7 +27,10 @@ impl MemoryPlan {
         MemoryPlan::default()
     }
 
-    pub(crate) fn set_window(&mut self, data: DataId, dim: usize, window: i64) {
+    /// Allocate `window` planes of dimension `dim` of `data`: the
+    /// Section 3.4 analysis's decision, or a transform's that knows every
+    /// reader of the dimension.
+    pub fn set_window(&mut self, data: DataId, dim: usize, window: i64) {
         // Multiple components may analyze the same dimension (it can only
         // happen with identical results); keep the larger window defensively.
         let entry = self.windows.entry((data, dim)).or_insert(window);

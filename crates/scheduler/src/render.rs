@@ -15,6 +15,8 @@ use ps_support::pretty::PrettyWriter;
 ///   )
 /// )
 /// ```
+///
+/// A drain nest's first line names the plane it copies: `DRAIN K': DOALL I (`.
 pub fn render_flowchart(module: &HirModule, fc: &Flowchart) -> String {
     let mut w = PrettyWriter::with_indent_str("  ");
     fn go(module: &HirModule, items: &[Descriptor], w: &mut PrettyWriter) {
@@ -24,15 +26,13 @@ pub fn render_flowchart(module: &HirModule, fc: &Flowchart) -> String {
                     w.line(&module.equations[*e].label);
                 }
                 Descriptor::Loop(l) => {
-                    w.line(&format!("{} {} (", l.kind.keyword(), l.name));
+                    let head = format!("{} {} (", l.kind.keyword(), l.name);
+                    match l.drain_of {
+                        Some(time) => w.line(&format!("DRAIN {time}: {head}")),
+                        None => w.line(&head),
+                    }
                     w.indented(|w| go(module, &l.body, w));
                     w.line(")");
-                }
-                Descriptor::Drain(s) => {
-                    w.line(&format!(
-                        "DRAIN {} -> {} (plane {})",
-                        module.data[s.src].name, module.data[s.dst].name, s.time_name
-                    ));
                 }
             }
         }

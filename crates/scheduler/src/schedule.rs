@@ -1,7 +1,7 @@
 //! Schedule-Graph / Schedule-Component (paper Section 3.3).
 
 use crate::dims::{try_match, DimMatch};
-use crate::flowchart::{Descriptor, Flowchart, LoopDescriptor, LoopKind};
+use crate::flowchart::{Descriptor, Flowchart, LoopBounds, LoopDescriptor, LoopKind};
 use crate::memory::MemoryPlan;
 use crate::virtualdim;
 use ps_depgraph::{DepGraph, DepNodeKind};
@@ -75,6 +75,17 @@ impl ScheduleResult {
             start = end;
             row
         })
+    }
+
+    /// Take top-level item `ix` out of the flowchart (a transform moving
+    /// it elsewhere); its component's Figure-5 row keeps the rest.
+    pub fn remove_item(&mut self, ix: usize) -> Descriptor {
+        for end in &mut self.component_item_ends {
+            if *end as usize > ix {
+                *end -= 1;
+            }
+        }
+        self.flowchart.items.remove(ix)
     }
 }
 
@@ -327,8 +338,9 @@ impl<'a> Scheduler<'a> {
         Ok(Flowchart {
             items: vec![Descriptor::Loop(LoopDescriptor {
                 kind,
-                subrange: m.subrange,
+                bounds: LoopBounds::of(&self.module.subranges[m.subrange]),
                 name: m.name,
+                drain_of: None,
                 bindings,
                 body: body.items,
             })],

@@ -14,7 +14,7 @@
 //! rows) are skipped. The checker is intentionally independent of the real
 //! runtime so it can validate schedules without executing arithmetic.
 
-use crate::flowchart::{Descriptor, DrainSpec, Flowchart};
+use crate::flowchart::{Descriptor, Flowchart};
 use crate::LoopKind;
 use ps_lang::hir::{HExpr, HirModule, LhsSub, SubscriptExpr};
 use ps_lang::{DataId, EqId, IvId};
@@ -64,7 +64,8 @@ struct Replay<'a> {
     /// record fields use a one-element vector.
     defined: FxHashSet<(DataId, Vec<i64>)>,
     env: FxHashMap<(EqId, IvId), i64>,
-    /// Current loop indices, innermost last (used by Drain).
+    /// The enclosing loops' counters, outermost first: what loop bounds
+    /// name.
     loop_stack: Vec<i64>,
 }
 
@@ -78,15 +79,9 @@ impl<'a> Replay<'a> {
             match d {
                 Descriptor::Equation(eq) => self.run_equation(*eq)?,
                 Descriptor::Loop(l) => {
-                    let sr = &self.module.subranges[l.subrange];
-                    let lo = sr
-                        .lo
-                        .eval(self.params)
-                        .ok_or_else(|| self.err(format!("cannot evaluate bound {}", sr.lo)))?;
-                    let hi = sr
-                        .hi
-                        .eval(self.params)
-                        .ok_or_else(|| self.err(format!("cannot evaluate bound {}", sr.hi)))?;
+                    let (lo, hi) = (l.bounds)
+                        .eval(self.params, &self.loop_stack)
+                        .map_err(|form| self.err(format!("cannot evaluate bound {form}")))?;
                     let indices: Vec<i64> = if l.kind == LoopKind::Doall && self.reverse_doall {
                         (lo..=hi).rev().collect()
                     } else {
@@ -104,7 +99,6 @@ impl<'a> Replay<'a> {
                         self.env.remove(&(eq, iv));
                     }
                 }
-                Descriptor::Drain(spec) => self.run_drain(spec)?,
             }
         }
         Ok(())
@@ -198,105 +192,6 @@ impl<'a> Replay<'a> {
                 "{} writes {}{index:?} twice (single assignment violated)",
                 eq.label, self.module.data[eq.lhs].name
             )));
-        }
-        Ok(())
-    }
-
-    fn run_drain(&mut self, spec: &DrainSpec) -> Result<(), ValidationError> {
-        let t = *self
-            .loop_stack
-            .last()
-            .ok_or_else(|| self.err("drain outside any loop".to_string()))?;
-
-        // Iterate the inner (non-time) transformed dims.
-        let mut ranges = Vec::new();
-        for &sr in &spec.inner {
-            let s = &self.module.subranges[sr];
-            let lo =
-                s.lo.eval(self.params)
-                    .ok_or_else(|| self.err(format!("cannot evaluate bound {}", s.lo)))?;
-            let hi =
-                s.hi.eval(self.params)
-                    .ok_or_else(|| self.err(format!("cannot evaluate bound {}", s.hi)))?;
-            ranges.push((lo, hi));
-        }
-        let mut idx: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        'outer: loop {
-            // Transformed point: [t, idx...]. Compute original coordinates.
-            let mut loop_vals = Vec::with_capacity(1 + idx.len());
-            loop_vals.push(t);
-            loop_vals.extend(idx.iter().copied());
-            let original: Option<Vec<i64>> = spec
-                .original
-                .iter()
-                .map(|(coeffs, rest)| {
-                    let base = rest.eval(self.params)?;
-                    Some(
-                        base + coeffs
-                            .iter()
-                            .zip(&loop_vals)
-                            .map(|(c, v)| c * v)
-                            .sum::<i64>(),
-                    )
-                })
-                .collect();
-            let original =
-                original.ok_or_else(|| self.err("cannot evaluate drain transform".to_string()))?;
-
-            // In-domain and at the drain plane?
-            let mut in_domain = true;
-            for (k, (lo_a, hi_a)) in spec.original_bounds.iter().enumerate() {
-                let lo = lo_a.eval(self.params).unwrap_or(i64::MIN);
-                let hi = hi_a.eval(self.params).unwrap_or(i64::MAX);
-                if original[k] < lo || original[k] > hi {
-                    in_domain = false;
-                    break;
-                }
-            }
-            if in_domain {
-                let drain_hi = spec.original_bounds[spec.drain_dim]
-                    .1
-                    .eval(self.params)
-                    .unwrap_or(i64::MAX);
-                if original[spec.drain_dim] == drain_hi {
-                    // Read src[t, idx...]; write dst[original \ drain_dim].
-                    let mut src_index = vec![t];
-                    src_index.extend(idx.iter().copied());
-                    if !self.defined.contains(&(spec.src, src_index.clone())) {
-                        return Err(self.err(format!(
-                            "drain reads {}{src_index:?} before it is written",
-                            self.module.data[spec.src].name
-                        )));
-                    }
-                    let dst_index: Vec<i64> = original
-                        .iter()
-                        .enumerate()
-                        .filter(|(k, _)| *k != spec.drain_dim)
-                        .map(|(_, &v)| v)
-                        .collect();
-                    if !self.defined.insert((spec.dst, dst_index.clone())) {
-                        return Err(self.err(format!(
-                            "drain writes {}{dst_index:?} twice",
-                            self.module.data[spec.dst].name
-                        )));
-                    }
-                }
-            }
-
-            // Advance the odometer.
-            for k in (0..idx.len()).rev() {
-                idx[k] += 1;
-                if idx[k] <= ranges[k].1 {
-                    continue 'outer;
-                }
-                idx[k] = ranges[k].0;
-                if k == 0 {
-                    break 'outer;
-                }
-            }
-            if idx.is_empty() {
-                break;
-            }
         }
         Ok(())
     }

@@ -176,7 +176,8 @@ fn strips_report_pins_paths_and_op_counts() {
         ),
         (
             "@relaxation_v2 --hyperplane windowed",
-            "eq.3: scalar: non-f write",
+            "eq.3: scalar: non-f write
+             eq.2: scalar: windowed inner dimension",
         ),
         (
             "@table_2d --hyperplane full",

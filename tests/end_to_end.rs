@@ -312,16 +312,18 @@ fn all_builtins_run_checked() {
     }
 }
 
-/// A drain's inverse transform that names a parameter no input binds is a
-/// compiler bug and stops the run with the form in the message, as its
-/// bounds do — it used to evaluate to 0 and drain the wrong cells.
+/// A drain loop's bound that names a parameter no input binds is a compiler
+/// bug and stops the run with the form in the message, as any loop bound
+/// does: the run drains nothing rather than the wrong cells.
 #[test]
-fn drain_with_an_unevaluable_inverse_transform_names_the_form() {
-    use ps_scheduler::Descriptor;
-    fn drain(items: &mut [Descriptor]) -> Option<&mut ps_scheduler::DrainSpec> {
+fn drain_loop_with_an_unevaluable_bound_names_the_form() {
+    use ps_scheduler::{Descriptor, LoopDescriptor};
+    fn narrowed(items: &mut [Descriptor]) -> Option<&mut LoopDescriptor> {
         items.iter_mut().find_map(|d| match d {
-            Descriptor::Drain(spec) => Some(&mut **spec),
-            Descriptor::Loop(l) => drain(&mut l.body),
+            Descriptor::Loop(l) => match l.bounds.narrow.is_empty() {
+                true => narrowed(&mut l.body),
+                false => Some(l),
+            },
             Descriptor::Equation(_) => None,
         })
     }
@@ -335,19 +337,16 @@ fn drain_with_an_unevaluable_inverse_transform_names_the_form() {
     .unwrap();
     let t = comp.transformed.as_ref().unwrap();
     let mut flowchart = t.schedule.flowchart.clone();
-    let spec = drain(&mut flowchart.items).expect("windowed mode drains");
-    spec.original[0].1 = ps_lang::Affine::param(ps_support::Symbol::intern("unbound"));
-    let run = std::panic::catch_unwind(|| {
-        ps_core::run_module(
-            &t.result.module,
-            &flowchart,
-            &t.schedule.memory,
-            &relaxation_inputs(4, 3),
-            &Sequential,
-            RuntimeOptions::default(),
-        )
-    });
-    let panic = run.expect_err("the drain must not guess a value");
-    let message = panic.downcast_ref::<String>().expect("a formatted panic");
-    assert_eq!(message, "cannot evaluate unbound");
+    let drain = narrowed(&mut flowchart.items).expect("windowed mode drains");
+    drain.bounds.narrow[0].rest = ps_lang::Affine::param(ps_support::Symbol::intern("unbound"));
+    let err = ps_core::run_module(
+        &t.result.module,
+        &flowchart,
+        &t.schedule.memory,
+        &relaxation_inputs(4, 3),
+        &Sequential,
+        RuntimeOptions::default(),
+    )
+    .expect_err("the drain must not guess a bound");
+    assert_eq!(err.0, "cannot evaluate bound unbound");
 }

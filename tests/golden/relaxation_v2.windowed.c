@@ -122,15 +122,14 @@ void ps_Relaxation2(const double *InitialA, long M, long maxK, double *newA) {
                 PS_AT_A_p(K_p, I_p, J_p) = (((((K_p + (-2 * I_p)) + (-J_p)) < 0) || (((K_p + (-2 * I_p)) + (-J_p)) > (M + 1))) ? 0.0 : ((I_p == 1) ? PS_AT_InitialA(J_p, K_p - 2*I_p - 1*J_p) : (((((J_p == 0) || (((K_p + (-2 * I_p)) + (-J_p)) == 0)) || (J_p == (M + 1))) || (((K_p + (-2 * I_p)) + (-J_p)) == (M + 1))) ? PS_AT_A_p(K_p - 2, I_p - 1, J_p) : ((((PS_AT_A_p(K_p - 1, I_p, J_p) + PS_AT_A_p(K_p - 1, I_p, J_p - 1)) + PS_AT_A_p(K_p - 1, I_p - 1, J_p)) + PS_AT_A_p(K_p - 1, I_p - 1, J_p + 1)) / (double)(4)))));
             }
         }
-        /* drain: copy finished plane of A' into newA */
-        for (long d0 = 1; d0 <= maxK; ++d0) {
-            for (long d1 = 0; d1 <= (M + 1); ++d1) {
-                long x0 = d0;
-                long x1 = d1;
-                long x2 = K_p - 2*d0 - 1*d1;
-                if (x0 >= 1 && x0 <= maxK && x1 >= 0 && x1 <= (M + 1) && x2 >= 0 && x2 <= (M + 1) && x0 == maxK) {
-                    PS_AT_newA(x1, x2) = PS_AT_A_p(K_p, d0, d1);
-                }
+        /* DOALL I (concurrent) */
+        #pragma omp parallel for
+        for (long I = ps_lmax(0, K_p + (-1*M - 2*maxK - 1)); I <= ps_lmin((M + 1), K_p - 2*maxK); ++I) {
+            /* DOALL J (concurrent) */
+            #pragma omp parallel for
+            for (long J = ps_lmax(0, K_p - I - 2*maxK); J <= ps_lmin((M + 1), K_p - I - 2*maxK); ++J) {
+                /* eq.2 */
+                PS_AT_newA(I, J) = PS_AT_A_p(I + J + 2*maxK, maxK, I);
             }
         }
     }
